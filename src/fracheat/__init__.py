@@ -28,19 +28,15 @@ from .montecarlo import (
     McEstimate,
     default_proposal,
     estimate_heat_content,
-    exponent_integral,
-    first_order_residual,
 )
 from .potentials import GaussianMixturePotential, gaussian, mixture
 from .sampling import (
     RngStream,
-    StablePath,
     closed_form_density,
     empirical_cf,
     levy_cdf,
     moment_estimate,
     sample_increment,
-    sample_path,
     sample_subordinator,
     sampler_selftest,
 )
@@ -70,6 +66,7 @@ from .validator import (
     PositivityRecord,
     check_theorem1,
     check_theorem2,
+    estimate_series,
     expansion_report,
     fit_remainder_order,
     positivity_audit,
@@ -79,4 +76,27 @@ from .validator import (
     t2_consistency_check,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # coefficients
+    "CoefficientEntry", "CoefficientTable", "RouteUnavailable", "c0k", "c3_closed", "c4_closed",
+    "c4_sos", "c5_closed", "c5_sos", "c_ell", "cnk_closed", "cnk_fourier", "coefficient_table",
+    "partial_sum", "t2_exact", "t2_kernel",
+    # montecarlo
+    "McConfig", "McEstimate", "default_proposal", "estimate_heat_content",
+    # potentials
+    "GaussianMixturePotential", "gaussian", "mixture",
+    # sampling
+    "RngStream", "closed_form_density", "empirical_cf", "levy_cdf", "moment_estimate",
+    "sample_increment", "sample_subordinator", "sampler_selftest",
+    # simplex
+    "SimplexWeight", "composition_count", "enumerate_compositions", "simplex_integral", "weight_A",
+    "weight_table",
+    # spectral
+    "GridField", "SpectralGrid", "apply_fractional_laplacian", "dirichlet_form",
+    "forward_transform", "grid_integral", "inverse_transform", "sample_on_grid",
+    "weighted_freq_sum",
+    # validator
+    "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "check_theorem1",
+    "check_theorem2", "estimate_series", "expansion_report", "fit_remainder_order",
+    "positivity_audit", "report_to_csv", "report_to_json", "se_factor", "t2_consistency_check",
+]

@@ -5,9 +5,15 @@ Subcommands
 coeffs            deterministic coefficient table (add --weights for the
                   exact combinatorial weights)
 mc                heat-content estimates over the configured times
-validate          theorem bounds, exact-t2 consistency and positivity audit
+validate          the report's bound checks plus the positivity audit
 report            full expansion report (JSON/CSV)
 sampler-selftest  distributional checks of the stable sampler
+
+mc, validate and report share one set of estimates: the i-th time of the
+sorted t_list draws from seed + i (``validator.estimate_series``), so they
+agree bit for bit on Q(t) for one config.  Every JSON output carries
+``config_digest``, a hash of the resolved config without the output section
+and mc.threads, neither of which changes a computed number.
 
 Exit codes: 0 success, 1 at least one check failed, 2 configuration error.
 
@@ -32,26 +38,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ._version import __version__
 from .coefficients import coefficient_table
-from .montecarlo import McConfig, estimate_heat_content
+from .montecarlo import McConfig
 from .potentials import GaussianMixturePotential, mixture
 from .sampling import sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid
 from .validator import (
-    check_theorem2,
+    estimate_series,
     expansion_report,
     positivity_audit,
     report_to_csv,
     report_to_json,
 )
-from .validator import _numerically_nonpositive, _thm1_checks, se_factor, t2_consistency_check
 
 _FMT = "{:.17g}".format
 
@@ -192,8 +196,11 @@ def resolve_config(raw: dict) -> RunConfig:
     fmt = _get(osec, "format", str, "output.", default="both")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"output.format must be csv, json or both, got {fmt!r}")
-    formats = ("csv", "json") if fmt == "both" else (fmt,)
-    return RunConfig(pot, float(alpha), grid, t_list, mc, n_max, gamma, out_dir, formats)
+    return RunConfig(pot, float(alpha), grid, t_list, mc, n_max, gamma, out_dir, _formats(fmt))
+
+
+def _formats(fmt: str) -> tuple[str, ...]:
+    return ("csv", "json") if fmt == "both" else (fmt,)
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
@@ -230,8 +237,9 @@ def resolved_dict(cfg: RunConfig) -> dict:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    # output routing must not affect the digest: it identifies the computation
-    doc = {k: v for k, v in resolved_dict(cfg).items() if k != "output"}
+    """Identifies the computation: output routing and thread count change no number."""
+    doc = resolved_dict(cfg)
+    del doc["output"], doc["mc"]["threads"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -241,27 +249,26 @@ def _write_outputs(cfg: RunConfig, stem: str, json_doc: dict, csv_text: str) -> 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
+        json_doc = json_doc | {"config_digest": config_digest(cfg), "version": __version__}
         (out / f"{stem}.json").write_text(json.dumps(json_doc, sort_keys=True, indent=2) + "\n")
     if "csv" in cfg.formats:
         (out / f"{stem}.csv").write_text(csv_text)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    mc = cfg.mc
-    if getattr(args, "seed", None) is not None or getattr(args, "threads", None) is not None:
-        mc = McConfig(
-            n_paths=mc.n_paths,
-            m_steps=mc.m_steps,
-            proposal_center=mc.proposal_center,
-            proposal_sigma=mc.proposal_sigma,
-            seed=args.seed if args.seed is not None else mc.seed,
-            threads=args.threads if args.threads is not None else mc.threads,
-        )
-    out_dir = args.out if getattr(args, "out", None) else cfg.out_dir
-    formats = cfg.formats
-    if getattr(args, "format", None):
-        formats = ("csv", "json") if args.format == "both" else (args.format,)
-    return RunConfig(cfg.potential, cfg.alpha, cfg.grid, cfg.t_list, mc, cfg.n_max, cfg.gamma, out_dir, formats)
+    mc = {key: val for key in ("seed", "threads") if (val := getattr(args, key)) is not None}
+    changes = {"mc": replace(cfg.mc, **mc)} if mc else {}
+    if args.out:
+        changes["out_dir"] = args.out
+    if args.format:
+        changes["formats"] = _formats(args.format)
+    return replace(cfg, **changes)
+
+
+def _expansion_report(cfg: RunConfig):
+    return expansion_report(
+        cfg.potential, cfg.alpha, cfg.t_list, cfg.mc, grid=cfg.grid, n_max=cfg.n_max, gamma=cfg.gamma
+    )
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -269,8 +276,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def _cmd_coeffs(cfg: RunConfig, args) -> int:
     table = coefficient_table(cfg.potential, cfg.grid, cfg.alpha)
-    digest = config_digest(cfg)
-    print(f"# coefficients  alpha={cfg.alpha:g}  {cfg.grid.descriptor}  config={digest}")
+    print(f"# coefficients  alpha={cfg.alpha:g}  {cfg.grid.descriptor}  config={config_digest(cfg)}")
     for label, e in table.entries.items():
         print(f"{label:8s} {_FMT(e.value):>24s}  {e.route:12s} {e.grid}")
     weight_rows = []
@@ -285,8 +291,6 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
     doc = {
         "alpha": cfg.alpha,
         "dimension": cfg.potential.dimension,
-        "config_digest": digest,
-        "version": __version__,
         "entries": {
             label: {"value": e.value, "route": e.route, "grid": e.grid} for label, e in table.entries.items()
         },
@@ -300,51 +304,27 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
 
 
 def _cmd_mc(cfg: RunConfig, args) -> int:
-    digest = config_digest(cfg)
-    print(f"# heat-content estimates  alpha={cfg.alpha:g}  n_paths={cfg.mc.n_paths}  config={digest}")
-    rows = []
-    for t in cfg.t_list:
-        est = estimate_heat_content(cfg.potential, cfg.alpha, t, cfg.mc)
-        rows.append((t, est))
+    print(f"# heat-content estimates  alpha={cfg.alpha:g}  n_paths={cfg.mc.n_paths}  config={config_digest(cfg)}")
+    rows = estimate_series(cfg.potential, cfg.alpha, cfg.t_list, cfg.mc)
+    for t, est in rows:
         print(f"t={t:<10g} Q={_FMT(est.mean):>24s}  se={est.standard_error:.3e}  n={est.n_samples}")
     doc = {
         "alpha": cfg.alpha,
-        "config_digest": digest,
-        "version": __version__,
         "estimates": [
-            {
-                "t": t,
-                "mean": e.mean,
-                "standard_error": e.standard_error,
-                "n_samples": e.n_samples,
-                "estimate_digest": e.config_digest,
-            }
+            {"t": t, "mean": e.mean, "standard_error": e.standard_error, "n_samples": e.n_samples}
             for t, e in rows
         ],
     }
-    csv_lines = ["t,mean,standard_error,n_samples,estimate_digest"]
-    csv_lines += [
-        f"{_FMT(t)},{_FMT(e.mean)},{_FMT(e.standard_error)},{e.n_samples},{e.config_digest}" for t, e in rows
-    ]
+    csv_lines = ["t,mean,standard_error,n_samples"]
+    csv_lines += [f"{_FMT(t)},{_FMT(e.mean)},{_FMT(e.standard_error)},{e.n_samples}" for t, e in rows]
     _write_outputs(cfg, "mc", doc, "\n".join(csv_lines) + "\n")
     return 0
 
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
-    digest = config_digest(cfg)
-    print(f"# validation  alpha={cfg.alpha:g}  config={digest}")
-    checks = []
-    sandwich = _numerically_nonpositive(cfg.potential) and not cfg.potential.is_zero
-    per_t = 2 + (2 if sandwich else 0)
-    k = se_factor(per_t * len(cfg.t_list))
-    for t in cfg.t_list:
-        est = estimate_heat_content(cfg.potential, cfg.alpha, t, cfg.mc)
-        checks.extend(
-            _thm1_checks(cfg.potential, t, est, k, ("i", "ii") if sandwich else ("ii",))
-        )
-        checks.append(t2_consistency_check(cfg.potential, cfg.alpha, t, cfg.mc, cfg.grid, est=est, k=k))
-    if cfg.gamma is not None:
-        checks.extend(check_theorem2(cfg.potential, cfg.gamma, cfg.alpha, cfg.t_list, cfg.mc))
+    report = _expansion_report(cfg)
+    print(f"# validation  alpha={cfg.alpha:g}  config={config_digest(cfg)}")
+    checks = [c for row in report.rows for c in row.checks]
     audit = positivity_audit(cfg.potential, cfg.grid, cfg.alpha)
     failed = 0
     for c in checks:
@@ -358,8 +338,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         req = "required" if r.required else "probe"
         print(f"{tag} {r.label}: value={r.value:.6e} ({req})")
     doc = {
-        "config_digest": digest,
-        "version": __version__,
+        "se_mult": report.se_mult,
         "checks": [
             {"name": c.name, "passed": c.passed, "value": c.value, "margin": c.margin} for c in checks
         ],
@@ -376,11 +355,8 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
-    report = expansion_report(
-        cfg.potential, cfg.alpha, cfg.t_list, cfg.mc, grid=cfg.grid, n_max=cfg.n_max, gamma=cfg.gamma
-    )
-    digest = config_digest(cfg)
-    print(f"# expansion report  alpha={cfg.alpha:g}  config={digest}")
+    report = _expansion_report(cfg)
+    print(f"# expansion report  alpha={cfg.alpha:g}  config={config_digest(cfg)}")
     failed = 0
     for row in report.rows:
         bad = [c for c in row.checks if not c.passed]
@@ -395,9 +371,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
             f"order fit N={n}: slope={fit.slope:.3f} (expect ~{n + 1}) r2={fit.r_squared:.4f} "
             f"window=[{fit.t_window[0]:g}, {fit.t_window[1]:g}] used={fit.n_used}"
         )
-    doc = json.loads(report_to_json(report))
-    doc["config_digest_run"] = digest
-    _write_outputs(cfg, "report", doc, report_to_csv(report))
+    _write_outputs(cfg, "report", json.loads(report_to_json(report)), report_to_csv(report))
     return 1 if failed else 0
 
 

@@ -17,13 +17,13 @@ coverage; mass beyond ~5 sigma_q of the centers is effectively dropped,
 an O(||V||_1 t^2 / sigma_q) effect that matters only at loose tolerances.
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into fixed chunks, each driven by its own seed substream, so the thread
-count changes scheduling but not a single drawn number.
+count changes scheduling but not a single drawn number.  One call estimates
+one time; ``validator.estimate_series`` gives each time of a series its own
+seed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,15 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import GaussianMixturePotential
-from .sampling import RngStream, StablePath, sample_subordinator
+from .sampling import RngStream, sample_subordinator
 
 __all__ = [
     "McConfig",
     "McEstimate",
     "default_proposal",
-    "exponent_integral",
     "estimate_heat_content",
-    "first_order_residual",
 ]
 
 _CHUNK = 32768
@@ -74,7 +72,6 @@ class McEstimate:
     mean: float
     standard_error: float
     n_samples: int
-    config_digest: str
 
 
 def default_proposal(v: GaussianMixturePotential, d: int) -> tuple[np.ndarray, float]:
@@ -92,31 +89,6 @@ def default_proposal(v: GaussianMixturePotential, d: int) -> tuple[np.ndarray, f
     widths = 1.0 / np.sqrt(2.0 * np.asarray(v.sharpness))
     spread = np.sqrt(((mu - center) ** 2).sum(axis=1)).max()
     return center, 3.0 * (float(widths.max()) + float(spread))
-
-
-def _digest(v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig, center, sigma) -> str:
-    blob = json.dumps(
-        {
-            "potential": [list(map(repr, (c, m, a))) for c, m, a in zip(v.weights, v.centers, v.sharpness)],
-            "dimension": v.dimension,
-            "alpha": repr(alpha),
-            "t": repr(t),
-            "n_paths": cfg.n_paths,
-            "m_steps": cfg.m_steps,
-            "center": [repr(float(c)) for c in np.atleast_1d(center)],
-            "sigma": repr(float(sigma)),
-            "seed": cfg.seed,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def exponent_integral(path: StablePath, v: GaussianMixturePotential) -> float:
-    """Trapezoid rule for int_0^t V(X_s) ds along a path skeleton."""
-    vals = v.evaluate(path.positions)
-    dt = np.diff(path.times)
-    return float((0.5 * dt * (vals[:-1] + vals[1:])).sum())
 
 
 def _chunk_summands(
@@ -152,19 +124,27 @@ def _chunk_summands(
         return np.expm1(-a) / q
 
 
-def _summands(v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig) -> tuple[np.ndarray, str]:
+def estimate_heat_content(
+    v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
+) -> McEstimate:
+    """Monte Carlo Q(t) with standard error sd/sqrt(n).
+
+    V = 0 returns exactly 0 with zero variance (every summand vanishes
+    identically, so no paths are drawn).
+    """
+    if v.is_zero:
+        return McEstimate(0.0, 0.0, cfg.n_paths)
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
+    center, sigma = default_proposal(v, v.dimension)
     if cfg.proposal_center is not None:
         center = np.asarray(cfg.proposal_center, dtype=float)
         if center.shape != (v.dimension,):
             raise ValueError(f"proposal center must have shape ({v.dimension},)")
-    else:
-        center = default_proposal(v, v.dimension)[0]
-    sigma = cfg.proposal_sigma if cfg.proposal_sigma is not None else default_proposal(v, v.dimension)[1]
-    digest = _digest(v, alpha, t, cfg, center, sigma)
+    if cfg.proposal_sigma is not None:
+        sigma = cfg.proposal_sigma
     n = cfg.n_paths
     sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
     job = lambda i: _chunk_summands(v, alpha, t, cfg, center, sigma, i, sizes[i])
@@ -181,39 +161,6 @@ def _summands(v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
         )
     if v.is_nonpositive and (w < 0.0).any():
         raise RuntimeError("sign violation: V <= 0 must give nonnegative summands")
-    if v.is_nonnegative and not v.is_zero and (w > 0.0).any():
+    if v.is_nonnegative and (w > 0.0).any():
         raise RuntimeError("sign violation: V >= 0 must give nonpositive summands")
-    return w, digest
-
-
-def estimate_heat_content(
-    v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
-) -> McEstimate:
-    """Monte Carlo Q(t) with standard error sd/sqrt(n).
-
-    V = 0 returns exactly 0 with zero variance (every summand vanishes
-    identically, so no paths are drawn).
-    """
-    if v.is_zero:
-        return McEstimate(0.0, 0.0, cfg.n_paths, _digest(v, alpha, t, cfg, np.zeros(v.dimension), 1.0))
-    w, digest = _summands(v, alpha, t, cfg)
-    return McEstimate(
-        float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w))), len(w), digest
-    )
-
-
-def first_order_residual(
-    v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
-) -> McEstimate:
-    """Estimate of (Q(t) + t int V) / t^2, the exact-t^2 profile T_2 plus error.
-
-    Bounded in magnitude by ||V||_1 ||V||_inf e^{t ||V||_inf}; tends to
-    C_2 = (1/2) int V^2 as t -> 0.
-    """
-    if v.is_zero:
-        return McEstimate(0.0, 0.0, cfg.n_paths, _digest(v, alpha, t, cfg, np.zeros(v.dimension), 1.0))
-    w, digest = _summands(v, alpha, t, cfg)
-    shifted = (w + t * v.integral()) / t**2
-    return McEstimate(
-        float(shifted.mean()), float(shifted.std(ddof=1) / math.sqrt(len(w))), len(w), digest
-    )
+    return McEstimate(float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w))), len(w))

@@ -28,10 +28,8 @@ from scipy import special
 
 __all__ = [
     "RngStream",
-    "StablePath",
     "sample_subordinator",
     "sample_increment",
-    "sample_path",
     "moment_estimate",
     "closed_form_density",
     "levy_cdf",
@@ -121,31 +119,6 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
     return x[0] if size is None else x
 
 
-@dataclass(frozen=True)
-class StablePath:
-    """Skeleton of one trajectory on a uniform time mesh."""
-
-    alpha: float
-    times: np.ndarray
-    positions: np.ndarray  # shape (m + 1, d), positions[0] = x0
-
-
-def sample_path(alpha: float, d: int, t: float, m: int, x0, rng) -> StablePath:
-    """Path skeleton on times j t/m, j = 0..m, started at x0."""
-    _check_alpha(alpha)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    start = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1), (d,)).astype(float)
-    incs = sample_increment(alpha, d, t / m, rng, size=m)
-    pos = np.empty((m + 1, d))
-    pos[0] = start
-    np.cumsum(incs, axis=0, out=pos[1:])
-    pos[1:] += start
-    return StablePath(alpha, np.linspace(0.0, t, m + 1), pos)
-
-
 def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d: int = 1):
     """Monte Carlo estimate of E |X_t|^gamma; finite only for gamma < alpha.
 
@@ -165,7 +138,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     vals = np.sqrt((x**2).sum(axis=1)) ** gamma
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return McEstimate(mean, se, n_samples, f"moment(alpha={alpha},gamma={gamma},t={t},d={d})")
+    return McEstimate(mean, se, n_samples)
 
 
 def closed_form_density(alpha: float, t: float, x, d: int = 1) -> np.ndarray:

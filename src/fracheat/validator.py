@@ -9,7 +9,6 @@ more than 20 bounds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -39,6 +38,7 @@ __all__ = [
     "ReportRow",
     "ExpansionReport",
     "se_factor",
+    "estimate_series",
     "check_theorem1",
     "check_theorem2",
     "t2_consistency_check",
@@ -100,14 +100,28 @@ class ExpansionReport:
     rows: tuple[ReportRow, ...]
     fitted_orders: dict[int, OrderFit]
     se_mult: float
-    config_digest: str
     version: str
 
 
-def _row_config(cfg: McConfig, index: int) -> McConfig:
-    # one estimate per time must not reuse another time's random streams, or
-    # residual noise would be correlated across the order-fit abscissae
-    return replace(cfg, seed=(cfg.seed + index) % 2**64)
+# E|X_1|^gamma draws behind the Holder term of theorem 2
+_MOMENT_SAMPLES = 400_000
+
+
+def estimate_series(
+    v: GaussianMixturePotential, alpha: float, t_list, cfg: McConfig
+) -> list[tuple[float, McEstimate]]:
+    """(t, estimate) per time, in increasing t; the i-th time draws from seed + i.
+
+    One estimate per time must not reuse another time's random streams, or
+    residual noise would be correlated across the order-fit abscissae.
+    """
+    ts = sorted(float(t) for t in t_list)
+    if not ts:
+        raise ValueError("t_list is empty")
+    return [
+        (t, estimate_heat_content(v, alpha, t, replace(cfg, seed=(cfg.seed + i) % 2**64)))
+        for i, t in enumerate(ts)
+    ]
 
 
 def se_factor(n_bounds: int) -> float:
@@ -203,16 +217,9 @@ def check_theorem1(
         raise ValueError(f"parts must be drawn from ('i', 'ii'), got {parts}")
     if "i" in parts and not _numerically_nonpositive(v):
         raise ValueError("the sandwich bound (part i) requires V <= 0 everywhere")
-    ts = sorted(float(t) for t in t_list)
-    if not ts:
-        raise ValueError("t_list is empty")
-    n_bounds = len(ts) * (2 * ("i" in parts) + ("ii" in parts))
-    k = se_factor(n_bounds)
-    out = []
-    for i, t in enumerate(ts):
-        est = estimate_heat_content(v, alpha, t, _row_config(cfg, i))
-        out.extend(_thm1_checks(v, t, est, k, parts))
-    return out
+    series = estimate_series(v, alpha, t_list, cfg)
+    k = se_factor(len(series) * (2 * ("i" in parts) + ("ii" in parts)))
+    return [c for t, est in series for c in _thm1_checks(v, t, est, k, parts)]
 
 
 def _thm2_check(
@@ -221,7 +228,7 @@ def _thm2_check(
     alpha: float,
     t: float,
     est: McEstimate,
-    moment_hi: float,
+    moment: McEstimate,
     k: float,
 ) -> BoundCheck:
     vol = v.integral()
@@ -229,6 +236,7 @@ def _thm2_check(
     sup = v.sup_norm()
     l1 = v.l1_norm()
     r = gamma / alpha
+    moment_hi = moment.mean + k * moment.standard_error
     holder = v.holder_constant(gamma) * moment_hi * t ** (r + 2.0) / ((r + 1.0) * (r + 2.0))
     cube = t**3 * l1 * sup**2 * math.exp(t * sup)
     b = cube + holder
@@ -249,7 +257,6 @@ def check_theorem2(
     alpha: float,
     t_list,
     cfg: McConfig,
-    moment_samples: int = 400_000,
 ) -> list[BoundCheck]:
     """Second-order remainder bound with the Holder-modulus constant.
 
@@ -260,19 +267,17 @@ def check_theorem2(
     requiring 0 < gamma < min(1, alpha).  E|X_1|^gamma is itself estimated;
     its upper confidence value enters the bound.
     """
+    moment = _holder_moment(v, alpha, gamma, cfg.seed)
+    series = estimate_series(v, alpha, t_list, cfg)
+    k = se_factor(len(series))
+    return [_thm2_check(v, gamma, alpha, t, est, moment, k) for t, est in series]
+
+
+def _holder_moment(v: GaussianMixturePotential, alpha: float, gamma: float, seed: int) -> McEstimate:
+    """E|X_1|^gamma for theorem 2, drawn from its own substream of the run seed."""
     if not 0.0 < gamma < min(1.0, alpha):
         raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
-    ts = sorted(float(t) for t in t_list)
-    if not ts:
-        raise ValueError("t_list is empty")
-    k = se_factor(len(ts))
-    mom = moment_estimate(alpha, gamma, 1.0, moment_samples, RngStream(cfg.seed, 10_000), d=v.dimension)
-    moment_hi = mom.mean + k * mom.standard_error
-    out = []
-    for i, t in enumerate(ts):
-        est = estimate_heat_content(v, alpha, t, _row_config(cfg, i))
-        out.append(_thm2_check(v, gamma, alpha, t, est, moment_hi, k))
-    return out
+    return moment_estimate(alpha, gamma, 1.0, _MOMENT_SAMPLES, RngStream(seed, 10_000), d=v.dimension)
 
 
 def t2_consistency_check(
@@ -375,27 +380,6 @@ def positivity_audit(
 # -- assembled report ------------------------------------------------------------
 
 
-def _report_digest(v, alpha, t_list, cfg, grid, n_max, gamma) -> str:
-    blob = json.dumps(
-        {
-            "potential": [list(map(repr, (c, m, a))) for c, m, a in zip(v.weights, v.centers, v.sharpness)],
-            "dimension": v.dimension,
-            "alpha": repr(alpha),
-            "t_list": [repr(float(t)) for t in t_list],
-            "n_paths": cfg.n_paths,
-            "m_steps": cfg.m_steps,
-            "seed": cfg.seed,
-            "center": list(cfg.proposal_center) if cfg.proposal_center else None,
-            "sigma": repr(cfg.proposal_sigma) if cfg.proposal_sigma else None,
-            "grid": grid.descriptor,
-            "n_max": n_max,
-            "gamma": repr(gamma) if gamma else None,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def expansion_report(
     v: GaussianMixturePotential,
     alpha: float,
@@ -412,45 +396,35 @@ def expansion_report(
     V <= 0 sandwich when applicable, and the Holder second-order bound when
     gamma is given.  Per order N: a log-log remainder fit over the times
     whose residuals clear the noise gate.  Deterministic given the seed;
-    each time gets its own random streams (seed offset by the row index),
-    keeping residual noise independent across the fit abscissae.
+    the estimates come from ``estimate_series``.
     """
     if not 1 <= n_max <= 5:
         raise ValueError(f"n_max must lie in 1..5, got {n_max}")
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
-    ts = sorted(float(t) for t in t_list)
-    if not ts:
-        raise ValueError("t_list is empty")
+    moment = None if gamma is None else _holder_moment(v, alpha, gamma, cfg.seed)
+    series = estimate_series(v, alpha, t_list, cfg)
     sandwich = _numerically_nonpositive(v) and not v.is_zero
     per_t = 2 + (2 if sandwich else 0) + (1 if gamma is not None else 0)
-    k = se_factor(per_t * len(ts))
-    moment_hi = None
-    if gamma is not None:
-        if not 0.0 < gamma < min(1.0, alpha):
-            raise ValueError(f"gamma must lie in (0, min(1, alpha)), got {gamma}")
-        mom = moment_estimate(alpha, gamma, 1.0, 400_000, RngStream(cfg.seed, 10_000), d=v.dimension)
-        moment_hi = mom.mean + k * mom.standard_error
+    k = se_factor(per_t * len(series))
     rows = []
-    for i, t in enumerate(ts):
-        est = estimate_heat_content(v, alpha, t, _row_config(cfg, i))
+    for t, est in series:
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
         checks = list(_thm1_checks(v, t, est, k, ("i", "ii") if sandwich else ("ii",)))
         checks.append(t2_consistency_check(v, alpha, t, cfg, grid, est=est, k=k))
         if gamma is not None:
-            checks.append(_thm2_check(v, gamma, alpha, t, est, moment_hi, k))
+            checks.append(_thm2_check(v, gamma, alpha, t, est, moment, k))
         rows.append(ReportRow(t, est.mean, est.standard_error, sums, res, tuple(checks)))
     fits: dict[int, OrderFit] = {}
     for n in range(1, n_max + 1):
         try:
             fits[n] = fit_remainder_order(
-                ts, [r.residuals[n] for r in rows], [r.standard_error for r in rows]
+                [r.t for r in rows], [r.residuals[n] for r in rows], [r.standard_error for r in rows]
             )
         except ValueError:
             continue
-    digest = _report_digest(v, alpha, ts, cfg, grid, n_max, gamma)
-    return ExpansionReport(alpha, v.dimension, n_max, tuple(rows), fits, k, digest, __version__)
+    return ExpansionReport(alpha, v.dimension, n_max, tuple(rows), fits, k, __version__)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -477,7 +451,6 @@ def report_to_json(report: ExpansionReport) -> str:
         "dimension": report.dimension,
         "n_max": report.n_max,
         "se_mult": report.se_mult,
-        "config_digest": report.config_digest,
         "version": report.version,
         "rows": [
             {

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fracheat import cli, montecarlo, validator
 from fracheat.cli import ConfigError, config_digest, load_config, main, resolve_config, resolved_dict
 
 MINIMAL = {
@@ -92,14 +93,16 @@ def test_coeffs_prints_exact_weights(tmp_path, capsys):
 
 def test_mc_runs_and_seed_override_changes_digest(tmp_path, capsys):
     config = write_config(tmp_path, {"mc": {"n_paths": 2000}, "t_list": [0.1]})
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["mc", "--config", config, "--out", str(out_a), "--format", "json"]) == 0
-    assert main(["mc", "--config", config, "--out", str(out_b), "--seed", "9", "--format", "json"]) == 0
-    doc_a = json.loads((out_a / "mc.json").read_text())
-    doc_b = json.loads((out_b / "mc.json").read_text())
-    assert doc_a["estimates"][0]["estimate_digest"] != doc_b["estimates"][0]["estimate_digest"]
-    assert doc_a["estimates"][0]["mean"] != doc_b["estimates"][0]["mean"]
-    assert not (out_a / "mc.csv").exists()  # json-only format requested
+    docs = {}
+    for name, extra in (("a", []), ("seed", ["--seed", "9"]), ("threads", ["--threads", "2"])):
+        out = tmp_path / name
+        assert main(["mc", "--config", config, "--out", str(out), "--format", "json", *extra]) == 0
+        docs[name] = json.loads((out / "mc.json").read_text())
+    assert docs["seed"]["config_digest"] != docs["a"]["config_digest"]
+    assert docs["seed"]["estimates"][0]["mean"] != docs["a"]["estimates"][0]["mean"]
+    # the thread count changes no drawn number, so it is not part of the digest
+    assert docs["threads"] == docs["a"]
+    assert not (tmp_path / "a" / "mc.csv").exists()  # json-only format requested
 
 
 def test_validate_subcommand_passes(tmp_path, capsys):
@@ -191,3 +194,55 @@ def test_no_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def pipeline_runs(tmp_path_factory):
+    """mc, validate and report on one config, with every estimator call recorded."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    config = write_config(
+        tmp,
+        {"mc": {"n_paths": 2000, "seed": 3}, "t_list": [0.2, 0.02, 0.1, 0.05], "validate": {"gamma": 0.5}},
+    )
+    real = montecarlo.estimate_heat_content
+    runs = {}
+    for command in ("mc", "validate", "report"):
+        calls = []
+
+        def counted(*args):
+            est = real(*args)
+            calls.append((args[2], est.mean, est.standard_error))
+            return est
+
+        with pytest.MonkeyPatch.context() as mp:
+            # the CLI may not bypass the validator's loop with an estimator of its own
+            for module in (cli, validator):
+                mp.setattr(module, "estimate_heat_content", counted, raising=False)
+            main([command, "--config", config, "--out", str(tmp / command), "--format", "json"])
+        runs[command] = (calls, json.loads((tmp / command / f"{command}.json").read_text()))
+    return runs
+
+
+def test_mc_validate_and_report_share_estimates(pipeline_runs):
+    calls = {command: run[0] for command, run in pipeline_runs.items()}
+    assert calls["mc"] == calls["validate"] == calls["report"]
+    mc_rows = [(e["t"], e["mean"], e["standard_error"]) for e in pipeline_runs["mc"][1]["estimates"]]
+    report_rows = [(r["t"], r["estimate"], r["standard_error"]) for r in pipeline_runs["report"][1]["rows"]]
+    assert mc_rows == report_rows == calls["mc"]
+
+
+def test_validate_makes_one_estimator_call_per_time(pipeline_runs):
+    calls, _ = pipeline_runs["validate"]
+    assert [t for t, _, _ in calls] == [0.02, 0.05, 0.1, 0.2]
+
+
+def test_validate_renders_the_report_checks(pipeline_runs):
+    validate_doc = pipeline_runs["validate"][1]
+    report_doc = pipeline_runs["report"][1]
+    assert validate_doc["se_mult"] == report_doc["se_mult"]
+    report_checks = [c for row in report_doc["rows"] for c in row["checks"]]
+    assert [(c["name"], c["passed"], c["margin"]) for c in validate_doc["checks"]] == [
+        (c["name"], c["passed"], c["margin"]) for c in report_checks
+    ]
+    assert any(c["name"].startswith("second-order remainder") for c in validate_doc["checks"])
+    assert len({doc["config_digest"] for _, doc in pipeline_runs.values()}) == 1

@@ -11,7 +11,6 @@ from fracheat import (
     levy_cdf,
     moment_estimate,
     sample_increment,
-    sample_path,
     sample_subordinator,
     sampler_selftest,
 )
@@ -114,17 +113,6 @@ def test_closed_form_density_two_dimensional():
     vals1 = closed_form_density(1.0, 0.5, pts, d=2)
     expected1 = math.gamma(1.5) / math.pi**1.5 * 0.5 / (0.25 + np.array([0.0, 2.0])) ** 1.5
     assert np.allclose(vals1, expected1, rtol=1e-14)
-
-
-def test_sample_path_structure():
-    path = sample_path(1.5, 2, 0.4, 8, (1.0, -2.0), RngStream(21))
-    assert path.positions.shape == (9, 2)
-    assert np.allclose(path.times, np.linspace(0.0, 0.4, 9))
-    assert np.allclose(path.positions[0], [1.0, -2.0])
-    with pytest.raises(ValueError):
-        sample_path(1.5, 1, 0.0, 8, 0.0, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_path(1.5, 1, 0.4, 0, 0.0, RngStream(0))
 
 
 def test_moment_estimate_matches_gaussian_closed_form():
