@@ -40,14 +40,7 @@ from .sampling import (
     sample_subordinator,
     sampler_selftest,
 )
-from .simplex import (
-    SimplexWeight,
-    composition_count,
-    enumerate_compositions,
-    simplex_integral,
-    weight_A,
-    weight_table,
-)
+from .simplex import enumerate_compositions, simplex_integral, weight_A
 from .spectral import (
     GridField,
     SpectralGrid,
@@ -89,8 +82,7 @@ __all__ = [
     "RngStream", "closed_form_density", "empirical_cf", "levy_cdf", "moment_estimate",
     "sample_increment", "sample_subordinator", "sampler_selftest",
     # simplex
-    "SimplexWeight", "composition_count", "enumerate_compositions", "simplex_integral", "weight_A",
-    "weight_table",
+    "enumerate_compositions", "simplex_integral", "weight_A",
     # spectral
     "GridField", "SpectralGrid", "apply_fractional_laplacian", "dirichlet_form",
     "forward_transform", "grid_integral", "inverse_transform", "sample_on_grid",

@@ -257,7 +257,10 @@ def _write_outputs(cfg: RunConfig, stem: str, json_doc: dict, csv_text: str) -> 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     mc = {key: val for key in ("seed", "threads") if (val := getattr(args, key)) is not None}
-    changes = {"mc": replace(cfg.mc, **mc)} if mc else {}
+    try:
+        changes = {"mc": replace(cfg.mc, **mc)} if mc else {}
+    except ValueError as exc:
+        raise ConfigError(f"invalid override: {exc}") from exc
     if args.out:
         changes["out_dir"] = args.out
     if args.format:

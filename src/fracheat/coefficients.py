@@ -1,33 +1,26 @@
 """Deterministic small-time expansion coefficients and their cross-checks.
 
 The heat content admits Q(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l + O(t^{N+1})
-with C_1 = int V and, for l >= 2,
+with C_1 = int V and, on both routes, for 2 <= l <= 5
 
-    C_l = sum_{n + k = l, k >= 2} (1/n!) C_{n,k},
+    C_l = sum_{n + k = l, k >= 2} (1/n!) C_{n,k}.
+
+The Fourier-lattice route (cnk_fourier) sums, on the frequency lattice,
 
     C_{n,k} = sum_{|l| = n} A(n, l) *
         (2 pi)^{-d(k-1)} int vhat(-sum th_i) prod vhat(th_i)
                              prod_i |th_1 + ... + th_i|^{alpha l_i} dth.
 
-Every C_{n,k} needed for l <= 5 also has a closed route in terms of mixture
-integrals, the Dirichlet form E_alpha and powers of F = (-Delta)^{alpha/2}:
-
-    C_2 = (1/2) int V^2
-    C_3 = (1/6) (int V^3 + E_alpha(V))
-    C_4 = (1/24) (int V^4 + 2 int V^2 FV + int |FV|^2)
-    C_5 = (1/120) (int V^5 + 2 int V^3 FV + 2 int V^2 F^2 V
-                   + int V |FV|^2 + E_alpha(FV) + E_alpha(V^2))
-
-plus sum-of-squares forms of C_4 and C_5 that make nonnegativity for V >= 0
-manifest.  Routes are independent enough that their agreement is a real
-check, while shared lattice objects are reused so the agreement tolerances
-hold far below the individual truncation errors.
+The closed route (cnk_closed) writes each C_{n,k} through mixture integrals,
+the Dirichlet form E_alpha and powers of F = (-Delta)^{alpha/2}.
+Sum-of-squares forms of C_4 and C_5 make nonnegativity for V >= 0 manifest.
+Every route reads one cached LatticeFields per (V, grid, alpha), so their
+agreement tolerances hold far below the individual truncation errors.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -35,12 +28,12 @@ import numpy as np
 from scipy import integrate
 
 from .potentials import GaussianMixturePotential
-from .simplex import enumerate_compositions, weight_A
-from .spectral import (
+from .simplex import weight_A
+from .spectral import (  # perfbench/rep.py wraps these names where they are bound here
     GridField,
     SpectralGrid,
     apply_fractional_laplacian,
-    dirichlet_form,
+    dirichlet_form,  # noqa: F401
     forward_transform,
     grid_integral,
     kink_correction,
@@ -80,296 +73,189 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
-# -- exact pieces ---------------------------------------------------------
-
-
 def c0k(v: GaussianMixturePotential, k: int) -> float:
     """C_{0,k} = (1/k!) int V^k, exact through the mixture algebra."""
     if k < 2:
         raise ValueError("c0k requires k >= 2")
-    if v.is_zero:
-        return 0.0
     return v.power(k).integral() / math.factorial(k)
 
 
 # -- shared lattice objects ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _spec_density(v: GaussianMixturePotential, grid: SpectralGrid) -> np.ndarray:
-    """|vhat|^2 on the frequency lattice from the discrete transform."""
-    spec = forward_transform(sample_on_grid(v, grid))
-    return np.abs(spec.values) ** 2
-
-
 def _smooth_density(v: GaussianMixturePotential):
     return lambda x: float(np.abs(v.fourier(x)) ** 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _f_power_field(
-    v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, power: int
-) -> GridField:
-    return apply_fractional_laplacian(v, grid, alpha, power)
+@dataclass(frozen=True, eq=False)
+class LatticeFields:
+    """Read-only arrays every route shares for one (V, grid, alpha): V, V^2 (the
+    mixture sq), V^3, FV and F^2 V on the physical grid, and the discrete
+    transforms vhat, v2hat of V and V^2."""
+
+    grid: SpectralGrid
+    alpha: float
+    v: GaussianMixturePotential
+    sq: GaussianMixturePotential
+    v1: np.ndarray
+    v2: np.ndarray
+    v3: np.ndarray
+    fv: np.ndarray
+    f2v: np.ndarray
+    vhat: np.ndarray
+    v2hat: np.ndarray
+
+    def integral(self, values: np.ndarray) -> float:
+        """h^d sum of a physical-grid array."""
+        return grid_integral(GridField(self.grid, "physical", values))
+
+    def kink(self, beta: float, w: GaussianMixturePotential | None = None) -> float:
+        """Kink correction for int |xi|^beta |what|^2 with W = V unless given; 0 in d >= 2."""
+        return kink_correction(self.grid, beta, _smooth_density(self.v if w is None else w))
+
+    def energy(self, beta: float, square: bool = False) -> float:
+        """(2 pi)^{-d} int |xi|^beta |what|^2 for W = V (or V^2), kink-corrected in d = 1."""
+        spec, w = (self.v2hat, self.sq) if square else (self.vhat, self.v)
+        return weighted_freq_sum(self.grid, np.abs(spec) ** 2, beta, smooth_at=_smooth_density(w))
 
 
-# -- Fourier-lattice route -------------------------------------------------
+@functools.lru_cache(maxsize=16)
+def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> LatticeFields:
+    """The LatticeFields of (V, grid, alpha), built once and cached."""
+    _check_alpha(alpha)
+    sq = v.power(2)
+    fields = [sample_on_grid(w, grid) for w in (v, sq, v.power(3))]
+    fields += [apply_fractional_laplacian(v, grid, alpha, p) for p in (1, 2)]
+    fields += [forward_transform(field) for field in fields[:2]]
+    for field in fields:
+        field.values.flags.writeable = False
+    return LatticeFields(grid, alpha, v, sq, *(field.values for field in fields))
 
 
-def _abs_pow(arr: np.ndarray, p: float) -> np.ndarray:
-    """|arr|^p with the convention |0|^0 = 1, |0|^p = 0 for p > 0."""
-    mag = np.abs(arr)
-    if p == 0.0:
-        return np.ones_like(mag)
-    out = np.where(mag > 0.0, mag, 1.0) ** p
-    out[mag == 0.0] = 0.0
-    return out
+# -- the two routes ----------------------------------------------------------
 
 
 def cnk_fourier(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, n: int, k: int
 ) -> float:
-    """C_{n,k} through frequency-lattice quadrature.
+    """C_{n,k} through frequency-lattice quadrature, with weight A(n, l) = n!/(n + k)!.
 
-    Supported: k = 2 (any n <= 6, any grid dimension with d <= 2), k = 3
-    (n <= 6, d = 1 only, since the sum lives on a d(k-1)-dimensional
-    lattice), n = 0 for any k (analytic), and (n, k) = (1, 4) via the closed
-    identity C_{1,4} = (1/5!)(2 int V^3 FV + E_alpha(V^2)).  Anything else
-    raises RouteUnavailable.
+    Supported: k = 2 with n <= 6 in d <= 2, k = 3 with n <= 6 in d = 1 (the
+    sum lives on a d(k-1)-dimensional lattice), n = 0 for any k (analytic),
+    and (n, k) = (1, 4) through cnk_closed; else RouteUnavailable.
     """
     _check_alpha(alpha)
-    if n < 0 or k < 2:
-        raise ValueError(f"need n >= 0 and k >= 2, got (n, k) = ({n}, {k})")
     if n == 0:
         return c0k(v, k)
     if (n, k) == (1, 4):
-        return c14_closed(v, grid, alpha)
-    if k not in (2, 3) or n > 6 or grid.dimension * (k - 1) > 2:
-        raise RouteUnavailable(
-            "cnk_fourier supports k = 2 with n <= 6 (d = 1 or 2), k = 3 with "
-            f"n <= 6 (d = 1), n = 0 for any k, and (n, k) = (1, 4); "
-            f"got (n, k) = ({n}, {k}) in d = {grid.dimension}"
-        )
-    if v.is_zero:
-        return 0.0
+        return cnk_closed(v, grid, alpha, 1, 4)
+    if k not in (2, 3) or not 0 < n <= 6 or grid.dimension * (k - 1) > 2:
+        raise RouteUnavailable(f"cnk_fourier does not support (n, k) = ({n}, {k}) in d = {grid.dimension}")
+    weight = float(weight_A(n, (n,) + (0,) * (k - 2)))
     if k == 2:
-        weight = float(weight_A(n, (n,)))
-        dens = _spec_density(v, grid)
-        smooth = _smooth_density(v) if grid.dimension == 1 else None
-        return weight * weighted_freq_sum(grid, dens, alpha * n, smooth_at=smooth)
-    # k == 3, d == 1: two-dimensional lattice sum with analytic vhat.
+        return weight * lattice_fields(v, grid, alpha).energy(alpha * n)
+    # k == 3, d == 1: vhat(-s) |s|^{alpha (n - j)} depends only on s = xi_1 + xi_2, so each
+    # split (j, n - j) of n is one convolution in xi_1, read on the 2N - 1 lattice sums s.
     xi = grid.axis_freqs()
-    f1 = v.fourier(xi)
-    s12 = xi[:, np.newaxis] + xi[np.newaxis, :]
-    f12 = v.fourier(-s12)
-    base = f12 * f1[:, np.newaxis] * f1[np.newaxis, :]
-    total = 0.0 + 0.0j
-    for ell in enumerate_compositions(n, 2):
-        w = _abs_pow(xi, alpha * ell[0])[:, np.newaxis] * _abs_pow(s12, alpha * ell[1])
-        total += float(weight_A(n, ell)) * (base * w).sum()
-    total *= (grid.freq_spacing / (2.0 * math.pi)) ** 2
+    s = grid.freq_spacing * (np.arange(2 * xi.size - 1) - xi.size)
+    vhat, outer = v.fourier(xi), v.fourier(-s)
+    total = sum(
+        np.dot(outer * np.abs(s) ** (alpha * (n - j)), np.convolve(vhat * np.abs(xi) ** (alpha * j), vhat))
+        for j in range(n + 1)
+    )
+    total *= weight * (grid.freq_spacing / (2.0 * math.pi)) ** 2
     if abs(total.imag) > _IMAG_TOL * (1.0 + abs(total.real)):
         raise FloatingPointError(f"imaginary residual {total.imag:.3e} in cnk_fourier({n},{k})")
     return float(total.real)
 
 
-# -- closed routes ----------------------------------------------------------
+_CLOSED = {  # C_{n,k}, n >= 1, from the LatticeFields f; see cnk_closed
+    (1, 2): lambda f: f.energy(f.alpha) / 6.0,
+    (2, 2): lambda f: (f.integral(f.fv**2) + f.kink(2.0 * f.alpha)) / 12.0,
+    (3, 2): lambda f: (f.integral(f.fv * f.f2v) + f.kink(3.0 * f.alpha)) / 20.0,
+    (1, 3): lambda f: f.integral(f.v2 * f.fv) / 12.0,
+    (2, 3): lambda f: (2.0 * f.integral(f.v2 * f.f2v) + f.integral(f.v1 * f.fv**2)) / 60.0,
+    (1, 4): lambda f: (2.0 * f.integral(f.v3 * f.fv) + f.energy(f.alpha, square=True)) / 120.0,
+}
 
 
 def cnk_closed(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, n: int, k: int
 ) -> float:
-    """Closed (operator/spatial) route for the individually supported C_{n,k}.
+    """Closed (operator/spatial) route, the one home of the closed per-term formulas:
 
-    C_{n,2} = A(n,(n)) int F^{n/?}... concretely: C_{1,2} = (1/6) E_alpha(V),
-    C_{2,2} = (1/12) int (FV)^2, C_{3,2} = (1/20) int FV F^2V,
-    C_{1,3} = (1/12) int V^2 FV, C_{2,3} = (1/60)(2 int V^2 F^2V + int V (FV)^2),
-    C_{1,4} = (1/5!)(2 int V^3 FV + E_alpha(V^2)), C_{0,k} = (1/k!) int V^k.
-    Quadratic-in-V pieces carry the kink correction so this route matches the
-    continuum like the corrected frequency route does.
+    C_{0,k} = (1/k!) int V^k, C_{1,2} = (1/6) E_alpha(V), C_{2,2} = (1/12) int (FV)^2,
+    C_{3,2} = (1/20) int FV F^2V, C_{1,3} = (1/12) int V^2 FV,
+    C_{2,3} = (1/60)(2 int V^2 F^2V + int V (FV)^2), C_{1,4} = (1/120)(2 int V^3 FV + E_alpha(V^2)).
+    Quadratic-in-V pieces carry the kink correction, as in the frequency route.
     """
     _check_alpha(alpha)
     if n == 0:
         return c0k(v, k)
-    if v.is_zero:
-        return 0.0
-    smooth = _smooth_density(v) if grid.dimension == 1 else None
-    if (n, k) == (1, 2):
-        return dirichlet_form(v, grid, alpha) / 6.0
-    if (n, k) == (2, 2):
-        fv = _f_power_field(v, grid, alpha, 1)
-        out = grid_integral(GridField(grid, "physical", fv.values**2))
-        if smooth is not None:
-            out += kink_correction(grid, 2.0 * alpha, smooth)
-        return out / 12.0
-    if (n, k) == (3, 2):
-        fv = _f_power_field(v, grid, alpha, 1)
-        f2v = _f_power_field(v, grid, alpha, 2)
-        out = grid_integral(GridField(grid, "physical", fv.values * f2v.values))
-        if smooth is not None:
-            out += kink_correction(grid, 3.0 * alpha, smooth)
-        return out / 20.0
-    if (n, k) == (1, 3):
-        v2 = sample_on_grid(v.power(2), grid)
-        fv = _f_power_field(v, grid, alpha, 1)
-        return grid_integral(GridField(grid, "physical", v2.values * fv.values)) / 12.0
-    if (n, k) == (2, 3):
-        v1 = sample_on_grid(v, grid)
-        v2 = sample_on_grid(v.power(2), grid)
-        fv = _f_power_field(v, grid, alpha, 1)
-        f2v = _f_power_field(v, grid, alpha, 2)
-        cross = grid_integral(GridField(grid, "physical", v2.values * f2v.values))
-        vfv2 = grid_integral(GridField(grid, "physical", v1.values * fv.values**2))
-        return (2.0 * cross + vfv2) / 60.0
-    if (n, k) == (1, 4):
-        return c14_closed(v, grid, alpha)
-    raise RouteUnavailable(
-        "cnk_closed supports (n, k) in {(1,2), (2,2), (3,2), (1,3), (2,3), (1,4)} "
-        f"and n = 0 for any k; got ({n}, {k})"
-    )
-
-
-def c3_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_3 = (1/6)(int V^3 + E_alpha(V))."""
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    return (v.power(3).integral() + dirichlet_form(v, grid, alpha)) / 6.0
-
-
-def _c4_pieces(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float):
-    v2 = sample_on_grid(v.power(2), grid)
-    fv = _f_power_field(v, grid, alpha, 1)
-    return v2, fv
-
-
-def c4_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_4 = (1/24)(int V^4 + 2 int V^2 FV + int |FV|^2).
-
-    int |FV|^2 is evaluated in frequency space with the kink correction;
-    the spatial cross term stays on the physical grid.
-    """
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    v2, fv = _c4_pieces(v, grid, alpha)
-    cross = grid_integral(GridField(grid, "physical", v2.values * fv.values))
-    smooth = _smooth_density(v) if grid.dimension == 1 else None
-    fv_sq = weighted_freq_sum(grid, _spec_density(v, grid), 2.0 * alpha, smooth_at=smooth)
-    return (v.power(4).integral() + 2.0 * cross + fv_sq) / 24.0
-
-
-def c4_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_4 = (1/24) int (V^2 + FV)^2, nonnegative by inspection.
-
-    The same kink correction as in c4_closed is added for the int |FV|^2
-    content of the square, so both routes carry identical lattice error.
-    """
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    v2, fv = _c4_pieces(v, grid, alpha)
-    square = grid_integral(GridField(grid, "physical", (v2.values + fv.values) ** 2))
-    if grid.dimension == 1:
-        square += kink_correction(grid, 2.0 * alpha, _smooth_density(v))
-    return square / 24.0
-
-
-def c14_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_{1,4} = (1/5!)(2 int V^3 FV + E_alpha(V^2))."""
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    v3 = sample_on_grid(v.power(3), grid)
-    fv = _f_power_field(v, grid, alpha, 1)
-    cross = grid_integral(GridField(grid, "physical", v3.values * fv.values))
-    return (2.0 * cross + dirichlet_form(v.power(2), grid, alpha)) / 120.0
-
-
-def c5_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_5 = (1/120)(int V^5 + 2 int V^3 FV + 2 int V^2 F^2 V
-    + int V (FV)^2 + E_alpha(FV) + E_alpha(V^2)).
-
-    E_alpha(FV) = (2 pi)^{-d} int |xi|^{3 alpha} |vhat|^2 and E_alpha(V^2)
-    use corrected frequency sums; the three cross terms stay on the
-    physical grid.
-    """
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    vf = sample_on_grid(v, grid)
-    v2 = sample_on_grid(v.power(2), grid)
-    v3 = sample_on_grid(v.power(3), grid)
-    fv = _f_power_field(v, grid, alpha, 1)
-    f2v = _f_power_field(v, grid, alpha, 2)
-    cross3 = grid_integral(GridField(grid, "physical", v3.values * fv.values))
-    cross2 = grid_integral(GridField(grid, "physical", v2.values * f2v.values))
-    vfv2 = grid_integral(GridField(grid, "physical", vf.values * fv.values**2))
-    smooth = _smooth_density(v) if grid.dimension == 1 else None
-    e_fv = weighted_freq_sum(grid, _spec_density(v, grid), 3.0 * alpha, smooth_at=smooth)
-    e_v2 = dirichlet_form(v.power(2), grid, alpha)
-    return (v.power(5).integral() + 2.0 * cross3 + 2.0 * cross2 + vfv2 + e_fv + e_v2) / 120.0
-
-
-def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """C_5 = (1/120)[int V (V^2 + FV)^2
-    + (2 pi)^{-d} int | |xi|^alpha vhat + (V^2)hat |^2 |xi|^alpha dxi],
-    manifestly nonnegative for V >= 0.
-
-    The frequency square expands into pieces with kinks |xi|^{3 alpha} and
-    |xi|^alpha plus a smooth-matched cross term; corrections for the two
-    square pieces mirror those inside c5_closed exactly.
-    """
-    _check_alpha(alpha)
-    if v.is_zero:
-        return 0.0
-    vf = sample_on_grid(v, grid)
-    v2 = sample_on_grid(v.power(2), grid)
-    fv = _f_power_field(v, grid, alpha, 1)
-    spatial = grid_integral(GridField(grid, "physical", vf.values * (v2.values + fv.values) ** 2))
-    w = v.power(2)
-    vhat = forward_transform(sample_on_grid(v, grid)).values
-    what = forward_transform(v2).values
-    sym = symbol_array(grid, alpha)
-    dens = np.abs(sym * vhat + what) ** 2
-    freq = weighted_freq_sum(grid, dens, alpha)
-    if grid.dimension == 1:
-        freq += kink_correction(grid, 3.0 * alpha, _smooth_density(v))
-        freq += kink_correction(grid, alpha, _smooth_density(w))
-    return (spatial + freq) / 120.0
+    if (n, k) not in _CLOSED:
+        raise RouteUnavailable(f"cnk_closed supports (n, k) in {sorted(_CLOSED)} and n = 0; got ({n}, {k})")
+    return float(_CLOSED[n, k](lattice_fields(v, grid, alpha)))
 
 
 # -- assembled coefficients --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def c_ell(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int, route: str = "closed"
 ) -> float:
-    """Order-l coefficient C_l, 1 <= l <= 5, via the chosen route.
+    """Order-l coefficient C_l, 1 <= l <= 5: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!.
 
-    route 'closed' uses the mixture-integral forms; 'fourier' assembles
-    C_l = sum (1/n!) C_{n,k} from cnk_fourier (d = 1 for l >= 4).
+    route 'closed' takes C_{n,k} from cnk_closed, 'fourier' from cnk_fourier
+    (d = 1 for l >= 4).
     """
     _check_alpha(alpha)
     if ell < 1:
         raise ValueError("need ell >= 1")
-    if ell == 1:
-        return v.integral()
     if ell > 5:
         raise RouteUnavailable(f"coefficients are implemented for ell <= 5, got {ell}")
-    if route == "closed":
-        if ell == 2:
-            return c0k(v, 2)
-        fn = {3: c3_closed, 4: c4_closed, 5: c5_closed}[ell]
-        return fn(v, grid, alpha)
-    if route == "fourier":
-        total = 0.0
-        for k in range(2, ell + 1):
-            n = ell - k
-            total += cnk_fourier(v, grid, alpha, n, k) / math.factorial(n)
-        return total
-    raise ValueError(f"unknown route {route!r}; use 'closed' or 'fourier'")
+    cnk = {"closed": cnk_closed, "fourier": cnk_fourier}.get(route)
+    if cnk is None:
+        raise ValueError(f"unknown route {route!r}; use 'closed' or 'fourier'")
+    if ell == 1:
+        return v.integral()
+    return sum(cnk(v, grid, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell + 1))
+
+
+def c3_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
+    """C_3 = (1/6)(int V^3 + E_alpha(V))."""
+    return c_ell(v, grid, alpha, 3, "closed")
+
+
+def c4_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
+    """C_4 = (1/24)(int V^4 + 2 int V^2 FV + int |FV|^2)."""
+    return c_ell(v, grid, alpha, 4, "closed")
+
+
+def c5_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
+    """C_5 = (1/120)(int V^5 + 2 int V^3 FV + 2 int V^2 F^2 V
+    + int V (FV)^2 + E_alpha(FV) + E_alpha(V^2))."""
+    return c_ell(v, grid, alpha, 5, "closed")
+
+
+def c4_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
+    """C_4 = (1/24) int (V^2 + FV)^2, nonnegative by inspection; its int |FV|^2
+    content takes the kink correction of C_{2,2}, so both routes share lattice error."""
+    f = lattice_fields(v, grid, alpha)
+    return (f.integral((f.v2 + f.fv) ** 2) + f.kink(2.0 * alpha)) / 24.0
+
+
+def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
+    """C_5 = (1/120)[int V (V^2 + FV)^2
+    + (2 pi)^{-d} int | |xi|^alpha vhat + (V^2)hat |^2 |xi|^alpha dxi],
+    manifestly nonnegative for V >= 0.  The kink corrections of the two
+    square pieces mirror those of C_{3,2} and C_{1,4} exactly.
+    """
+    f = lattice_fields(v, grid, alpha)
+    spatial = f.integral(f.v1 * (f.v2 + f.fv) ** 2)
+    dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
+    freq = weighted_freq_sum(grid, dens, alpha) + f.kink(3.0 * alpha) + f.kink(alpha, f.sq)
+    return (spatial + freq) / 120.0
 
 
 def partial_sum(
@@ -400,15 +286,9 @@ def t2_kernel(u) -> np.ndarray:
     psi(0) = 1/2; psi is completely monotone decreasing toward 0.
     """
     arr = np.asarray(u, dtype=float)
-    out = np.empty_like(arr)
-    small = arr < 1e-4
-    a_small = arr[small]
-    out[small] = 0.5 - a_small / 6.0 + a_small**2 / 24.0
-    a_big = arr[~small]
-    out[~small] = (np.expm1(-a_big) + a_big) / a_big**2
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    big = np.where(arr < 1e-4, 1.0, arr)
+    out = np.where(arr < 1e-4, 0.5 - arr / 6.0 + arr**2 / 24.0, (np.expm1(-big) + big) / big**2)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def t2_exact(
@@ -436,7 +316,7 @@ def t2_exact(
         return val / math.pi
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
-    dens = _spec_density(v, grid) * t2_kernel(t * grid.freq_norms() ** alpha)
+    dens = np.abs(lattice_fields(v, grid, alpha).vhat) ** 2 * t2_kernel(t * grid.freq_norms() ** alpha)
     return weighted_freq_sum(grid, dens, 0.0)
 
 
@@ -455,10 +335,6 @@ class CoefficientTable:
     alpha: float
     dimension: int
     entries: dict[str, CoefficientEntry]
-    provenance: str
-
-    def value(self, label: str) -> float:
-        return self.entries[label].value
 
 
 def coefficient_table(
@@ -466,8 +342,6 @@ def coefficient_table(
 ) -> CoefficientTable:
     """All implemented coefficients and routes for one (V, grid, alpha)."""
     _check_alpha(alpha)
-    if v.dimension != grid.dimension:
-        raise ValueError("potential and grid dimensions differ")
     gdesc = grid.descriptor
     entries: dict[str, CoefficientEntry] = {}
     entries["C1"] = CoefficientEntry(v.integral(), "analytic", "exact")
@@ -479,14 +353,8 @@ def coefficient_table(
     entries["C5_sos"] = CoefficientEntry(c5_sos(v, grid, alpha), "sos", gdesc)
     for k in range(2, 6):
         entries[f"C(0,{k})"] = CoefficientEntry(c0k(v, k), "analytic", "exact")
-    pairs = [(1, 2), (2, 2), (3, 2)]
-    if grid.dimension == 1:
-        pairs += [(1, 3), (2, 3), (1, 4)]
+    pairs = [(1, 2), (2, 2), (3, 2)] + ([(1, 3), (2, 3), (1, 4)] if grid.dimension == 1 else [])
     for n, k in pairs:
-        if grid.dimension * (k - 1) > 2 and (n, k) != (1, 4):
-            continue
         route = "closed_form" if (n, k) == (1, 4) else "fourier_grid"
         entries[f"C({n},{k})"] = CoefficientEntry(cnk_fourier(v, grid, alpha, n, k), route, gdesc)
-    token = f"{v!r}|{gdesc}|alpha={alpha!r}"
-    digest = hashlib.sha256(token.encode()).hexdigest()[:16]
-    return CoefficientTable(alpha, grid.dimension, entries, digest)
+    return CoefficientTable(alpha, grid.dimension, entries)

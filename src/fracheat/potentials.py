@@ -13,6 +13,7 @@ inverse transform carries the (2 pi)^{-d} factor.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,9 +74,12 @@ class GaussianMixturePotential:
 
     @functools.cache
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (weights, sharpness, centers) arrays, cached per instance."""
         w = np.asarray(self.weights, dtype=float)
         a = np.asarray(self.sharpness, dtype=float)
         mu = np.asarray(self.centers, dtype=float).reshape(self.n_components, self.dimension)
+        for arr in (w, a, mu):
+            arr.flags.writeable = False
         return w, a, mu
 
     def _points(self, x: object) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -144,13 +148,30 @@ class GaussianMixturePotential:
         return GaussianMixturePotential(self.dimension, weights, cents, sharp)
 
     def power(self, k: int) -> "GaussianMixturePotential":
-        """Exact mixture for V^k, k >= 1."""
+        """Exact mixture for V^k, k >= 1: one component per exponent tuple e, |e| = k.
+
+        prod_i (c_i e^{-a_i |x - mu_i|^2})^{e_i} has sharpness a = sum e_i a_i,
+        center mu = sum e_i a_i mu_i / a and weight multinom(k; e) prod c_i^{e_i}
+        exp(-(sum e_i a_i |mu_i|^2 - a |mu|^2)); the exponent is evaluated as
+        sum_{i<j} e_i a_i e_j a_j |mu_i - mu_j|^2 / a, which has no cancellation.
+        """
         if k < 1:
             raise ValueError("power requires k >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.pointwise_product(self)
-        return out
+        if k == 1 or self.is_zero:
+            return self
+        w, a, mu = self._arrays()
+        picks = np.array(list(itertools.combinations_with_replacement(range(self.n_components), k)))
+        e = (picks[:, :, np.newaxis] == np.arange(self.n_components)).sum(axis=1)
+        ea = e * a
+        sharp = ea.sum(axis=1)
+        cents = ea @ mu / sharp[:, np.newaxis]
+        dist2 = ((mu[:, np.newaxis, :] - mu[np.newaxis, :, :]) ** 2).sum(axis=-1)
+        gap = np.einsum("mi,mj,ij->m", ea, ea, dist2) / (2.0 * sharp)
+        fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+        weights = fact[k] / fact[e].prod(axis=1) * (w**e).prod(axis=1) * np.exp(-gap)
+        return GaussianMixturePotential(
+            self.dimension, tuple(weights.tolist()), tuple(map(tuple, cents.tolist())), tuple(sharp.tolist())
+        )
 
     def scaled(self, s: float) -> "GaussianMixturePotential":
         """Mixture for s * V."""

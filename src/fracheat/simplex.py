@@ -6,36 +6,22 @@ A(n, l) is the weight attached to a composition l = (l_1, ..., l_{k-1}) of n
     A(n, l) = multinomial(n; l) * int_{I_k} prod_i (lam_i - lam_{i+1})^{l_i}
 
 where I_k = {1 >= lam_1 >= ... >= lam_{k-1} >= lam_k = 0} with the first
-k - 1 coordinates integrated.  Everything here is exact rational arithmetic.
-
-The simplex integral is evaluated by the iterated Beta-function product; an
-independent closed form (the Dirichlet integral in gap coordinates) gives
-prod_i l_i! / (n + k)!, hence A(n, l) = n!/(n + k)! for every composition,
-which the test suite checks against this implementation exactly.
+k - 1 coordinates integrated.  In gap coordinates that is a Dirichlet
+integral, prod_i l_i! / (n + k)!, so A(n, l) = n!/(n + k)! for every
+composition, in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, prod
 from typing import Iterator
 
 __all__ = [
     "enumerate_compositions",
-    "composition_count",
     "simplex_integral",
     "weight_A",
-    "weight_table",
-    "SimplexWeight",
 ]
-
-
-def composition_count(n: int, slots: int) -> int:
-    """Number of compositions of n into `slots` nonnegative parts."""
-    if n < 0 or slots < 1:
-        raise ValueError("need n >= 0 and slots >= 1")
-    return comb(n + slots - 1, slots - 1)
 
 
 def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -50,53 +36,20 @@ def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _beta_exact(a: int, b: int) -> Fraction:
-    """B(a, b) = (a-1)! (b-1)! / (a+b-1)! for positive integers."""
-    return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
+def _check_composition(ell: tuple[int, ...]) -> None:
+    if len(ell) == 0 or min(ell) < 0:
+        raise ValueError(f"composition {ell} must have at least one part, all nonnegative")
 
 
 def simplex_integral(ell: tuple[int, ...]) -> Fraction:
-    """int over I_k of prod_i (lam_i - lam_{i+1})^{l_i}, k = len(l) + 1.
-
-    Iterated one-variable reduction: integrating out lam_1, ..., lam_{k-2}
-    in turn produces one Beta factor per step, then the innermost variable
-    contributes 1/((k + n)(l_{k-1} + 1)) together with the overall power.
-    """
-    if len(ell) == 0:
-        raise ValueError("composition must have at least one part")
-    if any(p < 0 for p in ell):
-        raise ValueError("composition parts must be nonnegative")
-    k = len(ell) + 1
-    n = sum(ell)
-    if k == 2:
-        return Fraction(1, (n + 1) * (n + 2))
-    out = Fraction(1, (k + n) * (ell[-1] + 1))
-    prefix = 0
-    for i in range(1, k - 1):
-        prefix += ell[i - 1]
-        out *= _beta_exact(ell[i - 1] + 1, k + n - i - prefix)
-    return out
+    """int over I_k of prod_i (lam_i - lam_{i+1})^{l_i} = prod_i l_i! / (n + k)!, k = len(l) + 1."""
+    _check_composition(ell)
+    return Fraction(prod(factorial(p) for p in ell), factorial(sum(ell) + len(ell) + 1))
 
 
 def weight_A(n: int, ell: tuple[int, ...]) -> Fraction:
-    """A(n, l) = multinomial(n; l) * simplex_integral(l), exact."""
+    """A(n, l) = multinomial(n; l) * simplex_integral(l) = n!/(n + k)!, exact."""
+    _check_composition(ell)
     if sum(ell) != n:
         raise ValueError(f"composition {ell} does not sum to {n}")
-    multinom = factorial(n)
-    for p in ell:
-        multinom //= factorial(p)
-    return multinom * simplex_integral(ell)
-
-
-@dataclass(frozen=True)
-class SimplexWeight:
-    n: int
-    composition: tuple[int, ...]
-    value: Fraction
-
-
-def weight_table(n: int, k: int) -> list[SimplexWeight]:
-    """All weights A(n, l) for compositions of n into k - 1 parts."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    return [SimplexWeight(n, ell, weight_A(n, ell)) for ell in enumerate_compositions(n, k - 1)]
+    return Fraction(factorial(n), factorial(n + len(ell) + 1))

@@ -1,16 +1,49 @@
 """Independent reference values for the test suite.
 
 Everything here is computed from first principles with plain numpy/scipy:
-closed Gaussian moments for the analytic anchors, a quadrature route for
-frequency-side energies, and a standalone split-step evolution for the heat
-content itself.  None of it touches the package's coefficient, grid or
-sampling machinery, so agreement is evidence rather than tautology.
+the iterated Beta-function product for the simplex weights, closed Gaussian
+moments for the analytic anchors, a quadrature route for frequency-side
+energies, and a standalone split-step evolution for the heat content
+itself.  None of it touches the package's coefficient, grid or sampling
+machinery, so agreement is evidence rather than tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+
+
+def _beta_exact(a: int, b: int) -> Fraction:
+    """B(a, b) = (a-1)! (b-1)! / (a+b-1)! for positive integers."""
+    return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+
+
+def simplex_integral_beta(ell: tuple[int, ...]) -> Fraction:
+    """int over I_k of prod_i (lam_i - lam_{i+1})^{l_i}, k = len(l) + 1, by iterated Beta factors.
+
+    Integrating out lam_1, ..., lam_{k-2} in turn produces one Beta factor per
+    step, then the innermost variable contributes 1/((k + n)(l_{k-1} + 1))
+    together with the overall power.
+    """
+    k, n = len(ell) + 1, sum(ell)
+    if k == 2:
+        return Fraction(1, (n + 1) * (n + 2))
+    out = Fraction(1, (k + n) * (ell[-1] + 1))
+    prefix = 0
+    for i in range(1, k - 1):
+        prefix += ell[i - 1]
+        out *= _beta_exact(ell[i - 1] + 1, k + n - i - prefix)
+    return out
+
+
+def weight_beta(n: int, ell: tuple[int, ...]) -> Fraction:
+    """A(n, l) = multinomial(n; l) * simplex_integral_beta(l)."""
+    multinom = math.factorial(n)
+    for p in ell:
+        multinom //= math.factorial(p)
+    return multinom * simplex_integral_beta(ell)
 
 
 def gaussian_moment(n: int, a: float) -> float:
@@ -61,6 +94,23 @@ def mixture_hat(weights, centers, sharpness):
             total += c * math.sqrt(math.pi / a) * np.exp(-xi * xi / (4.0 * a)) * np.exp(-1j * mu * xi)
         return total
     return vhat
+
+
+def cnk3_double_sum(weights, centers, sharpness, half_extent: float, n_points: int,
+                    alpha: float, n: int) -> float:
+    """C_{n,3} as the plain double lattice sum over (xi_1, xi_2), one term per composition."""
+    vhat = mixture_hat(weights, centers, sharpness)
+    step = math.pi / half_extent
+    xi = step * (np.arange(n_points) - n_points // 2)
+    s12 = xi[:, np.newaxis] + xi[np.newaxis, :]
+    base = vhat(-s12) * vhat(xi)[:, np.newaxis] * vhat(xi)[np.newaxis, :]
+    total = 0.0 + 0.0j
+    for first in range(n + 1):
+        ell = (first, n - first)
+        total += float(weight_beta(n, ell)) * (
+            base * np.abs(xi[:, np.newaxis]) ** (alpha * ell[0]) * np.abs(s12) ** (alpha * ell[1])
+        ).sum()
+    return float(total.real) * (step / (2.0 * math.pi)) ** 2
 
 
 def dirichlet_reference(weights, centers, sharpness, alpha: float) -> float:

@@ -67,6 +67,14 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--threads", "0"]])
+def test_bad_override_exits_as_config_error(tmp_path, capsys, override):
+    # the same values written into the config file are configuration errors too
+    code = main(["mc", "--config", write_config(tmp_path, {"mc": {"n_paths": 100}}), *override])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_coeffs_prints_exact_weights(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main(

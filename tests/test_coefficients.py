@@ -22,6 +22,7 @@ from fracheat import (
     t2_exact,
     t2_kernel,
 )
+from fracheat.coefficients import lattice_fields
 
 PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
 
@@ -74,6 +75,31 @@ def test_sum_of_squares_variants_match_closed_forms(grid1, mixture_trio):
         for alpha in (0.8, 1.0, 1.5, 2.0):
             assert abs(c4_closed(v, grid1, alpha) - c4_sos(v, grid1, alpha)) < 1e-12
             assert abs(c5_closed(v, grid1, alpha) - c5_sos(v, grid1, alpha)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.0])
+def test_k3_convolution_matches_the_double_sum(mixture_trio, alpha):
+    grid = SpectralGrid(1, 128, 16.0)
+    for v in mixture_trio:
+        centers = [c[0] for c in v.centers]
+        for n in (1, 2, 3):
+            ref = oracles.cnk3_double_sum(v.weights, centers, v.sharpness, 16.0, 128, alpha, n)
+            assert cnk_fourier(v, grid, alpha, n, 3) == pytest.approx(ref, rel=1e-12, abs=1e-16)
+
+
+def test_cached_arrays_are_read_only(grid1):
+    v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
+    fields = lattice_fields(v, grid1, 1.5)
+    arrays = [getattr(fields, name) for name in ("v1", "v2", "v3", "fv", "f2v", "vhat", "v2hat")]
+    for arr in arrays + list(v._arrays()):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    g = gaussian()
+    with pytest.raises(ValueError):
+        g._arrays()[0][0] = 5.0
+    assert float(g.evaluate(0.0)) == 1.0
+    assert lattice_fields.cache_info().maxsize is not None
+    assert c_ell.cache_info().maxsize is not None
 
 
 def test_route_unavailable_cases(grid1):
@@ -163,10 +189,11 @@ def test_coefficient_table_contents(grid1):
     assert table.entries["C4"].value == pytest.approx(
         table.entries["C4_sos"].value, rel=1e-12
     )
+    # the same call gives the same entries; another alpha moves C3
     again = coefficient_table(v, grid1, 1.5)
-    assert again.provenance == table.provenance
+    assert again.entries == table.entries
     other = coefficient_table(v, grid1, 0.8)
-    assert other.provenance != table.provenance
+    assert other.entries["C3"].value != table.entries["C3"].value
 
 
 def test_coefficient_table_two_dimensional():

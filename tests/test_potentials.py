@@ -51,6 +51,19 @@ def test_power_matches_repeated_product(comps, k, x):
     )
 
 
+@pytest.mark.parametrize(
+    "v",
+    [
+        mixture([1.0, 0.5, 0.3, 0.7, 0.2], [-1.0, -0.4, 0.1, 0.6, 1.3], [1.0, 2.0, 0.5, 1.5, 3.0]),
+        mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2),
+    ],
+)
+def test_power_has_at_most_the_multinomial_component_count(v):
+    # V^k has one component per exponent tuple of the K components: C(K + k - 1, k)
+    for k in range(1, 6):
+        assert v.power(k).n_components <= math.comb(v.n_components + k - 1, k)
+
+
 @given(small_mixture, st.floats(-2.0, 2.0).filter(lambda s: abs(s) > 1e-6))
 def test_scaled_is_linear_in_samples_and_integral(comps, s):
     v = build(comps)
