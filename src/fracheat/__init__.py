@@ -19,6 +19,7 @@ from .coefficients import (
     cnk_closed,
     cnk_fourier,
     coefficient_table,
+    dirichlet_form,
     partial_sum,
     t2_exact,
     t2_kernel,
@@ -45,7 +46,6 @@ from .spectral import (
     GridField,
     SpectralGrid,
     apply_fractional_laplacian,
-    dirichlet_form,
     forward_transform,
     grid_integral,
     inverse_transform,
@@ -73,7 +73,7 @@ __all__ = [
     # coefficients
     "CoefficientEntry", "CoefficientTable", "RouteUnavailable", "c0k", "c3_closed", "c4_closed",
     "c4_sos", "c5_closed", "c5_sos", "c_ell", "cnk_closed", "cnk_fourier", "coefficient_table",
-    "partial_sum", "t2_exact", "t2_kernel",
+    "dirichlet_form", "partial_sum", "t2_exact", "t2_kernel",
     # montecarlo
     "McConfig", "McEstimate", "default_proposal", "estimate_heat_content",
     # potentials
@@ -84,9 +84,8 @@ __all__ = [
     # simplex
     "enumerate_compositions", "simplex_integral", "weight_A",
     # spectral
-    "GridField", "SpectralGrid", "apply_fractional_laplacian", "dirichlet_form",
-    "forward_transform", "grid_integral", "inverse_transform", "sample_on_grid",
-    "weighted_freq_sum",
+    "GridField", "SpectralGrid", "apply_fractional_laplacian", "forward_transform", "grid_integral",
+    "inverse_transform", "sample_on_grid", "weighted_freq_sum",
     # validator
     "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "check_theorem1",
     "check_theorem2", "estimate_series", "expansion_report", "fit_remainder_order",

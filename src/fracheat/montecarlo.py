@@ -11,10 +11,12 @@ time integral of V along the skeleton, and averaging expm1(-A) / q(x).
 Sign structure is exact per path: V <= 0 implies every summand >= 0 and
 V >= 0 implies every summand <= 0, which the estimator asserts.
 
-Known limitation (documented, not hidden): for alpha < 2 the summand's
-integrand decays like the Gaussian proposal's tail would need |x|^{-1-alpha}
-coverage; mass beyond ~5 sigma_q of the centers is effectively dropped,
-an O(||V||_1 t^2 / sigma_q) effect that matters only at loose tolerances.
+Known limitation: for alpha < 2 the integrand f(x) = E^x[...] above decays
+only like |x|^{-d-alpha}, but the Gaussian proposal q decays like
+exp(-|x|^2 / (2 sigma_q^2)).  So the variance int f^2/q is infinite, mass
+beyond about 5 sigma_q of the centers is effectively dropped, and the
+reported standard error cannot be trusted.
+
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into fixed chunks, each driven by its own seed substream, so the thread
 count changes scheduling but not a single drawn number.  One call estimates
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import GaussianMixturePotential
-from .sampling import RngStream, sample_subordinator
+from .sampling import RngStream, _check_alpha, sample_subordinator
 
 __all__ = [
     "McConfig",
@@ -129,20 +131,20 @@ def estimate_heat_content(
 ) -> McEstimate:
     """Monte Carlo Q(t) with standard error sd/sqrt(n).
 
-    V = 0 returns exactly 0 with zero variance (every summand vanishes
-    identically, so no paths are drawn).
+    The arguments are checked first, for every V.  V = 0 then returns exactly
+    0 with zero variance (every summand vanishes identically, so no paths are
+    drawn).
     """
-    if v.is_zero:
-        return McEstimate(0.0, 0.0, cfg.n_paths)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
+    if cfg.proposal_center is not None and np.shape(cfg.proposal_center) != (v.dimension,):
+        raise ValueError(f"proposal center must have shape ({v.dimension},)")
+    if v.is_zero:
+        return McEstimate(0.0, 0.0, cfg.n_paths)
     center, sigma = default_proposal(v, v.dimension)
     if cfg.proposal_center is not None:
         center = np.asarray(cfg.proposal_center, dtype=float)
-        if center.shape != (v.dimension,):
-            raise ValueError(f"proposal center must have shape ({v.dimension},)")
     if cfg.proposal_sigma is not None:
         sigma = cfg.proposal_sigma
     n = cfg.n_paths

@@ -1,9 +1,9 @@
 """Gaussian mixture potentials with closed-form algebra.
 
 A potential is a finite sum V(x) = sum_i c_i exp(-a_i |x - mu_i|^2) with
-real weights c_i, sharpness a_i > 0 and centers mu_i in R^d.  Products,
-powers, Fourier transforms and integrals of such mixtures stay inside the
-class and are exact, which keeps every coefficient route cheap and lets the
+real weights c_i, sharpness a_i > 0 and centers mu_i in R^d.  Powers,
+Fourier transforms and integrals of such mixtures stay inside the class and
+are exact, which keeps every coefficient route cheap and lets the
 cross-route checks run at tight tolerances.
 
 The Fourier convention is Vhat(xi) = int exp(-i x.xi) V(x) dx, so the
@@ -22,6 +22,8 @@ import numpy as np
 from scipy import integrate, optimize
 
 __all__ = ["GaussianMixturePotential", "mixture", "gaussian"]
+
+_SEARCH_POINTS = 64  # per axis, for the coarse grid that seeds max_value
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class GaussianMixturePotential:
         """True if every weight is <= 0 (sufficient, not necessary)."""
         return all(c <= 0.0 for c in self.weights)
 
-    @functools.cache
+    @functools.lru_cache(maxsize=256)
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (weights, sharpness, centers) arrays, cached per instance."""
         w = np.asarray(self.weights, dtype=float)
@@ -129,24 +131,6 @@ class GaussianMixturePotential:
 
     # -- exact algebra ----------------------------------------------------
 
-    def pointwise_product(self, other: "GaussianMixturePotential") -> "GaussianMixturePotential":
-        """Exact mixture representing V * W (component count multiplies)."""
-        if other.dimension != self.dimension:
-            raise ValueError("cannot multiply potentials of different dimension")
-        merged: dict[tuple, float] = {}
-        for c1, m1, a1 in zip(self.weights, self.centers, self.sharpness):
-            for c2, m2, a2 in zip(other.weights, other.centers, other.sharpness):
-                a = a1 + a2
-                mu = tuple((a1 * u + a2 * v) / a for u, v in zip(m1, m2))
-                d2 = sum((u - v) ** 2 for u, v in zip(m1, m2))
-                c = c1 * c2 * math.exp(-(a1 * a2 / a) * d2)
-                key = (a, mu)
-                merged[key] = merged.get(key, 0.0) + c
-        weights = tuple(merged.values())
-        sharp = tuple(k[0] for k in merged)
-        cents = tuple(k[1] for k in merged)
-        return GaussianMixturePotential(self.dimension, weights, cents, sharp)
-
     def power(self, k: int) -> "GaussianMixturePotential":
         """Exact mixture for V^k, k >= 1: one component per exponent tuple e, |e| = k.
 
@@ -195,7 +179,7 @@ class GaussianMixturePotential:
         hi = (mu + pad[:, np.newaxis]).max(axis=0)
         return lo, hi
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)
     def l1_norm(self) -> float:
         """int |V| dx.  Closed form when single-signed, adaptive quadrature otherwise."""
         if self.is_zero:
@@ -223,36 +207,32 @@ class GaussianMixturePotential:
         )
         return float(val)
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)
     def sup_norm(self) -> float:
-        """||V||_inf by multistart BFGS from component centers and pair midpoints."""
-        if self.is_zero:
-            return 0.0
-        w, a, mu = self._arrays()
-        starts = [mu[i] for i in range(len(w))]
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                starts.append((a[i] * mu[i] + a[j] * mu[j]) / (a[i] + a[j]))
-        starts.append((np.abs(w)[:, np.newaxis] * mu).sum(axis=0) / np.abs(w).sum())
-        best = max(abs(float(self.evaluate(s))) for s in starts)
-        for sign in (1.0, -1.0):
-            fun = lambda x: -sign * float(self.evaluate(x))
-            jac = lambda x: -sign * self.gradient(x)
-            for s in starts:
-                res = optimize.minimize(fun, np.asarray(s, dtype=float), jac=jac, method="BFGS", options={"gtol": 1e-12, "maxiter": 200})
-                best = max(best, abs(float(self.evaluate(res.x))))
-        return best
+        """||V||_inf = max(sup V, sup -V); negating V is exact, so both are one max_value search."""
+        return max(self.max_value(), self.scaled(-1.0).max_value())
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)
     def max_value(self) -> float:
-        """sup of V itself (signed), by the same multistart search as sup_norm."""
+        """sup of V itself (signed), by BFGS from several starts.
+
+        Starts: the component centers, the sharpness-weighted pair midpoints,
+        the |c|-weighted center and the largest sample of V on a 64^d tensor
+        grid over the box.  Centers and midpoints can be stationary points
+        that are not the maximum, where BFGS never moves; the grid start
+        begins next to the largest sampled value instead.
+        """
         if self.is_zero:
             return 0.0
         w, a, mu = self._arrays()
         starts = [mu[i] for i in range(len(w))]
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                starts.append((a[i] * mu[i] + a[j] * mu[j]) / (a[i] + a[j]))
+        for i, j in itertools.combinations(range(len(w)), 2):
+            starts.append((a[i] * mu[i] + a[j] * mu[j]) / (a[i] + a[j]))
+        starts.append((np.abs(w)[:, np.newaxis] * mu).sum(axis=0) / np.abs(w).sum())
+        axes = [np.linspace(lo, hi, _SEARCH_POINTS) for lo, hi in zip(*self._box())]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals = self.evaluate(mesh)
+        starts.append(mesh[np.unravel_index(np.argmax(vals), vals.shape)])
         best = max(float(self.evaluate(s)) for s in starts)
         fun = lambda x: -float(self.evaluate(x))
         jac = lambda x: -self.gradient(x)

@@ -12,6 +12,10 @@ holds exactly: h^d sum v w* = (2 pi)^{-d} (pi/L)^d sum vhat what*, which is
 what lets paired spatial and frequency routes for the same quantity agree
 far below their truncation error.
 
+Operators act on spectra: apply_fractional_laplacian takes the output of
+forward_transform, so a caller that needs vhat and F^p V transforms V once.
+Every step that drops an imaginary part checks the residual in _real_part.
+
 Frequency sums of f(xi) |xi|^beta with beta not an even integer carry a
 lattice error from the kink at xi = 0 that is independent of N and decays
 only like (2L)^{-1-beta}.  weighted_freq_sum removes it (d = 1) by
@@ -41,7 +45,6 @@ __all__ = [
     "grid_integral",
     "weighted_freq_sum",
     "kink_correction",
-    "dirichlet_form",
 ]
 
 _DEFAULTS = {1: (256, 16.0), 2: (128, 12.0), 3: (64, 10.0)}
@@ -167,24 +170,23 @@ def symbol_array(grid: SpectralGrid, beta: float) -> np.ndarray:
     return out
 
 
-def apply_fractional_laplacian(
-    v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, power: int = 1
-) -> GridField:
+def apply_fractional_laplacian(spec: GridField, alpha: float, power: int = 1) -> GridField:
     """F^power V where F = (-Delta)^{alpha/2} acts by the symbol |xi|^alpha.
 
-    Returns the physical-space field of |xi|^{alpha power} vhat, i.e. F V for
-    power = 1, F^2 V for power = 2 (so F V = -V'' at alpha = 2, d = 1).  Real
-    part is returned after asserting the imaginary residual is below 1e-9
-    relative.
+    Takes the frequency-space field vhat = forward_transform(V) and returns the
+    physical-space field of |xi|^{alpha power} vhat, i.e. F V for power = 1,
+    F^2 V for power = 2 (so F V = -V'' at alpha = 2, d = 1).  Real part is
+    returned after asserting the imaginary residual is below 1e-9 relative.
     """
+    if spec.space != "frequency":
+        raise ValueError("apply_fractional_laplacian expects a frequency-space field")
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if power < 1:
         raise ValueError("power must be >= 1")
-    spec = forward_transform(sample_on_grid(v, grid))
-    mult = symbol_array(grid, alpha * power)
-    out = inverse_transform(GridField(grid, "frequency", mult * spec.values))
-    return GridField(grid, "physical", _real_part(out.values, "fractional Laplacian"))
+    mult = symbol_array(spec.grid, alpha * power)
+    out = inverse_transform(GridField(spec.grid, "frequency", mult * spec.values))
+    return GridField(spec.grid, "physical", _real_part(out.values, "fractional Laplacian"))
 
 
 def grid_integral(field: GridField) -> float:
@@ -237,17 +239,3 @@ def weighted_freq_sum(
     if smooth_at is not None:
         raw += kink_correction(grid, beta, smooth_at)
     return raw
-
-
-def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
-    """E_alpha(V) = (2 pi)^{-d} int |xi|^alpha |vhat(xi)|^2 dxi.
-
-    Nonnegative; equals int |grad V|^2 at alpha = 2.  Uses the corrected
-    frequency sum in d = 1, the raw lattice sum otherwise.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    spec = forward_transform(sample_on_grid(v, grid))
-    dens = np.abs(spec.values) ** 2
-    smooth = (lambda x: float(np.abs(v.fourier(x)) ** 2)) if grid.dimension == 1 else None
-    return weighted_freq_sum(grid, dens, alpha, smooth_at=smooth)

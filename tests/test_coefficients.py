@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import fracheat.coefficients as coefficients
+import fracheat.spectral as spectral
 import oracles
 from fracheat import (
+    GaussianMixturePotential,
     RouteUnavailable,
     SpectralGrid,
     c0k,
@@ -100,6 +103,29 @@ def test_cached_arrays_are_read_only(grid1):
     assert float(g.evaluate(0.0)) == 1.0
     assert lattice_fields.cache_info().maxsize is not None
     assert c_ell.cache_info().maxsize is not None
+    for name in ("_arrays", "l1_norm", "sup_norm", "max_value"):
+        assert getattr(GaussianMixturePotential, name).cache_info().maxsize is not None
+
+
+def test_lattice_fields_samples_and_transforms_each_field_once(grid1, monkeypatch):
+    # count every call through the names both modules bind, so a call made
+    # inside a spectral function counts as well as one made by the bundle
+    calls = {"sample_on_grid": 0, "forward_transform": 0, "inverse_transform": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (spectral, coefficients):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
+    lattice_fields.__wrapped__(v, grid1, 1.5)
+    assert calls == {"sample_on_grid": 3, "forward_transform": 2, "inverse_transform": 2}
 
 
 def test_route_unavailable_cases(grid1):

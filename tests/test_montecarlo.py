@@ -112,3 +112,16 @@ def test_config_validation(unit_gaussian):
         estimate_heat_content(unit_gaussian, 2.5, 0.1, McConfig(n_paths=1000))
     with pytest.raises(ValueError):
         estimate_heat_content(unit_gaussian, 2.0, 0.0, McConfig(n_paths=1000))
+    # the sampler's alpha check runs first, so the message names alpha, not beta = alpha/2
+    with pytest.raises(ValueError, match=r"alpha in \(1\.95, 2\)"):
+        estimate_heat_content(unit_gaussian, 1.97, 0.1, McConfig(n_paths=1000))
+    # V = 0 needs no paths, but its arguments are checked all the same
+    zero = mixture([], [], [], dimension=1)
+    for alpha, t, cfg in (
+        (2.0, -1.0, McConfig(n_paths=1000)),
+        (1.97, 0.1, McConfig(n_paths=1000)),
+        (2.5, 0.1, McConfig(n_paths=1000)),
+        (2.0, 0.1, McConfig(n_paths=1000, proposal_center=(0.0, 0.0))),
+    ):
+        with pytest.raises(ValueError):
+            estimate_heat_content(zero, alpha, t, cfg)

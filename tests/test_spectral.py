@@ -56,7 +56,7 @@ def test_symbol_array_zero_frequency_convention(grid1):
 
 def test_fractional_laplacian_alpha_two_is_negative_second_derivative(grid1):
     v = mixture([1.0, 0.5], [0.2, -0.8], [1.0, 2.0])
-    applied = apply_fractional_laplacian(v, grid1, 2.0)
+    applied = apply_fractional_laplacian(forward_transform(sample_on_grid(v, grid1)), 2.0)
     x = grid1.axis_points()
     expected = np.zeros_like(x)
     for w, mu, a in ((1.0, 0.2, 1.0), (0.5, -0.8, 2.0)):
@@ -66,13 +66,13 @@ def test_fractional_laplacian_alpha_two_is_negative_second_derivative(grid1):
 
 
 def test_fractional_laplacian_power_composes(grid1):
-    v = gaussian()
-    once = apply_fractional_laplacian(v, grid1, 1.5)
+    vhat = forward_transform(sample_on_grid(gaussian(), grid1))
+    once = apply_fractional_laplacian(vhat, 1.5)
     spec = forward_transform(GridField(grid1, "physical", np.real(once.values)))
     twice = inverse_transform(
         GridField(grid1, "frequency", spec.values * symbol_array(grid1, 1.5))
     )
-    squared = apply_fractional_laplacian(v, grid1, 1.5, power=2)
+    squared = apply_fractional_laplacian(vhat, 1.5, power=2)
     assert np.max(np.abs(twice.values - squared.values)) < 1e-11
 
 
@@ -143,3 +143,5 @@ def test_transforms_reject_wrong_space(grid1):
         inverse_transform(sampled)
     with pytest.raises(ValueError):
         forward_transform(forward_transform(sampled))
+    with pytest.raises(ValueError):
+        apply_fractional_laplacian(sampled, 1.5)

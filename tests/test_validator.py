@@ -103,6 +103,10 @@ def test_theorem1_part_i_requires_nonpositive_potential():
     v = gaussian()
     with pytest.raises(ValueError):
         check_theorem1(v, 2.0, [0.1], McConfig(n_paths=1000), parts=("i",))
+    # V(0) = -1 at the only center, but sup V = 1/8 away from it
+    signed = mixture([-2.0, 1.0], [0.0, 0.0], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        check_theorem1(signed, 2.0, [0.1], McConfig(n_paths=1000), parts=("i",))
     with pytest.raises(ValueError):
         check_theorem1(v, 2.0, [0.1], McConfig(n_paths=1000), parts=("iii",))
     with pytest.raises(ValueError):
