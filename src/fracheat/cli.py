@@ -48,7 +48,7 @@ from .montecarlo import McConfig
 from .potentials import GaussianMixturePotential, mixture
 from .sampling import sampler_selftest
 from .simplex import enumerate_compositions, weight_A
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _check_alpha
 from .validator import (
     estimate_series,
     expansion_report,
@@ -114,8 +114,10 @@ def resolve_config(raw: dict) -> RunConfig:
     if isinstance(dim, bool) or dim not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dim!r}")
     alpha = _get(raw, "alpha", (int, float), "", required=True)
-    if not 0.0 < float(alpha) <= 2.0:
-        raise ConfigError(f"alpha must lie in (0, 2], got {alpha}")
+    try:
+        _check_alpha(alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     comps = _get(raw, "potential", list, "", required=True)
     weights, centers, sharps = [], [], []
     for i, comp in enumerate(comps):

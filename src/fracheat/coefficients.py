@@ -32,6 +32,7 @@ from .simplex import weight_A
 from .spectral import (  # perfbench/rep.py wraps these names where they are bound here
     GridField,
     SpectralGrid,
+    _check_alpha,
     _real_part,
     apply_fractional_laplacian,
     forward_transform,
@@ -64,11 +65,6 @@ __all__ = [
 
 class RouteUnavailable(ValueError):
     """Requested coefficient route is outside the supported set."""
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
 def c0k(v: GaussianMixturePotential, k: int) -> float:

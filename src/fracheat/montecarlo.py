@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import GaussianMixturePotential
-from .sampling import RngStream, _check_alpha, sample_subordinator
+from .sampling import RngStream, _check_sampler_alpha, sample_subordinator
 
 __all__ = [
     "McConfig",
@@ -135,7 +135,7 @@ def estimate_heat_content(
     0 with zero variance (every summand vanishes identically, so no paths are
     drawn).
     """
-    _check_alpha(alpha)
+    _check_sampler_alpha(alpha)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if cfg.proposal_center is not None and np.shape(cfg.proposal_center) != (v.dimension,):

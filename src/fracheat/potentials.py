@@ -25,6 +25,22 @@ __all__ = ["GaussianMixturePotential", "mixture", "gaussian"]
 
 _SEARCH_POINTS = 64  # per axis, for the coarse grid that seeds max_value
 
+# l1_norm of a sign-indefinite V (see GaussianMixturePotential._line_integrals)
+_L1_CELL_WIDTH = 0.25  # inner cell width, in units of 1/sqrt(max a_i)
+# The 8-point Gauss-Legendre rule on [-1, 1], applied to every piece.  Its
+# nonnegative half is written out: numpy's leggauss would load LAPACK into
+# every process that imports fracheat, 0.6-0.9 MB of resident memory.
+_GL_X = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+_L1_GAUSS = np.array([[-x for x in _GL_X[::-1]] + list(_GL_X), list(_GL_W[::-1]) + list(_GL_W)])
+_L1_RTOL = 1e-10  # outer cubature, relative
+_ROOT_TOL = 1e-12  # Newton stops at steps below this share of the first bracket width
+# The search for a minimum of |V| only has to land between the two roots it separates.
+# A pair closer together than this share of a cell can be missed, which
+# costs the line integral at most of order (pair width)^3.
+_EXTREMUM_TOL = 1e-5
+_ROOT_STEPS = 100  # cap on Newton or bisection steps per bracket
+
 
 @dataclass(frozen=True)
 class GaussianMixturePotential:
@@ -181,31 +197,86 @@ class GaussianMixturePotential:
 
     @functools.lru_cache(maxsize=64)
     def l1_norm(self) -> float:
-        """int |V| dx.  Closed form when single-signed, adaptive quadrature otherwise."""
+        """int |V| dx: the closed form |int V| when single-signed, else kink-resolved quadrature.
+
+        A sign-indefinite V is integrated over `_box()`.  The last axis is
+        done by `_line_integrals` for a whole batch of points x' of the other
+        axes at once; it splits each line at the roots of V, so |V| is smooth
+        on every piece.  In d = 1 that is the whole integral.  For d >= 2 the
+        outer d - 1 axes go through `scipy.integrate.cubature`, whose
+        Gauss-Kronrod error estimate is held to the relative tolerance
+        `_L1_RTOL`.  It refines near the tangencies of {V = 0}, where the
+        line integral behaves like (x' - x0)^{3/2}.
+
+        Raises:
+            ValueError: if `cubature` stops before its error estimate meets
+                the tolerance; no unconverged value is returned.
+        """
         if self.is_zero:
             return 0.0
         if self.is_nonnegative or self.is_nonpositive:
             return abs(self.integral())
         lo, hi = self._box()
-        scale = sum(abs(c) * (math.pi / a) ** (self.dimension / 2.0) for c, a in zip(self.weights, self.sharpness))
         if self.dimension == 1:
-            pts = sorted(mu[0] for mu in self.centers)
-            val, _ = integrate.quad(
-                lambda x: abs(float(self.evaluate(x))),
-                float(lo[0]),
-                float(hi[0]),
-                points=pts,
-                limit=200,
-                epsabs=1e-13 * scale,
-                epsrel=1e-11,
+            return float(self._line_integrals(np.empty((1, 0)), lo[0], hi[0])[0])
+        res = integrate.cubature(lambda x: self._line_integrals(x, lo[-1], hi[-1]), lo[:-1], hi[:-1], rtol=_L1_RTOL)
+        if res.status != "converged":
+            raise ValueError(
+                f"l1_norm of a d = {self.dimension} mixture did not converge: "
+                f"error estimate {float(res.error):.3g} for the value {float(res.estimate):.12g}"
             )
-            return float(val)
-        ranges = [(float(lo[j]), float(hi[j])) for j in range(self.dimension)]
-        opts = {"limit": 80, "epsabs": 1e-10 * scale, "epsrel": 1e-9}
-        val, _ = integrate.nquad(
-            lambda *x: abs(float(self.evaluate(np.array(x)))), ranges, opts=[opts] * self.dimension
+        return float(res.estimate)
+
+    def _line_integrals(self, outer: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """int_lo^hi |V(x', y)| dy along the last axis, for each row x' of `outer` (shape (n, d - 1)).
+
+        V is sampled at the edges of a uniform grid whose cells are at most
+        `_L1_CELL_WIDTH` / sqrt(max a_i) wide, so that no component is
+        narrower than a few cells.  Each cell whose end values differ in sign
+        holds one root of V, found by safeguarded Newton.  A cell whose end
+        values share a sign while |V| falls into it from both ends holds a
+        minimum of |V|, found by bisection on the slope; if V has the other
+        sign there, the cell holds a pair of roots (next to a tangency of
+        {V = 0}), one on each side of it.  Gauss-Legendre on every piece
+        between cell edges and roots then integrates a smooth function.
+        """
+        n = len(outer)
+        cells = math.ceil((hi - lo) * math.sqrt(max(self.sharpness)) / _L1_CELL_WIDTH)
+        edges = np.linspace(lo, hi, cells + 1)
+
+        def along(rows: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            pts = np.concatenate([outer[rows], y[:, np.newaxis]], axis=1)
+            return self.evaluate(pts), self.gradient(pts)[:, -1]
+
+        rows, ys = np.repeat(np.arange(n), cells + 1), np.tile(edges, n)
+        val, slope = (u.reshape(n, cells + 1) for u in along(rows, ys))
+        left, right = val[:, :-1], val[:, 1:]
+        r1, c1 = np.nonzero(left * right < 0)
+        r2, c2 = np.nonzero((left * right > 0) & (slope[:, :-1] * left < 0) & (slope[:, 1:] * right > 0))
+        low = _bracketed_root(lambda k, y: (along(r2[k], y)[1], None), edges[c2], edges[c2 + 1], slope[r2, c2], _EXTREMUM_TOL)
+        peak = along(r2, low)[0]
+        pair = peak * left[r2, c2] < 0
+        r2, c2, low, peak = r2[pair], c2[pair], low[pair], peak[pair]
+        root_rows = np.concatenate([r1, r2, r2])
+        roots = _bracketed_root(
+            lambda k, y: along(root_rows[k], y),
+            np.concatenate([edges[c1], edges[c2], low]),
+            np.concatenate([edges[c1 + 1], low, edges[c2 + 1]]),
+            np.concatenate([left[r1, c1], left[r2, c2], peak]),
+            _ROOT_TOL,
         )
-        return float(val)
+        piece_rows = np.concatenate([rows, root_rows])
+        ends = np.concatenate([ys, roots])
+        order = np.lexsort((ends, piece_rows))
+        piece_rows, ends = piece_rows[order], ends[order]
+        inside = piece_rows[1:] == piece_rows[:-1]
+        a, b, piece_rows = ends[:-1][inside], ends[1:][inside], piece_rows[:-1][inside]
+        nodes, weights = _L1_GAUSS
+        half = 0.5 * (b - a)
+        y = (0.5 * (a + b))[:, np.newaxis] + half[:, np.newaxis] * nodes
+        x = np.broadcast_to(outer[piece_rows][:, np.newaxis, :], y.shape + (outer.shape[1],))
+        pieces = np.abs(self.evaluate(np.concatenate([x, y[..., np.newaxis]], axis=-1))) @ weights * half
+        return np.bincount(piece_rows, weights=pieces, minlength=n)
 
     @functools.lru_cache(maxsize=64)
     def sup_norm(self) -> float:
@@ -257,6 +328,37 @@ class GaussianMixturePotential:
         if lip == 0.0:
             return 0.0
         return float(lip**gamma * (2.0 * self.sup_norm()) ** (1.0 - gamma))
+
+
+def _bracketed_root(fun, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, tol: float) -> np.ndarray:
+    """One root of f in each bracket [lo_k, hi_k], where f(lo_k) has the sign of sign_lo_k and f(hi_k) the other.
+
+    fun(k, y) returns f at y for the brackets k, with its slope for safeguarded
+    Newton or None for bisection.  Every iterate shrinks its bracket, and a
+    Newton step that leaves the bracket is replaced by its midpoint.  A bracket
+    is done when its last step is at most tol times its first width.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    limit = tol * (hi - lo)
+    todo = np.arange(x.size)
+    for _ in range(_ROOT_STEPS):
+        if not todo.size:
+            break
+        f, slope = fun(todo, x[todo])
+        xk = x[todo]
+        below = (f > 0) == (sign_lo[todo] > 0)
+        lo[todo] = np.where(below, xk, lo[todo])
+        hi[todo] = np.where(below, hi[todo], xk)
+        step = 0.5 * (lo[todo] + hi[todo])
+        if slope is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = xk - f / slope
+            step = np.where((newton > lo[todo]) & (newton < hi[todo]), newton, step)
+        step = np.where(f == 0.0, xk, step)
+        x[todo] = step
+        todo = todo[np.abs(step - xk) > limit[todo]]
+    return x
 
 
 def mixture(

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .spectral import _check_alpha
+
 __all__ = [
     "RngStream",
     "sample_subordinator",
@@ -63,10 +65,10 @@ def _gen(rng) -> np.random.Generator:
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if alpha < 2.0 and alpha > ALPHA_CAP:
+def _check_sampler_alpha(alpha: float) -> None:
+    """`_check_alpha`, and also reject (ALPHA_CAP, 2), where the subordinator loses precision."""
+    _check_alpha(alpha)
+    if ALPHA_CAP < alpha < 2.0:
         raise ValueError(
             f"alpha in ({ALPHA_CAP}, 2) is numerically unstable in the subordinator; "
             "use alpha = 2 exactly for the Gaussian endpoint"
@@ -104,7 +106,7 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
 
     Returns shape (d,) for size None, else (size, d).
     """
-    _check_alpha(alpha)
+    _check_sampler_alpha(alpha)
     if d < 1:
         raise ValueError("d must be >= 1")
     if not span > 0.0:
@@ -125,7 +127,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     Returns a mean/standard-error record; gamma >= alpha with alpha < 2 has
     an infinite moment and raises.
     """
-    _check_alpha(alpha)
+    _check_sampler_alpha(alpha)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if alpha < 2.0 and gamma >= alpha:

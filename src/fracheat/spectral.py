@@ -170,6 +170,12 @@ def symbol_array(grid: SpectralGrid, beta: float) -> np.ndarray:
     return out
 
 
+def _check_alpha(alpha: float) -> None:
+    """The one range check on alpha, the order of F = (-Delta)^{alpha/2}."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+
+
 def apply_fractional_laplacian(spec: GridField, alpha: float, power: int = 1) -> GridField:
     """F^power V where F = (-Delta)^{alpha/2} acts by the symbol |xi|^alpha.
 
@@ -180,8 +186,7 @@ def apply_fractional_laplacian(spec: GridField, alpha: float, power: int = 1) ->
     """
     if spec.space != "frequency":
         raise ValueError("apply_fractional_laplacian expects a frequency-space field")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     if power < 1:
         raise ValueError("power must be >= 1")
     mult = symbol_array(spec.grid, alpha * power)

@@ -3,16 +3,18 @@
 Everything here is computed from first principles with plain numpy/scipy:
 the iterated Beta-function product for the simplex weights, closed Gaussian
 moments for the analytic anchors, a quadrature route for frequency-side
-energies, and a standalone split-step evolution for the heat content
-itself.  None of it touches the package's coefficient, grid or sampling
-machinery, so agreement is evidence rather than tautology.
+energies, a standalone split-step evolution for the heat content itself,
+and a closed form and a nested quadrature for the L1 norm of a signed
+mixture.  None of it touches the package's coefficient, grid, sampling or
+norm machinery, so agreement is evidence rather than tautology.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import nquad, quad
+from scipy.special import gammainc
 
 
 def _beta_exact(a: int, b: int) -> Fraction:
@@ -160,3 +162,32 @@ def q_reference(weights, centers, sharpness, alpha: float, t: float,
 
     coarse, fine = run(steps), run(2 * steps)
     return (4.0 * fine - coarse) / 3.0
+
+
+def l1_concentric(c, a, d: int) -> float:
+    """int |V| for V = c_1 e^{-a_1 |x|^2} + c_2 e^{-a_2 |x|^2} in R^d with a sign change.
+
+    V vanishes on the sphere r0^2 = ln(-c_1/c_2)/(a_1 - a_2) and has one sign
+    inside it, the other outside, so int |V| = |2 int_{r < r0} V - int V|.  The
+    ball integral of e^{-a |x|^2} is (pi/a)^{d/2} P(d/2, a r0^2), with P the
+    regularised lower incomplete gamma function: erf(sqrt(a) r0) for d = 1 and
+    1 - e^{-a r0^2} for d = 2.
+    """
+    (c1, c2), (a1, a2) = c, a
+    r02 = math.log(-c1 / c2) / (a1 - a2)
+    assert r02 > 0.0, "V must change sign"
+    return abs(sum(ci * (math.pi / ai) ** (d / 2.0) * (2.0 * gammainc(d / 2.0, ai * r02) - 1.0)
+                   for ci, ai in zip(c, a)))
+
+
+def l1_nquad(v, epsrel: float) -> float:
+    """int |V| over the box of v by nested adaptive quadrature, one Python call per point.
+
+    Slow (seconds in d = 2) and it can fall short of epsrel near the zero set
+    of V, where |V| has a kink that it does not know about.
+    """
+    lo, hi = v._box()
+    scale = sum(abs(c) * (math.pi / a) ** (v.dimension / 2.0) for c, a in zip(v.weights, v.sharpness))
+    opts = {"limit": 80, "epsabs": 1e-10 * scale, "epsrel": epsrel}
+    val, _ = nquad(lambda *x: abs(float(v.evaluate(np.array(x)))), list(zip(lo, hi)), opts=[opts] * v.dimension)
+    return val

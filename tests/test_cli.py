@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from fracheat import cli, montecarlo, validator
+from fracheat import (
+    SpectralGrid,
+    apply_fractional_laplacian,
+    cli,
+    coefficient_table,
+    forward_transform,
+    gaussian,
+    montecarlo,
+    sample_increment,
+    sample_on_grid,
+    validator,
+)
 from fracheat.cli import ConfigError, config_digest, load_config, main, resolve_config, resolved_dict
 
 MINIMAL = {
@@ -65,6 +77,24 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     code = main(["coeffs", "--config", write_config(tmp_path, {"bogus": 1})])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+def test_alpha_outside_the_range_is_rejected_alike_everywhere(tmp_path, capsys, alpha):
+    message = f"alpha must lie in (0, 2], got {alpha}"
+    grid = SpectralGrid(1, 32, 8.0)
+    spec = forward_transform(sample_on_grid(gaussian(), grid))
+    calls = [
+        lambda: coefficient_table(gaussian(), grid, alpha),
+        lambda: apply_fractional_laplacian(spec, alpha),
+        lambda: sample_increment(alpha, 1, 0.1, np.random.default_rng(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert main(["coeffs", "--config", write_config(tmp_path, {"alpha": alpha})]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--threads", "0"]])

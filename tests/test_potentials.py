@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fracheat.potentials as potentials
+import oracles
 from fracheat import GaussianMixturePotential, gaussian, mixture
 
 component = st.tuples(
@@ -117,6 +119,59 @@ def test_l1_norm_of_signed_mixture_exceeds_integral():
     assert v.l1_norm() > abs(v.integral())
     w = mixture([0.5, 0.25], [0.0, 1.0], [1.0, 1.0])
     assert w.l1_norm() == pytest.approx(w.integral(), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "c, a, d",
+    [
+        ((1.0, -2.0), (0.5, 1.0), 1),
+        ((-1.0, 3.0), (0.4, 2.5), 1),
+        ((2.0, -0.5), (3.0, 0.3), 1),
+        ((1.0, -2.0), (0.5, 1.0), 2),
+        ((-1.0, 3.0), (0.4, 2.5), 2),
+    ],
+)
+def test_l1_norm_of_concentric_mixture_matches_the_closed_form(c, a, d):
+    # {V = 0} is a sphere: in d = 2 a circle with two tangencies to the inner lines
+    center = (0.3, -0.7)[:d]
+    v = mixture(list(c), [center, center], list(a), dimension=d)
+    assert v.l1_norm() == pytest.approx(oracles.l1_concentric(c, a, d), rel=1e-10)
+
+
+def test_line_gauss_rule_is_numpys_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(potentials._L1_GAUSS, [nodes, weights])
+
+
+def test_line_integral_splits_a_root_pair_inside_one_cell():
+    # V > 0 only on |y| < 0.045, and the uneven limits put both roots in the
+    # cell [-0.1, 0.15]: its end values share a sign, its end slopes do not
+    c, a = (1.001, -1.0), (1.0, 0.5)
+    v = mixture(list(c), [0.0, 0.0], list(a))
+    got = v._line_integrals(np.empty((1, 0)), -10.1, 9.9)[0]
+    assert got == pytest.approx(oracles.l1_concentric(c, a, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2),
+        mixture([1.0, -0.8], [(0.0, 0.0), (0.4, -0.3)], [1.0, 50.0], dimension=2),
+    ],
+)
+def test_l1_norm_of_signed_2d_mixture_matches_nquad(v):
+    assert v.l1_norm() == pytest.approx(oracles.l1_nquad(v, 1e-9), rel=1e-7)
+
+
+def test_l1_norm_raises_when_cubature_does_not_converge(monkeypatch):
+    import scipy.integrate
+    from types import SimpleNamespace
+
+    stalled = SimpleNamespace(status="not_converged", estimate=np.array(2.5), error=np.array(3e-4))
+    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kwargs: stalled)
+    v = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
+    with pytest.raises(ValueError, match=r"d = 2 .* error estimate 0\.0003"):
+        GaussianMixturePotential.l1_norm.__wrapped__(v)
 
 
 def test_lipschitz_constant_bounds_max_slope():
