@@ -89,9 +89,14 @@ def _get(obj: dict, key: str, types, path: str, default=None, required: bool = F
             raise ConfigError(f"missing required config key {path}{key!r}")
         return default
     val = obj[key]
-    if types is not None and not isinstance(val, types):
+    # JSON true/false load as bool, a subclass of int; no key takes one
+    if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
         raise ConfigError(f"config key {path}{key!r} has wrong type {type(val).__name__}")
     return val
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def load_config(path: str) -> RunConfig:
@@ -111,7 +116,7 @@ def load_config(path: str) -> RunConfig:
 def resolve_config(raw: dict) -> RunConfig:
     _require_keys(raw, {"dimension", "alpha", "potential", "grid", "t_list", "mc", "validate", "output"}, "")
     dim = _get(raw, "dimension", int, "", required=True)
-    if isinstance(dim, bool) or dim not in (1, 2, 3):
+    if dim not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dim!r}")
     alpha = _get(raw, "alpha", (int, float), "", required=True)
     try:
@@ -127,6 +132,8 @@ def resolve_config(raw: dict) -> RunConfig:
         weights.append(float(_get(comp, "weight", (int, float), f"potential[{i}].", required=True)))
         center = _get(comp, "center", (int, float, list), f"potential[{i}].", required=True)
         if isinstance(center, list):
+            if not all(_is_number(u) for u in center):
+                raise ConfigError(f"potential[{i}].center entries must be numbers")
             centers.append([float(u) for u in center])
         else:
             centers.append([float(center)] + [0.0] * (dim - 1)) if dim > 1 else centers.append(float(center))
@@ -151,7 +158,7 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     ts = _get(raw, "t_list", list, "", default=[0.02, 0.05, 0.1, 0.2])
-    if not ts or not all(isinstance(t, (int, float)) and t > 0 for t in ts):
+    if not ts or not all(_is_number(t) and t > 0 for t in ts):
         raise ConfigError("t_list must be a nonempty list of positive numbers")
     t_list = tuple(sorted(float(t) for t in ts))
 
@@ -164,6 +171,8 @@ def resolve_config(raw: dict) -> RunConfig:
         raw_center = _get(prop, "center", (list, int, float), "mc.proposal.", default=None)
         if raw_center is not None:
             vals = raw_center if isinstance(raw_center, list) else [raw_center]
+            if not all(_is_number(u) for u in vals):
+                raise ConfigError("mc.proposal.center entries must be numbers")
             center = tuple(float(u) for u in vals)
             if len(center) != dim:
                 raise ConfigError(f"mc.proposal.center must have {dim} entries")

@@ -283,13 +283,15 @@ def partial_sum(
 
 
 def t2_kernel(u) -> np.ndarray:
-    """psi(u) = (e^{-u} - 1 + u)/u^2, with the series branch below 1e-4.
+    """psi(u) = (e^{-u} - 1 + u)/u^2, with the series branch for |u| < 1e-4.
 
-    psi(0) = 1/2; psi is completely monotone decreasing toward 0.
+    psi(0) = 1/2; psi > 0 is decreasing on the whole line, completely
+    monotone toward 0 for u > 0 and growing like e^{-u}/u^2 for u < 0.
     """
     arr = np.asarray(u, dtype=float)
-    big = np.where(arr < 1e-4, 1.0, arr)
-    out = np.where(arr < 1e-4, 0.5 - arr / 6.0 + arr**2 / 24.0, (np.expm1(-big) + big) / big**2)
+    near = np.abs(arr) < 1e-4
+    big = np.where(near, 1.0, arr)
+    out = np.where(near, 0.5 - arr / 6.0 + arr**2 / 24.0, (np.expm1(-big) + big) / big**2)
     return float(out) if np.ndim(u) == 0 else out
 
 

@@ -2,20 +2,36 @@
 
 Marginalizing the bridging identity over endpoints gives
 
-    Q(t) = int E^x[ exp(-int_0^t V(X_s) ds) - 1 ] dx,
+    Q(t) = int E^x[ exp(-int_0^t V(X_s) ds) - 1 ] dx.
 
-so Q is estimated by drawing start points x ~ q (an isotropic Gaussian
-proposal), one path skeleton per draw, a trapezoid approximation A of the
-time integral of V along the skeleton, and averaging expm1(-A) / q(x).
+Each path draws a start point x ~ q, one skeleton, and the trapezoid value A
+of the time integral of V along it.  Since int E^x[A] dx = t int V exactly
+(trapezoid weights included), the first-order term is a control variate with
+known mean: the estimator averages
 
-Sign structure is exact per path: V <= 0 implies every summand >= 0 and
-V >= 0 implies every summand <= 0, which the estimator asserts.
+    (e^{-A} - 1 + A) / q(x) = A^2 psi(A) / q(x),   psi = coefficients.t2_kernel,
 
-Known limitation: for alpha < 2 the integrand f(x) = E^x[...] above decays
-only like |x|^{-d-alpha}, but the Gaussian proposal q decays like
-exp(-|x|^2 / (2 sigma_q^2)).  So the variance int f^2/q is infinite, mass
-beyond about 5 sigma_q of the centers is effectively dropped, and the
-reported standard error cannot be trusted.
+and subtracts t int V.  The same draws give the same expectation as
+averaging expm1(-A)/q, but the O(t) term no longer adds variance.
+
+Invariant: e^{-a} - 1 + a >= 0 for every real a (convexity), so every
+summand is nonnegative whatever the sign of V, which the estimator asserts.
+
+Proposal: q is the defensive mixture (Hesterberg 1995; Owen & Zhou 2000)
+
+    q = (1 - w) N(center, sigma^2 I) + w t_nu(center, sigma),  w = 0.1, nu = alpha,
+
+with t_nu the multivariate Student-t of nu degrees of freedom and scale
+sigma.  For alpha < 2 the integrand f(x) = E^x[...] decays only like
+|x|^{-d-alpha}.  Against a Gaussian q alone, int f^2/q is infinite and the
+mass far out in the tail is effectively never sampled, so the estimate is
+biased low and its standard error cannot be trusted.  The Student-t tail
+decays like |x|^{-d-nu}, and nu = alpha < 2 alpha makes int f^2/q finite for
+every alpha in (0, 2].  The Gaussian component keeps most of the draws where
+V lives.  What stays heavy-tailed is the path part of the noise: a start point
+far out in the Student-t tail whose path jumps into the support of V gives a
+rare large summand, so at small alpha one such path can lift both the mean
+and the standard error of a single run.
 
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into fixed chunks, each driven by its own seed substream, so the thread
@@ -32,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import t2_kernel
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_sampler_alpha, sample_subordinator
 
@@ -43,6 +60,7 @@ __all__ = [
 ]
 
 _CHUNK = 32768
+_DEFENSIVE = 0.1  # weight of the Student-t component; its degrees of freedom are alpha
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,17 @@ def default_proposal(v: GaussianMixturePotential, d: int) -> tuple[np.ndarray, f
     return center, 3.0 * (float(widths.max()) + float(spread))
 
 
+def _proposal_density(x: np.ndarray, center: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
+    """Density of the defensive mixture at the rows of x."""
+    d = x.shape[1]
+    r2 = ((x - center) ** 2).sum(axis=1) / sigma**2
+    normal = (2.0 * math.pi * sigma**2) ** (-d / 2.0) * np.exp(-0.5 * r2)
+    log_norm = math.lgamma((alpha + d) / 2.0) - math.lgamma(alpha / 2.0)
+    log_norm -= 0.5 * d * math.log(alpha * math.pi * sigma**2)
+    student = math.exp(log_norm) * (1.0 + r2 / alpha) ** (-(alpha + d) / 2.0)
+    return (1.0 - _DEFENSIVE) * normal + _DEFENSIVE * student
+
+
 def _chunk_summands(
     v: GaussianMixturePotential,
     alpha: float,
@@ -106,24 +135,34 @@ def _chunk_summands(
     d = v.dimension
     m = cfg.m_steps
     gen = RngStream(cfg.seed, chunk_index).generator
-    x0 = center + sigma * gen.standard_normal((n_chunk, d))
+    # draw order: mixture choice, start point, Student-t scale, increments
+    heavy = gen.random(n_chunk) < _DEFENSIVE
+    z = gen.standard_normal((n_chunk, d))
+    z[heavy] /= np.sqrt(gen.chisquare(alpha, int(heavy.sum())) / alpha)[:, np.newaxis]
+    x0 = center + sigma * z
+    # each array is freed once used, so that no draw outlives its step and
+    # q(x0) adds nothing at the peak, which is inside evaluate
+    del heavy, z
     dt = t / m
     if alpha == 2.0:
         incs = math.sqrt(2.0 * dt) * gen.standard_normal((n_chunk, m, d))
     else:
         s = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m)
         incs = np.sqrt(2.0 * s)[..., np.newaxis] * gen.standard_normal((n_chunk, m, d))
+        del s
     pos = np.empty((n_chunk, m + 1, d))
     pos[:, 0, :] = x0
     np.cumsum(incs, axis=1, out=pos[:, 1:, :])
+    del incs
     pos[:, 1:, :] += x0[:, np.newaxis, :]
     vals = v.evaluate(pos)
+    del pos
     a = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-    r2 = ((x0 - center) ** 2).sum(axis=1)
-    q = (2.0 * math.pi * sigma**2) ** (-d / 2.0) * np.exp(-r2 / (2.0 * sigma**2))
+    del vals
+    q = _proposal_density(x0, center, sigma, alpha)
     # overflow to inf is tolerated here; the caller rejects non-finite batches
     with np.errstate(over="ignore"):
-        return np.expm1(-a) / q
+        return a**2 * t2_kernel(a) / q
 
 
 def estimate_heat_content(
@@ -161,8 +200,7 @@ def estimate_heat_content(
             "non-finite summand: the proposal is too narrow for this potential/time "
             f"(sigma = {sigma:g})"
         )
-    if v.is_nonpositive and (w < 0.0).any():
-        raise RuntimeError("sign violation: V <= 0 must give nonnegative summands")
-    if v.is_nonnegative and (w > 0.0).any():
-        raise RuntimeError("sign violation: V >= 0 must give nonpositive summands")
-    return McEstimate(float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w))), len(w))
+    if (w < 0.0).any():
+        raise RuntimeError("convexity violation: every summand (e^-A - 1 + A)/q must be >= 0")
+    mean = float(w.mean()) - t * v.integral()
+    return McEstimate(mean, float(w.std(ddof=1) / math.sqrt(len(w))), len(w))

@@ -73,6 +73,28 @@ def test_config_validation_errors(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"alpha": True},
+        {"dimension": True},
+        {"potential": [{"weight": True, "center": 0.0, "sharpness": 1.0}]},
+        {"potential": [{"weight": 1.0, "center": [False], "sharpness": 1.0}]},
+        {"t_list": [0.1, True]},
+        {"mc": {"n_paths": 1000, "seed": False}},
+        {"mc": {"n_paths": 1000, "proposal": {"sigma": True}}},
+        {"mc": {"n_paths": 1000, "proposal": {"center": [True]}}},
+        {"validate": {"gamma": True}},
+    ],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, extra):
+    # bool is an int subclass in Python, so true would otherwise load as 1
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, extra))
+    assert main(["coeffs", "--config", write_config(tmp_path, extra)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     code = main(["coeffs", "--config", write_config(tmp_path, {"bogus": 1})])
     assert code == 2

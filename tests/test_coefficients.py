@@ -177,9 +177,10 @@ def test_partial_sum_assembles_signed_powers(grid1):
 
 def test_t2_kernel_branches_and_shape():
     assert t2_kernel(0.0) == 0.5
-    # series and direct branches must agree across the switch point
-    below, above = 1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9)
-    assert abs(t2_kernel(below) - t2_kernel(above)) < 1e-10
+    # series and direct branches must agree across both switch points
+    for edge in (1e-4, -1e-4):
+        inside, outside = edge * (1 - 1e-9), edge * (1 + 1e-9)
+        assert abs(t2_kernel(inside) - t2_kernel(outside)) < 1e-10
     u = np.geomspace(1e-7, 50.0, 40)
     vals = t2_kernel(u)
     assert vals.shape == u.shape
@@ -187,6 +188,14 @@ def test_t2_kernel_branches_and_shape():
     assert np.all((vals > 0) & (vals <= 0.5))
     exact = (np.expm1(-u) + u) / u**2
     assert np.max(np.abs(vals - exact)) < 1e-8
+    # negative arguments (the Monte Carlo exponent A < 0 wherever V <= 0):
+    # psi keeps decreasing and grows like e^{-u}/u^2
+    neg = -u[::-1]
+    vals = t2_kernel(neg)
+    assert np.all(np.diff(vals) < 0) and np.all(vals > 0.5)
+    exact = (np.expm1(-neg) + neg) / neg**2
+    assert np.max(np.abs(vals / exact - 1.0)) < 1e-8
+    assert t2_kernel(-1.0) == pytest.approx(math.e - 2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1, 0.3])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from fracheat import (
@@ -46,18 +47,24 @@ def test_zero_potential_has_zero_variance(grid1):
 
 def test_exponent_integral_is_trapezoid_rule(unit_gaussian):
     # rebuild the estimator's single chunk from its stream, in its draw order:
-    # start points, then every increment; A is the trapezoid rule in time
+    # mixture choice, start point, Student-t scale, then every increment.  A is
+    # the trapezoid rule in time, each path adds (e^-A - 1 + A)/q, and the
+    # known mean t int V of the control variate A/q is subtracted at the end
     n, m, t, seed = 4096, 16, 0.5, 2
     for alpha in (1.5, 2.0):
         gen = RngStream(seed, 0).generator
         center, sigma = default_proposal(unit_gaussian, 1)
-        x0 = center + sigma * gen.standard_normal((n, 1))
+        heavy = gen.random(n) < 0.1
+        z = gen.standard_normal(n)
+        z[heavy] /= np.sqrt(gen.chisquare(alpha, heavy.sum()) / alpha)
+        x0 = (center[0] + sigma * z)[:, np.newaxis]
         incs = sample_increment(alpha, 1, t / m, gen, size=n * m).reshape(n, m, 1)
         pos = np.concatenate([x0[:, np.newaxis], x0[:, np.newaxis] + np.cumsum(incs, axis=1)], axis=1)
         a = np.trapezoid(unit_gaussian.evaluate(pos), np.linspace(0.0, t, m + 1), axis=1)
-        q = np.exp(-((x0[:, 0] - center[0]) ** 2) / (2 * sigma**2)) / math.sqrt(2 * math.pi * sigma**2)
+        q = 0.9 * stats.norm.pdf(x0[:, 0], center[0], sigma) + 0.1 * stats.t.pdf(x0[:, 0], alpha, center[0], sigma)
         est = estimate_heat_content(unit_gaussian, alpha, t, McConfig(n_paths=n, m_steps=m, seed=seed))
-        assert est.mean == pytest.approx(np.mean(np.expm1(-a) / q), rel=1e-12)
+        expected = np.mean((np.expm1(-a) + a) / q) - t * unit_gaussian.integral()
+        assert est.mean == pytest.approx(expected, rel=1e-12)
 
 
 def test_default_proposal_geometry():
@@ -89,12 +96,47 @@ def test_estimate_matches_split_step_reference(alpha):
     assert abs(est.mean - ref) < 4 * est.standard_error
 
 
+TWO_BUMP = ([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+def test_estimate_is_unbiased_for_heavy_tails(alpha, sign):
+    # se <= 7.5e-5 lets a bias of 3e-4 fail at 4 se; the heavy tails of
+    # alpha < 2 are where a light-tailed proposal loses mass
+    weights = [sign * c for c in TWO_BUMP[0]]
+    v = mixture(weights, TWO_BUMP[1], TWO_BUMP[2])
+    ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1)
+    est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=65_536, seed=21))
+    assert est.standard_error <= 7.5e-5
+    assert abs(est.mean - ref) < 4 * est.standard_error
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sigma", [0.3, 0.5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_narrow_proposal_stays_unbiased(alpha, sigma):
+    # a Gaussian proposal this narrow never samples the |x|^{-1-alpha} tail of
+    # the integrand; the Student-t component of the mixture does
+    v = gaussian(weight=-1.0)
+    ref = oracles.q_reference([-1.0], [0.0], [1.0], alpha, 0.1)
+    est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=262_144, proposal_sigma=sigma, seed=22))
+    assert abs(est.mean - ref) < 4 * est.standard_error
+
+
 def test_first_order_residual_tends_to_exact_t2(unit_gaussian):
-    # (Q(t) + t int V) / t^2 is the exact-t^2 profile T_2(t) plus Monte Carlo error
+    # (Q(t) + t int V) / t^2 is the exact-t^2 profile T_2(t) plus an O(t)
+    # remainder (t ||V||_1 ||V||_inf^2 e^{t ||V||_inf} after the division by
+    # t^2) plus Monte Carlo error; Q itself is checked against the split-step
+    # reference, which has no remainder
     t = 0.05
     q = estimate_heat_content(unit_gaussian, 2.0, t, McConfig(n_paths=200_000, seed=8))
+    assert abs(q.mean - oracles.q_reference([1.0], [0.0], [1.0], 2.0, t)) < 4 * q.standard_error
     lifted = (q.mean + t * unit_gaussian.integral()) / t**2
-    assert abs(lifted - t2_exact(unit_gaussian, 2.0, t)) < 4 * q.standard_error / t**2
+    sup = unit_gaussian.sup_norm()
+    remainder = t * unit_gaussian.l1_norm() * sup**2 * math.exp(t * sup)
+    assert abs(lifted - t2_exact(unit_gaussian, 2.0, t)) < 4 * q.standard_error / t**2 + remainder
 
 
 def test_config_validation(unit_gaussian):
