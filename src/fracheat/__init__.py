@@ -57,8 +57,6 @@ from .validator import (
     ExpansionReport,
     OrderFit,
     PositivityRecord,
-    check_theorem1,
-    check_theorem2,
     estimate_series,
     expansion_report,
     fit_remainder_order,
@@ -87,7 +85,7 @@ __all__ = [
     "GridField", "SpectralGrid", "apply_fractional_laplacian", "forward_transform", "grid_integral",
     "inverse_transform", "sample_on_grid", "weighted_freq_sum",
     # validator
-    "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "check_theorem1",
-    "check_theorem2", "estimate_series", "expansion_report", "fit_remainder_order",
-    "positivity_audit", "report_to_csv", "report_to_json", "se_factor", "t2_consistency_check",
+    "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
+    "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",
+    "se_factor", "t2_consistency_check",
 ]

@@ -46,7 +46,7 @@ from ._version import __version__
 from .coefficients import coefficient_table
 from .montecarlo import McConfig
 from .potentials import GaussianMixturePotential, mixture
-from .sampling import sampler_selftest
+from .sampling import RngStream, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid, _check_alpha
 from .validator import (
@@ -135,8 +135,10 @@ def resolve_config(raw: dict) -> RunConfig:
             if not all(_is_number(u) for u in center):
                 raise ConfigError(f"potential[{i}].center entries must be numbers")
             centers.append([float(u) for u in center])
+        elif dim > 1:
+            raise ConfigError(f"potential[{i}].center must be a list of {dim} numbers in dimension {dim}")
         else:
-            centers.append([float(center)] + [0.0] * (dim - 1)) if dim > 1 else centers.append(float(center))
+            centers.append(float(center))
         sharps.append(float(_get(comp, "sharpness", (int, float), f"potential[{i}].", required=True)))
     try:
         pot = mixture(weights, centers, sharps, dimension=dim)
@@ -391,7 +393,12 @@ def _cmd_report(cfg: RunConfig, args) -> int:
 
 def _cmd_selftest(args) -> int:
     n = 200_000 if args.quick else 1_000_000
-    checks = sampler_selftest(seed=args.seed if args.seed is not None else 0, n_cf=n)
+    seed = args.seed if args.seed is not None else 0
+    try:
+        RngStream(seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid override: {exc}") from exc
+    checks = sampler_selftest(seed=seed, n_cf=n)
     failed = 0
     for c in checks:
         failed += not c.passed

@@ -75,6 +75,12 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "m_steps", "seed", "threads"):
+            val = getattr(self, name)
+            # bool is an int subclass; a numpy integer is stored as the int it holds
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            object.__setattr__(self, name, int(val))
         if self.n_paths < 100:
             raise ValueError(f"n_paths must be >= 100, got {self.n_paths}")
         if self.m_steps < 1:

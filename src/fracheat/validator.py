@@ -1,9 +1,13 @@
 """Bound checks, remainder-order fits and the expansion report.
 
-Every boolean verdict carries a numeric margin (distance to violation after
-the Monte Carlo slack is applied), so a failing check shows how badly it
-failed and a passing one how much room it had.  Monte Carlo slack is
-3 standard errors per bound, widened to 4 when a single invocation tests
+Every bound check comes from one per-time builder, ``_check_rows``, which
+``expansion_report`` runs on each estimate; ``t2_consistency_check`` is a
+view of one of its rows.  The bounds are deterministic: the Holder term of
+Theorem 2 uses the exact stable moment E|X_1|^gamma, so no Monte Carlo draw
+enters a bound.  Every boolean verdict carries a numeric margin (distance to
+violation after the Monte Carlo slack is applied), so a failing check shows
+how badly it failed and a passing one how much room it had.  Monte Carlo
+slack is 3 standard errors per bound, widened to 4 when one report checks
 more than 20 bounds.
 """
 
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
-from .sampling import RngStream, moment_estimate
+from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
 __all__ = [
@@ -39,8 +43,6 @@ __all__ = [
     "ExpansionReport",
     "se_factor",
     "estimate_series",
-    "check_theorem1",
-    "check_theorem2",
     "t2_consistency_check",
     "fit_remainder_order",
     "positivity_audit",
@@ -103,10 +105,6 @@ class ExpansionReport:
     version: str
 
 
-# E|X_1|^gamma draws behind the Holder term of theorem 2
-_MOMENT_SAMPLES = 400_000
-
-
 def estimate_series(
     v: GaussianMixturePotential, alpha: float, t_list, cfg: McConfig
 ) -> list[tuple[float, McEstimate]]:
@@ -129,7 +127,10 @@ def se_factor(n_bounds: int) -> float:
     return 3.0 if n_bounds <= 20 else 4.0
 
 
-def _bound(name: str, value: float, lower: float, upper: float, se: float, k: float, note: str = "") -> BoundCheck:
+# -- bound checks --------------------------------------------------------------
+
+
+def _bound(name: str, value: float, lower: float, upper: float, note: str, se: float, k: float) -> BoundCheck:
     slack = k * se
     margins = []
     if math.isfinite(lower):
@@ -140,163 +141,88 @@ def _bound(name: str, value: float, lower: float, upper: float, se: float, k: fl
     return BoundCheck(name, bool(margin >= 0.0), value, lower, upper, se, k, margin, note)
 
 
-def _numerically_nonpositive(v: GaussianMixturePotential) -> bool:
-    if v.is_zero or v.is_nonpositive:
-        return True
-    if v.is_nonnegative:
+def _sandwich_applies(v: GaussianMixturePotential) -> bool:
+    """V <= 0 and V != 0, where a signed V counts when its sup is below round-off."""
+    if v.is_zero or v.is_nonnegative:
         return False
-    return v.max_value() <= 1e-12 * (1.0 + v.sup_norm())
+    return v.is_nonpositive or v.max_value() <= 1e-12 * (1.0 + v.sup_norm())
 
 
-# -- theorem checks ----------------------------------------------------------
+def _stable_moment(alpha: float, gamma: float, d: int) -> float:
+    """E|X_1|^gamma for the isotropic law with CF e^{-|xi|^alpha}, 0 < gamma < alpha.
 
-
-def _thm1_checks(
-    v: GaussianMixturePotential,
-    t: float,
-    est: McEstimate,
-    k: float,
-    parts: tuple[str, ...],
-) -> list[BoundCheck]:
-    vol = v.integral()
-    sup = v.sup_norm()
-    l1 = v.l1_norm()
-    grow = math.exp(t * sup)
-    out = []
-    if "i" in parts:
-        lead = -t * vol
-        out.append(
-            _bound(
-                f"first-order sandwich lower t={t:g}",
-                est.mean,
-                lead,
-                math.inf,
-                est.standard_error,
-                k,
-            )
-        )
-        out.append(
-            _bound(
-                f"first-order sandwich upper t={t:g}",
-                est.mean,
-                -math.inf,
-                lead * (1.0 + 0.5 * t * sup * grow),
-                est.standard_error,
-                k,
-            )
-        )
-    if "ii" in parts:
-        b = t**2 * l1 * sup * grow
-        out.append(
-            _bound(
-                f"first-order remainder t={t:g}",
-                est.mean + t * vol,
-                -b,
-                b,
-                est.standard_error,
-                k,
-            )
-        )
-    return out
-
-
-def check_theorem1(
-    v: GaussianMixturePotential,
-    alpha: float,
-    t_list,
-    cfg: McConfig,
-    parts: tuple[str, ...] = ("i", "ii"),
-) -> list[BoundCheck]:
-    """First-order bounds: the V <= 0 sandwich (i) and the two-sided remainder (ii).
-
-    Part (i) is only defined for V <= 0; requesting it for a sign-indefinite
-    potential raises.
+    X_1 = sqrt(2 S) Z with E e^{-lam S} = e^{-lam^{alpha/2}}, so E|X_1|^gamma =
+    2^{gamma/2} E S^{gamma/2} E|Z|^gamma, where E S^{gamma/2} =
+    Gamma(1 - gamma/alpha) / Gamma(1 - gamma/2) and E|Z|^gamma =
+    2^{gamma/2} Gamma((d + gamma)/2) / Gamma(d/2) (Samorodnitsky & Taqqu,
+    Stable Non-Gaussian Random Processes, 1994, Property 1.2.17).
     """
-    parts = tuple(parts)
-    if any(p not in ("i", "ii") for p in parts):
-        raise ValueError(f"parts must be drawn from ('i', 'ii'), got {parts}")
-    if "i" in parts and not _numerically_nonpositive(v):
-        raise ValueError("the sandwich bound (part i) requires V <= 0 everywhere")
-    series = estimate_series(v, alpha, t_list, cfg)
-    k = se_factor(len(series) * (2 * ("i" in parts) + ("ii" in parts)))
-    return [c for t, est in series for c in _thm1_checks(v, t, est, k, parts)]
-
-
-def _thm2_check(
-    v: GaussianMixturePotential,
-    gamma: float,
-    alpha: float,
-    t: float,
-    est: McEstimate,
-    moment: McEstimate,
-    k: float,
-) -> BoundCheck:
-    vol = v.integral()
-    v2 = c0k(v, 2) * 2.0
-    sup = v.sup_norm()
-    l1 = v.l1_norm()
-    r = gamma / alpha
-    moment_hi = moment.mean + k * moment.standard_error
-    holder = v.holder_constant(gamma) * moment_hi * t ** (r + 2.0) / ((r + 1.0) * (r + 2.0))
-    cube = t**3 * l1 * sup**2 * math.exp(t * sup)
-    b = cube + holder
-    return _bound(
-        f"second-order remainder t={t:g}",
-        est.mean + t * vol - 0.5 * t**2 * v2,
-        -b,
-        b,
-        est.standard_error,
-        k,
-        note=f"holder gamma={gamma:g}",
+    return (
+        2.0**gamma
+        * math.gamma((d + gamma) / 2.0)
+        * math.gamma(1.0 - gamma / alpha)
+        / (math.gamma(d / 2.0) * math.gamma(1.0 - gamma / 2.0))
     )
 
 
-def check_theorem2(
+def _remainder(v: GaussianMixturePotential, t: float, k: int) -> float:
+    """t^k ||V||_1 ||V||_inf^{k-1} e^{t ||V||_inf}, the bound on the order-(k-1) remainder."""
+    sup = v.sup_norm()
+    return t**k * v.l1_norm() * sup ** (k - 1) * math.exp(t * sup)
+
+
+def _check_rows(
     v: GaussianMixturePotential,
-    gamma: float,
     alpha: float,
-    t_list,
-    cfg: McConfig,
-) -> list[BoundCheck]:
-    """Second-order remainder bound with the Holder-modulus constant.
+    t: float,
+    est: McEstimate,
+    grid: SpectralGrid | None,
+    gamma: float | None,
+) -> list[tuple[str, float, float, float, str]]:
+    """(name, value, lower, upper, note) of every bound one estimate must meet.
 
-    |Q(t) + t int V - (t^2/2) int V^2| <=
+    In order:
+      - Theorem 1(i), only for V <= 0: -t int V <= Q <= -t int V (1 + t ||V||_inf e^{t ||V||_inf} / 2);
+      - Theorem 1(ii): |Q + t int V| <= t^2 ||V||_1 ||V||_inf e^{t ||V||_inf};
+      - exact-t2 consistency: |Q - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf};
+      - Theorem 2, when gamma is given: |Q + t int V - (t^2/2) int V^2| <=
         t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}
-        + M_gamma E|X_1|^gamma t^{gamma/alpha + 2} / ((gamma/alpha + 1)(gamma/alpha + 2)),
-
-    requiring 0 < gamma < min(1, alpha).  E|X_1|^gamma is itself estimated;
-    its upper confidence value enters the bound.
+        + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha.
     """
-    moment = _holder_moment(v, alpha, gamma, cfg.seed)
-    series = estimate_series(v, alpha, t_list, cfg)
-    k = se_factor(len(series))
-    return [_thm2_check(v, gamma, alpha, t, est, moment, k) for t, est in series]
-
-
-def _holder_moment(v: GaussianMixturePotential, alpha: float, gamma: float, seed: int) -> McEstimate:
-    """E|X_1|^gamma for theorem 2, drawn from its own substream of the run seed."""
-    if not 0.0 < gamma < min(1.0, alpha):
-        raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
-    return moment_estimate(alpha, gamma, 1.0, _MOMENT_SAMPLES, RngStream(seed, 10_000), d=v.dimension)
+    q = est.mean
+    vol = v.integral()
+    rows = []
+    if _sandwich_applies(v):
+        lead = -t * vol
+        sup = v.sup_norm()
+        rows.append((f"first-order sandwich lower t={t:g}", q, lead, math.inf, ""))
+        upper = lead * (1.0 + 0.5 * t * sup * math.exp(t * sup))
+        rows.append((f"first-order sandwich upper t={t:g}", q, -math.inf, upper, ""))
+    b2 = _remainder(v, t, 2)
+    rows.append((f"first-order remainder t={t:g}", q + t * vol, -b2, b2, ""))
+    b3 = _remainder(v, t, 3)
+    ref = -t * vol + t**2 * t2_exact(v, alpha, t, grid)
+    rows.append((f"exact-t2 consistency t={t:g}", q - ref, -b3, b3, ""))
+    if gamma is not None:
+        r = gamma / alpha
+        moment = _stable_moment(alpha, gamma, v.dimension)
+        b = b3 + v.holder_constant(gamma) * moment * t ** (r + 2.0) / ((r + 1.0) * (r + 2.0))
+        value = q + t * vol - t**2 * c0k(v, 2)
+        rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}"))
+    return rows
 
 
 def t2_consistency_check(
     v: GaussianMixturePotential,
     alpha: float,
     t: float,
-    cfg: McConfig,
+    est: McEstimate,
     grid: SpectralGrid | None = None,
-    est: McEstimate | None = None,
     k: float = 3.0,
 ) -> BoundCheck:
-    """|Q_mc - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}."""
-    if est is None:
-        est = estimate_heat_content(v, alpha, t, cfg)
-    ref = -t * v.integral() + t**2 * t2_exact(v, alpha, t, grid)
-    b = t**3 * v.l1_norm() * v.sup_norm() ** 2 * math.exp(t * v.sup_norm())
-    return _bound(
-        f"exact-t2 consistency t={t:g}", est.mean - ref, -b, b, est.standard_error, k
-    )
+    """The report's exact-t2 consistency check of one estimate, at k se."""
+    row = next(r for r in _check_rows(v, alpha, t, est, grid, None) if r[0].startswith("exact-t2"))
+    return _bound(*row, est.standard_error, k)
 
 
 # -- remainder-order fit -------------------------------------------------------
@@ -391,31 +317,29 @@ def expansion_report(
 ) -> ExpansionReport:
     """Monte Carlo vs deterministic partial sums with bound checks and order fits.
 
-    Per time: the estimate, partial sums Q_N for N = 1..n_max, residuals,
-    the two-sided first-order bound, the exact-t2 consistency bound, the
-    V <= 0 sandwich when applicable, and the Holder second-order bound when
-    gamma is given.  Per order N: a log-log remainder fit over the times
-    whose residuals clear the noise gate.  Deterministic given the seed;
-    the estimates come from ``estimate_series``.
+    Per time: the estimate, partial sums Q_N for N = 1..n_max, residuals and
+    the bound checks of ``_check_rows`` (the V <= 0 sandwich when it applies,
+    the first-order remainder, the exact-t2 consistency, and the Holder
+    second-order bound when gamma is given), all at the one se multiple
+    ``se_factor`` sets from the number of checks.  Per order N: a log-log
+    remainder fit over the times whose residuals clear the noise gate.
+    Deterministic given the seed; the estimates come from ``estimate_series``.
     """
     if not 1 <= n_max <= 5:
         raise ValueError(f"n_max must lie in 1..5, got {n_max}")
+    if gamma is not None and not 0.0 < gamma < min(1.0, alpha):
+        raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
-    moment = None if gamma is None else _holder_moment(v, alpha, gamma, cfg.seed)
     series = estimate_series(v, alpha, t_list, cfg)
-    sandwich = _numerically_nonpositive(v) and not v.is_zero
-    per_t = 2 + (2 if sandwich else 0) + (1 if gamma is not None else 0)
-    k = se_factor(per_t * len(series))
+    bounds = [_check_rows(v, alpha, t, est, grid, gamma) for t, est in series]
+    k = se_factor(sum(len(b) for b in bounds))
     rows = []
-    for t, est in series:
+    for (t, est), checks in zip(series, bounds):
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
-        checks = list(_thm1_checks(v, t, est, k, ("i", "ii") if sandwich else ("ii",)))
-        checks.append(t2_consistency_check(v, alpha, t, cfg, grid, est=est, k=k))
-        if gamma is not None:
-            checks.append(_thm2_check(v, gamma, alpha, t, est, moment, k))
-        rows.append(ReportRow(t, est.mean, est.standard_error, sums, res, tuple(checks)))
+        checks = tuple(_bound(*c, est.standard_error, k) for c in checks)
+        rows.append(ReportRow(t, est.mean, est.standard_error, sums, res, checks))
     fits: dict[int, OrderFit] = {}
     for n in range(1, n_max + 1):
         try:
@@ -430,51 +354,13 @@ def expansion_report(
 # -- serialization -----------------------------------------------------------------
 
 
-def _check_dict(c: BoundCheck) -> dict:
-    return {
-        "name": c.name,
-        "passed": c.passed,
-        "value": c.value,
-        "lower": None if not math.isfinite(c.lower) else c.lower,
-        "upper": None if not math.isfinite(c.upper) else c.upper,
-        "se": c.se,
-        "se_mult": c.se_mult,
-        "margin": c.margin,
-        "note": c.note,
-    }
+def _finite_or_null(items) -> dict:
+    return {key: None if isinstance(x, float) and math.isinf(x) else x for key, x in items}
 
 
 def report_to_json(report: ExpansionReport) -> str:
-    """Canonical JSON (sorted keys); identical configs give identical bytes."""
-    doc = {
-        "alpha": report.alpha,
-        "dimension": report.dimension,
-        "n_max": report.n_max,
-        "se_mult": report.se_mult,
-        "version": report.version,
-        "rows": [
-            {
-                "t": r.t,
-                "estimate": r.estimate,
-                "standard_error": r.standard_error,
-                "partial_sums": {str(n): x for n, x in sorted(r.partial_sums.items())},
-                "residuals": {str(n): x for n, x in sorted(r.residuals.items())},
-                "checks": [_check_dict(c) for c in r.checks],
-            }
-            for r in report.rows
-        ],
-        "fitted_orders": {
-            str(n): {
-                "slope": f.slope,
-                "r_squared": f.r_squared,
-                "n_used": f.n_used,
-                "t_window": list(f.t_window),
-                "excluded": list(f.excluded),
-            }
-            for n, f in sorted(report.fitted_orders.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Canonical JSON (sorted keys, infinite bounds as null); identical configs give identical bytes."""
+    return json.dumps(asdict(report, dict_factory=_finite_or_null), sort_keys=True, indent=2)
 
 
 def report_to_csv(report: ExpansionReport) -> str:

@@ -22,7 +22,6 @@ from fracheat import (
     c5_closed,
     c5_sos,
     c_ell,
-    check_theorem1,
     cnk_closed,
     cnk_fourier,
     dirichlet_form,
@@ -169,20 +168,15 @@ def q_table():
 def test_criterion_5_first_order_bounds(announce):
     checks = []
     for alpha in (1.0, 2.0):
-        checks += check_theorem1(
-            gaussian(weight=-1.0),
-            alpha,
-            T_GRID,
-            McConfig(n_paths=1_000_000, m_steps=64, seed=51_000 + int(10 * alpha), threads=4),
-            parts=("i", "ii"),
-        )
-        checks += check_theorem1(
-            gaussian(weight=1.0),
-            alpha,
-            T_GRID,
-            McConfig(n_paths=1_000_000, m_steps=64, seed=52_000 + int(10 * alpha), threads=4),
-            parts=("ii",),
-        )
+        for weight, seed in ((-1.0, 51_000), (1.0, 52_000)):
+            # the sandwich pair (V <= 0 only) and the remainder, per time
+            report = expansion_report(
+                gaussian(weight=weight),
+                alpha,
+                T_GRID,
+                McConfig(n_paths=1_000_000, m_steps=64, seed=seed + int(10 * alpha), threads=4),
+            )
+            checks += [c for row in report.rows for c in row.checks if c.name.startswith("first-order")]
     assert all(c.se_mult == 3.0 for c in checks)
     failing = [c.name for c in checks if not c.passed]
     ok = not failing
@@ -202,9 +196,7 @@ def test_criterion_6_exact_t2_consistency(q_table, announce):
     failing = []
     margins = []
     for (sign, alpha, t), est in q_table.items():
-        v = gaussian(weight=sign)
-        cfg = McConfig(n_paths=est.n_samples, m_steps=64, seed=0, threads=4)
-        check = t2_consistency_check(v, alpha, t, cfg, est=est, k=3.0)
+        check = t2_consistency_check(gaussian(weight=sign), alpha, t, est, k=3.0)
         margins.append(check.margin)
         if not check.passed:
             failing.append(f"sign={sign:+g} alpha={alpha} t={t}")

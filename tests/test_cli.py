@@ -67,6 +67,10 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, {"output": {"format": "xml"}}))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+    # a bare number is a center only in d = 1; in d = 2 it would load as (0.7, 0)
+    scalar_2d = {"dimension": 2, "potential": [{"weight": 1.0, "center": 0.7, "sharpness": 1.0}]}
+    with pytest.raises(ConfigError, match=r"potential\[0\]\.center"):
+        load_config(write_config(tmp_path, scalar_2d))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
@@ -125,6 +129,10 @@ def test_bad_override_exits_as_config_error(tmp_path, capsys, override):
     code = main(["mc", "--config", write_config(tmp_path, {"mc": {"n_paths": 100}}), *override])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    if override[0] == "--seed":
+        # exit 1 would read as a failed sampler check
+        assert main(["sampler-selftest", "--quick", *override]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_coeffs_prints_exact_weights(tmp_path, capsys):

@@ -150,6 +150,13 @@ def test_config_validation(unit_gaussian):
         McConfig(n_paths=1000, threads=0)
     with pytest.raises(ValueError):
         McConfig(n_paths=1000, proposal_sigma=0.0)
+    # integer fields take integers only: a float or a bool would fail later, or run as 1
+    for field, val in (("n_paths", 1e4), ("m_steps", 8.0), ("seed", 1.0), ("threads", True), ("n_paths", True)):
+        with pytest.raises(ValueError, match=field):
+            McConfig(**({"n_paths": 1000} | {field: val}))
+    numpy_ints = McConfig(n_paths=np.int64(1000), m_steps=np.int32(8), seed=np.uint64(2**64 - 1), threads=np.int8(2))
+    assert numpy_ints == McConfig(n_paths=1000, m_steps=8, seed=2**64 - 1, threads=2)
+    assert all(type(getattr(numpy_ints, f)) is int for f in ("n_paths", "m_steps", "seed", "threads"))
     with pytest.raises(ValueError):
         estimate_heat_content(unit_gaussian, 2.5, 0.1, McConfig(n_paths=1000))
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fracheat import (
     sample_subordinator,
     sampler_selftest,
 )
+from fracheat.validator import _stable_moment
 
 
 def test_rng_stream_determinism():
@@ -120,6 +122,12 @@ def test_moment_estimate_matches_gaussian_closed_form():
     est = moment_estimate(2.0, 1.0, 0.9, 200_000, RngStream(13))
     target = 2.0 * math.sqrt(0.9 / math.pi)
     assert abs(est.mean - target) < 4 * est.standard_error
+    # the exact E|X_1|^gamma behind theorem 2's bound; at alpha = 1, d = 1 (Cauchy) it is 1 / cos(pi gamma / 2)
+    for gamma in (0.2, 0.5, 0.9):
+        assert _stable_moment(1.0, gamma, 1) == pytest.approx(1.0 / math.cos(math.pi * gamma / 2.0), rel=1e-14)
+    for stream, (alpha, d) in enumerate(itertools.product((0.8, 1.0, 1.5, 2.0), (1, 2))):
+        est = moment_estimate(alpha, 0.5, 1.0, 400_000, RngStream(13, stream + 1), d=d)
+        assert abs(est.mean - _stable_moment(alpha, 0.5, d)) < 4 * est.standard_error, (alpha, d)
 
 
 def test_moment_estimate_scaling_exponent():

@@ -6,8 +6,6 @@ import pytest
 
 from fracheat import (
     McConfig,
-    check_theorem1,
-    check_theorem2,
     estimate_heat_content,
     estimate_series,
     expansion_report,
@@ -100,29 +98,27 @@ def test_estimate_series_sorts_times_and_offsets_seeds(unit_gaussian):
 
 
 def test_theorem1_part_i_requires_nonpositive_potential():
-    v = gaussian()
-    with pytest.raises(ValueError):
-        check_theorem1(v, 2.0, [0.1], McConfig(n_paths=1000), parts=("i",))
+    # the report builds the sandwich rows for V <= 0 only
+    cfg = McConfig(n_paths=1000)
     # V(0) = -1 at the only center, but sup V = 1/8 away from it
     signed = mixture([-2.0, 1.0], [0.0, 0.0], [1.0, 0.5])
-    with pytest.raises(ValueError):
-        check_theorem1(signed, 2.0, [0.1], McConfig(n_paths=1000), parts=("i",))
-    with pytest.raises(ValueError):
-        check_theorem1(v, 2.0, [0.1], McConfig(n_paths=1000), parts=("iii",))
-    with pytest.raises(ValueError):
-        check_theorem1(v, 2.0, [], McConfig(n_paths=1000))
+    for v, rows in ((gaussian(), 0), (signed, 0), (gaussian(weight=-1.0), 2)):
+        report = expansion_report(v, 2.0, [0.1], cfg)
+        assert sum("sandwich" in c.name for c in report.rows[0].checks) == rows
 
 
 def test_theorem1_zero_potential_is_trivially_tight():
     z = mixture([], [], [], dimension=1)
-    checks = check_theorem1(z, 1.5, [0.05, 0.1], McConfig(n_paths=1000))
+    report = expansion_report(z, 1.5, [0.05, 0.1], McConfig(n_paths=1000))
+    checks = [c for row in report.rows for c in row.checks]
     assert all(c.passed for c in checks)
     assert all(c.value == 0.0 and c.se == 0.0 for c in checks)
 
 
 def test_theorem1_statistical_run():
     v = gaussian(weight=-1.0)
-    checks = check_theorem1(v, 2.0, [0.05, 0.1], McConfig(n_paths=120_000, seed=2))
+    report = expansion_report(v, 2.0, [0.05, 0.1], McConfig(n_paths=120_000, seed=2))
+    checks = [c for row in report.rows for c in row.checks if c.name.startswith("first-order")]
     assert len(checks) == 6  # sandwich pair + remainder, per time
     assert all(c.passed for c in checks)
     assert all(c.margin > 0 for c in checks)
@@ -130,7 +126,8 @@ def test_theorem1_statistical_run():
 
 def test_theorem2_statistical_run():
     v = gaussian()
-    checks = check_theorem2(v, 0.5, 1.5, [0.05, 0.1], McConfig(n_paths=100_000, seed=3))
+    report = expansion_report(v, 1.5, [0.05, 0.1], McConfig(n_paths=100_000, seed=3), gamma=0.5)
+    checks = [c for row in report.rows for c in row.checks if c.name.startswith("second-order")]
     assert len(checks) == 2
     assert all(c.passed for c in checks)
 
@@ -140,13 +137,30 @@ def test_theorem2_gamma_validation():
     cfg = McConfig(n_paths=1000)
     for gamma, alpha in ((1.2, 2.0), (1.0, 2.0), (0.9, 0.8), (0.0, 2.0)):
         with pytest.raises(ValueError):
-            check_theorem2(v, gamma, alpha, [0.1], cfg)
+            expansion_report(v, alpha, [0.1], cfg, gamma=gamma)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_se_mult_counts_the_checks_built(sign, gamma):
+    ts = [0.02, 0.05, 0.1, 0.2, 0.3]
+    report = expansion_report(gaussian(weight=sign), 1.5, ts, McConfig(n_paths=1000), gamma=gamma)
+    checks = [c for row in report.rows for c in row.checks]
+    assert report.se_mult == se_factor(len(checks))
+    assert all(c.se_mult == report.se_mult for c in checks)
+    if sign < 0 and gamma is not None:
+        # sandwich pair, remainder, exact-t2 and theorem 2 at five times
+        assert len(checks) == 25 and report.se_mult == 4.0
 
 
 def test_t2_consistency_quick(unit_gaussian):
-    check = t2_consistency_check(unit_gaussian, 2.0, 0.05, McConfig(n_paths=100_000, seed=4))
+    cfg = McConfig(n_paths=100_000, seed=4)
+    check = t2_consistency_check(unit_gaussian, 2.0, 0.05, estimate_heat_content(unit_gaussian, 2.0, 0.05, cfg))
     assert check.passed
     assert math.isfinite(check.margin)
+    # the same row the report builds for that estimate
+    row = expansion_report(unit_gaussian, 2.0, [0.05], cfg).rows[0]
+    assert check in row.checks
 
 
 def test_expansion_report_structure(grid1, unit_gaussian):
