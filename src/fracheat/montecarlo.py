@@ -43,6 +43,7 @@ seed.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,6 +62,11 @@ __all__ = [
 
 _CHUNK = 32768
 _DEFENSIVE = 0.1  # weight of the Student-t component; its degrees of freedom are alpha
+
+
+def _is_finite_real(val) -> bool:
+    """A finite real number; bool is an int subclass and is not one here."""
+    return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,15 @@ class McConfig:
             raise ValueError(f"n_paths must be >= 100, got {self.n_paths}")
         if self.m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps}")
-        if self.proposal_sigma is not None and not self.proposal_sigma > 0.0:
-            raise ValueError(f"proposal sigma must be positive, got {self.proposal_sigma}")
+        if self.proposal_sigma is not None:
+            if not _is_finite_real(self.proposal_sigma) or not self.proposal_sigma > 0.0:
+                raise ValueError(f"proposal_sigma must be a positive finite number, got {self.proposal_sigma!r}")
+            object.__setattr__(self, "proposal_sigma", float(self.proposal_sigma))
+        if self.proposal_center is not None:
+            center = self.proposal_center
+            if np.ndim(center) != 1 or not all(_is_finite_real(u) for u in center):
+                raise ValueError(f"proposal_center must be a sequence of finite numbers, got {center!r}")
+            object.__setattr__(self, "proposal_center", tuple(float(u) for u in center))
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not 0 <= self.seed < 2**64:
@@ -151,10 +164,14 @@ def _chunk_summands(
     del heavy, z
     dt = t / m
     if alpha == 2.0:
-        incs = math.sqrt(2.0 * dt) * gen.standard_normal((n_chunk, m, d))
+        incs = gen.standard_normal((n_chunk, m, d))
+        incs *= math.sqrt(2.0 * dt)
     else:
         s = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m)
-        incs = np.sqrt(2.0 * s)[..., np.newaxis] * gen.standard_normal((n_chunk, m, d))
+        s *= 2.0
+        np.sqrt(s, out=s)
+        incs = gen.standard_normal((n_chunk, m, d))
+        incs *= s[..., np.newaxis]
         del s
     pos = np.empty((n_chunk, m + 1, d))
     pos[:, 0, :] = x0

@@ -114,13 +114,32 @@ class GaussianMixturePotential:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, x: object) -> np.ndarray:
-        """V at points of shape (..., d); for d = 1 bare coordinates also work."""
+        """V at points of shape (..., d); for d = 1 bare coordinates also work.
+
+        Accumulates one component at a time into an output of the base shape,
+        so at most three base-shape arrays are alive (the output, the
+        component's term and, for d >= 2, one squared coordinate gap); no
+        (..., K, d) array is built.
+        """
         pts, base = self._points(x)
+        out = np.zeros(base)
         if self.is_zero:
-            return np.zeros(base)
+            return out
         w, a, mu = self._arrays()
-        diff2 = ((pts[..., np.newaxis, :] - mu) ** 2).sum(axis=-1)
-        return np.einsum("i,...i->...", w, np.exp(-a * diff2))
+        term = np.empty(base)
+        gap = np.empty(base) if self.dimension > 1 else None
+        for i in range(self.n_components):
+            np.subtract(pts[..., 0], mu[i, 0], out=term)
+            np.square(term, out=term)
+            for j in range(1, self.dimension):
+                np.subtract(pts[..., j], mu[i, j], out=gap)
+                np.square(gap, out=gap)
+                term += gap
+            term *= -a[i]
+            np.exp(term, out=term)
+            term *= w[i]
+            out += term
+        return out
 
     def gradient(self, x: object) -> np.ndarray:
         """grad V at points of shape (..., d); returns shape (..., d)."""
@@ -206,7 +225,9 @@ class GaussianMixturePotential:
         outer d - 1 axes go through `scipy.integrate.cubature`, whose
         Gauss-Kronrod error estimate is held to the relative tolerance
         `_L1_RTOL`.  It refines near the tangencies of {V = 0}, where the
-        line integral behaves like (x' - x0)^{3/2}.
+        line integral behaves like (x' - x0)^{3/2}.  Within one call each
+        distinct outer node gets its line integral once, although `cubature`
+        asks for every Kronrod node twice.
 
         Raises:
             ValueError: if `cubature` stops before its error estimate meets
@@ -219,7 +240,18 @@ class GaussianMixturePotential:
         lo, hi = self._box()
         if self.dimension == 1:
             return float(self._line_integrals(np.empty((1, 0)), lo[0], hi[0])[0])
-        res = integrate.cubature(lambda x: self._line_integrals(x, lo[-1], hi[-1]), lo[:-1], hi[:-1], rtol=_L1_RTOL)
+        known: dict[bytes, float] = {}
+
+        def lines(x: np.ndarray) -> np.ndarray:
+            # cubature evaluates a region's Kronrod nodes for its estimate, then
+            # again with the Gauss nodes for its error: each node is done once
+            keys = [row.tobytes() for row in x]
+            fresh = {key: i for i, key in enumerate(keys) if key not in known}
+            if fresh:
+                known.update(zip(fresh, self._line_integrals(x[list(fresh.values())], lo[-1], hi[-1])))
+            return np.array([known[key] for key in keys])
+
+        res = integrate.cubature(lines, lo[:-1], hi[:-1], rtol=_L1_RTOL)
         if res.status != "converged":
             raise ValueError(
                 f"l1_norm of a d = {self.dimension} mixture did not converge: "

@@ -16,6 +16,17 @@ unit exponential,
 computed in log space for stability.  beta is capped at 0.975 (alpha at
 1.95 below 2) because the log-sin terms lose precision beyond that; alpha=2
 is handled exactly by the Gaussian branch.
+
+Precision.  The uniform r and the exponential W are float64 draws, one of
+each per S, and log W, the log-sum and the final exp are float64.  The
+three sines and their logs are float32, whose vectorised sine costs a
+small fraction of the float64 one.  With U = pi v, v = 1 - r, sin U is
+evaluated as sin(pi min(v, r)): it has no cancellation as U -> pi, where
+the float64 formula loses sin U to the rounding of U.  Against the
+all-float64 formula on the same (r, W) the relative error stays below 1e-5
+for beta in [0.25, 0.975] and below 1e-4 at beta = 0.05
+(tests/test_sampling.py, 2e6 draws per beta), far inside the Monte Carlo
+noise of any estimate built on the draws.
 """
 
 from __future__ import annotations
@@ -42,6 +53,9 @@ __all__ = [
 
 BETA_CAP = 0.975
 ALPHA_CAP = 1.95
+# r = 0 (U = pi) would give sin U = 0 and S = inf.  Flooring min(v, r) at
+# 2^-54 keeps sin U >= 1.7e-16, near the 1.2e-16 of the float64 sin(fl(pi)).
+_REFLECTED_FLOOR = np.float32(2.0**-54)
 
 
 class RngStream:
@@ -79,7 +93,10 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     """One-sided stable draw(s) with E exp(-lam S) = exp(-span lam^beta).
 
     Returns a float when size is None, else an array of shape (size,).
-    All draws are strictly positive.
+    All draws are strictly positive.  The log-sum is accumulated in place in
+    the exponentials' array, which is returned, so a call peaks at about
+    3 x 8 size bytes: that array, the uniforms, and float32 copies of v and
+    min(v, r); the uniforms are freed before one float32 scratch array.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -89,15 +106,31 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
         raise ValueError(f"span must be positive, got {span}")
     gen = _gen(rng)
     n = 1 if size is None else int(size)
-    u = math.pi * (1.0 - gen.random(n))
-    w = np.maximum(gen.standard_exponential(n), 1e-300)
-    log_s = (
-        np.log(np.sin(beta * u))
-        + ((1.0 - beta) / beta) * np.log(np.sin((1.0 - beta) * u))
-        - (1.0 / beta) * np.log(np.sin(u))
-        - ((1.0 - beta) / beta) * np.log(w)
-    )
-    s = span ** (1.0 / beta) * np.exp(log_s)
+    r = gen.random(n)
+    log_s = gen.standard_exponential(n)
+    # U = pi v with v = 1 - r in (0, 1]; sin U is taken as sin(pi min(v, r))
+    v = np.empty(n, dtype=np.float32)
+    np.subtract(1.0, r, out=v)
+    m = np.empty(n, dtype=np.float32)
+    np.minimum(r, v, out=m)
+    del r
+    np.maximum(m, _REFLECTED_FLOOR, out=m)
+    np.maximum(log_s, 1e-300, out=log_s)
+    np.log(log_s, out=log_s)
+    # log S = log sin(beta U) + ((1 - beta) (log sin((1 - beta) U) - log W) - log sin U) / beta
+    scratch = np.multiply(v, np.float32((1.0 - beta) * math.pi))
+    np.log(np.sin(scratch, out=scratch), out=scratch)
+    np.subtract(scratch, log_s, out=log_s)
+    log_s *= 1.0 - beta
+    m *= np.float32(math.pi)
+    np.log(np.sin(m, out=m), out=m)
+    log_s -= m
+    log_s *= 1.0 / beta
+    v *= np.float32(beta * math.pi)
+    np.log(np.sin(v, out=v), out=v)
+    log_s += v
+    s = np.exp(log_s, out=log_s)
+    s *= span ** (1.0 / beta)
     return float(s[0]) if size is None else s
 
 

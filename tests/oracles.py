@@ -191,3 +191,37 @@ def l1_nquad(v, epsrel: float) -> float:
     opts = {"limit": 80, "epsabs": 1e-10 * scale, "epsrel": epsrel}
     val, _ = nquad(lambda *x: abs(float(v.evaluate(np.array(x)))), list(zip(lo, hi)), opts=[opts] * v.dimension)
     return val
+
+
+def mixture_pointwise(weights, centers, sharpness, points):
+    """V and sum_i |c_i| e^{-a_i |x - mu_i|^2} at each point, one point and one component at a time.
+
+    ``points`` has shape (n, d).  The second array is the scale of the
+    largest rounding error any summation order of V can make.
+    """
+    vals, mags = [], []
+    for x in points:
+        total = mag = 0.0
+        for c, mu, a in zip(weights, centers, sharpness):
+            term = math.exp(-a * sum((float(xj) - float(mj)) ** 2 for xj, mj in zip(x, mu)))
+            total += c * term
+            mag += abs(c) * term
+        vals.append(total)
+        mags.append(mag)
+    return np.array(vals), np.array(mags)
+
+
+def kanter_float64(beta: float, span: float, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kanter's beta-stable draw from uniforms r in [0, 1) and unit exponentials w, all in float64.
+
+    S = span^{1/beta} sin(beta U) sin((1-beta) U)^{(1-beta)/beta}
+        / (sin(U)^{1/beta} W^{(1-beta)/beta}),  U = pi (1 - r).
+    """
+    u = math.pi * (1.0 - r)
+    log_s = (
+        np.log(np.sin(beta * u))
+        + ((1.0 - beta) / beta) * np.log(np.sin((1.0 - beta) * u))
+        - (1.0 / beta) * np.log(np.sin(u))
+        - ((1.0 - beta) / beta) * np.log(w)
+    )
+    return span ** (1.0 / beta) * np.exp(log_s)

@@ -154,6 +154,22 @@ def test_config_validation(unit_gaussian):
     for field, val in (("n_paths", 1e4), ("m_steps", 8.0), ("seed", 1.0), ("threads", True), ("n_paths", True)):
         with pytest.raises(ValueError, match=field):
             McConfig(**({"n_paths": 1000} | {field: val}))
+    # proposal fields take finite real numbers only: True would run as sigma = 1
+    for field, val in (
+        ("proposal_sigma", True),
+        ("proposal_sigma", "2"),
+        ("proposal_sigma", math.inf),
+        ("proposal_sigma", math.nan),
+        ("proposal_center", (0.0, True)),
+        ("proposal_center", ("0",)),
+        ("proposal_center", (math.nan,)),
+        ("proposal_center", (-math.inf, 0.0)),
+        ("proposal_center", 0.5),
+    ):
+        with pytest.raises(ValueError, match=field):
+            McConfig(n_paths=1000, **{field: val})
+    numpy_fields = McConfig(n_paths=1000, proposal_center=np.array([0.5, -1.0]), proposal_sigma=np.float32(2.0))
+    assert numpy_fields == McConfig(n_paths=1000, proposal_center=(0.5, -1.0), proposal_sigma=2.0)
     numpy_ints = McConfig(n_paths=np.int64(1000), m_steps=np.int32(8), seed=np.uint64(2**64 - 1), threads=np.int8(2))
     assert numpy_ints == McConfig(n_paths=1000, m_steps=8, seed=2**64 - 1, threads=2)
     assert all(type(getattr(numpy_ints, f)) is int for f in ("n_paths", "m_steps", "seed", "threads"))

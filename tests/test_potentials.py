@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,43 @@ def manual_eval(comps, x):
 def test_evaluate_matches_componentwise_formula(comps, x):
     v = build(comps)
     assert v.evaluate(x) == pytest.approx(manual_eval(comps, x), rel=1e-12, abs=1e-300)
+
+
+def _signed_mixture(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    weights = rng.uniform(0.2, 2.0, k) * np.where(np.arange(k) % 2, -1.0, 1.0)
+    centers = [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(k)]
+    return mixture(list(weights), centers, list(rng.uniform(0.3, 3.0, k)), dimension=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_evaluate_matches_a_pointwise_loop(d, k):
+    v = _signed_mixture(d, k)
+    rng = np.random.default_rng(d + k)
+    cases = [(rng.normal(size=(7, d)), (7,)), (rng.normal(size=(4, 5, d)), (4, 5)), (rng.normal(size=d), ())]
+    if d == 1:
+        cases += [(0.37, ()), (rng.normal(size=6), (6,))]  # a scalar, and bare coordinates
+    for x, base in cases:
+        got = v.evaluate(x)
+        assert got.shape == base
+        ref, scale = oracles.mixture_pointwise(v.weights, v.centers, v.sharpness, np.reshape(x, (-1, d)))
+        assert np.all(np.abs(got.reshape(-1) - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_evaluate_peaks_at_three_base_shape_arrays(d):
+    # the path kernel evaluates (n, m + 1, d) positions; what evaluate
+    # allocates there sets the peak resident memory of every report
+    v = _signed_mixture(d, 3)
+    x = np.random.default_rng(0).normal(size=(4000, 65, d))
+    tracemalloc.start()
+    try:
+        v.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x[..., 0].nbytes + 65536
 
 
 @given(small_mixture, st.integers(1, 4), st.floats(-3.0, 3.0))
@@ -161,6 +199,23 @@ def test_line_integral_splits_a_root_pair_inside_one_cell():
 )
 def test_l1_norm_of_signed_2d_mixture_matches_nquad(v):
     assert v.l1_norm() == pytest.approx(oracles.l1_nquad(v, 1e-9), rel=1e-7)
+
+
+def test_l1_norm_integrates_each_outer_node_once(monkeypatch):
+    # cubature asks for a region's Kronrod nodes twice, for its estimate and for its error
+    v = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
+    lo, hi = v._box()
+    once = potentials.integrate.cubature(lambda x: v._line_integrals(x, lo[-1], hi[-1]), lo[:-1], hi[:-1], rtol=1e-10)
+    seen = []
+    line_integrals = GaussianMixturePotential._line_integrals
+    monkeypatch.setattr(
+        GaussianMixturePotential,
+        "_line_integrals",
+        lambda self, outer, a, b: seen.extend(map(bytes, outer)) or line_integrals(self, outer, a, b),
+    )
+    got = GaussianMixturePotential.l1_norm.__wrapped__(v)
+    assert seen and len(seen) == len(set(seen))
+    assert got == pytest.approx(float(once.estimate), rel=1e-14)
 
 
 def test_l1_norm_raises_when_cubature_does_not_converge(monkeypatch):

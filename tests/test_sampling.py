@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fracheat import (
     sampler_selftest,
 )
 from fracheat.validator import _stable_moment
+
+import oracles
 
 
 def test_rng_stream_determinism():
@@ -62,6 +65,61 @@ def test_subordinator_validation():
             sample_subordinator(beta, 1.0, rng)
     with pytest.raises(ValueError):
         sample_subordinator(0.5, 0.0, rng)
+
+
+@pytest.mark.parametrize("beta, tol", [(0.05, 1e-4), (0.25, 1e-5), (0.5, 1e-5), (0.75, 1e-5), (0.975, 1e-5)])
+def test_subordinator_matches_the_float64_kanter_formula(beta, tol):
+    # the sines and their logs are float32; the log-sum and exp stay float64
+    n = 2_000_000
+    s = sample_subordinator(beta, 0.3, np.random.default_rng(17), size=n)
+    gen = np.random.default_rng(17)
+    r = gen.random(n)
+    ref = oracles.kanter_float64(beta, 0.3, r, gen.standard_exponential(n))
+    assert np.max(np.abs(s / ref - 1.0)) <= tol
+
+
+class _ExtremeUniforms(np.random.Generator):
+    """The generator's extreme uniform outputs, cycled, with unit exponentials."""
+
+    R = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+
+    def random(self, size):
+        return np.resize(self.R, size)
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 0.975])
+def test_subordinator_is_finite_and_positive_at_extreme_uniforms(beta):
+    s = sample_subordinator(beta, 1.0, _ExtremeUniforms(np.random.PCG64(0)), size=8)
+    assert np.all(np.isfinite(s)) and np.all(s > 0.0)
+    # S grows without bound as U -> pi (r -> 0), where the float64 formula
+    # loses sin U to cancellation; away from there it is the reference
+    assert s[0] > s[1] > 1e14
+    ref = oracles.kanter_float64(beta, 1.0, _ExtremeUniforms.R[2:], np.ones(2))
+    assert np.allclose(s[2:4], ref, rtol=1e-4)
+
+
+def test_subordinator_consumes_one_uniform_and_one_exponential_per_draw():
+    gen, replay = np.random.default_rng(23), np.random.default_rng(23)
+    sample_subordinator(0.75, 1.0, gen, size=1001)
+    replay.random(1001)
+    replay.standard_exponential(1001)
+    assert gen.bit_generator.state == replay.bit_generator.state
+
+
+def test_subordinator_peaks_at_four_draw_arrays():
+    # the path kernel asks for n_chunk * m_steps draws at once
+    n = 200_000
+    gen = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        sample_subordinator(0.75, 1.0, gen, size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n
 
 
 def test_levy_half_law_kolmogorov_smirnov():
