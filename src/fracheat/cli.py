@@ -12,8 +12,11 @@ sampler-selftest  distributional checks of the stable sampler
 mc, validate and report share one set of estimates: the i-th time of the
 sorted t_list draws from seed + i (``validator.estimate_series``), so they
 agree bit for bit on Q(t) for one config.  Every JSON output carries
-``config_digest``, a hash of the resolved config without the output section
-and mc.threads, neither of which changes a computed number.
+``config_digest``, a hash of the resolved run (``dataclasses.asdict`` of its
+RunConfig) without the output routing and mc.threads, neither of which
+changes a computed number; a value spelled out at its default hashes as if
+it were left out.  Hashing the resolved objects replaced an earlier hash of a
+schema-shaped copy of the config, so digests written before that differ.
 
 Exit codes: 0 success, 1 at least one check failed, 2 configuration error.
 
@@ -39,17 +42,18 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from ._version import __version__
-from .coefficients import coefficient_table
-from .montecarlo import McConfig
+from .coefficients import MAX_ORDER, coefficient_table
+from .montecarlo import McConfig, _is_finite_real
 from .potentials import GaussianMixturePotential, mixture
 from .sampling import RngStream, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid, _check_alpha
 from .validator import (
+    _check_report_limits,
     estimate_series,
     expansion_report,
     positivity_audit,
@@ -95,10 +99,6 @@ def _get(obj: dict, key: str, types, path: str, default=None, required: bool = F
     return val
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def load_config(path: str) -> RunConfig:
     """Parse and strictly validate a JSON run configuration."""
     try:
@@ -131,14 +131,12 @@ def resolve_config(raw: dict) -> RunConfig:
         _require_keys(comp, {"weight", "center", "sharpness"}, f"potential[{i}].")
         weights.append(float(_get(comp, "weight", (int, float), f"potential[{i}].", required=True)))
         center = _get(comp, "center", (int, float, list), f"potential[{i}].", required=True)
-        if isinstance(center, list):
-            if not all(_is_number(u) for u in center):
-                raise ConfigError(f"potential[{i}].center entries must be numbers")
-            centers.append([float(u) for u in center])
-        elif dim > 1:
+        if not isinstance(center, list) and dim > 1:
             raise ConfigError(f"potential[{i}].center must be a list of {dim} numbers in dimension {dim}")
-        else:
-            centers.append(float(center))
+        vals = center if isinstance(center, list) else [center]
+        if not all(_is_finite_real(u) for u in vals):
+            raise ConfigError(f"potential[{i}].center entries must be finite numbers")
+        centers.append([float(u) for u in vals])
         sharps.append(float(_get(comp, "sharpness", (int, float), f"potential[{i}].", required=True)))
     try:
         pot = mixture(weights, centers, sharps, dimension=dim)
@@ -160,8 +158,8 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     ts = _get(raw, "t_list", list, "", default=[0.02, 0.05, 0.1, 0.2])
-    if not ts or not all(_is_number(t) and t > 0 for t in ts):
-        raise ConfigError("t_list must be a nonempty list of positive numbers")
+    if not ts or not all(_is_finite_real(t) and t > 0 for t in ts):
+        raise ConfigError("t_list must be a nonempty list of positive finite numbers")
     t_list = tuple(sorted(float(t) for t in ts))
 
     msec = _get(raw, "mc", dict, "", default={})
@@ -173,8 +171,8 @@ def resolve_config(raw: dict) -> RunConfig:
         raw_center = _get(prop, "center", (list, int, float), "mc.proposal.", default=None)
         if raw_center is not None:
             vals = raw_center if isinstance(raw_center, list) else [raw_center]
-            if not all(_is_number(u) for u in vals):
-                raise ConfigError("mc.proposal.center entries must be numbers")
+            if not all(_is_finite_real(u) for u in vals):
+                raise ConfigError("mc.proposal.center entries must be finite numbers")
             center = tuple(float(u) for u in vals)
             if len(center) != dim:
                 raise ConfigError(f"mc.proposal.center must have {dim} entries")
@@ -194,14 +192,13 @@ def resolve_config(raw: dict) -> RunConfig:
 
     vsec = _get(raw, "validate", dict, "", default={})
     _require_keys(vsec, {"n_max", "gamma"}, "validate.")
-    n_max = _get(vsec, "n_max", int, "validate.", default=5)
-    if not 1 <= n_max <= 5:
-        raise ConfigError(f"validate.n_max must lie in 1..5, got {n_max}")
+    n_max = _get(vsec, "n_max", int, "validate.", default=MAX_ORDER)
     gamma = _get(vsec, "gamma", (int, float, type(None)), "validate.", default=None)
-    if gamma is not None:
-        gamma = float(gamma)
-        if not 0.0 < gamma < min(1.0, float(alpha)):
-            raise ConfigError(f"validate.gamma must lie in (0, min(1, alpha)), got {gamma}")
+    gamma = None if gamma is None else float(gamma)
+    try:
+        _check_report_limits(float(alpha), n_max, gamma)
+    except ValueError as exc:
+        raise ConfigError(f"invalid validate section: {exc}") from exc
 
     osec = _get(raw, "output", dict, "", default={})
     _require_keys(osec, {"directory", "format"}, "output.")
@@ -216,43 +213,10 @@ def _formats(fmt: str) -> tuple[str, ...]:
     return ("csv", "json") if fmt == "both" else (fmt,)
 
 
-def resolved_dict(cfg: RunConfig) -> dict:
-    """Schema-shaped dict for cfg; resolve_config of it reproduces cfg."""
-    pot = [
-        {"weight": c, "center": list(m) if cfg.potential.dimension > 1 else m[0], "sharpness": a}
-        for c, m, a in zip(cfg.potential.weights, cfg.potential.centers, cfg.potential.sharpness)
-    ]
-    prop = None
-    if cfg.mc.proposal_center is not None or cfg.mc.proposal_sigma is not None:
-        prop = {
-            "center": list(cfg.mc.proposal_center) if cfg.mc.proposal_center is not None else None,
-            "sigma": cfg.mc.proposal_sigma,
-        }
-        prop = {k: v for k, v in prop.items() if v is not None}
-    fmt = "both" if len(cfg.formats) == 2 else cfg.formats[0]
-    out = {
-        "dimension": cfg.potential.dimension,
-        "alpha": cfg.alpha,
-        "potential": pot,
-        "grid": {"points_per_axis": cfg.grid.points_per_axis, "half_extent": cfg.grid.half_extent},
-        "t_list": list(cfg.t_list),
-        "mc": {
-            "n_paths": cfg.mc.n_paths,
-            "m_steps": cfg.mc.m_steps,
-            "seed": cfg.mc.seed,
-            "threads": cfg.mc.threads,
-            "proposal": prop,
-        },
-        "validate": {"n_max": cfg.n_max, "gamma": cfg.gamma},
-        "output": {"format": fmt} | ({"directory": cfg.out_dir} if cfg.out_dir else {}),
-    }
-    return out
-
-
 def config_digest(cfg: RunConfig) -> str:
-    """Identifies the computation: output routing and thread count change no number."""
-    doc = resolved_dict(cfg)
-    del doc["output"], doc["mc"]["threads"]
+    """Identifies the computation: the resolved run less output routing and thread count, which change no number."""
+    doc = asdict(cfg)
+    del doc["out_dir"], doc["formats"], doc["mc"]["threads"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -298,8 +262,9 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
     weight_rows = []
     if args.weights:
         print("# exact simplex weights A(n, l)")
-        for n in range(0, 4):
-            for k in range(2, 6):
+        # every n and k that occur in a C_{n,k} with n + k <= MAX_ORDER
+        for n in range(MAX_ORDER - 1):
+            for k in range(2, MAX_ORDER + 1):
                 for ell in enumerate_compositions(n, k - 1):
                     val = weight_A(n, ell)
                     weight_rows.append((n, ell, str(val)))

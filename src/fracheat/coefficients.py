@@ -63,6 +63,9 @@ __all__ = [
     "coefficient_table",
 ]
 
+MAX_ORDER = 5  # the highest order l of C_l implemented on both routes
+
+
 class RouteUnavailable(ValueError):
     """Requested coefficient route is outside the supported set."""
 
@@ -206,7 +209,7 @@ def cnk_closed(
 def c_ell(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int, route: str = "closed"
 ) -> float:
-    """Order-l coefficient C_l, 1 <= l <= 5: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!.
+    """Order-l coefficient C_l, 1 <= l <= MAX_ORDER: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!.
 
     route 'closed' takes C_{n,k} from cnk_closed, 'fourier' from cnk_fourier
     (d = 1 for l >= 4).
@@ -214,8 +217,8 @@ def c_ell(
     _check_alpha(alpha)
     if ell < 1:
         raise ValueError("need ell >= 1")
-    if ell > 5:
-        raise RouteUnavailable(f"coefficients are implemented for ell <= 5, got {ell}")
+    if ell > MAX_ORDER:
+        raise RouteUnavailable(f"coefficients are implemented for ell <= {MAX_ORDER}, got {ell}")
     cnk = {"closed": cnk_closed, "fourier": cnk_fourier}.get(route)
     if cnk is None:
         raise ValueError(f"unknown route {route!r}; use 'closed' or 'fourier'")
@@ -266,16 +269,19 @@ def partial_sum(
     alpha: float,
     n_terms: int,
     t: float,
-    route: str = "closed",
 ) -> float:
-    """Q_N(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l for N = n_terms <= 5."""
-    if not 1 <= n_terms <= 5:
-        raise ValueError(f"n_terms must lie in 1..5, got {n_terms}")
+    """Q_N(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l for N = n_terms >= 1, on the closed route.
+
+    c_ell rejects an order above MAX_ORDER.  The route is passed as
+    c3_closed..c5_closed pass it, so all of them share c_ell's cache entries.
+    """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    out = -t * c_ell(v, grid, alpha, 1, route)
+    out = -t * c_ell(v, grid, alpha, 1, "closed")
     for ell in range(2, n_terms + 1):
-        out += (-t) ** ell * c_ell(v, grid, alpha, ell, route)
+        out += (-t) ** ell * c_ell(v, grid, alpha, ell, "closed")
     return out
 
 
@@ -355,7 +361,7 @@ def coefficient_table(
     entries["C5"] = CoefficientEntry(c5_closed(v, grid, alpha), "closed_form", gdesc)
     entries["C4_sos"] = CoefficientEntry(c4_sos(v, grid, alpha), "sos", gdesc)
     entries["C5_sos"] = CoefficientEntry(c5_sos(v, grid, alpha), "sos", gdesc)
-    for k in range(2, 6):
+    for k in range(2, MAX_ORDER + 1):
         entries[f"C(0,{k})"] = CoefficientEntry(c0k(v, k), "analytic", "exact")
     pairs = [(1, 2), (2, 2), (3, 2)] + ([(1, 3), (2, 3), (1, 4)] if grid.dimension == 1 else [])
     for n, k in pairs:

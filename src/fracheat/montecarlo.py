@@ -198,8 +198,8 @@ def estimate_heat_content(
     drawn).
     """
     _check_sampler_alpha(alpha)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (_is_finite_real(t) and t > 0.0):
+        raise ValueError(f"t must be a positive finite number, got {t}")
     if cfg.proposal_center is not None and np.shape(cfg.proposal_center) != (v.dimension,):
         raise ValueError(f"proposal center must have shape ({v.dimension},)")
     if v.is_zero:

@@ -24,6 +24,7 @@ from scipy import integrate, optimize
 __all__ = ["GaussianMixturePotential", "mixture", "gaussian"]
 
 _SEARCH_POINTS = 64  # per axis, for the coarse grid that seeds max_value
+_BFGS_GTOL = 1e-8  # max_value's BFGS gradient tolerance, relative to lipschitz_constant()
 
 # l1_norm of a sign-indefinite V (see GaussianMixturePotential._line_integrals)
 _L1_CELL_WIDTH = 0.25  # inner cell width, in units of 1/sqrt(max a_i)
@@ -63,6 +64,8 @@ class GaussianMixturePotential:
         for mu in self.centers:
             if len(mu) != self.dimension:
                 raise ValueError(f"center {mu} does not have dimension {self.dimension}")
+            if not all(math.isfinite(u) for u in mu):
+                raise ValueError(f"center coordinates must be finite, got {mu}")
         for a in self.sharpness:
             if not (a > 0 and math.isfinite(a)):
                 raise ValueError(f"sharpness must be positive and finite, got {a}")
@@ -319,13 +322,16 @@ class GaussianMixturePotential:
     def max_value(self) -> float:
         """sup of V itself (signed), by BFGS from several starts.
 
-        Starts: the component centers, the sharpness-weighted pair midpoints,
-        the |c|-weighted center and the largest sample of V on a 64^d tensor
-        grid over the box.  Centers and midpoints can be stationary points
-        that are not the maximum, where BFGS never moves; the grid start
-        begins next to the largest sampled value instead.
+        With no positive weight the sup is the limit 0 at infinity, returned
+        without a search.  Otherwise the starts are the component centers,
+        the sharpness-weighted pair midpoints, the |c|-weighted center and the
+        largest sample of V on a 64^d tensor grid over the box.  Centers and
+        midpoints can be stationary points that are not the maximum, where
+        BFGS never moves; the grid start begins next to the largest sampled
+        value instead.  BFGS stops once |grad V| is below _BFGS_GTOL times
+        the Lipschitz bound, a level the rounded gradient can reach.
         """
-        if self.is_zero:
+        if self.is_nonpositive:
             return 0.0
         w, a, mu = self._arrays()
         starts = [mu[i] for i in range(len(w))]
@@ -339,8 +345,9 @@ class GaussianMixturePotential:
         best = max(float(self.evaluate(s)) for s in starts)
         fun = lambda x: -float(self.evaluate(x))
         jac = lambda x: -self.gradient(x)
+        options = {"gtol": _BFGS_GTOL * self.lipschitz_constant(), "maxiter": 200}
         for s in starts:
-            res = optimize.minimize(fun, np.asarray(s, dtype=float), jac=jac, method="BFGS", options={"gtol": 1e-12, "maxiter": 200})
+            res = optimize.minimize(fun, np.asarray(s, dtype=float), jac=jac, method="BFGS", options=options)
             best = max(best, float(self.evaluate(res.x)))
         return best
 

@@ -66,8 +66,8 @@ class SpectralGrid:
         n = self.points_per_axis
         if n < 16 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 16, got {n}")
-        if not self.half_extent > 0:
-            raise ValueError(f"half_extent must be positive, got {self.half_extent}")
+        if not (self.half_extent > 0 and math.isfinite(self.half_extent)):
+            raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
 
     @classmethod
     def default_for(cls, dimension: int) -> "SpectralGrid":

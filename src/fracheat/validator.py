@@ -21,6 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .coefficients import (
+    MAX_ORDER,
     c0k,
     c3_closed,
     c4_closed,
@@ -120,6 +121,14 @@ def estimate_series(
         (t, estimate_heat_content(v, alpha, t, replace(cfg, seed=(cfg.seed + i) % 2**64)))
         for i, t in enumerate(ts)
     ]
+
+
+def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
+    """The report's own ranges: 1 <= n_max <= MAX_ORDER and, when given, 0 < gamma < min(1, alpha)."""
+    if not 1 <= n_max <= MAX_ORDER:
+        raise ValueError(f"n_max must lie in 1..{MAX_ORDER}, got {n_max}")
+    if gamma is not None and not 0.0 < gamma < min(1.0, alpha):
+        raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
 
 
 def se_factor(n_bounds: int) -> float:
@@ -312,7 +321,7 @@ def expansion_report(
     t_list,
     cfg: McConfig,
     grid: SpectralGrid | None = None,
-    n_max: int = 5,
+    n_max: int = MAX_ORDER,
     gamma: float | None = None,
 ) -> ExpansionReport:
     """Monte Carlo vs deterministic partial sums with bound checks and order fits.
@@ -325,10 +334,7 @@ def expansion_report(
     remainder fit over the times whose residuals clear the noise gate.
     Deterministic given the seed; the estimates come from ``estimate_series``.
     """
-    if not 1 <= n_max <= 5:
-        raise ValueError(f"n_max must lie in 1..5, got {n_max}")
-    if gamma is not None and not 0.0 < gamma < min(1.0, alpha):
-        raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
+    _check_report_limits(alpha, n_max, gamma)
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
     series = estimate_series(v, alpha, t_list, cfg)

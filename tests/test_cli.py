@@ -15,7 +15,7 @@ from fracheat import (
     sample_on_grid,
     validator,
 )
-from fracheat.cli import ConfigError, config_digest, load_config, main, resolve_config, resolved_dict
+from fracheat.cli import ConfigError, config_digest, load_config, main
 
 MINIMAL = {
     "dimension": 1,
@@ -97,6 +97,21 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, extra):
         load_config(write_config(tmp_path, extra))
     assert main(["coeffs", "--config", write_config(tmp_path, extra)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"potential": [{"weight": 1.0, "center": float("inf"), "sharpness": 1.0}]}, "potential[0].center"),
+        ({"grid": {"half_extent": float("inf")}}, "half_extent"),
+        ({"t_list": [0.1, float("inf")]}, "t_list"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, extra, field):
+    # json loads Infinity and NaN; each must stop at load, naming its field
+    assert main(["coeffs", "--config", write_config(tmp_path, extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -213,22 +228,49 @@ def test_sampler_selftest_quick(capsys):
     assert "0 failed" in text
 
 
-def test_resolved_dict_round_trips(tmp_path):
-    config = write_config(
-        tmp_path,
-        {
-            "grid": {"points_per_axis": 128, "half_extent": 12.0},
-            "t_list": [0.3, 0.1],
-            "mc": {"n_paths": 5000, "proposal": {"sigma": 2.5}},
-            "validate": {"n_max": 3, "gamma": 0.4},
-            "output": {"format": "csv"},
-        },
+def test_spelled_out_defaults_hash_like_the_minimal_config(tmp_path):
+    minimal = load_config(write_config(tmp_path, name="minimal.json"))
+    spelled = load_config(
+        write_config(
+            tmp_path,
+            {
+                "dimension": 1,
+                "alpha": 1.5,
+                "potential": [{"weight": 1, "center": [0], "sharpness": 1}],
+                "grid": {"points_per_axis": 256, "half_extent": 16},
+                "t_list": [0.2, 0.02, 0.1, 0.05],
+                "mc": {"n_paths": 200000, "m_steps": 64, "seed": 0, "threads": 1, "proposal": None},
+                "validate": {"n_max": 5, "gamma": None},
+                "output": {"format": "both"},
+            },
+            name="spelled.json",
+        )
     )
-    cfg = load_config(config)
-    again = resolve_config(resolved_dict(cfg))
-    assert config_digest(again) == config_digest(cfg)
-    assert again.t_list == cfg.t_list == (0.1, 0.3)
-    assert again.mc == cfg.mc
+    assert spelled.t_list == minimal.t_list == (0.02, 0.05, 0.1, 0.2)
+    assert config_digest(spelled) == config_digest(minimal)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"alpha": 1.25},
+        {"potential": [{"weight": 1.0, "center": 0.0, "sharpness": 1.5}]},
+        {"grid": {"points_per_axis": 128}},
+        {"grid": {"half_extent": 12.0}},
+        {"t_list": [0.02, 0.05, 0.1]},
+        {"mc": {"n_paths": 1000}},
+        {"mc": {"m_steps": 32}},
+        {"mc": {"seed": 1}},
+        {"mc": {"proposal": {"sigma": 2.5}}},
+        {"mc": {"proposal": {"center": [0.5]}}},
+        {"validate": {"n_max": 3}},
+        {"validate": {"gamma": 0.4}},
+    ],
+)
+def test_config_digest_changes_with_every_computed_value(tmp_path, extra):
+    plain = load_config(write_config(tmp_path, name="plain.json"))
+    changed = load_config(write_config(tmp_path, extra, name="changed.json"))
+    assert config_digest(changed) != config_digest(plain)
 
 
 def test_config_digest_ignores_output_routing(tmp_path):

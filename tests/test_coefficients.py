@@ -25,7 +25,7 @@ from fracheat import (
     t2_exact,
     t2_kernel,
 )
-from fracheat.coefficients import lattice_fields
+from fracheat.coefficients import MAX_ORDER, lattice_fields
 
 PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
 
@@ -173,6 +173,11 @@ def test_partial_sum_assembles_signed_powers(grid1):
         for ell in range(2, n_terms + 1):
             expected += (-t) ** ell * c_ell(v, grid1, 1.5, ell)
         assert partial_sum(v, grid1, 1.5, n_terms, t) == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(ValueError):
+        partial_sum(v, grid1, 1.5, 0, t)
+    # c_ell holds the order cap, so N = MAX_ORDER + 1 is rejected by the route itself
+    with pytest.raises(RouteUnavailable, match=f"ell <= {MAX_ORDER}"):
+        partial_sum(v, grid1, 1.5, MAX_ORDER + 1, t)
 
 
 def test_t2_kernel_branches_and_shape():

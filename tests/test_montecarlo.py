@@ -175,8 +175,9 @@ def test_config_validation(unit_gaussian):
     assert all(type(getattr(numpy_ints, f)) is int for f in ("n_paths", "m_steps", "seed", "threads"))
     with pytest.raises(ValueError):
         estimate_heat_content(unit_gaussian, 2.5, 0.1, McConfig(n_paths=1000))
-    with pytest.raises(ValueError):
-        estimate_heat_content(unit_gaussian, 2.0, 0.0, McConfig(n_paths=1000))
+    for t in (0.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="t must be"):
+            estimate_heat_content(unit_gaussian, 2.0, t, McConfig(n_paths=1000))
     # the sampler's alpha check runs first, so the message names alpha, not beta = alpha/2
     with pytest.raises(ValueError, match=r"alpha in \(1\.95, 2\)"):
         estimate_heat_content(unit_gaussian, 1.97, 0.1, McConfig(n_paths=1000))

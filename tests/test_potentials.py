@@ -152,6 +152,46 @@ def test_norms_against_dense_grid():
             assert v.sup_norm() == pytest.approx(sup, rel=1e-12)
 
 
+FIVE = mixture([1.0, 0.5, 0.3, 0.7, 0.2], [-1.0, -0.4, 0.1, 0.6, 1.3], [1.0, 2.0, 0.5, 1.5, 3.0])
+TRIO = mixture([0.8, -0.3, 0.5], [-0.5, 0.7, 1.5], [1.5, 0.6, 2.0])
+SIGNED_2D = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
+STALL = mixture([-2.0, 1.0], [0.0, 0.0], [1.0, 0.5])  # its only center is a stationary point
+
+
+@pytest.mark.parametrize(
+    "v", [gaussian(weight=-1.0), FIVE.scaled(-1.0), mixture([-1.0, -0.2], [0.0, 2.0], [1.0, 3.0])]
+)
+def test_max_value_of_a_nonpositive_mixture_is_zero_without_a_search(v, monkeypatch):
+    calls = []
+    real = GaussianMixturePotential.evaluate
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(GaussianMixturePotential, "evaluate", counted)
+    # the sup of V <= 0 is its limit 0 at infinity
+    assert GaussianMixturePotential.max_value.__wrapped__(v) == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "v", [FIVE, TRIO, TRIO.scaled(-1.0), SIGNED_2D, SIGNED_2D.scaled(-1.0), STALL, STALL.scaled(-1.0)]
+)
+def test_max_value_bfgs_runs_end_in_success(v, monkeypatch):
+    # a gradient tolerance below the rounding level ends runs in scipy's "precision loss"
+    results = []
+    real = potentials.optimize.minimize
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(potentials.optimize, "minimize", recorded)
+    GaussianMixturePotential.max_value.__wrapped__(v)
+    assert results and all(r.success for r in results), [r.message for r in results if not r.success]
+
+
 def test_l1_norm_of_signed_mixture_exceeds_integral():
     v = mixture([1.0, -0.6], [-0.4, 1.0], [0.8, 2.0])
     assert v.l1_norm() > abs(v.integral())
@@ -282,3 +322,9 @@ def test_validation_errors():
         mixture([], [], [])  # empty mixture needs an explicit dimension
     with pytest.raises(ValueError):
         GaussianMixturePotential(4, ((1.0,),), (((0.0,) * 4),), (1.0,))
+    # a non-finite center would evaluate to nan, or to 0 while integral() is not 0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center"):
+            mixture([1.0], [bad], [1.0])
+        with pytest.raises(ValueError, match="center"):
+            mixture([1.0], [(0.0, bad)], [1.0])

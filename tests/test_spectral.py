@@ -127,6 +127,9 @@ def test_grid_validation():
         SpectralGrid(1, 8, 10.0)
     with pytest.raises(ValueError):
         SpectralGrid(1, 64, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_extent"):
+            SpectralGrid(1, 64, bad)
 
 
 def test_field_shape_validation(grid1):
