@@ -38,6 +38,14 @@ cut into fixed chunks, each driven by its own seed substream, so the thread
 count changes scheduling but not a single drawn number.  One call estimates
 one time; ``validator.estimate_series`` gives each time of a series its own
 seed.
+
+Within a chunk, paths are walked in blocks of 2^16 // (m + 1) paths, each
+block's increments and positions held in two buffers reused for every block.
+The draws and the float operations keep the order of whole-chunk arrays, so
+the block size changes no number.  A 32768-path, 64-step chunk in d = 1
+peaks at about 3.4 MB of traced memory at alpha = 2 (51 MB with whole-chunk
+arrays); at alpha < 2 the chunk's subordinator draws, 8 bytes per path and
+step and 24 while they are drawn, are the peak.
 """
 
 from __future__ import annotations
@@ -61,6 +69,9 @@ __all__ = [
 ]
 
 _CHUNK = 32768
+# positions per block of paths: a (B, m + 1, 1) float64 block is 512 kB, so
+# the block's buffers and evaluate's temporaries stay in a 2 MB L2 at d = 1
+_BLOCK_POINTS = 2**16
 _DEFENSIVE = 0.1  # weight of the Student-t component; its degrees of freedom are alpha
 
 
@@ -151,37 +162,52 @@ def _chunk_summands(
     chunk_index: int,
     n_chunk: int,
 ) -> np.ndarray:
+    """Summands (e^{-A} - 1 + A)/q of one chunk's paths, drawn from its own substream.
+
+    Draw order: mixture choice, start point, Student-t scale, then (alpha < 2)
+    the chunk's n_chunk * m subordinator draws in one call, then the normal
+    increments block by block.  Everything after the subordinator runs on
+    blocks of `_BLOCK_POINTS` // (m + 1) paths, in two buffers reused for every
+    block: the increments and the positions.  Filling a (B, m, d) block with
+    normals consumes the stream exactly as the chunk's (n_chunk, m, d) call
+    would, and each float operation keeps its order (the sequential cumsum,
+    then + x0, then the trapezoid sum along time), so the summands do not
+    depend on B.  Chunk-sized arrays are only the per-path vectors (x0, A, q)
+    and, for alpha < 2, the subordinator draws (peak figures in the module
+    docstring).
+    """
     d = v.dimension
     m = cfg.m_steps
     gen = RngStream(cfg.seed, chunk_index).generator
-    # draw order: mixture choice, start point, Student-t scale, increments
     heavy = gen.random(n_chunk) < _DEFENSIVE
     z = gen.standard_normal((n_chunk, d))
     z[heavy] /= np.sqrt(gen.chisquare(alpha, int(heavy.sum())) / alpha)[:, np.newaxis]
     x0 = center + sigma * z
-    # each array is freed once used, so that no draw outlives its step and
-    # q(x0) adds nothing at the peak, which is inside evaluate
     del heavy, z
     dt = t / m
     if alpha == 2.0:
-        incs = gen.standard_normal((n_chunk, m, d))
-        incs *= math.sqrt(2.0 * dt)
+        scale = None
     else:
-        s = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m)
-        s *= 2.0
-        np.sqrt(s, out=s)
-        incs = gen.standard_normal((n_chunk, m, d))
-        incs *= s[..., np.newaxis]
-        del s
-    pos = np.empty((n_chunk, m + 1, d))
-    pos[:, 0, :] = x0
-    np.cumsum(incs, axis=1, out=pos[:, 1:, :])
-    del incs
-    pos[:, 1:, :] += x0[:, np.newaxis, :]
-    vals = v.evaluate(pos)
-    del pos
-    a = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-    del vals
+        scale = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m, 1)
+        scale *= 2.0
+        np.sqrt(scale, out=scale)
+    block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
+    incs = np.empty((block, m, d))
+    pos = np.empty((block, m + 1, d))
+    a = np.empty(n_chunk)
+    for lo in range(0, n_chunk, block):
+        hi = min(lo + block, n_chunk)
+        inc, path = incs[: hi - lo], pos[: hi - lo]
+        gen.standard_normal(out=inc)
+        if scale is None:
+            inc *= math.sqrt(2.0 * dt)
+        else:
+            inc *= scale[lo:hi]
+        path[:, 0, :] = x0[lo:hi]
+        np.cumsum(inc, axis=1, out=path[:, 1:, :])
+        path[:, 1:, :] += x0[lo:hi, np.newaxis, :]
+        vals = v.evaluate(path)
+        a[lo:hi] = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
     q = _proposal_density(x0, center, sigma, alpha)
     # overflow to inf is tolerated here; the caller rejects non-finite batches
     with np.errstate(over="ignore"):

@@ -279,17 +279,23 @@ class GaussianMixturePotential:
         cells = math.ceil((hi - lo) * math.sqrt(max(self.sharpness)) / _L1_CELL_WIDTH)
         edges = np.linspace(lo, hi, cells + 1)
 
+        def points(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return np.concatenate([outer[rows], y[:, np.newaxis]], axis=1)
+
         def along(rows: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            pts = np.concatenate([outer[rows], y[:, np.newaxis]], axis=1)
+            pts = points(rows, y)
             return self.evaluate(pts), self.gradient(pts)[:, -1]
+
+        def slope_at(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return self.gradient(points(rows, y))[:, -1]
 
         rows, ys = np.repeat(np.arange(n), cells + 1), np.tile(edges, n)
         val, slope = (u.reshape(n, cells + 1) for u in along(rows, ys))
         left, right = val[:, :-1], val[:, 1:]
         r1, c1 = np.nonzero(left * right < 0)
         r2, c2 = np.nonzero((left * right > 0) & (slope[:, :-1] * left < 0) & (slope[:, 1:] * right > 0))
-        low = _bracketed_root(lambda k, y: (along(r2[k], y)[1], None), edges[c2], edges[c2 + 1], slope[r2, c2], _EXTREMUM_TOL)
-        peak = along(r2, low)[0]
+        low = _bracketed_root(lambda k, y: (slope_at(r2[k], y), None), edges[c2], edges[c2 + 1], slope[r2, c2], _EXTREMUM_TOL)
+        peak = self.evaluate(points(r2, low))
         pair = peak * left[r2, c2] < 0
         r2, c2, low, peak = r2[pair], c2[pair], low[pair], peak[pair]
         root_rows = np.concatenate([r1, r2, r2])

@@ -225,3 +225,44 @@ def kanter_float64(beta: float, span: float, r: np.ndarray, w: np.ndarray) -> np
         - ((1.0 - beta) / beta) * np.log(w)
     )
     return span ** (1.0 / beta) * np.exp(log_s)
+
+
+def chunk_summands_unblocked(v, alpha, t, cfg, center, sigma, chunk_index, n_chunk):
+    """One chunk's Monte Carlo summands with whole-chunk (n_chunk, m, d) arrays.
+
+    Unlike the rest of this module this is not an independent route: it is
+    the estimator's chunk kernel written without blocks, drawing from the
+    package's streams and sampler, so that a blocked kernel can be held to
+    bit-identity with it.  Draw order: mixture choice, start point, Student-t
+    scale, (alpha < 2) every subordinator draw, every normal increment.
+    """
+    from fracheat.coefficients import t2_kernel
+    from fracheat.montecarlo import _DEFENSIVE, _proposal_density
+    from fracheat.sampling import RngStream, sample_subordinator
+
+    d = v.dimension
+    m = cfg.m_steps
+    gen = RngStream(cfg.seed, chunk_index).generator
+    heavy = gen.random(n_chunk) < _DEFENSIVE
+    z = gen.standard_normal((n_chunk, d))
+    z[heavy] /= np.sqrt(gen.chisquare(alpha, int(heavy.sum())) / alpha)[:, np.newaxis]
+    x0 = center + sigma * z
+    dt = t / m
+    if alpha == 2.0:
+        incs = gen.standard_normal((n_chunk, m, d))
+        incs *= math.sqrt(2.0 * dt)
+    else:
+        s = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m)
+        s *= 2.0
+        np.sqrt(s, out=s)
+        incs = gen.standard_normal((n_chunk, m, d))
+        incs *= s[..., np.newaxis]
+    pos = np.empty((n_chunk, m + 1, d))
+    pos[:, 0, :] = x0
+    np.cumsum(incs, axis=1, out=pos[:, 1:, :])
+    pos[:, 1:, :] += x0[:, np.newaxis, :]
+    vals = v.evaluate(pos)
+    a = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+    q = _proposal_density(x0, center, sigma, alpha)
+    with np.errstate(over="ignore"):
+        return a**2 * t2_kernel(a) / q

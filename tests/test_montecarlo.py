@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from fracheat import (
     sample_increment,
     t2_exact,
 )
+from fracheat.montecarlo import _BLOCK_POINTS, _chunk_summands
+from fracheat.sampling import sample_subordinator
+
+# one signed mixture per dimension, for the chunk kernel's bit-identity checks
+KERNEL_V = {
+    1: mixture([0.8, -0.3, 0.5], [-0.5, 0.7, 1.5], [1.5, 0.6, 2.0]),
+    2: mixture([1.0, -0.4], [(0.0, 0.0), (0.8, -0.3)], [1.0, 0.5]),
+    3: mixture([1.0, -0.4], [(0.0, 0.0, 0.1), (0.8, -0.3, 0.2)], [1.0, 0.5]),
+}
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -37,6 +48,56 @@ def test_thread_count_never_changes_the_estimate(unit_gaussian):
     )
     assert one.mean == three.mean
     assert one.standard_error == three.standard_error
+
+
+@pytest.mark.parametrize("alpha, v", [(2.0, gaussian()), (1.0, KERNEL_V[2])], ids=["a2-d1", "a1-d2"])
+def test_thread_count_never_changes_the_estimate_across_blocks(alpha, v):
+    # 2 full chunks and 1,500 paths: the last chunk spans a block boundary
+    # (1,008 paths per block at 64 steps), and so does every full chunk
+    n = 2 * 32768 + 1500
+    assert n % 32768 > _BLOCK_POINTS // 65
+    one = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=n, seed=4, threads=1))
+    three = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=n, seed=4, threads=3))
+    assert one.mean == three.mean
+    assert one.standard_error == three.standard_error
+
+
+@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.5, 2.0)))
+def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
+    # same draws in the same order and the same float operations in the same
+    # order, whatever the block size: 3000 paths is not a multiple of a block
+    v = KERNEL_V[d]
+    center, sigma = default_proposal(v, d)
+    for n, m in itertools.product((100, 3000, 32768), (1, 7, 64)):
+        cfg = McConfig(n_paths=n, m_steps=m, seed=13)
+        blocked = _chunk_summands(v, alpha, 0.1, cfg, center, sigma, 2, n)
+        whole = oracles.chunk_summands_unblocked(v, alpha, 0.1, cfg, center, sigma, 2, n)
+        assert np.array_equal(blocked, whole), (n, m)
+
+
+def _traced_peak(fun) -> int:
+    tracemalloc.start()
+    try:
+        fun()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_kernel_peak_memory(unit_gaussian):
+    # a full chunk at 64 steps: no path-sized array may be built, so the
+    # alpha = 2 peak stays below one (n, m + 1) float64 array, and at alpha < 2
+    # the subordinator's own peak is all that is chunk-sized, up to the two
+    # block buffers
+    n, m, t = 32768, 64, 0.1
+    cfg = McConfig(n_paths=n, m_steps=m)
+    center, sigma = default_proposal(unit_gaussian, 1)
+    kernel = lambda alpha: _chunk_summands(unit_gaussian, alpha, t, cfg, center, sigma, 0, n)
+    assert _traced_peak(lambda: kernel(2.0)) < n * (m + 1) * 8
+    block = _BLOCK_POINTS // (m + 1)
+    buffers = block * m * 8 + block * (m + 1) * 8
+    sampler = _traced_peak(lambda: sample_subordinator(0.75, t / m, RngStream(0, 0), size=n * m))
+    assert _traced_peak(lambda: kernel(1.5)) <= sampler + buffers
 
 
 def test_zero_potential_has_zero_variance(grid1):
