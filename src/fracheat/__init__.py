@@ -27,7 +27,6 @@ from .coefficients import (
 from .montecarlo import (
     McConfig,
     McEstimate,
-    default_proposal,
     estimate_heat_content,
 )
 from .potentials import GaussianMixturePotential, gaussian, mixture
@@ -73,7 +72,7 @@ __all__ = [
     "c4_sos", "c5_closed", "c5_sos", "c_ell", "cnk_closed", "cnk_fourier", "coefficient_table",
     "dirichlet_form", "partial_sum", "t2_exact", "t2_kernel",
     # montecarlo
-    "McConfig", "McEstimate", "default_proposal", "estimate_heat_content",
+    "McConfig", "McEstimate", "estimate_heat_content",
     # potentials
     "GaussianMixturePotential", "gaussian", "mixture",
     # sampling

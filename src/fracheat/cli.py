@@ -29,8 +29,7 @@ optional; unknown keys anywhere are rejected):
       "potential": [{"weight": -1.0, "center": 0.0, "sharpness": 1.0}],
       "grid": {"points_per_axis": 256, "half_extent": 16.0},
       "t_list": [0.02, 0.05, 0.1, 0.2],
-      "mc": {"n_paths": 200000, "m_steps": 64, "seed": 0, "threads": 1,
-             "proposal": {"center": [0.0], "sigma": 2.0}},
+      "mc": {"n_paths": 200000, "m_steps": 64, "seed": 0, "threads": 1},
       "validate": {"n_max": 5, "gamma": 0.5},
       "output": {"directory": "out", "format": "both"}
     }
@@ -101,6 +100,10 @@ def _get(obj: dict, key: str, types, path: str, default=None, required: bool = F
 
 def load_config(path: str) -> RunConfig:
     """Parse and strictly validate a JSON run configuration."""
+    return resolve_config(_read_config(path))
+
+
+def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -110,7 +113,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return resolve_config(raw)
+    return raw
 
 
 def resolve_config(raw: dict) -> RunConfig:
@@ -164,8 +167,9 @@ def resolve_config(raw: dict) -> RunConfig:
 
     msec = _get(raw, "mc", dict, "", default={})
     _require_keys(msec, {"n_paths", "m_steps", "seed", "threads", "proposal"}, "mc.")
+    # mc.proposal set the start-point proposal of an earlier estimator: still checked,
+    # so an old config keeps its error or its meaning, but nothing reads it (main warns)
     prop = _get(msec, "proposal", (dict, type(None)), "mc.", default=None)
-    center = sigma = None
     if prop is not None:
         _require_keys(prop, {"center", "sigma"}, "mc.proposal.")
         raw_center = _get(prop, "center", (list, int, float), "mc.proposal.", default=None)
@@ -173,17 +177,15 @@ def resolve_config(raw: dict) -> RunConfig:
             vals = raw_center if isinstance(raw_center, list) else [raw_center]
             if not all(_is_finite_real(u) for u in vals):
                 raise ConfigError("mc.proposal.center entries must be finite numbers")
-            center = tuple(float(u) for u in vals)
-            if len(center) != dim:
+            if len(vals) != dim:
                 raise ConfigError(f"mc.proposal.center must have {dim} entries")
-        raw_sigma = _get(prop, "sigma", (int, float), "mc.proposal.", default=None)
-        sigma = None if raw_sigma is None else float(raw_sigma)
+        sigma = _get(prop, "sigma", (int, float), "mc.proposal.", default=None)
+        if sigma is not None and not (_is_finite_real(sigma) and sigma > 0.0):
+            raise ConfigError(f"mc.proposal.sigma must be a positive finite number, got {sigma!r}")
     try:
         mc = McConfig(
             n_paths=_get(msec, "n_paths", int, "mc.", default=200_000),
             m_steps=_get(msec, "m_steps", int, "mc.", default=64),
-            proposal_center=center,
-            proposal_sigma=sigma,
             seed=_get(msec, "seed", int, "mc.", default=0),
             threads=_get(msec, "threads", int, "mc.", default=1),
         )
@@ -399,7 +401,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "sampler-selftest":
             return _cmd_selftest(args)
-        cfg = _apply_overrides(load_config(args.config), args)
+        raw = _read_config(args.config)
+        cfg = _apply_overrides(resolve_config(raw), args)
+        if "proposal" in raw.get("mc", {}):
+            print("warning: config key 'mc.proposal' is ignored: start points are drawn from |V|", file=sys.stderr)
         return {
             "coeffs": _cmd_coeffs,
             "mc": _cmd_mc,

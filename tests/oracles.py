@@ -227,23 +227,47 @@ def kanter_float64(beta: float, span: float, r: np.ndarray, w: np.ndarray) -> np
     return span ** (1.0 / beta) * np.exp(log_s)
 
 
-def chunk_summands_unblocked(v, alpha, t, cfg, center, sigma, chunk_index, n_chunk):
-    """One chunk's Monte Carlo summands with whole-chunk (n_chunk, m, d) arrays.
+def proposal_start(v, d: int) -> tuple[np.ndarray, float]:
+    """Center and width of the proposal estimator's start-point density, derived from V.
 
-    Unlike the rest of this module this is not an independent route: it is
-    the estimator's chunk kernel written without blocks, drawing from the
-    package's streams and sampler, so that a blocked kernel can be held to
-    bit-identity with it.  Draw order: mixture choice, start point, Student-t
-    scale, (alpha < 2) every subordinator draw, every normal increment.
+    Center: |c_i|-weighted average of component centers.  Width: 3 times
+    (max component standard deviation 1/sqrt(2 a_i) + max center spread).
     """
-    from fracheat.coefficients import t2_kernel
-    from fracheat.montecarlo import _DEFENSIVE, _proposal_density
+    w = np.abs(np.asarray(v.weights))
+    mu = np.asarray(v.centers, dtype=float).reshape(len(v.weights), d)
+    center = (w[:, np.newaxis] * mu).sum(axis=0) / w.sum()
+    widths = 1.0 / np.sqrt(2.0 * np.asarray(v.sharpness))
+    spread = np.sqrt(((mu - center) ** 2).sum(axis=1)).max()
+    return center, 3.0 * (float(widths.max()) + float(spread))
+
+
+def proposal_density(x: np.ndarray, center: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
+    """0.9 N(center, sigma^2 I) + 0.1 multivariate Student-t (nu = alpha, same center and scale) at the rows of x."""
+    d = x.shape[1]
+    r2 = ((x - center) ** 2).sum(axis=1) / sigma**2
+    normal = (2.0 * math.pi * sigma**2) ** (-d / 2.0) * np.exp(-0.5 * r2)
+    log_norm = math.lgamma((alpha + d) / 2.0) - math.lgamma(alpha / 2.0)
+    log_norm -= 0.5 * d * math.log(alpha * math.pi * sigma**2)
+    student = math.exp(log_norm) * (1.0 + r2 / alpha) ** (-(alpha + d) / 2.0)
+    return 0.9 * normal + 0.1 * student
+
+
+def proposal_chunk_summands(v, alpha, t, m, seed, n_chunk):
+    """The first chunk of the earlier importance-sampled estimator: (e^{-A} - 1 + A)/q per path.
+
+    Each path starts at x ~ q, the defensive mixture of ``proposal_density``
+    around ``proposal_start``, and runs m steps of t/m to t; the estimate is
+    the mean minus t int V.  It shares only the stream and the subordinator
+    sampler with the package.  Draw order: mixture choice, start point,
+    Student-t scale, (alpha < 2) every subordinator draw, every normal
+    increment, all with whole-chunk arrays.
+    """
     from fracheat.sampling import RngStream, sample_subordinator
 
     d = v.dimension
-    m = cfg.m_steps
-    gen = RngStream(cfg.seed, chunk_index).generator
-    heavy = gen.random(n_chunk) < _DEFENSIVE
+    center, sigma = proposal_start(v, d)
+    gen = RngStream(seed, 0).generator
+    heavy = gen.random(n_chunk) < 0.1
     z = gen.standard_normal((n_chunk, d))
     z[heavy] /= np.sqrt(gen.chisquare(alpha, int(heavy.sum())) / alpha)[:, np.newaxis]
     x0 = center + sigma * z
@@ -253,16 +277,54 @@ def chunk_summands_unblocked(v, alpha, t, cfg, center, sigma, chunk_index, n_chu
         incs *= math.sqrt(2.0 * dt)
     else:
         s = sample_subordinator(alpha / 2.0, dt, gen, size=n_chunk * m).reshape(n_chunk, m)
-        s *= 2.0
-        np.sqrt(s, out=s)
         incs = gen.standard_normal((n_chunk, m, d))
-        incs *= s[..., np.newaxis]
+        incs *= np.sqrt(2.0 * s)[..., np.newaxis]
+    pos = np.concatenate([x0[:, np.newaxis], x0[:, np.newaxis] + np.cumsum(incs, axis=1)], axis=1)
+    vals = v.evaluate(pos)
+    a = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+    return (np.expm1(-a) + a) / proposal_density(x0, center, sigma, alpha)
+
+
+def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
+    """The Duhamel chunk kernel with whole-chunk position and value arrays.
+
+    Unlike the rest of this module this is not an independent route: it
+    draws from the package's streams and sampler in the kernel's order (the
+    chunk's component choices, start normals and times, then per block of
+    ``block`` paths its subordinator draws and normals), but walks, evaluates
+    and integrates every path of the chunk at once, so that the blocked walk
+    can be held to bit-identity with it.
+    """
+    from fracheat.sampling import RngStream, sample_subordinator
+
+    d, m = v.dimension, cfg.m_steps
+    w, a, mu = (np.asarray(x, dtype=float) for x in (v.weights, v.sharpness, v.centers))
+    mu = mu.reshape(len(w), d)
+    mass = np.abs(w) * (math.pi / a) ** (d / 2.0)
+    gen = RngStream(cfg.seed, chunk_index).generator
+    comp = gen.choice(len(w), size=n_chunk, p=mass / mass.sum())
+    x0 = gen.standard_normal((n_chunk, d))
+    x0 /= np.sqrt(2.0 * a)[comp, np.newaxis]
+    x0 += mu[comp]
+    step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
+    incs = np.empty((n_chunk, m, d))
+    for lo in range(0, n_chunk, block):
+        hi = min(lo + block, n_chunk)
+        if alpha == 2.0:
+            incs[lo:hi] = gen.standard_normal((hi - lo, m, d))
+            incs[lo:hi] *= np.sqrt(2.0 * step[lo:hi])[:, np.newaxis, np.newaxis]
+        else:
+            s = sample_subordinator(alpha / 2.0, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, 1)
+            s *= (2.0 * step[lo:hi] ** (2.0 / alpha))[:, np.newaxis, np.newaxis]
+            incs[lo:hi] = gen.standard_normal((hi - lo, m, d))
+            incs[lo:hi] *= np.sqrt(s)
     pos = np.empty((n_chunk, m + 1, d))
     pos[:, 0, :] = x0
     np.cumsum(incs, axis=1, out=pos[:, 1:, :])
     pos[:, 1:, :] += x0[:, np.newaxis, :]
     vals = v.evaluate(pos)
-    a = dt * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-    q = _proposal_density(x0, center, sigma, alpha)
-    with np.errstate(over="ignore"):
-        return a**2 * t2_kernel(a) / q
+    a_u = step * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+    out = vals[:, 0] * vals[:, -1] * np.exp(-a_u)
+    g = sum(abs(c) * np.exp(-ai * ((x0 - mi) ** 2).sum(axis=1)) for c, ai, mi in zip(w, a, mu))
+    out *= 0.5 * t * t * float(mass.sum()) / g
+    return out

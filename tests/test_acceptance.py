@@ -223,14 +223,14 @@ def test_criterion_7_order_recovery(grid1, announce):
     det_fit = fit_remainder_order(ts, residuals)
     det_ok = abs(det_fit.slope - 2.0) <= 1e-3
 
-    # Monte Carlo half: deep well with a variance-matched proposal so the
-    # order-(N+1) residuals clear the noise gate at 1e6 paths per time
+    # Monte Carlo half: a deep well, so that the order-(N+1) residuals clear
+    # the noise gate at 1e6 paths per time
     v6 = gaussian(weight=6.0)
     t_list = [
         0.009, 0.0105, 0.0123,
         0.0805, 0.0941, 0.11, 0.1287, 0.1505, 0.176, 0.2058, 0.2406, 0.2814,
     ]
-    cfg = McConfig(n_paths=1_000_000, m_steps=256, proposal_sigma=0.75, seed=73, threads=4)
+    cfg = McConfig(n_paths=1_000_000, m_steps=256, seed=73, threads=4)
     report = expansion_report(v6, 2.0, t_list, cfg, grid=grid1, n_max=3)
     slopes = {n: report.fitted_orders[n].slope for n in (1, 2, 3)}
     mc_ok = all(abs(slopes[n] - (n + 1)) <= 0.4 for n in (1, 2, 3))

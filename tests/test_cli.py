@@ -261,8 +261,8 @@ def test_spelled_out_defaults_hash_like_the_minimal_config(tmp_path):
         {"mc": {"n_paths": 1000}},
         {"mc": {"m_steps": 32}},
         {"mc": {"seed": 1}},
-        {"mc": {"proposal": {"sigma": 2.5}}},
-        {"mc": {"proposal": {"center": [0.5]}}},
+        {"potential": [{"weight": -1.0, "center": 0.0, "sharpness": 1.0}]},
+        {"potential": [{"weight": 1.0, "center": 0.5, "sharpness": 1.0}]},
         {"validate": {"n_max": 3}},
         {"validate": {"gamma": 0.4}},
     ],
@@ -271,6 +271,40 @@ def test_config_digest_changes_with_every_computed_value(tmp_path, extra):
     plain = load_config(write_config(tmp_path, name="plain.json"))
     changed = load_config(write_config(tmp_path, extra, name="changed.json"))
     assert config_digest(changed) != config_digest(plain)
+
+
+# the README's example config, without the mc.proposal key it used to carry
+README_CONFIG = {
+    "dimension": 1,
+    "alpha": 1.5,
+    "potential": [{"weight": -1.0, "center": 0.0, "sharpness": 1.0}],
+    "grid": {"points_per_axis": 256, "half_extent": 16.0},
+    "t_list": [0.02, 0.05, 0.1, 0.2],
+    "mc": {"n_paths": 200000, "m_steps": 64, "seed": 0, "threads": 1},
+    "validate": {"n_max": 5, "gamma": 0.5},
+    "output": {"directory": "out", "format": "both"},
+}
+
+
+@pytest.mark.slow
+def test_mc_proposal_is_accepted_and_ignored(tmp_path, capsys):
+    # older configs name a start-point proposal; it still loads, changes no
+    # digest and no number, and the CLI says once that it is ignored
+    with_key = README_CONFIG | {"mc": README_CONFIG["mc"] | {"proposal": {"center": [0.0], "sigma": 2.0}}}
+    outputs, errs = {}, {}
+    for name, raw in (("plain", README_CONFIG), ("proposal", with_key)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / name
+        assert main(["mc", "--config", str(path), "--out", str(out)]) == 0
+        errs[name] = capsys.readouterr().err
+        outputs[name] = [(out / f"mc.{ext}").read_bytes() for ext in ("json", "csv")]
+    assert config_digest(load_config(str(tmp_path / "plain.json"))) == config_digest(
+        load_config(str(tmp_path / "proposal.json"))
+    )
+    assert outputs["plain"] == outputs["proposal"]
+    assert errs["plain"] == ""
+    assert errs["proposal"].startswith("warning: config key 'mc.proposal' is ignored") and errs["proposal"].count("\n") == 1
 
 
 def test_config_digest_ignores_output_routing(tmp_path):

@@ -10,14 +10,15 @@ import oracles
 from fracheat import (
     McConfig,
     RngStream,
-    default_proposal,
     estimate_heat_content,
     gaussian,
     mixture,
+    montecarlo,
     sample_increment,
     t2_exact,
 )
-from fracheat.montecarlo import _BLOCK_POINTS, _chunk_summands
+from fracheat.cli import resolve_config
+from fracheat.montecarlo import _BLOCK_POINTS, _chunk_summands, _start_mixture, _summand_bound
 from fracheat.sampling import sample_subordinator
 
 # one signed mixture per dimension, for the chunk kernel's bit-identity checks
@@ -26,6 +27,7 @@ KERNEL_V = {
     2: mixture([1.0, -0.4], [(0.0, 0.0), (0.8, -0.3)], [1.0, 0.5]),
     3: mixture([1.0, -0.4], [(0.0, 0.0, 0.1), (0.8, -0.3, 0.2)], [1.0, 0.5]),
 }
+TWO_BUMP = ([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -64,15 +66,71 @@ def test_thread_count_never_changes_the_estimate_across_blocks(alpha, v):
 
 @pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.5, 2.0)))
 def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
-    # same draws in the same order and the same float operations in the same
-    # order, whatever the block size: 3000 paths is not a multiple of a block
+    # the block size is part of the draw order, so the reference draws block by
+    # block too; everything after the draws runs on whole-chunk arrays there,
+    # with the same float operations in the same order: 3000 paths is not a
+    # multiple of a block
     v = KERNEL_V[d]
-    center, sigma = default_proposal(v, d)
     for n, m in itertools.product((100, 3000, 32768), (1, 7, 64)):
         cfg = McConfig(n_paths=n, m_steps=m, seed=13)
-        blocked = _chunk_summands(v, alpha, 0.1, cfg, center, sigma, 2, n)
-        whole = oracles.chunk_summands_unblocked(v, alpha, 0.1, cfg, center, sigma, 2, n)
+        blocked = _chunk_summands(v, alpha, 0.1, cfg, 2, n)
+        block = min(n, _BLOCK_POINTS // (m + 1))
+        whole = oracles.chunk_summands_unblocked(v, alpha, 0.1, cfg, 2, n, block)
         assert np.array_equal(blocked, whole), (n, m)
+
+
+D1_MIXTURES = {
+    "gauss+": ([1.0], [0.0], [1.0]),
+    "gauss-": ([-1.0], [0.0], [1.0]),
+    "two-bump+": TWO_BUMP,
+    "two-bump-": ([-1.0, -0.5], TWO_BUMP[1], TWO_BUMP[2]),
+    "signed": ([0.8, -0.3, 0.5], [-0.5, 0.7, 1.5], [1.5, 0.6, 2.0]),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+@pytest.mark.parametrize("name", list(D1_MIXTURES))
+def test_kernel_agrees_with_the_proposal_oracle(name, alpha):
+    # the earlier importance-sampled estimator and this one have the same
+    # mean Q(t); one chunk of each, on the same seed
+    v = mixture(*D1_MIXTURES[name])
+    n, m, t, seed = 32768, 64, 0.1, 31
+    new = estimate_heat_content(v, alpha, t, McConfig(n_paths=n, m_steps=m, seed=seed))
+    w = oracles.proposal_chunk_summands(v, alpha, t, m, seed, n)
+    old_mean, old_se = w.mean() - t * v.integral(), w.std(ddof=1) / math.sqrt(n)
+    assert abs(new.mean - old_mean) < 4 * math.hypot(new.standard_error, old_se)
+
+
+def test_every_summand_lies_within_its_bound(monkeypatch):
+    v = KERNEL_V[1]
+    t = 0.4
+    bound = _summand_bound(v, t)
+    assert bound == pytest.approx(0.5 * t**2 * _start_mixture(v)[1].sum() * 1.6 * math.exp(0.3 * t))
+    for alpha in (0.8, 2.0):
+        w = _chunk_summands(v, alpha, t, McConfig(n_paths=5000), 0, 5000)
+        assert np.abs(w).max() <= bound
+    # a kernel that breaks the bound, by more than rounding, is caught
+    kernel = _chunk_summands
+    monkeypatch.setattr(montecarlo, "_chunk_summands", lambda *a: np.append(kernel(*a)[:-1], -1.001 * bound))
+    with pytest.raises(RuntimeError, match="above its bound"):
+        estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
+    monkeypatch.setattr(montecarlo, "_chunk_summands", lambda *a: np.append(kernel(*a)[:-1], bound * (1 + 1e-13)))
+    estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
+
+
+@pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0)])
+def test_subordinator_draws_are_counted_through_the_module_name(monkeypatch, alpha, draws):
+    # perfbench counts draws by wrapping montecarlo.sample_subordinator; every
+    # path step is one draw at alpha < 2 and the Gaussian branch draws none
+    sizes = []
+
+    def counted(beta, span, rng, size=None):
+        sizes.append(size)
+        return sample_subordinator(beta, span, rng, size=size)
+
+    monkeypatch.setattr(montecarlo, "sample_subordinator", counted)
+    estimate_heat_content(KERNEL_V[1], alpha, 0.1, McConfig(n_paths=34_768, m_steps=64, seed=3, threads=2))
+    assert sum(sizes) == draws
 
 
 def _traced_peak(fun) -> int:
@@ -85,19 +143,15 @@ def _traced_peak(fun) -> int:
 
 
 def test_chunk_kernel_peak_memory(unit_gaussian):
-    # a full chunk at 64 steps: no path-sized array may be built, so the
-    # alpha = 2 peak stays below one (n, m + 1) float64 array, and at alpha < 2
-    # the subordinator's own peak is all that is chunk-sized, up to the two
-    # block buffers
+    # a full chunk at 64 steps: no path-sized array may be built, so for every
+    # alpha the peak stays below one (n, m + 1) float64 array, which one
+    # whole-chunk subordinator call would already exceed
     n, m, t = 32768, 64, 0.1
     cfg = McConfig(n_paths=n, m_steps=m)
-    center, sigma = default_proposal(unit_gaussian, 1)
-    kernel = lambda alpha: _chunk_summands(unit_gaussian, alpha, t, cfg, center, sigma, 0, n)
-    assert _traced_peak(lambda: kernel(2.0)) < n * (m + 1) * 8
-    block = _BLOCK_POINTS // (m + 1)
-    buffers = block * m * 8 + block * (m + 1) * 8
-    sampler = _traced_peak(lambda: sample_subordinator(0.75, t / m, RngStream(0, 0), size=n * m))
-    assert _traced_peak(lambda: kernel(1.5)) <= sampler + buffers
+    limit = n * (m + 1) * 8
+    for alpha in (1.5, 2.0):
+        assert _traced_peak(lambda: _chunk_summands(unit_gaussian, alpha, t, cfg, 0, n)) < limit
+    assert _traced_peak(lambda: sample_subordinator(0.75, 1.0, RngStream(0, 0), size=n * m)) > limit
 
 
 def test_zero_potential_has_zero_variance(grid1):
@@ -106,35 +160,48 @@ def test_zero_potential_has_zero_variance(grid1):
     assert est.mean == 0.0 and est.standard_error == 0.0
 
 
-def test_exponent_integral_is_trapezoid_rule(unit_gaussian):
+def test_exponent_integral_is_trapezoid_rule():
     # rebuild the estimator's single chunk from its stream, in its draw order:
-    # mixture choice, start point, Student-t scale, then every increment.  A is
-    # the trapezoid rule in time, each path adds (e^-A - 1 + A)/q, and the
-    # known mean t int V of the control variate A/q is subtracted at the end
+    # component choice, start point, time U, then block by block the span-1
+    # increments (subordinator, then normals), scaled by (U/m)^{1/alpha}.  A is
+    # the trapezoid rule on [0, U], each path adds (t^2/2) Z (V/g)(x0) e^-A V(X_U)
+    # with g the |c_i|-weighted mixture, and t int V is subtracted at the end
+    v = mixture([1.0, -0.4], [0.0, 0.8], [1.0, 0.5])
     n, m, t, seed = 4096, 16, 0.5, 2
+    block = _BLOCK_POINTS // (m + 1)
+    assert n % block
+    sd = [1.0 / math.sqrt(2.0), 1.0]
+    mass = np.array([math.sqrt(math.pi), 0.4 * math.sqrt(2.0 * math.pi)])
     for alpha in (1.5, 2.0):
         gen = RngStream(seed, 0).generator
-        center, sigma = default_proposal(unit_gaussian, 1)
-        heavy = gen.random(n) < 0.1
-        z = gen.standard_normal(n)
-        z[heavy] /= np.sqrt(gen.chisquare(alpha, heavy.sum()) / alpha)
-        x0 = (center[0] + sigma * z)[:, np.newaxis]
-        incs = sample_increment(alpha, 1, t / m, gen, size=n * m).reshape(n, m, 1)
+        comp = gen.choice(2, size=n, p=mass / mass.sum())
+        x0 = gen.standard_normal(n) * np.array(sd)[comp] + np.array([0.0, 0.8])[comp]
+        u = t * (1.0 - np.sqrt(1.0 - gen.random(n)))
+        incs = np.concatenate(
+            [sample_increment(alpha, 1, 1.0, gen, size=min(block, n - lo) * m) for lo in range(0, n, block)]
+        ).reshape(n, m)
+        incs *= (u[:, np.newaxis] / m) ** (1.0 / alpha)
         pos = np.concatenate([x0[:, np.newaxis], x0[:, np.newaxis] + np.cumsum(incs, axis=1)], axis=1)
-        a = np.trapezoid(unit_gaussian.evaluate(pos), np.linspace(0.0, t, m + 1), axis=1)
-        q = 0.9 * stats.norm.pdf(x0[:, 0], center[0], sigma) + 0.1 * stats.t.pdf(x0[:, 0], alpha, center[0], sigma)
-        est = estimate_heat_content(unit_gaussian, alpha, t, McConfig(n_paths=n, m_steps=m, seed=seed))
-        expected = np.mean((np.expm1(-a) + a) / q) - t * unit_gaussian.integral()
-        assert est.mean == pytest.approx(expected, rel=1e-12)
+        vals = v.evaluate(pos)
+        a = np.trapezoid(vals, u[:, np.newaxis] * np.linspace(0.0, 1.0, m + 1), axis=1)
+        g = mass[0] * stats.norm.pdf(x0, 0.0, sd[0]) + mass[1] * stats.norm.pdf(x0, 0.8, sd[1])
+        summands = 0.5 * t**2 * mass.sum() * vals[:, 0] / g * np.exp(-a) * vals[:, -1]
+        est = estimate_heat_content(v, alpha, t, McConfig(n_paths=n, m_steps=m, seed=seed))
+        assert est.mean == pytest.approx(summands.mean() - t * v.integral(), rel=1e-12)
 
 
 def test_default_proposal_geometry():
+    # the start points' proposal is the dominating mixture g = sum |c_i| e^{-a_i |x - mu_i|^2}:
+    # component i carries mass |c_i| (pi / a_i)^{d/2}, and Z is their sum
     v = mixture([1.0, -2.0], [0.0, 3.0], [1.0, 0.5])
-    center, sigma = default_proposal(v, 1)
-    assert center[0] == pytest.approx(2.0)  # |w|-weighted mean of 0 and 3
-    assert sigma == pytest.approx(3.0 * (1.0 + 2.0))  # widest sd 1 + spread 2
-    zc, zs = default_proposal(mixture([], [], [], dimension=1), 1)
-    assert zc[0] == 0.0 and zs == 1.0
+    g, mass = _start_mixture(v)
+    assert g.weights == (1.0, 2.0) and g.centers == v.centers and g.sharpness == v.sharpness
+    assert mass == pytest.approx([math.sqrt(math.pi), 2.0 * math.sqrt(2.0 * math.pi)])
+    assert mass.sum() == pytest.approx(g.integral())
+    _, mass2 = _start_mixture(mixture([-0.5, 1.0], [(0.0, 0.0), (1.0, 2.0)], [2.0, 0.25]))
+    assert mass2 == pytest.approx([0.5 * math.pi / 2.0, 4.0 * math.pi])
+    _, empty = _start_mixture(mixture([], [], [], dimension=1))
+    assert empty.size == 0 and empty.sum() == 0.0
 
 
 def test_step_count_bias_is_within_noise(unit_gaussian):
@@ -157,15 +224,13 @@ def test_estimate_matches_split_step_reference(alpha):
     assert abs(est.mean - ref) < 4 * est.standard_error
 
 
-TWO_BUMP = ([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
-
 
 @pytest.mark.slow
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
 def test_estimate_is_unbiased_for_heavy_tails(alpha, sign):
-    # se <= 7.5e-5 lets a bias of 3e-4 fail at 4 se; the heavy tails of
-    # alpha < 2 are where a light-tailed proposal loses mass
+    # se <= 7.5e-5 lets a bias of 3e-4 fail at 4 se; the heavy jumps of
+    # alpha < 2 carry paths far from V and back
     weights = [sign * c for c in TWO_BUMP[0]]
     v = mixture(weights, TWO_BUMP[1], TWO_BUMP[2])
     ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1)
@@ -178,12 +243,30 @@ def test_estimate_is_unbiased_for_heavy_tails(alpha, sign):
 @pytest.mark.parametrize("sigma", [0.3, 0.5])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_narrow_proposal_stays_unbiased(alpha, sigma):
-    # a Gaussian proposal this narrow never samples the |x|^{-1-alpha} tail of
-    # the integrand; the Student-t component of the mixture does
-    v = gaussian(weight=-1.0)
+    # a config may still name a start-point proposal as narrow as these, as the
+    # earlier estimator's did; no number reads it, and the well's heat content
+    # matches the split-step reference
+    raw = {"dimension": 1, "alpha": alpha, "potential": [{"weight": -1.0, "center": 0.0, "sharpness": 1.0}],
+           "mc": {"n_paths": 262_144, "seed": 22, "proposal": {"sigma": sigma}}}
+    cfg = resolve_config(raw).mc
+    assert cfg == McConfig(n_paths=262_144, seed=22)
     ref = oracles.q_reference([-1.0], [0.0], [1.0], alpha, 0.1)
-    est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=262_144, proposal_sigma=sigma, seed=22))
+    est = estimate_heat_content(gaussian(weight=-1.0), alpha, 0.1, cfg)
     assert abs(est.mean - ref) < 4 * est.standard_error
+
+
+@pytest.mark.slow
+def test_path_noise_is_steady_across_seeds():
+    # alpha = 0.8, V = -e^{-x^2}: a start far out in a proposal tail whose path
+    # jumps into V once made one seed's sd sqrt(n) read 7x another's; the
+    # summands are bounded now, so sd sqrt(n) is the same on every seed
+    v = gaussian(weight=-1.0)
+    n = 131_072
+    spread = [
+        estimate_heat_content(v, 0.8, 0.1, McConfig(n_paths=n, seed=seed)).standard_error * math.sqrt(n)
+        for seed in range(8)
+    ]
+    assert max(spread) / min(spread) < 1.05
 
 
 def test_first_order_residual_tends_to_exact_t2(unit_gaussian):
@@ -209,28 +292,10 @@ def test_config_validation(unit_gaussian):
         McConfig(n_paths=1000, seed=-1)
     with pytest.raises(ValueError):
         McConfig(n_paths=1000, threads=0)
-    with pytest.raises(ValueError):
-        McConfig(n_paths=1000, proposal_sigma=0.0)
     # integer fields take integers only: a float or a bool would fail later, or run as 1
     for field, val in (("n_paths", 1e4), ("m_steps", 8.0), ("seed", 1.0), ("threads", True), ("n_paths", True)):
         with pytest.raises(ValueError, match=field):
             McConfig(**({"n_paths": 1000} | {field: val}))
-    # proposal fields take finite real numbers only: True would run as sigma = 1
-    for field, val in (
-        ("proposal_sigma", True),
-        ("proposal_sigma", "2"),
-        ("proposal_sigma", math.inf),
-        ("proposal_sigma", math.nan),
-        ("proposal_center", (0.0, True)),
-        ("proposal_center", ("0",)),
-        ("proposal_center", (math.nan,)),
-        ("proposal_center", (-math.inf, 0.0)),
-        ("proposal_center", 0.5),
-    ):
-        with pytest.raises(ValueError, match=field):
-            McConfig(n_paths=1000, **{field: val})
-    numpy_fields = McConfig(n_paths=1000, proposal_center=np.array([0.5, -1.0]), proposal_sigma=np.float32(2.0))
-    assert numpy_fields == McConfig(n_paths=1000, proposal_center=(0.5, -1.0), proposal_sigma=2.0)
     numpy_ints = McConfig(n_paths=np.int64(1000), m_steps=np.int32(8), seed=np.uint64(2**64 - 1), threads=np.int8(2))
     assert numpy_ints == McConfig(n_paths=1000, m_steps=8, seed=2**64 - 1, threads=2)
     assert all(type(getattr(numpy_ints, f)) is int for f in ("n_paths", "m_steps", "seed", "threads"))
@@ -248,7 +313,6 @@ def test_config_validation(unit_gaussian):
         (2.0, -1.0, McConfig(n_paths=1000)),
         (1.97, 0.1, McConfig(n_paths=1000)),
         (2.5, 0.1, McConfig(n_paths=1000)),
-        (2.0, 0.1, McConfig(n_paths=1000, proposal_center=(0.0, 0.0))),
     ):
         with pytest.raises(ValueError):
             estimate_heat_content(zero, alpha, t, cfg)
