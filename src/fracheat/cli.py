@@ -167,8 +167,8 @@ def resolve_config(raw: dict) -> RunConfig:
 
     msec = _get(raw, "mc", dict, "", default={})
     _require_keys(msec, {"n_paths", "m_steps", "seed", "threads", "proposal"}, "mc.")
-    # mc.proposal set the start-point proposal of an earlier estimator: still checked,
-    # so an old config keeps its error or its meaning, but nothing reads it (main warns)
+    # mc.proposal set the start-point proposal of an earlier estimator; it is still
+    # checked, so a config rejected before still is, but no value is read (main warns)
     prop = _get(msec, "proposal", (dict, type(None)), "mc.", default=None)
     if prop is not None:
         _require_keys(prop, {"center", "sigma"}, "mc.proposal.")

@@ -6,7 +6,9 @@ moments for the analytic anchors, a quadrature route for frequency-side
 energies, a standalone split-step evolution for the heat content itself,
 and a closed form and a nested quadrature for the L1 norm of a signed
 mixture.  None of it touches the package's coefficient, grid, sampling or
-norm machinery, so agreement is evidence rather than tautology.
+norm machinery, so agreement is evidence rather than tautology.  The two
+Monte Carlo chunk kernels at the end are the exception: they draw from the
+package's streams and subordinator sampler, and say so.
 """
 
 import math
