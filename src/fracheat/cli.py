@@ -46,9 +46,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .coefficients import MAX_ORDER, coefficient_table
-from .montecarlo import McConfig, _is_finite_real
+from .montecarlo import McConfig
 from .potentials import GaussianMixturePotential, mixture
-from .sampling import RngStream, sampler_selftest
+from .sampling import RngStream, _is_finite_real, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid, _check_alpha
 from .validator import (

@@ -1,37 +1,59 @@
 """Samplers for the isotropic alpha-stable process with CF e^{-t |xi|^alpha}.
 
-The process is realized as subordinated Brownian motion: if S is a one-sided
-beta-stable subordinator increment with Laplace transform
-E exp(-lam S) = exp(-span lam^beta), beta = alpha/2, and Z is standard
-d-dimensional Gaussian, then X = sqrt(2 S) Z has characteristic function
-exp(-span |xi|^alpha).  At alpha = 2 the subordinator degenerates to the
-constant S = span and X is Gaussian with variance 2*span per axis.
+Which law ``sample_increment`` draws, by (alpha, d); ``_direct_law`` is the
+one predicate for the direct cases, and the path kernel reads it too:
 
-S is drawn by Kanter's representation: with U uniform on (0, pi] and W a
-unit exponential,
+- alpha = 2, every d: Gaussian, variance 2 span per axis (d normals).
+- alpha < 2, d = 1: the Chambers-Mallows-Stuck symmetric draw (JASA 71,
+  1976), one uniform and one exponential; at alpha = 1 one uniform only.
+- alpha = 1, d = 2: the radial Cauchy draw, two uniforms.
+- alpha < 2 otherwise (d = 2 at alpha != 1, every d >= 3): subordinated
+  Brownian motion, one Kanter subordinator draw and d normals.
+
+Subordination.  If S is a one-sided beta-stable subordinator increment with
+Laplace transform E exp(-lam S) = exp(-span lam^beta), beta = alpha/2, and Z
+is standard d-dimensional Gaussian, then X = sqrt(2 S) Z has characteristic
+function exp(-span |xi|^alpha).  S is drawn by Kanter's representation:
+with U uniform on (0, pi] and W a unit exponential,
 
     S = sin(beta U) * sin((1-beta) U)^{(1-beta)/beta}
         / (sin(U)^{1/beta} * W^{(1-beta)/beta}),
 
 computed in log space for stability.  beta is capped at 0.975 (alpha at
 1.95 below 2) because the log-sin terms lose precision beyond that; alpha=2
-is handled exactly by the Gaussian branch.
+is handled exactly by the Gaussian branch.  The cap holds for every d.
 
-Precision.  The uniform r and the exponential W are float64 draws, one of
-each per S, and log W, the log-sum and the final exp are float64.  The
-three sines and their logs are float32, whose vectorised sine costs a
-small fraction of the float64 one.  With U = pi v, v = 1 - r, sin U is
-evaluated as sin(pi min(v, r)): it has no cancellation as U -> pi, where
-the float64 formula loses sin U to the rounding of U.  Against the
-all-float64 formula on the same (r, W) the relative error stays below 1e-5
-for beta in [0.25, 0.975] and below 1e-4 at beta = 0.05
-(tests/test_sampling.py, 2e6 draws per beta), far inside the Monte Carlo
-noise of any estimate built on the draws.
+Chambers-Mallows-Stuck.  With phi uniform on (-pi/2, pi/2) and W a unit
+exponential, the span-1 draw is
+
+    X = sin(alpha phi) / cos(phi)^{1/alpha} * (cos((1-alpha) phi) / W)^{(1-alpha)/alpha},
+
+and X = tan(phi) at alpha = 1, which needs no W.
+
+Radial Cauchy.  In d = 2 at alpha = 1, |X| has CDF 1 - 1/sqrt(1 + rho^2),
+so |X| = sqrt(r (2 - r)) / (1 - r) for r uniform on [0, 1), and the angle
+is uniform on [0, 2 pi).
+
+Precision.  Every uniform and exponential is a float64 draw.  Kanter and
+CMS take their sines, cosines and logs in float32, whose vectorised forms
+cost a small fraction of the float64 ones, and keep log W, the log-sum and
+the final exp in float64.  Where an angle reaches the edge of its range the
+sine is reflected so that nothing cancels: Kanter takes sin U as
+sin(pi min(v, r)) with U = pi v, v = 1 - r, and CMS takes cos(phi) as
+sin(pi min(r, 1 - r)) with phi = pi (r - 1/2).  Against the all-float64
+formulas on the same draws (tests/test_sampling.py), the relative error
+stays below 1e-5 for Kanter at beta in [0.25, 0.975] and below 1e-4 at
+beta = 0.05 (2e6 draws per beta), and below 1e-5 for CMS at alpha in
+[0.5, 1.9].  The radial Cauchy radius is float64 and its angle's cosine and
+sine are float32, so each coordinate lies within 1e-6 |X| of the float64
+formula.  All of this is far inside the Monte Carlo noise of any estimate
+built on the draws.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +77,23 @@ BETA_CAP = 0.975
 ALPHA_CAP = 1.95
 # r = 0 (U = pi) would give sin U = 0 and S = inf.  Flooring min(v, r) at
 # 2^-54 keeps sin U >= 1.7e-16, near the 1.2e-16 of the float64 sin(fl(pi)).
+# CMS floors its cos(phi) = sin(pi min(r, 1 - r)) the same way.
 _REFLECTED_FLOOR = np.float32(2.0**-54)
+
+
+def _is_finite_real(val) -> bool:
+    """A finite real number; bool is an int subclass and is not one here."""
+    return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
+
+
+def _check_positive_finite(name: str, val) -> None:
+    if not (_is_finite_real(val) and val > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, got {val}")
+
+
+def _direct_law(alpha: float, d: int) -> bool:
+    """Whether ``sample_increment`` draws (alpha < 2, d) directly: CMS in d = 1, radial Cauchy at alpha = 1 in d = 2."""
+    return alpha < 2.0 and (d == 1 or (d == 2 and alpha == 1.0))
 
 
 class RngStream:
@@ -102,8 +140,7 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if beta > BETA_CAP:
         raise ValueError(f"beta above {BETA_CAP} is numerically unstable; got {beta}")
-    if not span > 0.0:
-        raise ValueError(f"span must be positive, got {span}")
+    _check_positive_finite("span", span)
     gen = _gen(rng)
     n = 1 if size is None else int(size)
     r = gen.random(n)
@@ -134,20 +171,80 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     return float(s[0]) if size is None else s
 
 
+def _cms_symmetric(alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n span-1 symmetric alpha-stable draws (alpha < 2) by Chambers-Mallows-Stuck, phi = pi (r - 1/2).
+
+    e = min(r, 1 - r) and p = r - 1/2 are exact in float64 before their
+    float32 rounding; cos(phi) = sin(pi e), and sin(alpha phi) = sin(alpha pi p)
+    and cos((1 - alpha) phi) = cos((1 - alpha) pi p) carry the sign and the
+    evenness themselves, so r = 1/2 gives X = 0 and no log of 0 is taken.
+    """
+    r = gen.random(n)
+    w = None if alpha == 1.0 else gen.standard_exponential(n)
+    e = np.empty(n, dtype=np.float32)
+    np.subtract(1.0, r, out=e)
+    np.minimum(r, e, out=e)
+    np.maximum(e, _REFLECTED_FLOOR, out=e)
+    e *= np.float32(math.pi)
+    np.sin(e, out=e)
+    p = np.empty(n, dtype=np.float32)
+    np.subtract(r, 0.5, out=p)
+    del r
+    if w is None:
+        # X = tan(phi) = sin(pi p) / sin(pi e)
+        p *= np.float32(math.pi)
+        return np.divide(np.sin(p, out=p), e, dtype=np.float64)
+    # log (X / sin(alpha phi)) = ((1 - alpha) (log cos((1 - alpha) phi) - log W) - log cos(phi)) / alpha
+    np.maximum(w, 1e-300, out=w)
+    np.log(w, out=w)
+    scratch = np.multiply(p, np.float32((1.0 - alpha) * math.pi))
+    np.log(np.cos(scratch, out=scratch), out=scratch)
+    np.subtract(scratch, w, out=w)
+    w *= 1.0 - alpha
+    np.log(e, out=e)
+    w -= e
+    w *= 1.0 / alpha
+    x = np.exp(w, out=w)
+    p *= np.float32(alpha * math.pi)
+    x *= np.sin(p, out=p)
+    return x
+
+
+def _radial_cauchy(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n span-1 isotropic Cauchy draws in d = 2: |X| = sqrt(r (2 - r)) / (1 - r), a uniform angle."""
+    r = gen.random(n)
+    theta = np.multiply(gen.random(n), 2.0 * math.pi, dtype=np.float32)
+    rho = np.subtract(2.0, r)
+    rho *= r
+    np.sqrt(rho, out=rho)
+    np.subtract(1.0, r, out=r)
+    rho /= r
+    del r
+    x = np.empty((n, 2))
+    np.cos(theta, out=x[:, 0])
+    x[:, 0] *= rho
+    np.multiply(rho, np.sin(theta, out=theta), out=x[:, 1])
+    return x
+
+
 def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = None):
-    """Increment(s) of the isotropic process, CF exp(-span |xi|^alpha).
+    """Increment(s) of the isotropic process, CF exp(-span |xi|^alpha), by the law the module docstring names.
 
     Returns shape (d,) for size None, else (size, d).
     """
     _check_sampler_alpha(alpha)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not span > 0.0:
-        raise ValueError(f"span must be positive, got {span}")
+    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = int(d)
+    _check_positive_finite("span", span)
     gen = _gen(rng)
     n = 1 if size is None else int(size)
     if alpha == 2.0:
         x = math.sqrt(2.0 * span) * gen.standard_normal((n, d))
+    elif _direct_law(alpha, d):
+        x = _cms_symmetric(alpha, gen, n)[:, np.newaxis] if d == 1 else _radial_cauchy(gen, n)
+        if span != 1.0:
+            x *= span ** (1.0 / alpha)
     else:
         s = sample_subordinator(alpha / 2.0, span, rng, size=n)
         x = np.sqrt(2.0 * s)[:, np.newaxis] * gen.standard_normal((n, d))
@@ -161,6 +258,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     an infinite moment and raises.
     """
     _check_sampler_alpha(alpha)
+    _check_positive_finite("t", t)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if alpha < 2.0 and gamma >= alpha:

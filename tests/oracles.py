@@ -229,6 +229,19 @@ def kanter_float64(beta: float, span: float, r: np.ndarray, w: np.ndarray) -> np
     return span ** (1.0 / beta) * np.exp(log_s)
 
 
+def cms_float64(alpha: float, span: float, r: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Chambers-Mallows-Stuck symmetric alpha-stable draw from uniforms r and unit exponentials w, all in float64.
+
+    X = span^{1/alpha} sin(alpha phi) / cos(phi)^{1/alpha} (cos((1-alpha) phi) / W)^{(1-alpha)/alpha},
+    phi = pi (r - 1/2); tan(phi) at alpha = 1, where w is not used.
+    """
+    phi = math.pi * (r - 0.5)
+    if alpha == 1.0:
+        return span * np.tan(phi)
+    x = np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha)
+    return span ** (1.0 / alpha) * x
+
+
 def proposal_start(v, d: int) -> tuple[np.ndarray, float]:
     """Center and width of the proposal estimator's start-point density, derived from V.
 
@@ -293,11 +306,13 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
     Unlike the rest of this module this is not an independent route: it
     draws from the package's streams and sampler in the kernel's order (the
     chunk's component choices, start normals and times, then per block of
-    ``block`` paths its subordinator draws and normals), but walks, evaluates
-    and integrates every path of the chunk at once, so that the blocked walk
-    can be held to bit-identity with it.
+    ``block`` paths its increments: span-1 ``sample_increment`` draws in d = 1
+    and at alpha = 1 in d = 2, else subordinator draws and normals), but
+    walks, evaluates and integrates every path of the chunk at once, so that
+    the blocked walk can be held to bit-identity with it.  Which cases are
+    drawn directly is written out here, not read from the package.
     """
-    from fracheat.sampling import RngStream, sample_subordinator
+    from fracheat.sampling import RngStream, sample_increment, sample_subordinator
 
     d, m = v.dimension, cfg.m_steps
     w, a, mu = (np.asarray(x, dtype=float) for x in (v.weights, v.sharpness, v.centers))
@@ -315,6 +330,9 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
         if alpha == 2.0:
             incs[lo:hi] = gen.standard_normal((hi - lo, m, d))
             incs[lo:hi] *= np.sqrt(2.0 * step[lo:hi])[:, np.newaxis, np.newaxis]
+        elif d == 1 or (d == 2 and alpha == 1.0):
+            incs[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+            incs[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
         else:
             s = sample_subordinator(alpha / 2.0, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, 1)
             s *= (2.0 * step[lo:hi] ** (2.0 / alpha))[:, np.newaxis, np.newaxis]

@@ -64,7 +64,7 @@ def test_thread_count_never_changes_the_estimate_across_blocks(alpha, v):
     assert one.standard_error == three.standard_error
 
 
-@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.5, 2.0)))
+@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.0, 1.5, 2.0)))
 def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
     # the block size is part of the draw order, so the reference draws block by
     # block too; everything after the draws runs on whole-chunk arrays there,
@@ -118,10 +118,11 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
 
 
-@pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0)])
-def test_subordinator_draws_are_counted_through_the_module_name(monkeypatch, alpha, draws):
-    # perfbench counts draws by wrapping montecarlo.sample_subordinator; every
-    # path step is one draw at alpha < 2 and the Gaussian branch draws none
+@pytest.mark.parametrize("d, alpha, draws", [(2, 1.5, 34_768 * 64), (1, 1.5, 0), (2, 1.0, 0), (1, 2.0, 0)])
+def test_subordinator_draws_are_counted_through_the_module_name(monkeypatch, d, alpha, draws):
+    # perfbench counts draws by wrapping montecarlo.sample_subordinator; in the
+    # subordinated case every path step is one draw, while the Gaussian branch
+    # and the direct laws (CMS in d = 1, radial Cauchy at alpha = 1 in d = 2) draw none
     sizes = []
 
     def counted(beta, span, rng, size=None):
@@ -129,7 +130,7 @@ def test_subordinator_draws_are_counted_through_the_module_name(monkeypatch, alp
         return sample_subordinator(beta, span, rng, size=size)
 
     monkeypatch.setattr(montecarlo, "sample_subordinator", counted)
-    estimate_heat_content(KERNEL_V[1], alpha, 0.1, McConfig(n_paths=34_768, m_steps=64, seed=3, threads=2))
+    estimate_heat_content(KERNEL_V[d], alpha, 0.1, McConfig(n_paths=34_768, m_steps=64, seed=3, threads=2))
     assert sum(sizes) == draws
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,8 +64,23 @@ def test_subordinator_validation():
     for beta in (0.0, 1.0, -0.2, 0.99):
         with pytest.raises(ValueError):
             sample_subordinator(beta, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_subordinator(0.5, 0.0, rng)
+    for span in (0.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="span"):
+            sample_subordinator(0.5, span, rng)
+
+
+def test_increment_validation():
+    rng = RngStream(0)
+    # an infinite span once gave +-inf draws; every law rejects it before drawing
+    for alpha, d in ((1.5, 1), (1.0, 2), (0.8, 3), (2.0, 1)):
+        for span in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="span"):
+                sample_increment(alpha, d, span, rng, size=3)
+    # d = 2.0 once died with a bare TypeError inside numpy
+    for d in (0, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="d must be"):
+            sample_increment(1.5, d, 1.0, rng, size=3)
+    assert sample_increment(1.5, np.int64(2), 1.0, rng, size=3).shape == (3, 2)
 
 
 @pytest.mark.parametrize("beta, tol", [(0.05, 1e-4), (0.25, 1e-5), (0.5, 1e-5), (0.75, 1e-5), (0.975, 1e-5)])
@@ -76,6 +92,40 @@ def test_subordinator_matches_the_float64_kanter_formula(beta, tol):
     r = gen.random(n)
     ref = oracles.kanter_float64(beta, 0.3, r, gen.standard_exponential(n))
     assert np.max(np.abs(s / ref - 1.0)) <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 1.9])
+def test_cms_matches_the_float64_formula(alpha):
+    # the module docstring's bound: sines, cosines and their logs in float32,
+    # cos(phi) reflected to sin(pi min(r, 1 - r)), log-sum and exp in float64,
+    # within 1e-5 relative of the all-float64 formula at alpha in [0.5, 1.9]
+    n = 2_000_000
+    x = sample_increment(alpha, 1, 0.3, np.random.default_rng(19), size=n)[:, 0]
+    gen = np.random.default_rng(19)
+    r = gen.random(n)
+    ref = oracles.cms_float64(alpha, 0.3, r, None if alpha == 1.0 else gen.standard_exponential(n))
+    assert np.all(np.abs(x - ref) <= 1e-5 * np.abs(ref))
+
+
+def test_cms_at_alpha_one_is_cauchy():
+    x = sample_increment(1.0, 1, 1.0, RngStream(29), size=100_000)[:, 0]
+    assert stats.kstest(x, stats.cauchy.cdf).pvalue > 0.01
+
+
+def test_radial_cauchy_law_in_two_dimensions():
+    # |X| of the isotropic Cauchy law in d = 2 has CDF 1 - 1/sqrt(1 + r^2), and
+    # its angle is uniform; each coordinate is float32-accurate to 1e-6 |X|
+    x = sample_increment(1.0, 2, 1.0, RngStream(31), size=100_000)
+    rho = np.hypot(x[:, 0], x[:, 1])
+    assert stats.kstest(rho, lambda q: 1.0 - 1.0 / np.sqrt(1.0 + q * q)).pvalue > 0.01
+    assert stats.kstest(np.arctan2(x[:, 1], x[:, 0]), stats.uniform(-math.pi, 2.0 * math.pi).cdf).pvalue > 0.01
+    gen = np.random.default_rng(37)
+    y = sample_increment(1.0, 2, 0.3, gen, size=200_000)
+    gen = np.random.default_rng(37)
+    r, theta = gen.random(200_000), 2.0 * math.pi * gen.random(200_000)
+    ref = 0.3 * np.sqrt(r * (2.0 - r)) / (1.0 - r)
+    assert np.all(np.abs(y[:, 0] - ref * np.cos(theta)) <= 1e-6 * ref)
+    assert np.all(np.abs(y[:, 1] - ref * np.sin(theta)) <= 1e-6 * ref)
 
 
 class _ExtremeUniforms(np.random.Generator):
@@ -99,6 +149,35 @@ def test_subordinator_is_finite_and_positive_at_extreme_uniforms(beta):
     assert s[0] > s[1] > 1e14
     ref = oracles.kanter_float64(beta, 1.0, _ExtremeUniforms.R[2:], np.ones(2))
     assert np.allclose(s[2:4], ref, rtol=1e-4)
+
+
+@pytest.mark.parametrize("alpha, d", [(0.5, 1), (0.8, 1), (1.0, 1), (1.5, 1), (1.9, 1), (1.0, 2)])
+def test_direct_laws_are_finite_at_extreme_uniforms(alpha, d):
+    # r = 1/2 is phi = 0, where sin(alpha phi) = 0 must not reach a log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = sample_increment(alpha, d, 1.0, _ExtremeUniforms(np.random.PCG64(0)), size=8)
+    assert np.all(np.isfinite(x))
+    if d == 1:
+        # r = 0, 2^-53, 1/2 and 1 - 2^-53: the two left tails, the center, the right tail
+        assert x[0, 0] < x[1, 0] < -1e6 and x[2, 0] == 0.0 and x[3, 0] > 1e6
+    else:
+        # the radius is 0 at r = 0 and near 2^53 at r = 1 - 2^-53
+        norms = np.hypot(x[:, 0], x[:, 1])
+        assert norms[0] == 0.0 and norms[3] > 1e15
+
+
+def test_direct_laws_consume_their_draws():
+    # CMS: one uniform and one exponential, one uniform only at alpha = 1; radial Cauchy: two uniforms
+    for alpha, d, replay_draws in (
+        (1.5, 1, lambda g: (g.random(1001), g.standard_exponential(1001))),
+        (1.0, 1, lambda g: g.random(1001)),
+        (1.0, 2, lambda g: (g.random(1001), g.random(1001))),
+    ):
+        gen, replay = np.random.default_rng(23), np.random.default_rng(23)
+        sample_increment(alpha, d, 1.0, gen, size=1001)
+        replay_draws(replay)
+        assert gen.bit_generator.state == replay.bit_generator.state, (alpha, d)
 
 
 def test_subordinator_consumes_one_uniform_and_one_exponential_per_draw():
@@ -142,7 +221,7 @@ def test_gaussian_branch_variance():
     assert abs(var - 2 * 0.7) < 4 * se
 
 
-@pytest.mark.parametrize("alpha,d", [(1.5, 1), (0.8, 2)])
+@pytest.mark.parametrize("alpha,d", [(1.5, 1), (0.8, 2), (0.8, 1), (1.0, 1), (1.9, 1), (1.0, 2)])
 def test_increment_characteristic_function(alpha, d):
     x = sample_increment(alpha, d, 1.0, RngStream(9), size=200_000)
     for r in (0.5, 1.0, 2.0):
@@ -209,6 +288,12 @@ def test_moment_estimate_validation():
         moment_estimate(1.5, -0.1, 1.0, 1000, rng)
     with pytest.raises(ValueError):
         moment_estimate(1.5, 0.5, 1.0, 50, rng)
+    # an infinite t once returned mean inf with se nan
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be"):
+            moment_estimate(1.5, 0.5, t, 1000, rng)
+    with pytest.raises(ValueError, match="d must be"):
+        moment_estimate(1.5, 0.5, 1.0, 1000, rng, d=2.0)
 
 
 def test_selftest_all_pass_quickly():
