@@ -135,8 +135,8 @@ def _chunk_summands(
     Draw order and block walk as in the module docstring.  At alpha = 2 the
     per-path scale sqrt(2 U/m) is the one multiply the normals get; a direct
     law's draws are the block's increments and get (U/m)^{1/alpha} in place;
-    in the subordinated case the factor 2 (U/m)^{2/alpha} goes into the subordinator
-    draws before their square root.
+    in the subordinated case the factor 2 (U/m)^{2/alpha} goes into the
+    subordinator draws before their square root.
     """
     d = v.dimension
     m = cfg.m_steps

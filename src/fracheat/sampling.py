@@ -235,7 +235,6 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
     _check_sampler_alpha(alpha)
     if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    d = int(d)
     _check_positive_finite("span", span)
     gen = _gen(rng)
     n = 1 if size is None else int(size)

@@ -238,7 +238,8 @@ def cms_float64(alpha: float, span: float, r: np.ndarray, w: np.ndarray | None) 
     phi = math.pi * (r - 0.5)
     if alpha == 1.0:
         return span * np.tan(phi)
-    x = np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha)
+    x = np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)
+    x *= (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha)
     return span ** (1.0 / alpha) * x
 
 
