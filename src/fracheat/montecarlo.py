@@ -60,6 +60,7 @@ import numpy as np
 from .potentials import GaussianMixturePotential
 from .sampling import (
     RngStream,
+    _check_count,
     _check_positive_finite,
     _check_sampler_alpha,
     _direct_law,
@@ -90,11 +91,8 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "m_steps", "seed", "threads"):
-            val = getattr(self, name)
-            # bool is an int subclass; a numpy integer is stored as the int it holds
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-            object.__setattr__(self, name, int(val))
+            # a numpy integer is stored as the int it holds
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.n_paths < 100:
             raise ValueError(f"n_paths must be >= 100, got {self.n_paths}")
         if self.m_steps < 1:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = ["GaussianMixturePotential", "mixture", "gaussian"]
 
 _SEARCH_POINTS = 64  # per axis, for the coarse grid that seeds max_value
-_BFGS_GTOL = 1e-8  # max_value's BFGS gradient tolerance, relative to lipschitz_constant()
+_NEWTON_GTOL = 1e-8  # max_value's gradient tolerance, relative to lipschitz_constant()
+_NEWTON_STEPS = 200  # cap on max_value's ascent steps
+_BACKTRACKS = 60  # cap on step halvings within one ascent step
 
 # l1_norm of a sign-indefinite V (see GaussianMixturePotential._line_integrals)
 _L1_CELL_WIDTH = 0.25  # inner cell width, in units of 1/sqrt(max a_i)
@@ -34,7 +35,22 @@ _L1_CELL_WIDTH = 0.25  # inner cell width, in units of 1/sqrt(max a_i)
 _GL_X = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
 _GL_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 _L1_GAUSS = np.array([[-x for x in _GL_X[::-1]] + list(_GL_X), list(_GL_W[::-1]) + list(_GL_W)])
-_L1_RTOL = 1e-10  # outer cubature, relative
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21, Piessens et al. 1983),
+# nodes ascending; the 10-point Gauss rule it extends uses every second node.
+_GK_X = (0.995657163025808081, 0.973906528517171720, 0.930157491355708226, 0.865063366688984511,
+         0.780817726586416897, 0.679409568299024406, 0.562757134668604683, 0.433395394129247191,
+         0.294392862701460198, 0.148874338981631211)
+_GK_WK = (0.011694638867371874, 0.032558162307964727, 0.054755896574351996, 0.075039674810919953,
+          0.093125454583697606, 0.109387158802297642, 0.123491976262065851, 0.134709217311473326,
+          0.142775938577060081, 0.147739104901338491, 0.149445554002916906)
+_GK_WG = (0.066671344308688138, 0.149451349150580593, 0.219086362515982044, 0.269266719309996355,
+          0.295524224714752870)
+_GK_NODES = np.array([-x for x in _GK_X] + [0.0] + list(_GK_X[::-1]))
+_GK_KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
+_GK_GAUSS = np.array(_GK_WG + _GK_WG[::-1])  # at _GK_NODES[1::2]
+_L1_RTOL = 1e-10  # outer axes: sum over intervals of |K21 - G10|, relative to the total
+_L1_SPLIT_SHARE = 0.1  # an open integral halves its intervals whose error is at least this share of its largest
+_L1_MAX_INTERVALS = 2000  # per outer integral; l1_norm raises beyond it
 _ROOT_TOL = 1e-12  # Newton stops at steps below this share of the first bracket width
 # The search for a minimum of |V| only has to land between the two roots it separates.
 # A pair closer together than this share of a cell can be missed, which
@@ -132,28 +148,39 @@ class GaussianMixturePotential:
         term = np.empty(base)
         gap = np.empty(base) if self.dimension > 1 else None
         for i in range(self.n_components):
-            np.subtract(pts[..., 0], mu[i, 0], out=term)
-            np.square(term, out=term)
-            for j in range(1, self.dimension):
-                np.subtract(pts[..., j], mu[i, j], out=gap)
-                np.square(gap, out=gap)
-                term += gap
-            term *= -a[i]
-            np.exp(term, out=term)
+            _gaussian_term(pts, mu[i], a[i], term, gap)
             term *= w[i]
             out += term
         return out
 
     def gradient(self, x: object) -> np.ndarray:
-        """grad V at points of shape (..., d); returns shape (..., d)."""
+        """grad V at points of shape (..., d); returns shape (..., d).
+
+        Like `evaluate`, adds one component at a time: besides the output
+        only two base-shape arrays are alive, and no (..., K, d) array is built.
+        """
         pts, base = self._points(x)
+        out = np.zeros(base + (self.dimension,))
         if self.is_zero:
-            return np.zeros(base + (self.dimension,))
+            return out
         w, a, mu = self._arrays()
-        diff = pts[..., np.newaxis, :] - mu
-        diff2 = (diff**2).sum(axis=-1)
-        coeff = -2.0 * w * a * np.exp(-a * diff2)
-        return np.einsum("...i,...ij->...j", coeff, diff)
+        term, gap = np.empty(base), np.empty(base)
+        for i in range(self.n_components):
+            _gaussian_term(pts, mu[i], a[i], term, gap)
+            term *= -2.0 * a[i] * w[i]
+            for j in range(self.dimension):
+                np.subtract(pts[..., j], mu[i, j], out=gap)
+                gap *= term
+                out[..., j] += gap
+        return out
+
+    def _hessian(self, pts: np.ndarray) -> np.ndarray:
+        """Hessian of V at a few points of shape (n, d): sum_i c_i e_i (4 a_i^2 (x - mu_i)(x - mu_i)^T - 2 a_i I)."""
+        w, a, mu = self._arrays()
+        diff = pts[:, np.newaxis, :] - mu
+        e = w * np.exp(-a * (diff**2).sum(axis=-1))
+        hess = np.einsum("nk,nki,nkj->nij", 4.0 * a**2 * e, diff, diff)
+        return hess - 2.0 * (a * e).sum(axis=1)[:, np.newaxis, np.newaxis] * np.eye(self.dimension)
 
     def fourier(self, xi: object) -> np.ndarray:
         """Vhat(xi) = sum_i c_i (pi/a_i)^{d/2} e^{-|xi|^2/(4 a_i)} e^{-i xi.mu_i}."""
@@ -224,43 +251,32 @@ class GaussianMixturePotential:
         A sign-indefinite V is integrated over `_box()`.  The last axis is
         done by `_line_integrals` for a whole batch of points x' of the other
         axes at once; it splits each line at the roots of V, so |V| is smooth
-        on every piece.  In d = 1 that is the whole integral.  For d >= 2 the
-        outer d - 1 axes go through `scipy.integrate.cubature`, whose
-        Gauss-Kronrod error estimate is held to the relative tolerance
-        `_L1_RTOL`.  It refines near the tangencies of {V = 0}, where the
-        line integral behaves like (x' - x0)^{3/2}.  Within one call each
-        distinct outer node gets its line integral once, although `cubature`
-        asks for every Kronrod node twice.
+        on every piece.  In d = 1 that is the whole integral.  For d >= 2
+        each outer axis goes through `_kronrod`, adaptive 21-point
+        Gauss-Kronrod (nested once more in d = 3), held to the relative
+        tolerance `_L1_RTOL`.  It refines near the tangencies of {V = 0},
+        where the line integral behaves like (x' - x0)^{3/2}.
 
         Raises:
-            ValueError: if `cubature` stops before its error estimate meets
-                the tolerance; no unconverged value is returned.
+            ValueError: if an outer integral needs more than
+                `_L1_MAX_INTERVALS` intervals; no unconverged value is returned.
         """
         if self.is_zero:
             return 0.0
         if self.is_nonnegative or self.is_nonpositive:
             return abs(self.integral())
+        return float(self._box_integrals(np.empty((1, 0)))[0])
+
+    def _box_integrals(self, outer: np.ndarray) -> np.ndarray:
+        """int |V(x', y)| dy over the box in the axes after x', for each row x' of `outer` (shape (n, k))."""
         lo, hi = self._box()
-        if self.dimension == 1:
-            return float(self._line_integrals(np.empty((1, 0)), lo[0], hi[0])[0])
-        known: dict[bytes, float] = {}
-
-        def lines(x: np.ndarray) -> np.ndarray:
-            # cubature evaluates a region's Kronrod nodes for its estimate, then
-            # again with the Gauss nodes for its error: each node is done once
-            keys = [row.tobytes() for row in x]
-            fresh = {key: i for i, key in enumerate(keys) if key not in known}
-            if fresh:
-                known.update(zip(fresh, self._line_integrals(x[list(fresh.values())], lo[-1], hi[-1])))
-            return np.array([known[key] for key in keys])
-
-        res = integrate.cubature(lines, lo[:-1], hi[:-1], rtol=_L1_RTOL)
-        if res.status != "converged":
-            raise ValueError(
-                f"l1_norm of a d = {self.dimension} mixture did not converge: "
-                f"error estimate {float(res.error):.3g} for the value {float(res.estimate):.12g}"
-            )
-        return float(res.estimate)
+        axis = outer.shape[1]
+        if axis == self.dimension - 1:
+            return self._line_integrals(outer, lo[axis], hi[axis])
+        return _kronrod(
+            lambda rows, y: self._box_integrals(np.concatenate([outer[rows], y[:, np.newaxis]], axis=1)),
+            len(outer), lo[axis], hi[axis], f"l1_norm of a d = {self.dimension} mixture",
+        )
 
     def _line_integrals(self, outer: np.ndarray, lo: float, hi: float) -> np.ndarray:
         """int_lo^hi |V(x', y)| dy along the last axis, for each row x' of `outer` (shape (n, d - 1)).
@@ -274,28 +290,36 @@ class GaussianMixturePotential:
         sign there, the cell holds a pair of roots (next to a tangency of
         {V = 0}), one on each side of it.  Gauss-Legendre on every piece
         between cell edges and roots then integrates a smooth function.
+
+        Along a line V is the 1-D mixture sum_i W_i e^{-a_i (y - mu_i,d)^2}
+        with row weights W_i = c_i e^{-a_i |x' - mu_i'|^2}.  So the values and
+        slopes at the edges, which every row shares, and the Gauss sums over
+        the cells that hold no root, where |V| has one sign, are products of
+        the (n, K) row weights with per-component tables; only the pieces of
+        the cells that hold a root are summed row by row.
         """
-        n = len(outer)
+        w, a, mu = self._arrays()
+        weights = w * np.exp(-(a * ((outer[:, np.newaxis, :] - mu[:, :-1]) ** 2).sum(axis=-1)))
         cells = math.ceil((hi - lo) * math.sqrt(max(self.sharpness)) / _L1_CELL_WIDTH)
         edges = np.linspace(lo, hi, cells + 1)
 
-        def points(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return np.concatenate([outer[rows], y[:, np.newaxis]], axis=1)
+        def table(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """e^{-a_i (y - mu_i,d)^2} and its derivative in y, shape y.shape + (K,)."""
+            gap = y[..., np.newaxis] - mu[:, -1]
+            e = np.exp(-a * gap**2)
+            return e, -2.0 * a * gap * e
 
         def along(rows: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            pts = points(rows, y)
-            return self.evaluate(pts), self.gradient(pts)[:, -1]
+            e, de = table(y)
+            return (weights[rows] * e).sum(axis=1), (weights[rows] * de).sum(axis=1)
 
-        def slope_at(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return self.gradient(points(rows, y))[:, -1]
-
-        rows, ys = np.repeat(np.arange(n), cells + 1), np.tile(edges, n)
-        val, slope = (u.reshape(n, cells + 1) for u in along(rows, ys))
+        e, de = table(edges)
+        val, slope = weights @ e.T, weights @ de.T
         left, right = val[:, :-1], val[:, 1:]
         r1, c1 = np.nonzero(left * right < 0)
         r2, c2 = np.nonzero((left * right > 0) & (slope[:, :-1] * left < 0) & (slope[:, 1:] * right > 0))
-        low = _bracketed_root(lambda k, y: (slope_at(r2[k], y), None), edges[c2], edges[c2 + 1], slope[r2, c2], _EXTREMUM_TOL)
-        peak = self.evaluate(points(r2, low))
+        low = _bracketed_root(lambda k, y: (along(r2[k], y)[1], None), edges[c2], edges[c2 + 1], slope[r2, c2], _EXTREMUM_TOL)
+        peak = along(r2, low)[0]
         pair = peak * left[r2, c2] < 0
         r2, c2, low, peak = r2[pair], c2[pair], low[pair], peak[pair]
         root_rows = np.concatenate([r1, r2, r2])
@@ -306,18 +330,19 @@ class GaussianMixturePotential:
             np.concatenate([left[r1, c1], left[r2, c2], peak]),
             _ROOT_TOL,
         )
-        piece_rows = np.concatenate([rows, root_rows])
-        ends = np.concatenate([ys, roots])
-        order = np.lexsort((ends, piece_rows))
-        piece_rows, ends = piece_rows[order], ends[order]
-        inside = piece_rows[1:] == piece_rows[:-1]
-        a, b, piece_rows = ends[:-1][inside], ends[1:][inside], piece_rows[:-1][inside]
-        nodes, weights = _L1_GAUSS
-        half = 0.5 * (b - a)
-        y = (0.5 * (a + b))[:, np.newaxis] + half[:, np.newaxis] * nodes
-        x = np.broadcast_to(outer[piece_rows][:, np.newaxis, :], y.shape + (outer.shape[1],))
-        pieces = np.abs(self.evaluate(np.concatenate([x, y[..., np.newaxis]], axis=-1))) @ weights * half
-        return np.bincount(piece_rows, weights=pieces, minlength=n)
+        nodes, gauss = _L1_GAUSS
+        half = 0.5 * np.diff(edges)
+        y = (edges[:-1] + half)[:, np.newaxis] + half[:, np.newaxis] * nodes
+        whole = np.abs(weights @ np.einsum("cjk,j,c->kc", table(y)[0], gauss, half))
+        whole[r1, c1] = whole[r2, c2] = 0.0
+        # the cells that hold a root, cut at their roots: one root, or a pair around `low`
+        one, first, second = np.split(roots, [len(r1), len(r1) + len(r2)])
+        rows = np.concatenate([r1, r1, r2, r2, r2])
+        start = np.concatenate([edges[c1], one, edges[c2], first, second])
+        half = 0.5 * (np.concatenate([one, edges[c1 + 1], first, second, edges[c2 + 1]]) - start)
+        y = (start + half)[:, np.newaxis] + half[:, np.newaxis] * nodes
+        pieces = np.abs((weights[rows][:, np.newaxis, :] * table(y)[0]).sum(axis=-1)) @ gauss * half
+        return whole.sum(axis=1) + np.bincount(rows, weights=pieces, minlength=len(outer))
 
     @functools.lru_cache(maxsize=64)
     def sup_norm(self) -> float:
@@ -326,16 +351,15 @@ class GaussianMixturePotential:
 
     @functools.lru_cache(maxsize=64)
     def max_value(self) -> float:
-        """sup of V itself (signed), by BFGS from several starts.
+        """sup of V itself (signed), by Newton ascent from several starts at once.
 
         With no positive weight the sup is the limit 0 at infinity, returned
         without a search.  Otherwise the starts are the component centers,
         the sharpness-weighted pair midpoints, the |c|-weighted center and the
         largest sample of V on a 64^d tensor grid over the box.  Centers and
         midpoints can be stationary points that are not the maximum, where
-        BFGS never moves; the grid start begins next to the largest sampled
-        value instead.  BFGS stops once |grad V| is below _BFGS_GTOL times
-        the Lipschitz bound, a level the rounded gradient can reach.
+        the ascent never moves; the grid start begins next to the largest
+        sampled value instead.
         """
         if self.is_nonpositive:
             return 0.0
@@ -348,14 +372,7 @@ class GaussianMixturePotential:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         vals = self.evaluate(mesh)
         starts.append(mesh[np.unravel_index(np.argmax(vals), vals.shape)])
-        best = max(float(self.evaluate(s)) for s in starts)
-        fun = lambda x: -float(self.evaluate(x))
-        jac = lambda x: -self.gradient(x)
-        options = {"gtol": _BFGS_GTOL * self.lipschitz_constant(), "maxiter": 200}
-        for s in starts:
-            res = optimize.minimize(fun, np.asarray(s, dtype=float), jac=jac, method="BFGS", options=options)
-            best = max(best, float(self.evaluate(res.x)))
-        return best
+        return float(_newton_ascent(self, np.array(starts))[1].max())
 
     def lipschitz_constant(self) -> float:
         """Upper bound sum_i |c_i| sqrt(2 a_i / e) on |grad V| (exact per component)."""
@@ -373,6 +390,106 @@ class GaussianMixturePotential:
         if lip == 0.0:
             return 0.0
         return float(lip**gamma * (2.0 * self.sup_norm()) ** (1.0 - gamma))
+
+
+def _newton_ascent(v: GaussianMixturePotential, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton ascent of V from each row of x (shape (n, d)); returns the end points, V and |grad V| there.
+
+    A start stops once |grad V| <= _NEWTON_GTOL times the Lipschitz bound, a
+    level the rounded gradient can reach.  The step is Newton's where the
+    analytic Hessian is negative definite.  Elsewhere it is a gradient step
+    with Newton's length on the line through g, capped at the width
+    1/sqrt(2 max a_i) of the sharpest component, which is also its length
+    where V curves up along g.  (On the sphere of maxima of a concentric
+    mixture the Hessian is singular, and the line step still converges
+    quadratically.)  Each step is halved until V does not fall, so V never
+    falls along a run.
+    """
+    x = x.astype(float)
+    val, grad = v.evaluate(x), v.gradient(x)
+    gtol = _NEWTON_GTOL * v.lipschitz_constant()
+    width = 1.0 / math.sqrt(2.0 * max(v.sharpness))
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        live &= np.sqrt((grad**2).sum(axis=1)) > gtol
+        todo = np.flatnonzero(live)
+        if not todo.size:
+            break
+        g, hess = grad[todo], v._hessian(x[todo])
+        # along g, V curves down by kappa |g|^2: Newton's length on that line, at most `width`
+        gnorm = np.sqrt((g**2).sum(axis=1))
+        kappa = -np.einsum("ni,nij,nj->n", g, hess, g) / gnorm**2
+        step = g / np.maximum(kappa, gnorm / width)[:, np.newaxis]
+        newton = np.linalg.eigvalsh(hess)[:, -1] < 0.0
+        step[newton] = np.linalg.solve(-hess[newton], g[newton][..., np.newaxis])[..., 0]
+        left = np.arange(todo.size)
+        for _ in range(_BACKTRACKS):
+            trial = x[todo[left]] + step[left]
+            tv = v.evaluate(trial)
+            up = tv >= val[todo[left]]
+            x[todo[left[up]]], val[todo[left[up]]] = trial[up], tv[up]
+            left = left[~up]
+            if not left.size:
+                break
+            step[left] *= 0.5
+        # where every halved step lowers V, V is as high as rounding lets it go
+        live[todo[left]] = False
+        moved = np.setdiff1d(todo, todo[left])
+        grad[moved] = v.gradient(x[moved])
+    return x, val, np.sqrt((grad**2).sum(axis=1))
+
+
+def _kronrod(fun, n: int, lo: float, hi: float, what: str) -> np.ndarray:
+    """int_lo^hi f_r(y) dy for r = 0..n-1 by adaptive 21-point Gauss-Kronrod, all integrals at once.
+
+    fun(rows, y) returns f_rows(y) for equal-length arrays.  Each round
+    evaluates the nodes of every new interval in one call.  Integral r is
+    done once the sum of |K21 - G10| over its intervals is at most _L1_RTOL
+    times |its total|; until then the intervals with the largest errors
+    (at least _L1_SPLIT_SHARE of its largest) are halved.
+
+    Raises:
+        ValueError: once an open integral holds more than _L1_MAX_INTERVALS
+            intervals; `what` names the integral in the message.
+    """
+    settled = (np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0))
+    fresh = (np.full(n, lo), np.full(n, hi), np.arange(n))
+    while True:
+        a, b, row = fresh
+        half = 0.5 * (b - a)
+        y = (a + half)[:, np.newaxis] + half[:, np.newaxis] * _GK_NODES
+        f = fun(np.repeat(row, _GK_NODES.size), y.ravel()).reshape(y.shape)
+        est = f @ _GK_KRONROD * half
+        err = np.abs(est - f[:, 1::2] @ _GK_GAUSS * half)
+        a, b, row, est, err = (np.concatenate(u) for u in zip(settled, (a, b, row, est, err)))
+        total = np.bincount(row, weights=est, minlength=n)
+        error = np.bincount(row, weights=err, minlength=n)
+        tol = _L1_RTOL * np.abs(total)
+        open_ = error > tol
+        if not open_.any():
+            return total
+        over = open_ & (np.bincount(row, minlength=n) > _L1_MAX_INTERVALS)
+        if over.any():
+            r = int(np.argmax(over))
+            raise ValueError(f"{what} did not converge: error estimate {error[r]:.3g} for the value {total[r]:.12g}")
+        worst = np.zeros(n)
+        np.maximum.at(worst, row, err)
+        split = open_[row] & (err >= _L1_SPLIT_SHARE * worst[row])
+        mid = 0.5 * (a[split] + b[split])
+        fresh = (np.concatenate([a[split], mid]), np.concatenate([mid, b[split]]), np.tile(row[split], 2))
+        settled = tuple(u[~split] for u in (a, b, row, est, err))
+
+
+def _gaussian_term(pts: np.ndarray, center: np.ndarray, sharp: float, term: np.ndarray, gap) -> np.ndarray:
+    """Fill `term` with e^{-sharp |x - center|^2} at pts (..., d); `gap` is scratch like it (None in d = 1)."""
+    np.subtract(pts[..., 0], center[0], out=term)
+    np.square(term, out=term)
+    for j in range(1, pts.shape[-1]):
+        np.subtract(pts[..., j], center[j], out=gap)
+        np.square(gap, out=gap)
+        term += gap
+    term *= -sharp
+    return np.exp(term, out=term)
 
 
 def _bracketed_root(fun, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, tol: float) -> np.ndarray:

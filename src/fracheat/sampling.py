@@ -57,7 +57,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .spectral import _check_alpha
 
@@ -89,6 +88,13 @@ def _is_finite_real(val) -> bool:
 def _check_positive_finite(name: str, val) -> None:
     if not (_is_finite_real(val) and val > 0.0):
         raise ValueError(f"{name} must be a positive finite number, got {val}")
+
+
+def _check_count(name: str, val) -> int:
+    """val as a Python int; a bool (an int subclass), float or any non-integer raises ValueError naming it."""
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return int(val)
 
 
 def _direct_law(alpha: float, d: int) -> bool:
@@ -142,7 +148,7 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
         raise ValueError(f"beta above {BETA_CAP} is numerically unstable; got {beta}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _check_count("size", size)
     r = gen.random(n)
     log_s = gen.standard_exponential(n)
     # U = pi v with v = 1 - r in (0, 1]; sin U is taken as sin(pi min(v, r))
@@ -233,11 +239,11 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
     Returns shape (d,) for size None, else (size, d).
     """
     _check_sampler_alpha(alpha)
-    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 1:
+    if _check_count("d", d) < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _check_count("size", size)
     if alpha == 2.0:
         x = math.sqrt(2.0 * span) * gen.standard_normal((n, d))
     elif _direct_law(alpha, d):
@@ -262,6 +268,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
         raise ValueError("gamma must be positive")
     if alpha < 2.0 and gamma >= alpha:
         raise ValueError(f"E|X_t|^gamma is infinite for gamma = {gamma} >= alpha = {alpha}")
+    n_samples = _check_count("n_samples", n_samples)
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     from .montecarlo import McEstimate
@@ -303,7 +310,7 @@ def levy_cdf(s, span: float) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
     out = np.zeros_like(arr)
     pos = arr > 0.0
-    out[pos] = special.erfc(span / (2.0 * np.sqrt(arr[pos])))
+    out[pos] = [math.erfc(z) for z in (span / (2.0 * np.sqrt(arr[pos]))).tolist()]
     return out
 
 
@@ -311,6 +318,13 @@ def empirical_cf(samples: np.ndarray, xi: np.ndarray) -> complex:
     """Mean of exp(i xi . X) over sample rows."""
     phase = np.asarray(samples) @ np.asarray(xi, dtype=float).reshape(-1)
     return complex(np.exp(1j * phase).mean())
+
+
+def _ks_statistic(samples: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance D = max(D+, D-) of the samples from a vectorised CDF."""
+    f = cdf(np.sort(samples))
+    n = f.size
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max()))
 
 
 @dataclass(frozen=True)
@@ -328,8 +342,6 @@ def sampler_selftest(seed: int = 0, n_cf: int = 1_000_000) -> list[SelftestCheck
     subordinator, the beta = 1/2 closed-form law (KS), Gaussian endpoint
     variance, and the t^{1/alpha} scaling of fractional moments.
     """
-    from scipy import stats
-
     checks: list[SelftestCheck] = []
     stream = 0
     # characteristic function fidelity at |xi| in {0.5, 1, 2}
@@ -357,7 +369,7 @@ def sampler_selftest(seed: int = 0, n_cf: int = 1_000_000) -> list[SelftestCheck
     n_ks = 100_000
     s = sample_subordinator(0.5, 1.0, RngStream(seed, stream), size=n_ks)
     stream += 1
-    ks = float(stats.kstest(s, lambda q: levy_cdf(q, 1.0)).statistic)
+    ks = _ks_statistic(s, lambda q: levy_cdf(q, 1.0))
     crit = 1.6276 / math.sqrt(n_ks)
     checks.append(SelftestCheck("ks beta=0.5", ks, crit, ks < crit))
     # Gaussian endpoint variance: alpha = 2, span = 0.5 -> unit variance

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .potentials import GaussianMixturePotential
 
@@ -216,7 +215,7 @@ def kink_correction(grid: SpectralGrid, beta: float, smooth_at: Callable[[float]
     p0 = float(smooth_at(0.0))
     fdd = (float(smooth_at(delta)) - 2.0 * p0 + float(smooth_at(-delta))) / delta**2
     p1 = 0.5 * fdd + p0
-    exact = p0 * special.gamma((beta + 1.0) / 2.0) + p1 * special.gamma((beta + 3.0) / 2.0)
+    exact = p0 * math.gamma((beta + 1.0) / 2.0) + p1 * math.gamma((beta + 3.0) / 2.0)
     xi = grid.axis_freqs()
     ref = (p0 + p1 * xi**2) * np.exp(-(xi**2)) * symbol_array(grid, beta)
     lattice = float(ref.sum()) * grid.freq_spacing

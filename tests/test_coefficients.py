@@ -210,6 +210,37 @@ def test_t2_exact_matches_series_oracle(unit_gaussian, t):
     )
 
 
+# the three d = 1 mixtures of the benchmark workloads: README, trio, five
+T2_MIXTURES = [
+    mixture([-1.0], [0.0], [1.0]),
+    mixture([0.8, -0.3, 0.5], [-0.5, 0.7, 1.5], [1.5, 0.6, 2.0]),
+    mixture([1.0, 0.5, 0.3, 0.7, 0.2], [-1.0, -0.4, 0.1, 0.6, 1.3], [1.0, 2.0, 0.5, 1.5, 3.0]),
+]
+
+
+@pytest.mark.parametrize("v", T2_MIXTURES)
+def test_t2_exact_matches_adaptive_quadrature(v):
+    from scipy.integrate import quad
+
+    cut = math.sqrt(160.0 * max(v.sharpness))
+    for alpha in (0.5, 0.8, 1.0, 1.5, 2.0):
+        for t in (0.02, 0.2, 1.0):
+            fn = lambda x: float(np.abs(v.fourier(x)) ** 2) * t2_kernel(t * x**alpha)
+            ref = quad(fn, 0.0, cut, limit=300, epsabs=1e-14, epsrel=1e-13)[0] / math.pi
+            assert t2_exact(v, alpha, t) == pytest.approx(ref, rel=1e-12, abs=0), (alpha, t)
+
+
+def test_tanh_sinh_raises_when_the_levels_disagree(monkeypatch):
+    # |x - 1/3|^{-1/2} is integrable, but its interior singularity defeats the rule
+    fn = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
+    monkeypatch.setattr(coefficients, "_TS_LEVELS", 4)
+    with pytest.raises(ValueError, match="tanh-sinh quadrature did not converge"):
+        coefficients._tanh_sinh(fn, 1.0)
+    monkeypatch.undo()
+    # an endpoint kink like t2_exact's |xi|^alpha at 0 is what the rule absorbs
+    assert coefficients._tanh_sinh(lambda x: x**0.3 * np.exp(-x), 50.0) == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
+
+
 def test_grid_refinement_stability():
     v = mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
     coarse, fine = SpectralGrid.default_for(1), SpectralGrid(1, 512, 16.0)

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -26,3 +28,43 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_source_file_imports_scipy():
+    # scipy doubled the import time of the package and 40 MB of its resident memory
+    pattern = re.compile(r"^\s*(?:from\s+scipy\b|import\s+(?:[\w.]+\s*,\s*)*scipy\b)", re.MULTILINE)
+    offenders = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "src").rglob("*.py")) if pattern.search(p.read_text())]
+    assert offenders == []
+
+
+def test_coeffs_and_report_run_without_scipy(tmp_path):
+    # a late or lazy import would hide from the static check; a run of every
+    # path a report takes (t2_exact and max_value in d = 1, l1_norm of a signed
+    # d = 2 mixture) must leave no scipy module loaded
+    configs = [
+        {"dimension": 1, "alpha": 1.5,
+         "potential": [{"weight": 0.8, "center": -0.5, "sharpness": 1.5}, {"weight": -0.3, "center": 0.7, "sharpness": 0.6}],
+         "grid": {"points_per_axis": 128, "half_extent": 12.0}},
+        {"dimension": 2, "alpha": 1.0,
+         "potential": [{"weight": 1.0, "center": [0.0, 0.0], "sharpness": 1.0},
+                       {"weight": -0.6, "center": [0.8, 0.3], "sharpness": 0.7}],
+         "grid": {"points_per_axis": 32, "half_extent": 8.0}},
+    ]
+    for i, cfg in enumerate(configs):
+        cfg.update(t_list=[0.05, 0.1], mc={"n_paths": 2000, "m_steps": 8, "seed": 3},
+                   output={"directory": str(tmp_path / f"out{i}"), "format": "json"})
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys, fracheat, fracheat.cli as cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert cli.main(['coeffs', '--config', path, '--weights']) == 0\n"
+        "    assert cli.main(['report', '--config', path]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    paths = [str(tmp_path / f"{i}.json") for i in range(len(configs))]
+    proc = subprocess.run([sys.executable, "-c", code, *paths], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for i in range(len(configs)):
+        assert (tmp_path / f"out{i}" / "report.json").exists()

@@ -72,6 +72,35 @@ def test_evaluate_peaks_at_three_base_shape_arrays(d):
     assert peak <= 3 * x[..., 0].nbytes + 65536
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_gradient_matches_a_pointwise_loop(d, k):
+    v = _signed_mixture(d, k)
+    rng = np.random.default_rng(7 * d + k)
+    for x, base in ((rng.normal(size=(7, d)), (7,)), (rng.normal(size=(4, 5, d)), (4, 5)), (rng.normal(size=d), ())):
+        got = v.gradient(x)
+        assert got.shape == base + (d,)
+        for p, g in zip(np.reshape(x, (-1, d)), got.reshape(-1, d)):
+            terms = [-2.0 * a * c * math.exp(-a * float(((p - np.array(mu)) ** 2).sum())) * (p - np.array(mu))
+                     for c, mu, a in zip(v.weights, v.centers, v.sharpness)]
+            scale = sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(g - sum(terms)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gradient_peaks_at_its_output_and_two_base_shape_arrays(d):
+    # _line_integrals and max_value's ascent call it on whole batches of points
+    v = _signed_mixture(d, 3)
+    x = np.random.default_rng(0).normal(size=(4000, 65, d))
+    tracemalloc.start()
+    try:
+        v.gradient(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 2 * x[..., 0].nbytes + 65536
+
+
 @given(small_mixture, st.integers(1, 4), st.floats(-3.0, 3.0))
 def test_power_matches_repeated_product(comps, k, x):
     v = build(comps)
@@ -179,17 +208,29 @@ def test_max_value_of_a_nonpositive_mixture_is_zero_without_a_search(v, monkeypa
     "v", [FIVE, TRIO, TRIO.scaled(-1.0), SIGNED_2D, SIGNED_2D.scaled(-1.0), STALL, STALL.scaled(-1.0)]
 )
 def test_max_value_bfgs_runs_end_in_success(v, monkeypatch):
-    # a gradient tolerance below the rounding level ends runs in scipy's "precision loss"
+    # the name predates the Newton ascent; every start's run must end at the
+    # gradient tolerance, a level the rounded gradient can reach
     results = []
-    real = potentials.optimize.minimize
+    real = potentials._newton_ascent
 
-    def recorded(*args, **kwargs):
-        results.append(real(*args, **kwargs))
+    def recorded(*args):
+        results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(potentials.optimize, "minimize", recorded)
-    GaussianMixturePotential.max_value.__wrapped__(v)
-    assert results and all(r.success for r in results), [r.message for r in results if not r.success]
+    monkeypatch.setattr(potentials, "_newton_ascent", recorded)
+    top = GaussianMixturePotential.max_value.__wrapped__(v)
+    (x, vals, grad), = results
+    assert np.all(grad <= potentials._NEWTON_GTOL * v.lipschitz_constant()), grad
+    assert top == vals.max() and np.array_equal(vals, v.evaluate(x))
+
+
+@pytest.mark.parametrize("v", [FIVE, TRIO, SIGNED_2D, STALL, mixture([1.0, -2.0], [(0.3, -0.7, 0.2)] * 2, [0.5, 1.0], dimension=3)])
+def test_newton_ascent_never_lowers_v(v):
+    rng = np.random.default_rng(3)
+    starts = rng.uniform(-2.0, 2.0, size=(12, v.dimension))
+    x, vals, grad = potentials._newton_ascent(v, starts)
+    assert np.all(vals >= v.evaluate(starts))
+    assert np.all(grad <= potentials._NEWTON_GTOL * v.lipschitz_constant())
 
 
 def test_l1_norm_of_signed_mixture_exceeds_integral():
@@ -214,6 +255,13 @@ def test_l1_norm_of_concentric_mixture_matches_the_closed_form(c, a, d):
     center = (0.3, -0.7)[:d]
     v = mixture(list(c), [center, center], list(a), dimension=d)
     assert v.l1_norm() == pytest.approx(oracles.l1_concentric(c, a, d), rel=1e-10)
+
+
+def test_l1_norm_of_a_concentric_mixture_in_three_dimensions():
+    # ROADMAP item 3's mixture; {V = 0} is a sphere, tangent to a circle of lines in each plane
+    c, a = (1.0, -2.0), (0.5, 1.0)
+    v = mixture(list(c), [(0.3, -0.7, 0.2)] * 2, list(a), dimension=3)
+    assert v.l1_norm() == pytest.approx(oracles.l1_concentric(c, a, 3), rel=1e-8)
 
 
 def test_line_gauss_rule_is_numpys_gauss_legendre():
@@ -242,10 +290,11 @@ def test_l1_norm_of_signed_2d_mixture_matches_nquad(v):
 
 
 def test_l1_norm_integrates_each_outer_node_once(monkeypatch):
-    # cubature asks for a region's Kronrod nodes twice, for its estimate and for its error
+    from scipy.integrate import cubature
+
     v = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
     lo, hi = v._box()
-    once = potentials.integrate.cubature(lambda x: v._line_integrals(x, lo[-1], hi[-1]), lo[:-1], hi[:-1], rtol=1e-10)
+    ref = cubature(lambda x: v._line_integrals(x, lo[-1], hi[-1]), lo[:-1], hi[:-1], rtol=1e-10)
     seen = []
     line_integrals = GaussianMixturePotential._line_integrals
     monkeypatch.setattr(
@@ -255,18 +304,27 @@ def test_l1_norm_integrates_each_outer_node_once(monkeypatch):
     )
     got = GaussianMixturePotential.l1_norm.__wrapped__(v)
     assert seen and len(seen) == len(set(seen))
-    assert got == pytest.approx(float(once.estimate), rel=1e-14)
+    assert got == pytest.approx(float(ref.estimate), rel=1e-10)
 
 
 def test_l1_norm_raises_when_cubature_does_not_converge(monkeypatch):
-    import scipy.integrate
-    from types import SimpleNamespace
-
-    stalled = SimpleNamespace(status="not_converged", estimate=np.array(2.5), error=np.array(3e-4))
-    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kwargs: stalled)
+    # the name predates the in-house rule; its interval cap is what stops it now
+    monkeypatch.setattr(potentials, "_L1_MAX_INTERVALS", 4)
     v = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
-    with pytest.raises(ValueError, match=r"d = 2 .* error estimate 0\.0003"):
+    with pytest.raises(ValueError, match=r"l1_norm of a d = 2 mixture did not converge: error estimate \S+ for the value"):
         GaussianMixturePotential.l1_norm.__wrapped__(v)
+
+
+def test_kronrod_rule_extends_the_gauss_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(potentials._GK_NODES[1::2], nodes, rtol=0, atol=1e-15)
+    assert np.allclose(potentials._GK_GAUSS, weights, rtol=0, atol=1e-15)
+    # K21 is exact through degree 31, G10 through degree 19
+    for k in range(32):
+        exact = (1.0 + (-1.0) ** k) / (k + 1)
+        assert potentials._GK_NODES**k @ potentials._GK_KRONROD == pytest.approx(exact, abs=1e-15)
+        if k < 20:
+            assert potentials._GK_NODES[1::2] ** k @ potentials._GK_GAUSS == pytest.approx(exact, abs=1e-15)
 
 
 def test_lipschitz_constant_bounds_max_slope():

@@ -17,6 +17,7 @@ from fracheat import (
     sample_subordinator,
     sampler_selftest,
 )
+from fracheat.sampling import _ks_statistic
 from fracheat.validator import _stable_moment
 
 import oracles
@@ -212,6 +213,35 @@ def test_levy_cdf_closed_form():
     expected = np.zeros(4)
     expected[1:] = special.erfc(1.0 / (2.0 * np.sqrt(s[1:])))
     assert np.allclose(levy_cdf(s, 1.0), expected, atol=1e-15)
+
+
+def test_levy_cdf_and_ks_statistic_match_scipy():
+    # the package computes both without scipy; scipy is the reference here.  The
+    # two erfc differ by up to 1.4e-15 relative near erfc = 0.17, where math.erfc
+    # is the correctly rounded one, so the CDF is compared in absolute terms.
+    s = sample_subordinator(0.5, 1.0, RngStream(6), size=20_000)
+    q = np.concatenate([s, [1e-4, 0.01, 1e6]])
+    ref = special.erfc(1.0 / (2.0 * np.sqrt(q)))
+    assert np.all(np.abs(levy_cdf(q, 1.0) - ref) <= 1e-15)
+    for sample in (s, s[:7], 1.3 * s):
+        got = _ks_statistic(sample, lambda x: levy_cdf(x, 1.0))
+        assert got == pytest.approx(stats.kstest(sample, lambda x: levy_cdf(x, 1.0)).statistic, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("bad", [1000.7, 1000.0, np.float64(1000.0), True, np.bool_(True), "1000"])
+def test_counts_must_be_integers(bad):
+    # a float count was once truncated: moment_estimate(..., 1000.7, g) drew 1000
+    # samples and reported n_samples = 1000.7
+    rng = RngStream(0)
+    with pytest.raises(ValueError, match="size must be an integer"):
+        sample_subordinator(0.5, 1.0, rng, size=bad)
+    with pytest.raises(ValueError, match="size must be an integer"):
+        sample_increment(1.5, 1, 1.0, rng, size=bad)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        moment_estimate(1.5, 0.5, 1.0, bad, rng)
+    est = moment_estimate(1.5, 0.5, 1.0, np.int64(1000), rng)
+    assert est.n_samples == 1000 and type(est.n_samples) is int
+    assert sample_subordinator(0.5, 1.0, rng, size=np.int32(3)).shape == (3,)
 
 
 def test_gaussian_branch_variance():
