@@ -433,8 +433,10 @@ def _newton_ascent(v: GaussianMixturePotential, x: np.ndarray) -> tuple[np.ndarr
                 break
             step[left] *= 0.5
         # where every halved step lowers V, V is as high as rounding lets it go
-        live[todo[left]] = False
-        moved = np.setdiff1d(todo, todo[left])
+        stuck = np.zeros(todo.size, dtype=bool)
+        stuck[left] = True
+        live[todo[stuck]] = False
+        moved = todo[~stuck]
         grad[moved] = v.gradient(x[moved])
     return x, val, np.sqrt((grad**2).sum(axis=1))
 
