@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import GaussianMixturePotential
+from .sampling import _is_finite_real
 from .simplex import weight_A
 from .spectral import (  # perfbench/rep.py wraps these names where they are bound here
     GridField,
@@ -268,6 +269,12 @@ def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> flo
     return (spatial + freq) / 120.0
 
 
+def _check_time(t) -> None:
+    """Reject a t that is negative, non-finite or not a real number (bool included)."""
+    if not (_is_finite_real(t) and t >= 0.0):
+        raise ValueError(f"t must be a nonnegative finite number, got {t!r}")
+
+
 def partial_sum(
     v: GaussianMixturePotential,
     grid: SpectralGrid,
@@ -282,8 +289,7 @@ def partial_sum(
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     out = -t * c_ell(v, grid, alpha, 1, "closed")
     for ell in range(2, n_terms + 1):
         out += (-t) ** ell * c_ell(v, grid, alpha, ell, "closed")
@@ -320,8 +326,7 @@ def t2_exact(
     |xi|^alpha kink at 0; d >= 2 falls back to the frequency lattice.
     """
     _check_alpha(alpha)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     if v.is_zero:
         return 0.0
     if v.dimension == 1:

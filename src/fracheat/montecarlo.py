@@ -24,10 +24,8 @@ which the estimator asserts.  So the variance is finite for every alpha and
 d with no tuning: the start points stay where V lives, and a path that
 jumps far away only shrinks its summand.
 
-By self-similarity the m increments of span U/m are span-1 draws scaled by
-(U/m)^{1/alpha}: sqrt(2 U/m) Z at alpha = 2; ``sample_increment`` at span 1
-where it has a direct law (alpha < 2 in d = 1, alpha = 1 in d = 2); and
-otherwise sqrt(2 S) Z with S from ``sample_subordinator`` at span 1.
+By self-similarity the m increments of span U/m are span-1
+``sample_increment`` draws scaled by (U/m)^{1/alpha}.
 
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into chunks of ``_CHUNK`` paths, each driven by its own seed substream,
@@ -37,15 +35,12 @@ series its own seed.
 
 Within a chunk the draws come in this order: the component choices, the
 start points' normals and the times U for the whole chunk, then block by
-block of ``_BLOCK_POINTS`` // (m + 1) paths the block's increments: its
-``sample_increment`` draws where there is a direct law, else its
-subordinator draws (alpha < 2) and then its normals.  The chunk size and
-the block size are therefore both part of the draw order: changing either
-changes the numbers.  Each block's positions, and its increments where
-they are normals, live in buffers reused for every block; a direct law's
-draws are themselves the block's increments.  Each block draws its own, so
-apart from the per-path vectors (start, U, summand) nothing chunk-sized is
-built: a 32768-path, 64-step chunk in d = 1 peaks at a few MB of traced
+block of ``_BLOCK_POINTS`` // (m + 1) paths the block's span-1 increments.
+The chunk size and the block size are therefore both part of the draw
+order: changing either changes the numbers.  Each block's positions live in
+one buffer reused for every block, and each block draws its own increments,
+so apart from the per-path vectors (start, U, summand) nothing chunk-sized
+is built: a 32768-path, 64-step chunk in d = 1 peaks at a few MB of traced
 memory for every alpha.
 """
 
@@ -63,10 +58,9 @@ from .sampling import (
     _check_count,
     _check_positive_finite,
     _check_sampler_alpha,
-    _direct_law,
     sample_increment,
-    sample_subordinator,
 )
+from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
 
 __all__ = [
     "McConfig",
@@ -130,11 +124,8 @@ def _chunk_summands(
 ) -> np.ndarray:
     """Summands (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) of one chunk's paths, from its own substream.
 
-    Draw order and block walk as in the module docstring.  At alpha = 2 the
-    per-path scale sqrt(2 U/m) is the one multiply the normals get; a direct
-    law's draws are the block's increments and get (U/m)^{1/alpha} in place;
-    in the subordinated case the factor 2 (U/m)^{2/alpha} goes into the
-    subordinator draws before their square root.
+    Draw order and block walk as in the module docstring; each block's
+    span-1 draws get the per-path scale (U/m)^{1/alpha} in place.
     """
     d = v.dimension
     m = cfg.m_steps
@@ -148,8 +139,6 @@ def _chunk_summands(
     del comp
     step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
-    direct = _direct_law(alpha, d)
-    incs = None if direct else np.empty((block, m, d))
     pos = np.empty((block, m + 1, d))
     w = np.empty(n_chunk)
     # e^{-A} may overflow to inf (and 0 * inf to nan); the caller rejects non-finite batches
@@ -157,20 +146,8 @@ def _chunk_summands(
         for lo in range(0, n_chunk, block):
             hi = min(lo + block, n_chunk)
             path = pos[: hi - lo]
-            if direct:
-                inc = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-                inc *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-            elif alpha == 2.0:
-                inc = incs[: hi - lo]
-                gen.standard_normal(out=inc)
-                inc *= np.sqrt(2.0 * step[lo:hi])[:, np.newaxis, np.newaxis]
-            else:
-                inc = incs[: hi - lo]
-                s = sample_subordinator(alpha / 2.0, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, 1)
-                s *= (2.0 * step[lo:hi] ** (2.0 / alpha))[:, np.newaxis, np.newaxis]
-                np.sqrt(s, out=s)
-                gen.standard_normal(out=inc)
-                inc *= s
+            inc = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+            inc *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
             path[:, 0, :] = x0[lo:hi]
             np.cumsum(inc, axis=1, out=path[:, 1:, :])
             path[:, 1:, :] += x0[lo:hi, np.newaxis, :]

@@ -1,7 +1,7 @@
 """Samplers for the isotropic alpha-stable process with CF e^{-t |xi|^alpha}.
 
-Which law ``sample_increment`` draws, by (alpha, d); ``_direct_law`` is the
-one predicate for the direct cases, and the path kernel reads it too:
+Which law ``sample_increment`` draws, by (alpha, d); the path kernel draws
+every increment through it, at span 1:
 
 - alpha = 2, every d: Gaussian, variance 2 span per axis (d normals).
 - alpha < 2, d = 1: the Chambers-Mallows-Stuck symmetric draw (JASA 71,
@@ -95,11 +95,6 @@ def _check_count(name: str, val) -> int:
     if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {val!r}")
     return int(val)
-
-
-def _direct_law(alpha: float, d: int) -> bool:
-    """Whether ``sample_increment`` draws (alpha < 2, d) directly: CMS in d = 1, radial Cauchy at alpha = 1 in d = 2."""
-    return alpha < 2.0 and (d == 1 or (d == 2 and alpha == 1.0))
 
 
 class RngStream:
@@ -245,8 +240,9 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
     gen = _gen(rng)
     n = 1 if size is None else _check_count("size", size)
     if alpha == 2.0:
-        x = math.sqrt(2.0 * span) * gen.standard_normal((n, d))
-    elif _direct_law(alpha, d):
+        x = gen.standard_normal((n, d))
+        x *= math.sqrt(2.0 * span)
+    elif d == 1 or (d == 2 and alpha == 1.0):
         x = _cms_symmetric(alpha, gen, n)[:, np.newaxis] if d == 1 else _radial_cauchy(gen, n)
         if span != 1.0:
             x *= span ** (1.0 / alpha)
@@ -264,8 +260,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     """
     _check_sampler_alpha(alpha)
     _check_positive_finite("t", t)
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    _check_positive_finite("gamma", gamma)
     if alpha < 2.0 and gamma >= alpha:
         raise ValueError(f"E|X_t|^gamma is infinite for gamma = {gamma} >= alpha = {alpha}")
     n_samples = _check_count("n_samples", n_samples)
@@ -307,6 +302,7 @@ def closed_form_density(alpha: float, t: float, x, d: int = 1) -> np.ndarray:
 
 def levy_cdf(s, span: float) -> np.ndarray:
     """CDF of the beta = 1/2 subordinator: F(s) = erfc(span / (2 sqrt(s)))."""
+    _check_positive_finite("span", span)
     arr = np.asarray(s, dtype=float)
     out = np.zeros_like(arr)
     pos = arr > 0.0

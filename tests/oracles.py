@@ -8,7 +8,7 @@ and a closed form and a nested quadrature for the L1 norm of a signed
 mixture.  None of it touches the package's coefficient, grid, sampling or
 norm machinery, so agreement is evidence rather than tautology.  The two
 Monte Carlo chunk kernels at the end are the exception: they draw from the
-package's streams and subordinator sampler, and say so.
+package's streams and samplers, and say so.
 """
 
 import math
@@ -185,13 +185,20 @@ def l1_concentric(c, a, d: int) -> float:
 def l1_nquad(v, epsrel: float) -> float:
     """int |V| over the box of v by nested adaptive quadrature, one Python call per point.
 
-    Slow (seconds in d = 2) and it can fall short of epsrel near the zero set
-    of V, where |V| has a kink that it does not know about.
+    |V| is summed in Python floats, one ``math.exp`` per component, not by the
+    package's ``evaluate``.  Slow (seconds in d = 2) and it can fall short of
+    epsrel near the zero set of V, where |V| has a kink that it does not know
+    about.
     """
     lo, hi = v._box()
-    scale = sum(abs(c) * (math.pi / a) ** (v.dimension / 2.0) for c, a in zip(v.weights, v.sharpness))
+    terms = [(float(c), [float(m) for m in mu], float(a)) for c, mu, a in zip(v.weights, v.centers, v.sharpness)]
+    scale = sum(abs(c) * (math.pi / a) ** (v.dimension / 2.0) for c, _, a in terms)
     opts = {"limit": 80, "epsabs": 1e-10 * scale, "epsrel": epsrel}
-    val, _ = nquad(lambda *x: abs(float(v.evaluate(np.array(x)))), list(zip(lo, hi)), opts=[opts] * v.dimension)
+
+    def abs_v(*x: float) -> float:
+        return abs(sum(c * math.exp(-a * sum((xj - mj) ** 2 for xj, mj in zip(x, mu))) for c, mu, a in terms))
+
+    val, _ = nquad(abs_v, list(zip(lo, hi)), opts=[opts] * v.dimension)
     return val
 
 
@@ -307,13 +314,12 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
     Unlike the rest of this module this is not an independent route: it
     draws from the package's streams and sampler in the kernel's order (the
     chunk's component choices, start normals and times, then per block of
-    ``block`` paths its increments: span-1 ``sample_increment`` draws in d = 1
-    and at alpha = 1 in d = 2, else subordinator draws and normals), but
-    walks, evaluates and integrates every path of the chunk at once, so that
-    the blocked walk can be held to bit-identity with it.  Which cases are
-    drawn directly is written out here, not read from the package.
+    ``block`` paths its span-1 ``sample_increment`` draws, scaled by
+    (U/m)^{1/alpha}), but walks, evaluates and integrates every path of the
+    chunk at once, so that the blocked walk can be held to bit-identity with
+    it.
     """
-    from fracheat.sampling import RngStream, sample_increment, sample_subordinator
+    from fracheat.sampling import RngStream, sample_increment
 
     d, m = v.dimension, cfg.m_steps
     w, a, mu = (np.asarray(x, dtype=float) for x in (v.weights, v.sharpness, v.centers))
@@ -328,17 +334,8 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
     incs = np.empty((n_chunk, m, d))
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
-        if alpha == 2.0:
-            incs[lo:hi] = gen.standard_normal((hi - lo, m, d))
-            incs[lo:hi] *= np.sqrt(2.0 * step[lo:hi])[:, np.newaxis, np.newaxis]
-        elif d == 1 or (d == 2 and alpha == 1.0):
-            incs[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-            incs[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-        else:
-            s = sample_subordinator(alpha / 2.0, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, 1)
-            s *= (2.0 * step[lo:hi] ** (2.0 / alpha))[:, np.newaxis, np.newaxis]
-            incs[lo:hi] = gen.standard_normal((hi - lo, m, d))
-            incs[lo:hi] *= np.sqrt(s)
+        incs[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+        incs[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
     pos = np.empty((n_chunk, m + 1, d))
     pos[:, 0, :] = x0
     np.cumsum(incs, axis=1, out=pos[:, 1:, :])

@@ -175,6 +175,11 @@ def test_partial_sum_assembles_signed_powers(grid1):
         assert partial_sum(v, grid1, 1.5, n_terms, t) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
         partial_sum(v, grid1, 1.5, 0, t)
+    assert partial_sum(v, grid1, 1.5, 3, 0.0) == 0.0
+    # a nan or infinite t once returned nan, and True was taken as t = 1
+    for bad in (-0.1, math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValueError, match="t must be a nonnegative finite number"):
+            partial_sum(v, grid1, 1.5, 3, bad)
     # c_ell holds the order cap, so N = MAX_ORDER + 1 is rejected by the route itself
     with pytest.raises(RouteUnavailable, match=f"ell <= {MAX_ORDER}"):
         partial_sum(v, grid1, 1.5, MAX_ORDER + 1, t)
@@ -208,6 +213,12 @@ def test_t2_exact_matches_series_oracle(unit_gaussian, t):
     assert t2_exact(unit_gaussian, 2.0, t) == pytest.approx(
         oracles.t2_series_unit_gaussian(t), abs=1e-9
     )
+    # a nan or infinite t once returned nan in d = 2, and in d = 1 raised a
+    # quadrature error; True was taken as t = 1
+    for v in (unit_gaussian, gaussian(center=(0.0, 0.0))):
+        for bad in (-t, math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match="t must be a nonnegative finite number"):
+                t2_exact(v, 2.0, bad)
 
 
 # the three d = 1 mixtures of the benchmark workloads: README, trio, five

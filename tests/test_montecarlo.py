@@ -15,6 +15,7 @@ from fracheat import (
     mixture,
     montecarlo,
     sample_increment,
+    sampling,
     t2_exact,
 )
 from fracheat.cli import resolve_config
@@ -120,17 +121,17 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
 
 @pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0), (1.0, 0)])
 def test_subordinator_draws_are_counted_through_the_module_name(monkeypatch, alpha, draws):
-    # perfbench counts draws by wrapping montecarlo.sample_subordinator; in
-    # d = 2 at alpha < 2, alpha != 1 every path step is one draw, while the
-    # Gaussian branch and the direct laws (CMS in d = 1, radial Cauchy at
-    # alpha = 1 in d = 2) draw none through that name
+    # the kernel draws every increment through sample_increment, which looks
+    # sample_subordinator up in sampling: in d = 2 at alpha < 2, alpha != 1
+    # every path step is one draw, while the Gaussian law and the direct laws
+    # (CMS in d = 1, radial Cauchy at alpha = 1 in d = 2) draw none
     sizes = []
 
     def counted(beta, span, rng, size=None):
         sizes.append(size)
         return sample_subordinator(beta, span, rng, size=size)
 
-    monkeypatch.setattr(montecarlo, "sample_subordinator", counted)
+    monkeypatch.setattr(sampling, "sample_subordinator", counted)
     for d, expected in ((2, draws), (1, 0)):
         sizes.clear()
         estimate_heat_content(KERNEL_V[d], alpha, 0.1, McConfig(n_paths=34_768, m_steps=64, seed=3, threads=2))
@@ -167,7 +168,7 @@ def test_zero_potential_has_zero_variance(grid1):
 def test_exponent_integral_is_trapezoid_rule():
     # rebuild the estimator's single chunk from its stream, in its draw order:
     # component choice, start point, time U, then block by block the span-1
-    # increments (subordinator, then normals), scaled by (U/m)^{1/alpha}.  A is
+    # sample_increment draws, scaled by (U/m)^{1/alpha}.  A is
     # the trapezoid rule on [0, U], each path adds (t^2/2) Z (V/g)(x0) e^-A V(X_U)
     # with g the |c_i|-weighted mixture, and t int V is subtracted at the end
     v = mixture([1.0, -0.4], [0.0, 0.8], [1.0, 0.5])

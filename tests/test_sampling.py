@@ -213,6 +213,10 @@ def test_levy_cdf_closed_form():
     expected = np.zeros(4)
     expected[1:] = special.erfc(1.0 / (2.0 * np.sqrt(s[1:])))
     assert np.allclose(levy_cdf(s, 1.0), expected, atol=1e-15)
+    # a negative span once gave levy_cdf([1.0], -1.0) = 1.52
+    for span in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="span must be a positive finite number"):
+            levy_cdf(s, span)
 
 
 def test_levy_cdf_and_ks_statistic_match_scipy():
@@ -316,6 +320,10 @@ def test_moment_estimate_validation():
         moment_estimate(1.5, 1.6, 1.0, 1000, rng)
     with pytest.raises(ValueError):
         moment_estimate(1.5, -0.1, 1.0, 1000, rng)
+    # a nan gamma once returned mean nan, and an infinite one at alpha = 2 mean inf with se nan
+    for alpha, gamma in ((1.5, math.nan), (2.0, math.nan), (2.0, math.inf), (2.0, True)):
+        with pytest.raises(ValueError, match="gamma must be a positive finite number"):
+            moment_estimate(alpha, gamma, 1.0, 1000, rng)
     with pytest.raises(ValueError):
         moment_estimate(1.5, 0.5, 1.0, 50, rng)
     # an infinite t once returned mean inf with se nan
