@@ -145,8 +145,6 @@ def resolve_config(raw: dict) -> RunConfig:
         pot = mixture(weights, centers, sharps, dimension=dim)
     except ValueError as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
-    if pot.dimension != dim:
-        raise ConfigError(f"potential centers have dimension {pot.dimension}, expected {dim}")
 
     gsec = _get(raw, "grid", dict, "", default={})
     _require_keys(gsec, {"points_per_axis", "half_extent"}, "grid.")

@@ -37,11 +37,11 @@ Within a chunk the draws come in this order: the component choices, the
 start points' normals and the times U for the whole chunk, then block by
 block of ``_BLOCK_POINTS`` // (m + 1) paths the block's span-1 increments.
 The chunk size and the block size are therefore both part of the draw
-order: changing either changes the numbers.  Each block's positions live in
-one buffer reused for every block, and each block draws its own increments,
-so apart from the per-path vectors (start, U, summand) nothing chunk-sized
-is built: a 32768-path, 64-step chunk in d = 1 peaks at a few MB of traced
-memory for every alpha.
+order: changing either changes the numbers.  A block holds one (B, m, d)
+array, its draws turned into the positions X_1..X_m in place, and V(x0) is
+evaluated once per chunk, so apart from the per-path vectors (start, V(x0),
+U, summand) nothing chunk-sized is built: a 32768-path, 64-step chunk in
+d = 1 peaks at a few MB of traced memory for every alpha.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 _CHUNK = 32768
-# positions per block of paths: a (B, m + 1, 1) float64 block is 512 kB, so
-# the block's buffers and evaluate's temporaries stay in a 2 MB L2 at d = 1
+# B = _BLOCK_POINTS // (m + 1) paths per block, part of the draw order: the
+# block's (B, m, 1) float64 array and evaluate's temporaries fit a 2 MB L2 at d = 1
 _BLOCK_POINTS = 2**16
 
 
@@ -125,7 +125,8 @@ def _chunk_summands(
     """Summands (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) of one chunk's paths, from its own substream.
 
     Draw order and block walk as in the module docstring; each block's
-    span-1 draws get the per-path scale (U/m)^{1/alpha} in place.
+    span-1 draws become its positions in place: scaled per path by
+    (U/m)^{1/alpha}, summed along the path and shifted by x0.
     """
     d = v.dimension
     m = cfg.m_steps
@@ -138,23 +139,21 @@ def _chunk_summands(
     x0 += mu[comp]
     del comp
     step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
+    v0 = v.evaluate(x0)
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
-    pos = np.empty((block, m + 1, d))
     w = np.empty(n_chunk)
     # e^{-A} may overflow to inf (and 0 * inf to nan); the caller rejects non-finite batches
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_chunk, block):
             hi = min(lo + block, n_chunk)
-            path = pos[: hi - lo]
-            inc = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-            inc *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-            path[:, 0, :] = x0[lo:hi]
-            np.cumsum(inc, axis=1, out=path[:, 1:, :])
-            path[:, 1:, :] += x0[lo:hi, np.newaxis, :]
+            path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+            path *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
+            np.cumsum(path, axis=1, out=path)
+            path += x0[lo:hi, np.newaxis, :]
             vals = v.evaluate(path)
-            a_u = step[lo:hi] * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-            w[lo:hi] = vals[:, 0] * vals[:, -1] * np.exp(-a_u)
-        w *= 0.5 * t * t * float(mass.sum()) / g.evaluate(x0)
+            a_u = step[lo:hi] * (vals.sum(axis=1) + 0.5 * (v0[lo:hi] - vals[:, -1]))
+            w[lo:hi] = vals[:, -1] * np.exp(-a_u)
+        w *= 0.5 * t * t * float(mass.sum()) * v0 / g.evaluate(x0)
     return w
 
 

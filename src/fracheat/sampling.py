@@ -102,7 +102,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         for name, val in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(val, (int, np.integer)) or val < 0 or val >= 2**64:
+            if not 0 <= _check_count(name, val) < 2**64:
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {val}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
@@ -281,8 +281,7 @@ def closed_form_density(alpha: float, t: float, x, d: int = 1) -> np.ndarray:
     alpha = 2: (4 pi t)^{-d/2} exp(-|x|^2 / (4 t));
     alpha = 1: Gamma((d+1)/2) / pi^{(d+1)/2} * t / (t^2 + |x|^2)^{(d+1)/2}.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    _check_positive_finite("t", t)
     pts = np.asarray(x, dtype=float)
     if d == 1:
         if pts.ndim and pts.shape[-1] == 1:

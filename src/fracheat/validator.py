@@ -33,6 +33,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
+from .sampling import _check_count
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
@@ -125,7 +126,7 @@ def estimate_series(
 
 def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
     """The report's own ranges: 1 <= n_max <= MAX_ORDER and, when given, 0 < gamma < min(1, alpha)."""
-    if not 1 <= n_max <= MAX_ORDER:
+    if not 1 <= _check_count("n_max", n_max) <= MAX_ORDER:
         raise ValueError(f"n_max must lie in 1..{MAX_ORDER}, got {n_max}")
     if gamma is not None and not 0.0 < gamma < min(1.0, alpha):
         raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")

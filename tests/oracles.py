@@ -317,7 +317,8 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
     ``block`` paths its span-1 ``sample_increment`` draws, scaled by
     (U/m)^{1/alpha}), but walks, evaluates and integrates every path of the
     chunk at once, so that the blocked walk can be held to bit-identity with
-    it.
+    it.  The positions X_1..X_m are built in place in the draws' array, and
+    V(x0) is both the trapezoid's left end and the numerator of V/g.
     """
     from fracheat.sampling import RngStream, sample_increment
 
@@ -331,18 +332,17 @@ def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
     x0 /= np.sqrt(2.0 * a)[comp, np.newaxis]
     x0 += mu[comp]
     step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
-    incs = np.empty((n_chunk, m, d))
+    pos = np.empty((n_chunk, m, d))
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
-        incs[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-        incs[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-    pos = np.empty((n_chunk, m + 1, d))
-    pos[:, 0, :] = x0
-    np.cumsum(incs, axis=1, out=pos[:, 1:, :])
-    pos[:, 1:, :] += x0[:, np.newaxis, :]
+        pos[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+        pos[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
+    np.cumsum(pos, axis=1, out=pos)
+    pos += x0[:, np.newaxis, :]
+    v0 = v.evaluate(x0)
     vals = v.evaluate(pos)
-    a_u = step * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-    out = vals[:, 0] * vals[:, -1] * np.exp(-a_u)
+    a_u = step * (vals.sum(axis=1) + 0.5 * (v0 - vals[:, -1]))
+    out = vals[:, -1] * np.exp(-a_u)
     g = sum(abs(c) * np.exp(-ai * ((x0 - mi) ** 2).sum(axis=1)) for c, ai, mi in zip(w, a, mu))
-    out *= 0.5 * t * t * float(mass.sum()) / g
+    out *= 0.5 * t * t * float(mass.sum()) * v0 / g
     return out

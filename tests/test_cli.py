@@ -71,6 +71,9 @@ def test_config_validation_errors(tmp_path):
     scalar_2d = {"dimension": 2, "potential": [{"weight": 1.0, "center": 0.7, "sharpness": 1.0}]}
     with pytest.raises(ConfigError, match=r"potential\[0\]\.center"):
         load_config(write_config(tmp_path, scalar_2d))
+    pair_1d = {"dimension": 1, "potential": [{"weight": 1.0, "center": [0.0, 1.0], "sharpness": 1.0}]}
+    with pytest.raises(ConfigError, match="invalid potential"):
+        load_config(write_config(tmp_path, pair_1d))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

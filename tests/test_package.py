@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -35,6 +36,19 @@ def test_no_source_file_imports_scipy():
     pattern = re.compile(r"^\s*(?:from\s+scipy\b|import\s+(?:[\w.]+\s*,\s*)*scipy\b)", re.MULTILINE)
     offenders = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "src").rglob("*.py")) if pattern.search(p.read_text())]
     assert offenders == []
+
+
+def test_only_the_cli_prints():
+    # the library returns values and raises; writing to the terminal is the CLI's job
+    def calls_print(path: Path) -> bool:
+        return any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    sources = sorted((ROOT / "src" / "fracheat").rglob("*.py"))
+    assert any(p.name == "cli.py" and calls_print(p) for p in sources)
+    assert [str(p.relative_to(ROOT)) for p in sources if p.name != "cli.py" and calls_print(p)] == []
 
 
 def test_coeffs_and_report_run_without_scipy(tmp_path):

@@ -38,6 +38,10 @@ def test_rng_stream_validation():
         RngStream(2**64)
     with pytest.raises(ValueError):
         RngStream(0, -2)
+    # bool is an int subclass: True would otherwise draw as seed 1 or stream 1
+    for args in ((True,), (0, True), (np.True_,)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(*args)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.75])
@@ -275,6 +279,10 @@ def test_closed_form_densities():
         closed_form_density(1.5, 0.5, x)
     with pytest.raises(ValueError):
         closed_form_density(1.0, 0.0, x)
+    # unchecked, an infinite t would give nan at alpha = 1 and zeros at alpha = 2, and True would be t = 1
+    for alpha, t in ((1.0, math.inf), (2.0, math.inf), (1.0, True)):
+        with pytest.raises(ValueError, match="t must be a positive finite number"):
+            closed_form_density(alpha, t, [0.0, 1.0])
 
 
 def test_closed_form_density_two_dimensional():

@@ -228,3 +228,7 @@ def test_expansion_report_validation(grid1, unit_gaussian):
         expansion_report(unit_gaussian, 2.0, [0.1, 0.2, 0.4, 1.1], cfg, grid=grid1, n_max=6)
     with pytest.raises(ValueError):
         expansion_report(unit_gaussian, 2.0, [0.1, 0.2, 0.4, 1.1], cfg, grid=grid1, gamma=1.5)
+    # a bool n_max would run as N = 1 and a float one die in range()
+    for n_max in (True, 2.0):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            expansion_report(unit_gaussian, 2.0, [0.1, 0.2, 0.4], cfg, grid=grid1, n_max=n_max)
