@@ -48,9 +48,9 @@ from ._version import __version__
 from .coefficients import MAX_ORDER, coefficient_table
 from .montecarlo import McConfig
 from .potentials import GaussianMixturePotential, mixture
-from .sampling import RngStream, _is_finite_real, sampler_selftest
+from .sampling import RngStream, _check_alpha, _is_finite_real, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
-from .spectral import SpectralGrid, _check_alpha
+from .spectral import SpectralGrid
 from .validator import (
     _check_report_limits,
     estimate_series,

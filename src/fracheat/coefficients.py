@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import GaussianMixturePotential
-from .sampling import _is_finite_real
+from .sampling import _check_alpha, _check_count, _is_finite_real
 from .simplex import weight_A
 from .spectral import (  # perfbench/rep.py wraps these names where they are bound here
     GridField,
     SpectralGrid,
-    _check_alpha,
     _real_part,
     apply_fractional_laplacian,
     forward_transform,
@@ -64,8 +63,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 5  # the highest order l of C_l implemented on both routes
-# t2_exact in d = 1: tanh-sinh nodes at u = k h for |u| <= _TS_SPAN, whose end nodes
-# lie within b e^{-pi sinh 3.5} ~ 3e-23 b of the ends of [0, b].  h halves from 1/2
+# _pair_integral's radial rule: tanh-sinh nodes at u = k h for |u| <= _TS_SPAN, whose end
+# nodes lie within b e^{-pi sinh 3.5} ~ 3e-23 b of the ends of [0, b].  h halves from 1/2
 # until two estimates agree to _TS_RTOL, at most _TS_LEVELS times.
 _TS_SPAN = 3.5
 _TS_RTOL = 1e-13
@@ -287,7 +286,7 @@ def partial_sum(
     c_ell rejects an order above MAX_ORDER.  The route is passed as
     c3_closed..c5_closed pass it, so all of them share c_ell's cache entries.
     """
-    if n_terms < 1:
+    if _check_count("n_terms", n_terms) < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     _check_time(t)
     out = -t * c_ell(v, grid, alpha, 1, "closed")
@@ -312,32 +311,55 @@ def t2_kernel(u) -> np.ndarray:
     return float(out) if np.ndim(u) == 0 else out
 
 
-def t2_exact(
-    v: GaussianMixturePotential,
-    alpha: float,
-    t: float,
-    grid: SpectralGrid | None = None,
-) -> float:
+def t2_exact(v: GaussianMixturePotential, alpha: float, t: float) -> float:
     """T_2(t) = (2 pi)^{-d} int |vhat(xi)|^2 psi(t |xi|^alpha) dxi.
 
     The exact t^2 profile: Q(t) = -t int V + t^2 T_2(t) + R_3 with
-    |R_3| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}.  d = 1 integrates
-    on [0, cut] by tanh-sinh quadrature (`_tanh_sinh`), which absorbs the
-    |xi|^alpha kink at 0; d >= 2 falls back to the frequency lattice.
+    |R_3| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}.  One radial pair
+    integral (`_pair_integral`) in every d, so no lattice enters it.
     """
     _check_alpha(alpha)
     _check_time(t)
+    return _pair_integral(v, lambda r: t2_kernel(t * r**alpha))
+
+
+def _bessel_j0(z) -> np.ndarray:
+    """J_0(z) = (1/pi) int_0^pi cos(z sin th) dth by the midpoint rule on M = floor(max z) + 32 nodes;
+    the integrand is smooth and pi-periodic, so the rule errs by about 2 |J_{2M}(z)|."""
+    z = np.asarray(z, dtype=float)
+    m = int(z.max(initial=0.0)) + 32
+    sines = np.sin((np.arange(m) + 0.5) * (math.pi / m))
+    return np.cos(z[..., np.newaxis] * sines).mean(axis=-1)
+
+
+# d -> (J_d, the mean of e^{i xi.delta} over |xi| = r as a function of z = r |delta|; (2 pi)^d / |S^{d-1}|)
+_SPHERE = {1: (np.cos, math.pi), 2: (_bessel_j0, 2.0 * math.pi), 3: (lambda z: np.sinc(z / math.pi), 2.0 * math.pi**2)}
+
+
+def _pair_integral(v: GaussianMixturePotential, f) -> float:
+    """(2 pi)^{-d} int |vhat(xi)|^2 f(|xi|) dxi as one radial tanh-sinh integral; f takes an array of radii.
+
+    The sphere mean of |vhat|^2 at |xi| = r is sum_{i<=j} (2 - delta_ij) c_i c_j (pi^2/(a_i a_j))^{d/2}
+    e^{-b_ij r^2} J_d(r |mu_i - mu_j|), b_ij = 1/(4 a_i) + 1/(4 a_j), with J_d = cos, J_0, sinc in
+    d = 1, 2, 3.  Beyond r = sqrt(160 max a) every e^{-b_ij r^2} is below e^{-80}.  The rule
+    absorbs a kink of f at r = 0, such as that of |xi|^alpha, so no lattice or kink correction enters.
+    """
     if v.is_zero:
         return 0.0
-    if v.dimension == 1:
-        a_max = max(v.sharpness)
-        cut = math.sqrt(2.0 * a_max * 80.0)
-        fn = lambda x: np.abs(v.fourier(x)) ** 2 * t2_kernel(t * x**alpha)
-        return _tanh_sinh(fn, cut) / math.pi
-    if grid is None:
-        grid = SpectralGrid.default_for(v.dimension)
-    dens = np.abs(lattice_fields(v, grid, alpha).vhat) ** 2 * t2_kernel(t * grid.freq_norms() ** alpha)
-    return weighted_freq_sum(grid, dens, 0.0)
+    d = v.dimension
+    w, a, mu = v._arrays()
+    i, j = np.triu_indices(len(w))
+    amp = np.where(i == j, 1.0, 2.0) * w[i] * w[j] * (math.pi**2 / (a[i] * a[j])) ** (d / 2.0)
+    b = 0.25 / a[i] + 0.25 / a[j]
+    gap = np.sqrt(((mu[i] - mu[j]) ** 2).sum(axis=1))
+    mean, scale = _SPHERE[d]
+
+    def radial(r: np.ndarray) -> np.ndarray:
+        col = r[:, np.newaxis]
+        pairs = amp * np.exp(-b * col**2) * mean(col * gap)
+        return r ** (d - 1) * f(r) * pairs.sum(axis=1)
+
+    return _tanh_sinh(radial, math.sqrt(160.0 * a.max())) / scale
 
 
 def _tanh_sinh(fn, b: float) -> float:

@@ -58,8 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _check_alpha
-
 __all__ = [
     "RngStream",
     "sample_subordinator",
@@ -88,6 +86,12 @@ def _is_finite_real(val) -> bool:
 def _check_positive_finite(name: str, val) -> None:
     if not (_is_finite_real(val) and val > 0.0):
         raise ValueError(f"{name} must be a positive finite number, got {val}")
+
+
+def _check_alpha(alpha) -> None:
+    """The one range check on alpha, the order of F = (-Delta)^{alpha/2}; a bool is not a number here."""
+    if not (_is_finite_real(alpha) and 0.0 < alpha <= 2.0):
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
 def _check_count(name: str, val) -> int:

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import GaussianMixturePotential
+from .sampling import _check_alpha, _check_count, _is_finite_real
 
 __all__ = [
     "SpectralGrid",
@@ -60,12 +61,12 @@ class SpectralGrid:
     half_extent: float
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2, 3):
+        if _check_count("dimension", self.dimension) not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        n = self.points_per_axis
+        n = _check_count("points_per_axis", self.points_per_axis)
         if n < 16 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 16, got {n}")
-        if not (self.half_extent > 0 and math.isfinite(self.half_extent)):
+        if not (_is_finite_real(self.half_extent) and self.half_extent > 0):
             raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
 
     @classmethod
@@ -167,12 +168,6 @@ def symbol_array(grid: SpectralGrid, beta: float) -> np.ndarray:
         out = np.where(norms > 0.0, norms, 1.0) ** beta
     out[norms == 0.0] = 0.0
     return out
-
-
-def _check_alpha(alpha: float) -> None:
-    """The one range check on alpha, the order of F = (-Delta)^{alpha/2}."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
 def apply_fractional_laplacian(spec: GridField, alpha: float, power: int = 1) -> GridField:

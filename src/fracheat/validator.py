@@ -33,7 +33,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
-from .sampling import _check_count
+from .sampling import _check_count, _check_positive_finite
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
@@ -114,8 +114,12 @@ def estimate_series(
 
     One estimate per time must not reuse another time's random streams, or
     residual noise would be correlated across the order-fit abscissae.
+    Each time must be a positive finite real number (a bool or a string is not).
     """
-    ts = sorted(float(t) for t in t_list)
+    times = list(t_list)
+    for t in times:
+        _check_positive_finite("t", t)
+    ts = sorted(float(t) for t in times)
     if not ts:
         raise ValueError("t_list is empty")
     return [
@@ -186,7 +190,6 @@ def _check_rows(
     alpha: float,
     t: float,
     est: McEstimate,
-    grid: SpectralGrid | None,
     gamma: float | None,
 ) -> list[tuple[str, float, float, float, str]]:
     """(name, value, lower, upper, note) of every bound one estimate must meet.
@@ -211,7 +214,7 @@ def _check_rows(
     b2 = _remainder(v, t, 2)
     rows.append((f"first-order remainder t={t:g}", q + t * vol, -b2, b2, ""))
     b3 = _remainder(v, t, 3)
-    ref = -t * vol + t**2 * t2_exact(v, alpha, t, grid)
+    ref = -t * vol + t**2 * t2_exact(v, alpha, t)
     rows.append((f"exact-t2 consistency t={t:g}", q - ref, -b3, b3, ""))
     if gamma is not None:
         r = gamma / alpha
@@ -227,11 +230,11 @@ def t2_consistency_check(
     alpha: float,
     t: float,
     est: McEstimate,
-    grid: SpectralGrid | None = None,
     k: float = 3.0,
 ) -> BoundCheck:
-    """The report's exact-t2 consistency check of one estimate, at k se."""
-    row = next(r for r in _check_rows(v, alpha, t, est, grid, None) if r[0].startswith("exact-t2"))
+    """The report's exact-t2 consistency check of one estimate, at k se; T_2 comes from
+    `t2_exact`, whose radial pair integral reads no lattice in any d."""
+    row = next(r for r in _check_rows(v, alpha, t, est, None) if r[0].startswith("exact-t2"))
     return _bound(*row, est.standard_error, k)
 
 
@@ -339,7 +342,7 @@ def expansion_report(
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
     series = estimate_series(v, alpha, t_list, cfg)
-    bounds = [_check_rows(v, alpha, t, est, grid, gamma) for t, est in series]
+    bounds = [_check_rows(v, alpha, t, est, gamma) for t, est in series]
     k = se_factor(sum(len(b) for b in bounds))
     rows = []
     for (t, est), checks in zip(series, bounds):

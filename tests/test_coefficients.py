@@ -154,6 +154,16 @@ def test_argument_validation(grid1):
         cnk_fourier(v, grid1, 1.5, -1, 2)
     with pytest.raises(ValueError):
         cnk_fourier(v, grid1, 1.5, 1, 1)
+    # a bool alpha once ran as alpha = 1; a numpy float is a real number and passes
+    for call in (lambda a: c_ell(v, grid1, a, 3), lambda a: t2_exact(v, a, 0.1)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
+            call(True)
+        call(np.float64(1.5))
+    # a bool n_terms once ran as N = 1, and a float one died in range()
+    for n_terms in (True, 2.5):
+        with pytest.raises(ValueError, match="n_terms must be an integer"):
+            partial_sum(v, grid1, 1.5, n_terms, 0.1)
+    assert partial_sum(v, grid1, 1.5, np.int64(3), 0.1) == partial_sum(v, grid1, 1.5, 3, 0.1)
 
 
 def test_zero_potential_coefficients_vanish(grid1):
@@ -221,24 +231,45 @@ def test_t2_exact_matches_series_oracle(unit_gaussian, t):
                 t2_exact(v, 2.0, bad)
 
 
-# the three d = 1 mixtures of the benchmark workloads: README, trio, five
+# the four mixtures of the benchmark workloads (README, trio, five in d = 1,
+# the signed d = 2 mixture) and two d = 3 mixtures
 T2_MIXTURES = [
     mixture([-1.0], [0.0], [1.0]),
     mixture([0.8, -0.3, 0.5], [-0.5, 0.7, 1.5], [1.5, 0.6, 2.0]),
     mixture([1.0, 0.5, 0.3, 0.7, 0.2], [-1.0, -0.4, 0.1, 0.6, 1.3], [1.0, 2.0, 0.5, 1.5, 3.0]),
+    mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2),
+    mixture([1.0, -0.6], [(0.0, 0.0, 0.0), (0.8, 0.3, -0.5)], [1.0, 0.7], dimension=3),
+    mixture([0.8, -0.3, 0.5], [(0.0, 0.0, 0.0), (0.7, 0.2, -0.4), (1.5, -1.0, 0.3)], [1.5, 0.6, 2.0], dimension=3),
 ]
+# d = 1: quadrature of |vhat|^2; d = 2: nested polar quadrature of |vhat|^2, which
+# reduces nothing over component pairs; d = 3: the pair form by scipy quadrature
+T2_ORACLES = {1: oracles.t2_quad_1d, 2: oracles.t2_polar_2d, 3: oracles.t2_pair_quad}
 
 
 @pytest.mark.parametrize("v", T2_MIXTURES)
 def test_t2_exact_matches_adaptive_quadrature(v):
-    from scipy.integrate import quad
-
-    cut = math.sqrt(160.0 * max(v.sharpness))
     for alpha in (0.5, 0.8, 1.0, 1.5, 2.0):
         for t in (0.02, 0.2, 1.0):
-            fn = lambda x: float(np.abs(v.fourier(x)) ** 2) * t2_kernel(t * x**alpha)
-            ref = quad(fn, 0.0, cut, limit=300, epsabs=1e-14, epsrel=1e-13)[0] / math.pi
+            ref = T2_ORACLES[v.dimension](v, alpha, t)
             assert t2_exact(v, alpha, t) == pytest.approx(ref, rel=1e-12, abs=0), (alpha, t)
+
+
+def test_t2_exact_builds_no_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("t2_exact read the lattice")
+
+    monkeypatch.setattr(coefficients, "lattice_fields", refuse)
+    for d in (1, 2, 3):
+        v = gaussian(center=(0.0,) * d)
+        assert t2_exact(v, 1.5, 0.1) == pytest.approx(oracles.t2_pair_quad(v, 1.5, 0.1), rel=1e-12, abs=0), d
+
+
+def test_bessel_j0_matches_scipy():
+    # z up to 200 covers every r |mu_i - mu_j| the tests reach; the node count
+    # follows the largest z of each call, so one call per range checks that choice
+    for hi in (1.0, 20.0, 200.0):
+        z = np.linspace(0.0, hi, 4001)
+        assert np.max(np.abs(coefficients._bessel_j0(z) - oracles.j0(z))) < 1e-14, hi
 
 
 def test_tanh_sinh_raises_when_the_levels_disagree(monkeypatch):

@@ -306,6 +306,12 @@ def test_config_validation(unit_gaussian):
     assert all(type(getattr(numpy_ints, f)) is int for f in ("n_paths", "m_steps", "seed", "threads"))
     with pytest.raises(ValueError):
         estimate_heat_content(unit_gaussian, 2.5, 0.1, McConfig(n_paths=1000))
+    # a bool alpha once ran as alpha = 1; a numpy float is a real number and passes
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
+        estimate_heat_content(unit_gaussian, True, 0.1, McConfig(n_paths=1000))
+    assert estimate_heat_content(unit_gaussian, np.float64(2.0), 0.1, McConfig(n_paths=1000)) == (
+        estimate_heat_content(unit_gaussian, 2.0, 0.1, McConfig(n_paths=1000))
+    )
     for t in (0.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="t must be"):
             estimate_heat_content(unit_gaussian, 2.0, t, McConfig(n_paths=1000))

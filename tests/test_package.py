@@ -31,6 +31,15 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_library_example_runs():
+    # no other test runs the README's example, so an API change could break it unnoticed
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_source_file_imports_scipy():
     # scipy doubled the import time of the package and 40 MB of its resident memory
     pattern = re.compile(r"^\s*(?:from\s+scipy\b|import\s+(?:[\w.]+\s*,\s*)*scipy\b)", re.MULTILINE)

@@ -127,9 +127,14 @@ def test_grid_validation():
         SpectralGrid(1, 8, 10.0)
     with pytest.raises(ValueError):
         SpectralGrid(1, 64, -1.0)
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, True, "16"):
         with pytest.raises(ValueError, match="half_extent"):
             SpectralGrid(1, 64, bad)
+    # a float count once reached every table's grid descriptor as N=256.0, and a bool dimension ran as d = 1
+    for field, args in (("points_per_axis", (1, 256.0, 16.0)), ("points_per_axis", (1, True, 16.0)), ("dimension", (True, 64, 8.0))):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SpectralGrid(*args)
+    assert SpectralGrid(1, np.int64(64), np.float64(8.0)).descriptor == SpectralGrid(1, 64, 8.0).descriptor
 
 
 def test_field_shape_validation(grid1):

@@ -232,3 +232,7 @@ def test_expansion_report_validation(grid1, unit_gaussian):
     for n_max in (True, 2.0):
         with pytest.raises(ValueError, match="n_max must be an integer"):
             expansion_report(unit_gaussian, 2.0, [0.1, 0.2, 0.4], cfg, grid=grid1, n_max=n_max)
+    # a string time once ran as float("0.1") and a bool one as t = 1
+    for bad in ("0.1", True, 0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be a positive finite number"):
+            expansion_report(unit_gaussian, 2.0, [0.1, bad, 0.4], cfg, grid=grid1)
