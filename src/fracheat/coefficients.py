@@ -77,7 +77,7 @@ class RouteUnavailable(ValueError):
 
 def c0k(v: GaussianMixturePotential, k: int) -> float:
     """C_{0,k} = (1/k!) int V^k, exact through the mixture algebra."""
-    if k < 2:
+    if _check_count("k", k) < 2:
         raise ValueError("c0k requires k >= 2")
     return v.power(k).integral() / math.factorial(k)
 
@@ -210,7 +210,8 @@ def cnk_closed(
 # -- assembled coefficients --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
+# typed: True and 1 (or 1 and 1.0) are distinct keys, so no cache hit skips the checks on alpha and ell
+@functools.lru_cache(maxsize=256, typed=True)
 def c_ell(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int, route: str = "closed"
 ) -> float:
@@ -220,7 +221,7 @@ def c_ell(
     (d = 1 for l >= 4).
     """
     _check_alpha(alpha)
-    if ell < 1:
+    if _check_count("ell", ell) < 1:
         raise ValueError("need ell >= 1")
     if ell > MAX_ORDER:
         raise RouteUnavailable(f"coefficients are implemented for ell <= {MAX_ORDER}, got {ell}")

@@ -53,13 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .potentials import GaussianMixturePotential
-from .sampling import (
-    RngStream,
-    _check_count,
-    _check_positive_finite,
-    _check_sampler_alpha,
-    sample_increment,
-)
+from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
 
 __all__ = [
@@ -166,7 +160,7 @@ def estimate_heat_content(
     0 with zero variance (every summand vanishes identically, so no paths are
     drawn).
     """
-    _check_sampler_alpha(alpha)
+    _check_alpha(alpha)
     _check_positive_finite("t", t)
     if v.is_zero:
         return McEstimate(0.0, 0.0, cfg.n_paths)

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .sampling import _check_count, _is_finite_real
+
 __all__ = ["GaussianMixturePotential", "mixture", "gaussian"]
 
 _SEARCH_POINTS = 64  # per axis, for the coarse grid that seeds max_value
@@ -73,21 +75,22 @@ class GaussianMixturePotential:
     sharpness: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2, 3):
+        if _check_count("dimension", self.dimension) not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if not (len(self.weights) == len(self.centers) == len(self.sharpness)):
             raise ValueError("weights, centers and sharpness must have equal length")
+        # a bool is an int subclass and would count as 1; _is_finite_real refuses it
         for mu in self.centers:
             if len(mu) != self.dimension:
                 raise ValueError(f"center {mu} does not have dimension {self.dimension}")
-            if not all(math.isfinite(u) for u in mu):
-                raise ValueError(f"center coordinates must be finite, got {mu}")
+            if not all(_is_finite_real(u) for u in mu):
+                raise ValueError(f"center coordinates must be finite real numbers, got {mu}")
         for a in self.sharpness:
-            if not (a > 0 and math.isfinite(a)):
-                raise ValueError(f"sharpness must be positive and finite, got {a}")
+            if not (_is_finite_real(a) and a > 0):
+                raise ValueError(f"sharpness must be positive and finite, got {a!r}")
         for c in self.weights:
-            if not math.isfinite(c):
-                raise ValueError(f"weight must be finite, got {c}")
+            if not _is_finite_real(c):
+                raise ValueError(f"weight must be a finite real number, got {c!r}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -204,7 +207,7 @@ class GaussianMixturePotential:
         exp(-(sum e_i a_i |mu_i|^2 - a |mu|^2)); the exponent is evaluated as
         sum_{i<j} e_i a_i e_j a_j |mu_i - mu_j|^2 / a, which has no cancellation.
         """
-        if k < 1:
+        if _check_count("k", k) < 1:
             raise ValueError("power requires k >= 1")
         if k == 1 or self.is_zero:
             return self
@@ -538,20 +541,17 @@ def mixture(
         centers: component centers; scalars or length-d sequences.
         sharpness: component sharpness a_i > 0.
         dimension: required when there are no components; inferred otherwise.
+
+    Only finite real numbers are converted to float; anything else (a bool, a
+    string, nan) reaches the constructor as given, which names its field.
     """
-    cents: list[tuple[float, ...]] = []
-    for mu in centers:
-        if np.ndim(mu) == 0:
-            cents.append((float(mu),))
-        else:
-            cents.append(tuple(float(u) for u in mu))
+    num = lambda u: float(u) if _is_finite_real(u) else u
+    cents = [(num(mu),) if np.ndim(mu) == 0 else tuple(map(num, mu)) for mu in centers]
     if dimension is None:
         if not cents:
             raise ValueError("dimension is required for the empty mixture")
         dimension = len(cents[0])
-    return GaussianMixturePotential(
-        dimension, tuple(float(c) for c in weights), tuple(cents), tuple(float(a) for a in sharpness)
-    )
+    return GaussianMixturePotential(dimension, tuple(map(num, weights)), tuple(cents), tuple(map(num, sharpness)))
 
 
 def gaussian(weight: float = 1.0, center: object = 0.0, sharpness: float = 1.0) -> GaussianMixturePotential:

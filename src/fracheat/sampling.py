@@ -19,9 +19,8 @@ with U uniform on (0, pi] and W a unit exponential,
     S = sin(beta U) * sin((1-beta) U)^{(1-beta)/beta}
         / (sin(U)^{1/beta} * W^{(1-beta)/beta}),
 
-computed in log space for stability.  beta is capped at 0.975 (alpha at
-1.95 below 2) because the log-sin terms lose precision beyond that; alpha=2
-is handled exactly by the Gaussian branch.  The cap holds for every d.
+computed in log space for stability.  alpha = 2 is handled exactly by the
+Gaussian branch.
 
 Chambers-Mallows-Stuck.  With phi uniform on (-pi/2, pi/2) and W a unit
 exponential, the span-1 draw is
@@ -37,21 +36,27 @@ is uniform on [0, 2 pi).
 Precision.  Every uniform and exponential is a float64 draw.  Kanter and
 CMS take their sines, cosines and logs in float32, whose vectorised forms
 cost a small fraction of the float64 ones, and keep log W, the log-sum and
-the final exp in float64.  Where an angle reaches the edge of its range the
-sine is reflected so that nothing cancels: Kanter takes sin U as
-sin(pi min(v, r)) with U = pi v, v = 1 - r, and CMS takes cos(phi) as
-sin(pi min(r, 1 - r)) with phi = pi (r - 1/2).  Against the all-float64
-formulas on the same draws (tests/test_sampling.py), the relative error
-stays below 1e-5 for Kanter at beta in [0.25, 0.975] and below 1e-4 at
-beta = 0.05 (2e6 draws per beta), and below 1e-5 for CMS at alpha in
-[0.5, 1.9].  The radial Cauchy radius is float64 and its angle's cosine and
-sine are float32, so each coordinate lies within 1e-6 |X| of the float64
-formula.  All of this is far inside the Monte Carlo noise of any estimate
-built on the draws.
+the final exp in float64.  Every trig argument that can come near pi is
+taken from the uniform's distance to the end of its range, so that no small
+sine is read off a float32 angle near pi.  Kanter, with U = pi v and
+v = 1 - r, takes sin U as sin(pi min(v, r)) and sin(beta U) as
+sin(pi min(beta v, (1 - beta) + beta r)); the two arguments in each min sum
+to 1.  CMS, with phi = pi p, p = r - 1/2 and e = min(r, 1 - r), takes
+cos(phi) as sin(pi e), sin(alpha phi) as
+sign(p) sin(pi min(alpha |p|, (1 - alpha/2) + alpha e)) and
+cos((1 - alpha) phi) as sin(pi ((1 - k)/2 + k e)) with k = |1 - alpha|.
+Against the all-float64 formulas on the same draws (tests/test_sampling.py),
+the relative error stays below 1e-5 for Kanter at beta in [0.25, 0.9999]
+and below 1e-4 at beta = 0.05 (2e6 draws per beta), and below 1e-5 for CMS
+at alpha in [0.5, 1.999].  The radial Cauchy radius is float64 and its
+angle's cosine and sine are float32, so each coordinate lies within
+1e-6 |X| of the float64 formula.  All of this is far inside the Monte Carlo
+noise of any estimate built on the draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -70,8 +75,6 @@ __all__ = [
     "SelftestCheck",
 ]
 
-BETA_CAP = 0.975
-ALPHA_CAP = 1.95
 # r = 0 (U = pi) would give sin U = 0 and S = inf.  Flooring min(v, r) at
 # 2^-54 keeps sin U >= 1.7e-16, near the 1.2e-16 of the float64 sin(fl(pi)).
 # CMS floors its cos(phi) = sin(pi min(r, 1 - r)) the same way.
@@ -80,6 +83,8 @@ _REFLECTED_FLOOR = np.float32(2.0**-54)
 
 def _is_finite_real(val) -> bool:
     """A finite real number; bool is an int subclass and is not one here."""
+    if type(val) is float:  # the common case, ahead of the far slower isinstance check against an abstract class
+        return math.isfinite(val)
     return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
 
 
@@ -122,16 +127,6 @@ def _gen(rng) -> np.random.Generator:
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)}")
 
 
-def _check_sampler_alpha(alpha: float) -> None:
-    """`_check_alpha`, and also reject (ALPHA_CAP, 2), where the subordinator loses precision."""
-    _check_alpha(alpha)
-    if ALPHA_CAP < alpha < 2.0:
-        raise ValueError(
-            f"alpha in ({ALPHA_CAP}, 2) is numerically unstable in the subordinator; "
-            "use alpha = 2 exactly for the Gaussian endpoint"
-        )
-
-
 def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     """One-sided stable draw(s) with E exp(-lam S) = exp(-span lam^beta).
 
@@ -143,8 +138,6 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if beta > BETA_CAP:
-        raise ValueError(f"beta above {BETA_CAP} is numerically unstable; got {beta}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
     n = 1 if size is None else _check_count("size", size)
@@ -164,11 +157,15 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     np.log(np.sin(scratch, out=scratch), out=scratch)
     np.subtract(scratch, log_s, out=log_s)
     log_s *= 1.0 - beta
+    # sin(beta U) = sin(pi min(beta v, (1 - beta) + beta r)), its reflected argument taken from m before m is scaled
+    np.multiply(m, np.float32(beta * math.pi), out=scratch)
+    scratch += np.float32((1.0 - beta) * math.pi)
     m *= np.float32(math.pi)
     np.log(np.sin(m, out=m), out=m)
     log_s -= m
     log_s *= 1.0 / beta
     v *= np.float32(beta * math.pi)
+    np.minimum(v, scratch, out=v)
     np.log(np.sin(v, out=v), out=v)
     log_s += v
     s = np.exp(log_s, out=log_s)
@@ -180,9 +177,9 @@ def _cms_symmetric(alpha: float, gen: np.random.Generator, n: int) -> np.ndarray
     """n span-1 symmetric alpha-stable draws (alpha < 2) by Chambers-Mallows-Stuck, phi = pi (r - 1/2).
 
     e = min(r, 1 - r) and p = r - 1/2 are exact in float64 before their
-    float32 rounding; cos(phi) = sin(pi e), and sin(alpha phi) = sin(alpha pi p)
-    and cos((1 - alpha) phi) = cos((1 - alpha) pi p) carry the sign and the
-    evenness themselves, so r = 1/2 gives X = 0 and no log of 0 is taken.
+    float32 rounding, and every angle is taken from them as the module
+    docstring says; sin(alpha phi) carries the sign of p, so r = 1/2 gives
+    X = 0 and no log of 0 is taken.
     """
     r = gen.random(n)
     w = None if alpha == 1.0 else gen.standard_exponential(n)
@@ -190,28 +187,36 @@ def _cms_symmetric(alpha: float, gen: np.random.Generator, n: int) -> np.ndarray
     np.subtract(1.0, r, out=e)
     np.minimum(r, e, out=e)
     np.maximum(e, _REFLECTED_FLOOR, out=e)
-    e *= np.float32(math.pi)
-    np.sin(e, out=e)
     p = np.empty(n, dtype=np.float32)
     np.subtract(r, 0.5, out=p)
     del r
     if w is None:
         # X = tan(phi) = sin(pi p) / sin(pi e)
+        e *= np.float32(math.pi)
         p *= np.float32(math.pi)
-        return np.divide(np.sin(p, out=p), e, dtype=np.float64)
+        return np.divide(np.sin(p, out=p), np.sin(e, out=e), dtype=np.float64)
     # log (X / sin(alpha phi)) = ((1 - alpha) (log cos((1 - alpha) phi) - log W) - log cos(phi)) / alpha
     np.maximum(w, 1e-300, out=w)
     np.log(w, out=w)
-    scratch = np.multiply(p, np.float32((1.0 - alpha) * math.pi))
-    np.log(np.cos(scratch, out=scratch), out=scratch)
+    k = abs(1.0 - alpha)
+    scratch = np.multiply(e, np.float32(k * math.pi))
+    scratch += np.float32(0.5 * (1.0 - k) * math.pi)
+    np.log(np.sin(scratch, out=scratch), out=scratch)
     np.subtract(scratch, w, out=w)
     w *= 1.0 - alpha
-    np.log(e, out=e)
+    # the reflected argument of sin(alpha |phi|), from e before e is scaled
+    np.multiply(e, np.float32(alpha * math.pi), out=scratch)
+    scratch += np.float32((1.0 - 0.5 * alpha) * math.pi)
+    e *= np.float32(math.pi)
+    np.log(np.sin(e, out=e), out=e)
     w -= e
     w *= 1.0 / alpha
     x = np.exp(w, out=w)
-    p *= np.float32(alpha * math.pi)
-    x *= np.sin(p, out=p)
+    np.abs(p, out=e)
+    e *= np.float32(alpha * math.pi)
+    np.minimum(e, scratch, out=e)
+    np.sin(e, out=e)
+    x *= np.copysign(e, p, out=e)
     return x
 
 
@@ -237,7 +242,7 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
 
     Returns shape (d,) for size None, else (size, d).
     """
-    _check_sampler_alpha(alpha)
+    _check_alpha(alpha)
     if _check_count("d", d) < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_positive_finite("span", span)
@@ -262,7 +267,7 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     Returns a mean/standard-error record; gamma >= alpha with alpha < 2 has
     an infinite moment and raises.
     """
-    _check_sampler_alpha(alpha)
+    _check_alpha(alpha)
     _check_positive_finite("t", t)
     _check_positive_finite("gamma", gamma)
     if alpha < 2.0 and gamma >= alpha:
@@ -285,6 +290,9 @@ def closed_form_density(alpha: float, t: float, x, d: int = 1) -> np.ndarray:
     alpha = 2: (4 pi t)^{-d/2} exp(-|x|^2 / (4 t));
     alpha = 1: Gamma((d+1)/2) / pi^{(d+1)/2} * t / (t^2 + |x|^2)^{(d+1)/2}.
     """
+    _check_alpha(alpha)
+    if _check_count("d", d) < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_positive_finite("t", t)
     pts = np.asarray(x, dtype=float)
     if d == 1:
@@ -339,52 +347,45 @@ def sampler_selftest(seed: int = 0, n_cf: int = 1_000_000) -> list[SelftestCheck
 
     Covers: CF fidelity across alpha and d, the Laplace transform of the
     subordinator, the beta = 1/2 closed-form law (KS), Gaussian endpoint
-    variance, and the t^{1/alpha} scaling of fractional moments.
+    variance, the t^{1/alpha} scaling of fractional moments, then CF and
+    Laplace checks near alpha = 2.  Each draw takes the next stream, so a
+    check appended at the end leaves every earlier one's draws alone.
     """
     checks: list[SelftestCheck] = []
-    stream = 0
-    # characteristic function fidelity at |xi| in {0.5, 1, 2}
+    streams = itertools.count()
+    rng = lambda: RngStream(seed, next(streams))
+    check = lambda name, stat, thr: checks.append(SelftestCheck(name, stat, thr, stat < thr))
+
+    def cf(alpha: float, d: int) -> None:
+        # characteristic function fidelity at |xi| in {0.5, 1, 2}
+        x = sample_increment(alpha, d, 1.0, rng(), size=n_cf)
+        for r in (0.5, 1.0, 2.0):
+            err = abs(empirical_cf(x, r * np.eye(d)[0]) - math.exp(-(r**alpha)))
+            check(f"cf alpha={alpha} d={d} |xi|={r}", err, 4.0 / math.sqrt(n_cf))
+
+    def laplace(beta: float) -> None:
+        # E exp(-S) = exp(-1) at span 1
+        vals = np.exp(-sample_subordinator(beta, 1.0, rng(), size=n_cf))
+        check(f"laplace beta={beta}", abs(float(vals.mean()) - math.exp(-1.0)), 4.0 * float(vals.std(ddof=1)) / math.sqrt(n_cf))
+
     for alpha in (0.8, 1.0, 1.5, 2.0):
         for d in (1, 2):
-            x = sample_increment(alpha, d, 1.0, RngStream(seed, stream), size=n_cf)
-            stream += 1
-            for r in (0.5, 1.0, 2.0):
-                xi = np.zeros(d)
-                xi[0] = r
-                err = abs(empirical_cf(x, xi) - math.exp(-(r**alpha)))
-                checks.append(
-                    SelftestCheck(
-                        f"cf alpha={alpha} d={d} |xi|={r}", err, 4.0 / math.sqrt(n_cf), err < 4.0 / math.sqrt(n_cf)
-                    )
-                )
-    # Laplace transform of the subordinator at beta = 0.75
-    s = sample_subordinator(0.75, 1.0, RngStream(seed, stream), size=n_cf)
-    stream += 1
-    vals = np.exp(-s)
-    err = abs(float(vals.mean()) - math.exp(-1.0))
-    tol = 4.0 * float(vals.std(ddof=1)) / math.sqrt(n_cf)
-    checks.append(SelftestCheck("laplace beta=0.75", err, tol, err < tol))
+            cf(alpha, d)
+    laplace(0.75)
     # KS against the closed-form beta = 1/2 law
     n_ks = 100_000
-    s = sample_subordinator(0.5, 1.0, RngStream(seed, stream), size=n_ks)
-    stream += 1
-    ks = _ks_statistic(s, lambda q: levy_cdf(q, 1.0))
-    crit = 1.6276 / math.sqrt(n_ks)
-    checks.append(SelftestCheck("ks beta=0.5", ks, crit, ks < crit))
+    s = sample_subordinator(0.5, 1.0, rng(), size=n_ks)
+    check("ks beta=0.5", _ks_statistic(s, lambda q: levy_cdf(q, 1.0)), 1.6276 / math.sqrt(n_ks))
     # Gaussian endpoint variance: alpha = 2, span = 0.5 -> unit variance
-    x = sample_increment(2.0, 1, 0.5, RngStream(seed, stream), size=n_cf)
-    stream += 1
-    var = float(x[:, 0].var(ddof=1))
-    tol = 4.0 * math.sqrt(2.0 / (n_cf - 1))
-    checks.append(SelftestCheck("variance alpha=2 span=0.5", abs(var - 1.0), tol, abs(var - 1.0) < tol))
+    x = sample_increment(2.0, 1, 0.5, rng(), size=n_cf)
+    check("variance alpha=2 span=0.5", abs(float(x[:, 0].var(ddof=1)) - 1.0), 4.0 * math.sqrt(2.0 / (n_cf - 1)))
     # moment scaling: E|X_4|^gamma = 4^{gamma/alpha} E|X_1|^gamma
     for alpha, gamma in ((2.0, 1.0), (1.5, 0.5), (1.0, 0.4)):
-        m1 = moment_estimate(alpha, gamma, 1.0, n_cf, RngStream(seed, stream))
-        m4 = moment_estimate(alpha, gamma, 4.0, n_cf, RngStream(seed, stream + 1))
-        stream += 2
-        ratio = m4.mean / (4.0 ** (gamma / alpha) * m1.mean)
+        m1, m4 = (moment_estimate(alpha, gamma, t, n_cf, rng()) for t in (1.0, 4.0))
         rel = math.sqrt((m1.standard_error / m1.mean) ** 2 + (m4.standard_error / m4.mean) ** 2)
-        checks.append(
-            SelftestCheck(f"scaling alpha={alpha} gamma={gamma}", abs(ratio - 1.0), 3.0 * rel, abs(ratio - 1.0) < 3.0 * rel)
-        )
+        check(f"scaling alpha={alpha} gamma={gamma}", abs(m4.mean / (4.0 ** (gamma / alpha) * m1.mean) - 1.0), 3.0 * rel)
+    # near alpha = 2: CMS in d = 1, and Kanter at beta = 0.995 in d = 2 and alone
+    cf(1.99, 1)
+    cf(1.99, 2)
+    laplace(0.995)
     return checks

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from fracheat import (
+    McConfig,
+    RngStream,
     SpectralGrid,
     apply_fractional_laplacian,
     cli,
+    closed_form_density,
     coefficient_table,
+    estimate_heat_content,
     forward_transform,
     gaussian,
+    moment_estimate,
     montecarlo,
     sample_increment,
     sample_on_grid,
+    sample_subordinator,
+    t2_exact,
     validator,
 )
 from fracheat.cli import ConfigError, config_digest, load_config, main
@@ -132,6 +139,10 @@ def test_alpha_outside_the_range_is_rejected_alike_everywhere(tmp_path, capsys, 
         lambda: coefficient_table(gaussian(), grid, alpha),
         lambda: apply_fractional_laplacian(spec, alpha),
         lambda: sample_increment(alpha, 1, 0.1, np.random.default_rng(0)),
+        lambda: estimate_heat_content(gaussian(), alpha, 0.1, McConfig(n_paths=1000)),
+        lambda: moment_estimate(alpha, 0.5, 1.0, 1000, RngStream(0)),
+        lambda: t2_exact(gaussian(), alpha, 0.1),
+        lambda: closed_form_density(alpha, 0.1, [0.0, 1.0]),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:
@@ -139,6 +150,16 @@ def test_alpha_outside_the_range_is_rejected_alike_everywhere(tmp_path, capsys, 
         assert str(exc.value) == message
     assert main(["coeffs", "--config", write_config(tmp_path, {"alpha": alpha})]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_alpha_near_two_is_accepted_by_every_sampler_entry_point():
+    # alpha in (1.95, 2) was once refused by a second check in the samplers alone
+    alpha = 1.97
+    for d in (1, 2, 3):
+        assert np.all(np.isfinite(sample_increment(alpha, d, 0.1, RngStream(0), size=100)))
+    assert np.all(sample_subordinator(alpha / 2.0, 0.1, RngStream(0), size=100) > 0.0)
+    assert moment_estimate(alpha, 0.5, 1.0, 1000, RngStream(0)).mean > 0.0
+    assert estimate_heat_content(gaussian(), alpha, 0.1, McConfig(n_paths=1000)).mean < 0.0
 
 
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--threads", "0"]])
@@ -287,6 +308,15 @@ README_CONFIG = {
     "validate": {"n_max": 5, "gamma": 0.5},
     "output": {"directory": "out", "format": "both"},
 }
+
+
+def test_report_runs_near_alpha_two(tmp_path, capsys):
+    # the README config at alpha = 1.99 once exited 1 with "alpha in (1.95, 2)"
+    path = tmp_path / "near2.json"
+    path.write_text(json.dumps(README_CONFIG | {"alpha": 1.99}))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "alpha=1.99" in out and out.count("checks=ok") == 4
 
 
 @pytest.mark.slow

@@ -164,6 +164,19 @@ def test_argument_validation(grid1):
         with pytest.raises(ValueError, match="n_terms must be an integer"):
             partial_sum(v, grid1, 1.5, n_terms, 0.1)
     assert partial_sum(v, grid1, 1.5, np.int64(3), 0.1) == partial_sum(v, grid1, 1.5, 3, 0.1)
+    # orders are integers: c_ell(..., True) once returned C_1 through the cache
+    # key it shares with 1, and a float order died with a bare TypeError
+    c_ell(v, grid1, 1.5, 1)
+    for call, name in ((lambda k: c_ell(v, grid1, 1.5, k), "ell"), (lambda k: c0k(v, k), "k")):
+        for order in (True, 2.0):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call(order)
+    assert c_ell(v, grid1, 1.5, np.int64(3)) == c_ell(v, grid1, 1.5, 3)
+    assert c0k(v, np.int64(2)) == c0k(v, 2)
+    # a cached alpha = 1 entry does not let alpha = True through
+    c_ell(v, grid1, 1.0, 2)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
+        c_ell(v, grid1, True, 2)
 
 
 def test_zero_potential_coefficients_vanish(grid1):

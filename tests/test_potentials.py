@@ -386,3 +386,36 @@ def test_validation_errors():
             mixture([1.0], [bad], [1.0])
         with pytest.raises(ValueError, match="center"):
             mixture([1.0], [(0.0, bad)], [1.0])
+    # a bool is an int subclass: a True dimension once built a potential whose
+    # evaluate died with a bare TypeError, and a True weight or sharpness counted as 1
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        GaussianMixturePotential(True, (1.0,), ((0.0,),), (1.0,))
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        mixture([1.0], [0.0], [1.0], dimension=True)
+    for field, args in (
+        ("weight", ([True], [0.0], [1.0])),
+        ("weight", (["1.0"], [0.0], [1.0])),
+        ("weight", ([math.nan], [0.0], [1.0])),
+        ("sharpness", ([1.0], [0.0], [True])),
+        ("sharpness", ([1.0], [0.0], ["1.0"])),
+        ("center", ([1.0], [True], [1.0])),
+        ("center", ([1.0], [(0.0, np.True_)], [1.0])),
+        ("center", ([1.0], ["0.0"], [1.0])),
+    ):
+        with pytest.raises(ValueError, match=field):
+            mixture(*args)
+    for args in ((1, (True,), ((0.0,),), (1.0,)), (1, (1.0,), ((0.0,),), (True,)), (1, (1.0,), ((False,),), (1.0,))):
+        with pytest.raises(ValueError):
+            GaussianMixturePotential(*args)
+    # numpy and integer numbers are real numbers, stored as floats
+    assert mixture([np.int64(1)], [np.float32(0.0)], [1]) == gaussian()
+    assert type(mixture([np.int64(1)], [0], [1]).weights[0]) is float
+
+
+def test_power_order_must_be_an_integer():
+    # power(True) once returned V, and power(2.0) died with a bare TypeError
+    v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
+    for k in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            v.power(k)
+    assert v.power(np.int64(2)) == v.power(2)

@@ -66,9 +66,12 @@ def test_subordinator_span_scaling():
 
 def test_subordinator_validation():
     rng = RngStream(0)
-    for beta in (0.0, 1.0, -0.2, 0.99):
+    for beta in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             sample_subordinator(beta, 1.0, rng)
+    # every beta in (0, 1) draws; beta above 0.975 was once refused
+    for beta in (0.99, 0.9999):
+        assert 0.0 < sample_subordinator(beta, 1.0, rng) < math.inf
     for span in (0.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="span"):
             sample_subordinator(0.5, span, rng)
@@ -88,7 +91,10 @@ def test_increment_validation():
     assert sample_increment(1.5, np.int64(2), 1.0, rng, size=3).shape == (3, 2)
 
 
-@pytest.mark.parametrize("beta, tol", [(0.05, 1e-4), (0.25, 1e-5), (0.5, 1e-5), (0.75, 1e-5), (0.975, 1e-5)])
+@pytest.mark.parametrize(
+    "beta, tol",
+    [(0.05, 1e-4), (0.25, 1e-5), (0.5, 1e-5), (0.75, 1e-5), (0.975, 1e-5), (0.99, 1e-5), (0.999, 1e-5), (0.9999, 1e-5)],
+)
 def test_subordinator_matches_the_float64_kanter_formula(beta, tol):
     # the sines and their logs are float32; the log-sum and exp stay float64
     n = 2_000_000
@@ -99,11 +105,12 @@ def test_subordinator_matches_the_float64_kanter_formula(beta, tol):
     assert np.max(np.abs(s / ref - 1.0)) <= tol
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 1.9, 1.99, 1.999])
 def test_cms_matches_the_float64_formula(alpha):
     # the module docstring's bound: sines, cosines and their logs in float32,
-    # cos(phi) reflected to sin(pi min(r, 1 - r)), log-sum and exp in float64,
-    # within 1e-5 relative of the all-float64 formula at alpha in [0.5, 1.9]
+    # each angle taken from min(r, 1 - r) where it can come near pi, log-sum
+    # and exp in float64, within 1e-5 relative of the all-float64 formula at
+    # alpha in [0.5, 1.999]
     n = 2_000_000
     x = sample_increment(alpha, 1, 0.3, np.random.default_rng(19), size=n)[:, 0]
     gen = np.random.default_rng(19)
@@ -145,18 +152,20 @@ class _ExtremeUniforms(np.random.Generator):
         return np.ones(size)
 
 
-@pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 0.975])
+@pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 0.975, 0.99, 0.999, 0.9999])
 def test_subordinator_is_finite_and_positive_at_extreme_uniforms(beta):
     s = sample_subordinator(beta, 1.0, _ExtremeUniforms(np.random.PCG64(0)), size=8)
     assert np.all(np.isfinite(s)) and np.all(s > 0.0)
     # S grows without bound as U -> pi (r -> 0), where the float64 formula
-    # loses sin U to cancellation; away from there it is the reference
-    assert s[0] > s[1] > 1e14
+    # loses sin U to cancellation; away from there it is the reference.  Near
+    # beta = 1, sin(beta U) ~ pi (1 - beta) there, so S at r = 2^-53 is only
+    # about 9e12 at beta = 0.999 and 9e11 at beta = 0.9999
+    assert s[0] > s[1] > (1e14 if beta <= 0.975 else s[2]) and s[2] > s[3]
     ref = oracles.kanter_float64(beta, 1.0, _ExtremeUniforms.R[2:], np.ones(2))
     assert np.allclose(s[2:4], ref, rtol=1e-4)
 
 
-@pytest.mark.parametrize("alpha, d", [(0.5, 1), (0.8, 1), (1.0, 1), (1.5, 1), (1.9, 1), (1.0, 2)])
+@pytest.mark.parametrize("alpha, d", [(0.5, 1), (0.8, 1), (1.0, 1), (1.5, 1), (1.9, 1), (1.99, 1), (1.0, 2)])
 def test_direct_laws_are_finite_at_extreme_uniforms(alpha, d):
     # r = 1/2 is phi = 0, where sin(alpha phi) = 0 must not reach a log
     with warnings.catch_warnings():
@@ -283,6 +292,13 @@ def test_closed_form_densities():
     for alpha, t in ((1.0, math.inf), (2.0, math.inf), (1.0, True)):
         with pytest.raises(ValueError, match="t must be a positive finite number"):
             closed_form_density(alpha, t, [0.0, 1.0])
+    # alpha = True once gave the Cauchy density and d = True ran as d = 1
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
+        closed_form_density(True, 1.0, x)
+    for d in (True, 0, 2.0, "1"):
+        with pytest.raises(ValueError, match="d must be"):
+            closed_form_density(1.0, 1.0, x, d=d)
+    assert np.array_equal(closed_form_density(1.0, 0.5, x, d=np.int64(1)), cauchy)
 
 
 def test_closed_form_density_two_dimensional():
