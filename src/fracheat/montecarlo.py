@@ -9,18 +9,30 @@ Each path draws a start x0 from the dominating mixture
 g = sum_i |c_i| e^{-a_i |x - mu_i|^2}, of mass Z = sum_i |c_i| (pi/a_i)^{d/2}
 (component i with probability |c_i| (pi/a_i)^{d/2} / Z, then a Gaussian of
 variance 1/(2 a_i) per axis), a time U of density 2 (t - u)/t^2 on [0, t]
-(U = t (1 - sqrt(1 - r))), and one path of m steps of U/m to U.  It adds
+(U = t (1 - sqrt(1 - r))), and one path of m steps of U/m to U.  Its summand is
 
-    (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U),
+    w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U),
 
-with A_U the trapezoid rule for int_0^U V(X_s) ds on the path's own steps,
-and the estimator subtracts t int V from the mean.
+with A_U the trapezoid rule for int_0^U V(X_s) ds on the path's own steps.
+
+Second-order control variate: the same product with e^{-A_U} set to 1,
+
+    y = (t^2/2) Z (V(x0)/g(x0)) V(X_U),
+
+has E y = int_0^t (t - u) <V, e^{-uF} V> du = t^2 T_2(t), since X is the free
+stable process, and ``coefficients.t2_exact`` gives T_2 with no lattice.  So
+the estimate is mean(w - y) + t^2 T_2(t) - t int V, with the se of w - y:
+the paths estimate only what t^2 T_2 leaves out, and w - y = y (e^{-A_U} - 1)
+is O(t ||V||_inf) times w.  The estimate also keeps mean(w) - t int V
+(``plain_mean``) and mean(y) - t^2 T_2 with its se (``t2_residual``), which
+checks T_2 against the paths alone.
 
 Invariant: |V/g| <= 1, |V| <= sum_i |c_i| and V >= -sum_{c_i<0} |c_i|, so
 
-    |summand| <= B = (t^2/2) Z sum_i |c_i| e^{t sum_{c_i<0} |c_i|},
+    |w| <= B = (t^2/2) Z sum_i |c_i| e^{t sum_{c_i<0} |c_i|},
 
-which the estimator asserts.  So the variance is finite for every alpha and
+and, A_U lying between U min V and U max V, |w - y| <= B t sum_i |c_i|; the
+estimator asserts both.  So the variance is finite for every alpha and
 d with no tuning: the start points stay where V lives, and a path that
 jumps far away only shrinks its summand.
 
@@ -40,7 +52,7 @@ The chunk size and the block size are therefore both part of the draw
 order: changing either changes the numbers.  A block holds one (B, m, d)
 array, its draws turned into the positions X_1..X_m in place, and V(x0) is
 evaluated once per chunk, so apart from the per-path vectors (start, V(x0),
-U, summand) nothing chunk-sized is built: a 32768-path, 64-step chunk in
+U, w, y) nothing chunk-sized is built: a 32768-path, 64-step chunk in
 d = 1 peaks at a few MB of traced memory for every alpha.
 """
 
@@ -52,6 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coefficients import t2_exact
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
@@ -93,9 +106,21 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte Carlo mean, its standard error and its sample count.
+
+    From ``estimate_heat_content``: mean = mean(w - y) + t^2 T_2 - t int V and
+    the se of w - y; plain_mean = mean(w) - t int V, the estimate without the
+    control variate; t2_residual = mean(y) - t^2 T_2 with its standard error
+    t2_residual_se, a check of T_2 by the paths alone.  The last three are 0.0
+    for V = 0 and for every other estimator.
+    """
+
     mean: float
     standard_error: float
     n_samples: int
+    plain_mean: float = 0.0
+    t2_residual: float = 0.0
+    t2_residual_se: float = 0.0
 
 
 def _start_mixture(v: GaussianMixturePotential) -> tuple[GaussianMixturePotential, np.ndarray]:
@@ -115,8 +140,9 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
 
 def _chunk_summands(
     v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig, chunk_index: int, n_chunk: int
-) -> np.ndarray:
-    """Summands (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) of one chunk's paths, from its own substream.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w, y) of one chunk's paths, from its own substream: w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U)
+    and its control variate y, the same product with e^{-A_U} set to 1.
 
     Draw order and block walk as in the module docstring; each block's
     span-1 draws become its positions in place: scaled per path by
@@ -135,7 +161,7 @@ def _chunk_summands(
     step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
     v0 = v.evaluate(x0)
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
-    w = np.empty(n_chunk)
+    w, y = np.empty(n_chunk), np.empty(n_chunk)
     # e^{-A} may overflow to inf (and 0 * inf to nan); the caller rejects non-finite batches
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_chunk, block):
@@ -146,15 +172,18 @@ def _chunk_summands(
             path += x0[lo:hi, np.newaxis, :]
             vals = v.evaluate(path)
             a_u = step[lo:hi] * (vals.sum(axis=1) + 0.5 * (v0[lo:hi] - vals[:, -1]))
+            y[lo:hi] = vals[:, -1]
             w[lo:hi] = vals[:, -1] * np.exp(-a_u)
-        w *= 0.5 * t * t * float(mass.sum()) * v0 / g.evaluate(x0)
-    return w
+        scale = 0.5 * t * t * float(mass.sum()) * v0 / g.evaluate(x0)
+        w *= scale
+        y *= scale
+    return w, y
 
 
 def estimate_heat_content(
     v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
 ) -> McEstimate:
-    """Monte Carlo Q(t) with standard error sd/sqrt(n).
+    """Monte Carlo Q(t) = mean(w - y) + t^2 T_2(t) - t int V with standard error sd(w - y)/sqrt(n).
 
     The arguments are checked first, for every V.  V = 0 then returns exactly
     0 with zero variance (every summand vanishes identically, so no paths are
@@ -172,11 +201,25 @@ def estimate_heat_content(
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(job, range(len(sizes))))
-    w = np.concatenate(parts)
+    w = np.concatenate([p[0] for p in parts])
+    y = np.concatenate([p[1] for p in parts])
     if not np.isfinite(w).all():
         raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
-    peak, bound = float(np.abs(w).max()), _summand_bound(v, t)
-    if peak > bound * (1.0 + 1e-12):
-        raise RuntimeError(f"summand {peak:g} above its bound B = {bound:g}")
-    mean = float(w.mean()) - t * v.integral()
-    return McEstimate(mean, float(w.std(ddof=1) / math.sqrt(len(w))), len(w))
+    r = w - y
+    bound = _summand_bound(v, t)
+    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
+    limits = (("summand", w, bound), ("summand less y", r, bound * t * sum(abs(c) for c in v.weights)))
+    for name, s, b in limits:
+        peak = float(np.abs(s).max())
+        if peak > b * (1.0 + 1e-12):
+            raise RuntimeError(f"{name} {peak:g} above its bound {b:g}")
+    vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
+    root_n = math.sqrt(len(w))
+    return McEstimate(
+        float(r.mean()) + t2 - vol,
+        float(r.std(ddof=1) / root_n),
+        len(w),
+        plain_mean=float(w.mean()) - vol,
+        t2_residual=float(y.mean()) - t2,
+        t2_residual_se=float(y.std(ddof=1) / root_n),
+    )

@@ -65,8 +65,9 @@ _ROOT_STEPS = 100  # cap on Newton or bisection steps per bracket
 class GaussianMixturePotential:
     """Finite Gaussian mixture sum_i c_i exp(-a_i |x - mu_i|^2).
 
-    The empty mixture (no components) represents V = 0.  All fields are
-    tuples so instances are hashable and usable as cache keys.
+    The empty mixture (no components) represents V = 0.  The constructor
+    stores every field as a tuple of floats (any sequence of finite real
+    numbers is accepted), so instances are hashable and usable as cache keys.
     """
 
     dimension: int
@@ -91,6 +92,10 @@ class GaussianMixturePotential:
         for c in self.weights:
             if not _is_finite_real(c):
                 raise ValueError(f"weight must be a finite real number, got {c!r}")
+        # stored as tuples of floats, so that a list or a numpy number hashes as the tuple it stands for
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        object.__setattr__(self, "centers", tuple(tuple(map(float, mu)) for mu in self.centers))
+        object.__setattr__(self, "sharpness", tuple(map(float, self.sharpness)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -221,9 +226,7 @@ class GaussianMixturePotential:
         gap = np.einsum("mi,mj,ij->m", ea, ea, dist2) / (2.0 * sharp)
         fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
         weights = fact[k] / fact[e].prod(axis=1) * (w**e).prod(axis=1) * np.exp(-gap)
-        return GaussianMixturePotential(
-            self.dimension, tuple(weights.tolist()), tuple(map(tuple, cents.tolist())), tuple(sharp.tolist())
-        )
+        return GaussianMixturePotential(self.dimension, weights.tolist(), cents.tolist(), sharp.tolist())
 
     def scaled(self, s: float) -> "GaussianMixturePotential":
         """Mixture for s * V."""
@@ -542,16 +545,14 @@ def mixture(
         sharpness: component sharpness a_i > 0.
         dimension: required when there are no components; inferred otherwise.
 
-    Only finite real numbers are converted to float; anything else (a bool, a
-    string, nan) reaches the constructor as given, which names its field.
+    The constructor checks every value, naming its field, and stores it as a float.
     """
-    num = lambda u: float(u) if _is_finite_real(u) else u
-    cents = [(num(mu),) if np.ndim(mu) == 0 else tuple(map(num, mu)) for mu in centers]
+    cents = [(mu,) if np.ndim(mu) == 0 else mu for mu in centers]
     if dimension is None:
         if not cents:
             raise ValueError("dimension is required for the empty mixture")
         dimension = len(cents[0])
-    return GaussianMixturePotential(dimension, tuple(map(num, weights)), tuple(cents), tuple(map(num, sharpness)))
+    return GaussianMixturePotential(dimension, weights, cents, sharpness)
 
 
 def gaussian(weight: float = 1.0, center: object = 0.0, sharpness: float = 1.0) -> GaussianMixturePotential:

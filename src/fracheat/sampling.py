@@ -136,8 +136,8 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     3 x 8 size bytes: that array, the uniforms, and float32 copies of v and
     min(v, r); the uniforms are freed before one float32 scratch array.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if not (_is_finite_real(beta) and 0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
     n = 1 if size is None else _check_count("size", size)

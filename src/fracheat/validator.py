@@ -7,8 +7,8 @@ Theorem 2 uses the exact stable moment E|X_1|^gamma, so no Monte Carlo draw
 enters a bound.  Every boolean verdict carries a numeric margin (distance to
 violation after the Monte Carlo slack is applied), so a failing check shows
 how badly it failed and a passing one how much room it had.  Monte Carlo
-slack is 3 standard errors per bound, widened to 4 when one report checks
-more than 20 bounds.
+slack is 3 standard errors per bound, each row at the se of the summands it
+reads, widened to 4 when one report checks more than 20 bounds.
 """
 
 from __future__ import annotations
@@ -191,37 +191,43 @@ def _check_rows(
     t: float,
     est: McEstimate,
     gamma: float | None,
-) -> list[tuple[str, float, float, float, str]]:
-    """(name, value, lower, upper, note) of every bound one estimate must meet.
+) -> list[tuple[str, float, float, float, str, float]]:
+    """(name, value, lower, upper, note, se) of every bound one estimate must meet.
 
+    Q is the control-variate estimate mean(w - y) + t^2 T_2(t) - t int V of
+    ``estimate_heat_content``, and every row but the last reads it at its se.
     In order:
       - Theorem 1(i), only for V <= 0: -t int V <= Q <= -t int V (1 + t ||V||_inf e^{t ||V||_inf} / 2);
       - Theorem 1(ii): |Q + t int V| <= t^2 ||V||_1 ||V||_inf e^{t ||V||_inf};
-      - exact-t2 consistency: |Q - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf};
+      - exact-t2 consistency: |Q - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf},
+        which is mean(w - y) against that bound;
       - Theorem 2, when gamma is given: |Q + t int V - (t^2/2) int V^2| <=
         t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}
-        + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha.
+        + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha;
+      - t2 control: mean(y) - t^2 T_2(t) = 0 at the se of y, the paths' own check of T_2.
+    No row compares the control-variate estimate with the T_2 it used.
     """
-    q = est.mean
+    q, se = est.mean, est.standard_error
     vol = v.integral()
     rows = []
     if _sandwich_applies(v):
         lead = -t * vol
         sup = v.sup_norm()
-        rows.append((f"first-order sandwich lower t={t:g}", q, lead, math.inf, ""))
+        rows.append((f"first-order sandwich lower t={t:g}", q, lead, math.inf, "", se))
         upper = lead * (1.0 + 0.5 * t * sup * math.exp(t * sup))
-        rows.append((f"first-order sandwich upper t={t:g}", q, -math.inf, upper, ""))
+        rows.append((f"first-order sandwich upper t={t:g}", q, -math.inf, upper, "", se))
     b2 = _remainder(v, t, 2)
-    rows.append((f"first-order remainder t={t:g}", q + t * vol, -b2, b2, ""))
+    rows.append((f"first-order remainder t={t:g}", q + t * vol, -b2, b2, "", se))
     b3 = _remainder(v, t, 3)
     ref = -t * vol + t**2 * t2_exact(v, alpha, t)
-    rows.append((f"exact-t2 consistency t={t:g}", q - ref, -b3, b3, ""))
+    rows.append((f"exact-t2 consistency t={t:g}", q - ref, -b3, b3, "", se))
     if gamma is not None:
         r = gamma / alpha
         moment = _stable_moment(alpha, gamma, v.dimension)
         b = b3 + v.holder_constant(gamma) * moment * t ** (r + 2.0) / ((r + 1.0) * (r + 2.0))
         value = q + t * vol - t**2 * c0k(v, 2)
-        rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}"))
+        rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}", se))
+    rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, "", est.t2_residual_se))
     return rows
 
 
@@ -235,7 +241,7 @@ def t2_consistency_check(
     """The report's exact-t2 consistency check of one estimate, at k se; T_2 comes from
     `t2_exact`, whose radial pair integral reads no lattice in any d."""
     row = next(r for r in _check_rows(v, alpha, t, est, None) if r[0].startswith("exact-t2"))
-    return _bound(*row, est.standard_error, k)
+    return _bound(*row, k)
 
 
 # -- remainder-order fit -------------------------------------------------------
@@ -332,9 +338,10 @@ def expansion_report(
 
     Per time: the estimate, partial sums Q_N for N = 1..n_max, residuals and
     the bound checks of ``_check_rows`` (the V <= 0 sandwich when it applies,
-    the first-order remainder, the exact-t2 consistency, and the Holder
-    second-order bound when gamma is given), all at the one se multiple
-    ``se_factor`` sets from the number of checks.  Per order N: a log-log
+    the first-order remainder, the exact-t2 consistency, the Holder
+    second-order bound when gamma is given, and the t2 control at the se of
+    its own summands), all at the one se multiple ``se_factor`` sets from the
+    number of checks.  Per order N: a log-log
     remainder fit over the times whose residuals clear the noise gate.
     Deterministic given the seed; the estimates come from ``estimate_series``.
     """
@@ -348,7 +355,7 @@ def expansion_report(
     for (t, est), checks in zip(series, bounds):
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
-        checks = tuple(_bound(*c, est.standard_error, k) for c in checks)
+        checks = tuple(_bound(*c, k) for c in checks)
         rows.append(ReportRow(t, est.mean, est.standard_error, sums, res, checks))
     fits: dict[int, OrderFit] = {}
     for n in range(1, n_max + 1):

@@ -36,6 +36,7 @@ from fracheat import (
     t2_exact,
     weight_A,
 )
+from fracheat import montecarlo, validator
 
 ALPHAS = (0.8, 1.0, 1.5, 2.0)
 QUAD_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
@@ -208,6 +209,25 @@ def test_criterion_6_exact_t2_consistency(q_table, announce):
         + (f"; failing: {failing}" if failing else ""),
     )
     assert failing == []
+
+
+@pytest.mark.slow
+def test_t2_control_catches_a_scaled_t2(monkeypatch):
+    # the estimator adds t^2 T_2 back; with T_2 off by 1% its paths' mean of y
+    # no longer matches, and the report's t2 control row fails at criterion
+    # 6's configurations and seeds
+    monkeypatch.setattr(montecarlo, "t2_exact", lambda v, alpha, t: 1.01 * t2_exact(v, alpha, t))
+    idx = 0
+    for sign in (1.0, -1.0):
+        v = gaussian(weight=sign)
+        for alpha in (1.0, 2.0):
+            for t in T_GRID:
+                cfg = McConfig(n_paths=1_000_000, m_steps=64, seed=61_000 + idx, threads=4)
+                est = estimate_heat_content(v, alpha, t, cfg)
+                row = next(r for r in validator._check_rows(v, alpha, t, est, None) if r[0].startswith("t2 control"))
+                check = validator._bound(*row, 3.0)
+                assert not check.passed, (sign, alpha, t, check)
+                idx += 1
 
 
 @pytest.mark.slow

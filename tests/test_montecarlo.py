@@ -77,7 +77,27 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
         blocked = _chunk_summands(v, alpha, 0.1, cfg, 2, n)
         block = min(n, _BLOCK_POINTS // (m + 1))
         whole = oracles.chunk_summands_unblocked(v, alpha, 0.1, cfg, 2, n, block)
-        assert np.array_equal(blocked, whole), (n, m)
+        for name, got, want in zip("wy", blocked, whole):
+            assert np.array_equal(got, want), (name, n, m)
+
+
+@pytest.mark.parametrize("d, alpha, threads", [(1, 1.5, 1), (2, 1.0, 3), (3, 2.0, 2)])
+def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, threads):
+    # mean(w) - t int V over the chunks, as the estimator computed it before
+    # it subtracted y: bit-identical, and so is the se of y against its mean
+    v, t = KERNEL_V[d], 0.1
+    n = 32768 + 3000
+    cfg = McConfig(n_paths=n, m_steps=16, seed=7, threads=threads)
+    est = estimate_heat_content(v, alpha, t, cfg)
+    block = _BLOCK_POINTS // 17
+    parts = [oracles.chunk_summands_unblocked(v, alpha, t, cfg, i, size, min(size, block))
+             for i, size in enumerate((32768, 3000))]
+    w, y = (np.concatenate(s) for s in zip(*parts))
+    assert est.plain_mean == float(w.mean()) - t * v.integral()
+    assert est.t2_residual == float(y.mean()) - t * t * t2_exact(v, alpha, t)
+    assert est.t2_residual_se == float(y.std(ddof=1) / math.sqrt(n))
+    assert est.mean == float((w - y).mean()) + t * t * t2_exact(v, alpha, t) - t * v.integral()
+    assert est.standard_error == float((w - y).std(ddof=1) / math.sqrt(n))
 
 
 D1_MIXTURES = {
@@ -107,16 +127,28 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     t = 0.4
     bound = _summand_bound(v, t)
     assert bound == pytest.approx(0.5 * t**2 * _start_mixture(v)[1].sum() * 1.6 * math.exp(0.3 * t))
+    cv_bound = bound * t * 1.6  # |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
     for alpha in (0.8, 2.0):
-        w = _chunk_summands(v, alpha, t, McConfig(n_paths=5000), 0, 5000)
+        w, y = _chunk_summands(v, alpha, t, McConfig(n_paths=5000), 0, 5000)
         assert np.abs(w).max() <= bound
-    # a kernel that breaks the bound, by more than rounding, is caught
+        assert np.abs(w - y).max() <= cv_bound
+    # a kernel that breaks either bound, by more than rounding, is caught
     kernel = _chunk_summands
-    monkeypatch.setattr(montecarlo, "_chunk_summands", lambda *a: np.append(kernel(*a)[:-1], -1.001 * bound))
-    with pytest.raises(RuntimeError, match="above its bound"):
+
+    def last_path(w_last, y_last):
+        def patched(*a):
+            w, y = kernel(*a)
+            return np.append(w[:-1], w_last), np.append(y[:-1], y_last)
+
+        return patched
+
+    for w_last, y_last in ((-1.001 * bound, 0.0), (0.0, 1.001 * cv_bound), (0.5 * bound, 0.5 * bound + 1.001 * cv_bound)):
+        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(w_last, y_last))
+        with pytest.raises(RuntimeError, match="above its bound"):
+            estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
+    for w_last, y_last in ((bound * (1 + 1e-13), bound * (1 + 1e-13)), (0.0, cv_bound * (1 + 1e-13))):
+        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(w_last, y_last))
         estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
-    monkeypatch.setattr(montecarlo, "_chunk_summands", lambda *a: np.append(kernel(*a)[:-1], bound * (1 + 1e-13)))
-    estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
 
 
 @pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0), (1.0, 0)])
@@ -192,7 +224,11 @@ def test_exponent_integral_is_trapezoid_rule():
         g = mass[0] * stats.norm.pdf(x0, 0.0, sd[0]) + mass[1] * stats.norm.pdf(x0, 0.8, sd[1])
         summands = 0.5 * t**2 * mass.sum() * vals[:, 0] / g * np.exp(-a) * vals[:, -1]
         est = estimate_heat_content(v, alpha, t, McConfig(n_paths=n, m_steps=m, seed=seed))
-        assert est.mean == pytest.approx(summands.mean() - t * v.integral(), rel=1e-12)
+        assert est.plain_mean == pytest.approx(summands.mean() - t * v.integral(), rel=1e-12)
+        controls = 0.5 * t**2 * mass.sum() * vals[:, 0] / g * vals[:, -1]
+        assert est.t2_residual == pytest.approx(controls.mean() - t**2 * t2_exact(v, alpha, t), abs=1e-15)
+        cv = (summands - controls).mean() + t**2 * t2_exact(v, alpha, t) - t * v.integral()
+        assert est.mean == pytest.approx(cv, rel=1e-12)
 
 
 def test_default_proposal_geometry():

@@ -412,6 +412,23 @@ def test_validation_errors():
     assert type(mixture([np.int64(1)], [0], [1]).weights[0]) is float
 
 
+def test_list_fields_are_stored_as_tuples_of_floats():
+    # lists once constructed, then evaluate died with "unhashable type: 'list'" in _arrays' cache
+    listed = GaussianMixturePotential(1, [1.0], [[0.0]], [1.0])
+    assert listed == gaussian() and hash(listed) == hash(gaussian())
+    assert listed.evaluate([0.0]) == 1.0 and listed.l1_norm() == pytest.approx(math.sqrt(math.pi))
+    v = GaussianMixturePotential(2, np.array([1, -0.5]), np.array([[0.0, 0.0], [1.0, 2.0]]), [1, np.float32(2.0)])
+    for field in (v.weights, v.centers, v.sharpness):
+        assert type(field) is tuple
+    assert all(type(x) is float for x in v.weights + v.centers[0] + v.centers[1] + v.sharpness)
+    assert v == mixture([1.0, -0.5], [(0.0, 0.0), (1.0, 2.0)], [1.0, 2.0])
+    # a bad entry is still named, whatever sequence holds it
+    for field, args in (("weight", ([True], [[0.0]], [1.0])), ("sharpness", ([1.0], [[0.0]], ["1"])),
+                        ("center", ([1.0], [["0"]], [1.0]))):
+        with pytest.raises(ValueError, match=field):
+            GaussianMixturePotential(1, *args)
+
+
 def test_power_order_must_be_an_integer():
     # power(True) once returned V, and power(2.0) died with a bare TypeError
     v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])

@@ -69,6 +69,11 @@ def test_subordinator_validation():
     for beta in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             sample_subordinator(beta, 1.0, rng)
+    # a string beta once died with a bare TypeError from the comparison, and a bool ran as 1
+    for beta in ("0.5", True, math.nan, None):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            sample_subordinator(beta, 1.0, rng)
+    assert 0.0 < sample_subordinator(np.float32(0.5), 1.0, rng) < math.inf
     # every beta in (0, 1) draws; beta above 0.975 was once refused
     for beta in (0.99, 0.9999):
         assert 0.0 < sample_subordinator(beta, 1.0, rng) < math.inf

@@ -149,8 +149,8 @@ def test_se_mult_counts_the_checks_built(sign, gamma):
     assert report.se_mult == se_factor(len(checks))
     assert all(c.se_mult == report.se_mult for c in checks)
     if sign < 0 and gamma is not None:
-        # sandwich pair, remainder, exact-t2 and theorem 2 at five times
-        assert len(checks) == 25 and report.se_mult == 4.0
+        # sandwich pair, remainder, exact-t2, theorem 2 and t2 control at five times
+        assert len(checks) == 30 and report.se_mult == 4.0
 
 
 def test_t2_consistency_quick(unit_gaussian):
@@ -161,6 +161,19 @@ def test_t2_consistency_quick(unit_gaussian):
     # the same row the report builds for that estimate
     row = expansion_report(unit_gaussian, 2.0, [0.05], cfg).rows[0]
     assert check in row.checks
+
+
+def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
+    # one row per time: mean(y) - t^2 T_2 against [0, 0] at the se of y, which
+    # is wider than the se of the control-variate estimate the other rows read
+    cfg = McConfig(n_paths=20_000, seed=14)
+    ts = [0.05, 0.1]
+    report = expansion_report(unit_gaussian, 1.5, ts, cfg)
+    for (t, est), row in zip(estimate_series(unit_gaussian, 1.5, ts, cfg), report.rows):
+        check = next(c for c in row.checks if c.name == f"t2 control t={t:g}")
+        assert (check.value, check.lower, check.upper, check.se) == (est.t2_residual, 0.0, 0.0, est.t2_residual_se)
+        assert check.passed and check.se > 10 * row.standard_error
+        assert all(c.se == row.standard_error for c in row.checks if c is not check)
 
 
 def test_expansion_report_structure(grid1, unit_gaussian):
@@ -175,8 +188,8 @@ def test_expansion_report_structure(grid1, unit_gaussian):
                 partial_sum(unit_gaussian, grid1, 2.0, n, row.t), rel=1e-12
             )
             assert row.residuals[n] == pytest.approx(row.estimate - ps, rel=1e-12)
-        # V >= 0 here, so the sandwich is absent: remainder + exact-t2 checks
-        assert len(row.checks) == 2
+        # V >= 0 here, so the sandwich is absent: remainder, exact-t2 and t2 control checks
+        assert len(row.checks) == 3
         assert all(c.passed for c in row.checks)
     assert 1 in report.fitted_orders
     assert abs(report.fitted_orders[1].slope - 2.0) <= 0.4
