@@ -201,25 +201,29 @@ def estimate_heat_content(
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(job, range(len(sizes))))
-    w = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
+    w, y = parts[0] if len(parts) == 1 else (np.concatenate(s) for s in zip(*parts))
+    del parts
     if not np.isfinite(w).all():
         raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
-    r = w - y
-    bound = _summand_bound(v, t)
-    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
-    limits = (("summand", w, bound), ("summand less y", r, bound * t * sum(abs(c) for c in v.weights)))
-    for name, s, b in limits:
-        peak = float(np.abs(s).max())
-        if peak > b * (1.0 + 1e-12):
-            raise RuntimeError(f"{name} {peak:g} above its bound {b:g}")
     vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
-    root_n = math.sqrt(len(w))
+    plain_mean = float(w.mean()) - vol
+    bound = _summand_bound(v, t)
+    _check_peak("summand", w, bound)
+    r = np.subtract(w, y, out=w)  # in w's buffer, which is not read again: two path-sized arrays, not three
+    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
+    _check_peak("summand less y", r, bound * t * sum(abs(c) for c in v.weights))
+    root_n = math.sqrt(len(r))
     return McEstimate(
         float(r.mean()) + t2 - vol,
         float(r.std(ddof=1) / root_n),
-        len(w),
-        plain_mean=float(w.mean()) - vol,
+        len(r),
+        plain_mean=plain_mean,
         t2_residual=float(y.mean()) - t2,
         t2_residual_se=float(y.std(ddof=1) / root_n),
     )
+
+
+def _check_peak(name: str, s: np.ndarray, bound: float) -> None:
+    peak = float(np.abs(s).max())
+    if peak > bound * (1.0 + 1e-12):
+        raise RuntimeError(f"{name} {peak:g} above its bound {bound:g}")
