@@ -83,8 +83,9 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
 
 @pytest.mark.parametrize("d, alpha, threads", [(1, 1.5, 1), (2, 1.0, 3), (3, 2.0, 2)])
 def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, threads):
-    # mean(w) - t int V over the chunks, as the estimator computed it before
-    # it subtracted y: bit-identical, and so is the se of y against its mean
+    # every statistic of the estimate, bit for bit, from the unblocked oracle's
+    # summands over two chunks; plain_mean = mean(w) - t int V is the estimate
+    # as it was computed before y was subtracted
     v, t = KERNEL_V[d], 0.1
     n = 32768 + 3000
     cfg = McConfig(n_paths=n, m_steps=16, seed=7, threads=threads)
