@@ -9,9 +9,10 @@ validate          the report's bound checks plus the positivity audit
 report            full expansion report (JSON/CSV)
 sampler-selftest  distributional checks of the stable sampler
 
-mc, validate and report share one set of estimates: the i-th time of the
-sorted t_list draws from seed + i (``validator.estimate_series``), so they
-agree bit for bit on Q(t) for one config.  Every JSON output carries
+mc, validate and report share one set of estimates: one estimator call at
+mc.seed covers the sorted t_list, every time rescaling the same paths
+(``validator.estimate_series``), so they agree bit for bit on Q(t) for one
+config.  Every JSON output carries
 ``config_digest``, a hash of the resolved run (``dataclasses.asdict`` of its
 RunConfig) without the output routing and mc.threads, neither of which
 changes a computed number; a value spelled out at its default hashes as if

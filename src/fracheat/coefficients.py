@@ -312,12 +312,16 @@ def t2_kernel(u) -> np.ndarray:
     return float(out) if np.ndim(u) == 0 else out
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def t2_exact(v: GaussianMixturePotential, alpha: float, t: float) -> float:
     """T_2(t) = (2 pi)^{-d} int |vhat(xi)|^2 psi(t |xi|^alpha) dxi.
 
     The exact t^2 profile: Q(t) = -t int V + t^2 T_2(t) + R_3 with
     |R_3| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}.  One radial pair
     integral (`_pair_integral`) in every d, so no lattice enters it.
+    Cached, so the estimator's control variate and the report's exact-t2
+    row share one integral; typed, so a bool alpha or t misses a float
+    entry and meets the argument checks.
     """
     _check_alpha(alpha)
     _check_time(t)

@@ -36,29 +36,45 @@ estimator asserts both.  So the variance is finite for every alpha and
 d with no tuning: the start points stay where V lives, and a path that
 jumps far away only shrinks its summand.
 
-By self-similarity the m increments of span U/m are span-1
-``sample_increment`` draws scaled by (U/m)^{1/alpha}.
+By self-similarity a path to any time t is a rescaled path to time 1:
+with U = t s and s = 1 - sqrt(1 - r) independent of t, its m increments of
+span U/m are t^{1/alpha} (s/m)^{1/alpha} times span-1 ``sample_increment``
+draws.  So one start x0, one s and one relative path
+P = cumsum((s/m)^{1/alpha} increments) per path serve every time of a
+series: X = x0 + t^{1/alpha} P and A_U = t s times the path's trapezoid
+mean.  One call estimates a whole series (``validator.estimate_series``
+makes exactly one), and each time's numbers are bit-identical to a call at
+that time alone: only the draws are shared, and every float operation after
+them reads one time.  The times' noise moves together; each time's law is
+that of a lone estimate.
 
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into chunks of ``_CHUNK`` paths, each driven by its own seed substream,
-so the thread count changes scheduling but not a single drawn number.  One
-call estimates one time; ``validator.estimate_series`` gives each time of a
-series its own seed.
+so the thread count changes scheduling but not a single drawn number.
 
 Within a chunk the draws come in this order: the component choices, the
-start points' normals and the times U for the whole chunk, then block by
+start points' normals and the uniforms r for the whole chunk, then block by
 block of ``_BLOCK_POINTS`` // (m + 1) paths the block's span-1 increments.
 The chunk size and the block size are therefore both part of the draw
-order: changing either changes the numbers.  A block holds one (B, m, d)
-array, its draws turned into the positions X_1..X_m in place, and V(x0) is
-evaluated once per chunk, so apart from the per-path vectors (start, V(x0),
-U, w, y) nothing chunk-sized is built: a 32768-path, 64-step chunk in
-d = 1 peaks at a few MB of traced memory for every alpha.
+order: changing either changes the numbers.  A block holds its (B, m, d)
+array of draws, turned into P in place, and one position buffer of that
+shape that each time refills; V(x0) is evaluated once per chunk.  Each
+block's (T, B) summands w and y are reduced at once to per-time counts,
+means, centred sums of squares and peaks, which are pooled block by block
+and then chunk by chunk, in order, by the pairwise update of Chan, Golub &
+LeVeque (1979).  So apart from the per-path vectors (start, V(x0), V/g, s)
+nothing chunk-sized is built, no path-sized array outlives its chunk, and
+memory does not grow with n_paths or with the number of times: a
+32768-path, 64-step chunk in d = 1 peaks at a few MB of traced memory for
+every alpha.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,11 +124,11 @@ class McConfig:
 class McEstimate:
     """A Monte Carlo mean, its standard error and its sample count.
 
-    From ``estimate_heat_content``: mean = mean(w - y) + t^2 T_2 - t int V and
-    the se of w - y; plain_mean = mean(w) - t int V, the estimate without the
-    control variate; t2_residual = mean(y) - t^2 T_2 with its standard error
-    t2_residual_se, a check of T_2 by the paths alone.  The last three are 0.0
-    for V = 0 and for every other estimator.
+    From ``estimate_heat_content``, one per time: mean = mean(w - y) +
+    t^2 T_2 - t int V and the se of w - y; plain_mean = mean(w) - t int V, the
+    estimate without the control variate; t2_residual = mean(y) - t^2 T_2
+    with its standard error t2_residual_se, a check of T_2 by the paths
+    alone.  The last three are 0.0 for V = 0 and for every other estimator.
     """
 
     mean: float
@@ -139,14 +155,17 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
 
 
 def _chunk_summands(
-    v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig, chunk_index: int, n_chunk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w, y) of one chunk's paths, from its own substream: w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U)
-    and its control variate y, the same product with e^{-A_U} set to 1.
+    v: GaussianMixturePotential, alpha: float, ts: list[float], cfg: McConfig, chunk_index: int, n_chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Block by block, (w, y) of one chunk's paths at every time of ts, each of shape (len(ts), block),
+    from the chunk's own substream: w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) and its control
+    variate y, the same product with e^{-A_U} set to 1.
 
-    Draw order and block walk as in the module docstring; each block's
-    span-1 draws become its positions in place: scaled per path by
-    (U/m)^{1/alpha}, summed along the path and shifted by x0.
+    Draw order and block walk as in the module docstring.  Each block's
+    span-1 draws become its relative path P in place, scaled per path by
+    (s/m)^{1/alpha} and summed along the path; each time then evaluates V
+    at x0 + t^{1/alpha} P in one reused buffer, so row k depends on ts[k]
+    alone.
     """
     d = v.dimension
     m = cfg.m_steps
@@ -158,72 +177,132 @@ def _chunk_summands(
     x0 /= np.sqrt(2.0 * a)[comp, np.newaxis]
     x0 += mu[comp]
     del comp
-    step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
+    span = (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m  # U / (t m), a step's span at t = 1
     v0 = v.evaluate(x0)
+    ratio = float(mass.sum()) * v0 / g.evaluate(x0)
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
-    w, y = np.empty(n_chunk), np.empty(n_chunk)
-    # e^{-A} may overflow to inf (and 0 * inf to nan); the caller rejects non-finite batches
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_chunk, block):
-            hi = min(lo + block, n_chunk)
-            path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-            path *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-            np.cumsum(path, axis=1, out=path)
-            path += x0[lo:hi, np.newaxis, :]
-            vals = v.evaluate(path)
-            a_u = step[lo:hi] * (vals.sum(axis=1) + 0.5 * (v0[lo:hi] - vals[:, -1]))
-            y[lo:hi] = vals[:, -1]
-            w[lo:hi] = vals[:, -1] * np.exp(-a_u)
-        scale = 0.5 * t * t * float(mass.sum()) * v0 / g.evaluate(x0)
-        w *= scale
-        y *= scale
-    return w, y
+    buf = np.empty((block, m, d))
+    for lo in range(0, n_chunk, block):
+        hi = min(lo + block, n_chunk)
+        path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+        path *= (span[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
+        np.cumsum(path, axis=1, out=path)
+        w, y = np.empty((len(ts), hi - lo)), np.empty((len(ts), hi - lo))
+        # e^{-A} may overflow to inf (and 0 * inf to nan); the estimator rejects non-finite summands
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, t in enumerate(ts):
+                pos = np.multiply(path, t ** (1.0 / alpha), out=buf[: hi - lo])
+                pos += x0[lo:hi, np.newaxis, :]
+                vals = v.evaluate(pos)
+                a_u = (t * span[lo:hi]) * (vals.sum(axis=1) + 0.5 * (v0[lo:hi] - vals[:, -1]))
+                np.multiply(vals[:, -1], 0.5 * t * t * ratio[lo:hi], out=y[k])
+                np.multiply(y[k], np.exp(-a_u), out=w[k])
+        yield w, y
 
 
-def estimate_heat_content(
-    v: GaussianMixturePotential, alpha: float, t: float, cfg: McConfig
-) -> McEstimate:
-    """Monte Carlo Q(t) = mean(w - y) + t^2 T_2(t) - t int V with standard error sd(w - y)/sqrt(n).
+@dataclass(frozen=True)
+class _Tally:
+    """Per-time statistics of n paths, each row one time: peaks = (max|w|, max|w - y|),
+    means = (mean w, mean (w - y), mean y) and ss = the centred sums of squares of w - y and y."""
 
-    The arguments are checked first, for every V.  V = 0 then returns exactly
-    0 with zero variance (every summand vanishes identically, so no paths are
-    drawn).
-    """
-    _check_alpha(alpha)
-    _check_positive_finite("t", t)
-    if v.is_zero:
-        return McEstimate(0.0, 0.0, cfg.n_paths)
-    n = cfg.n_paths
-    sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
-    job = lambda i: _chunk_summands(v, alpha, t, cfg, i, sizes[i])
-    if cfg.threads == 1 or len(sizes) == 1:
-        parts = [job(i) for i in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(job, range(len(sizes))))
-    w, y = parts[0] if len(parts) == 1 else (np.concatenate(s) for s in zip(*parts))
-    del parts
-    if not np.isfinite(w).all():
-        raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
-    vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
-    plain_mean = float(w.mean()) - vol
-    bound = _summand_bound(v, t)
-    _check_peak("summand", w, bound)
-    r = np.subtract(w, y, out=w)  # in w's buffer, which is not read again: two path-sized arrays, not three
-    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
-    _check_peak("summand less y", r, bound * t * sum(abs(c) for c in v.weights))
-    root_n = math.sqrt(len(r))
-    return McEstimate(
-        float(r.mean()) + t2 - vol,
-        float(r.std(ddof=1) / root_n),
-        len(r),
-        plain_mean=plain_mean,
-        t2_residual=float(y.mean()) - t2,
-        t2_residual_se=float(y.std(ddof=1) / root_n),
+    n: int
+    peaks: np.ndarray
+    means: np.ndarray
+    ss: np.ndarray
+
+
+# a non-finite summand makes its time's statistics nan or inf, which the estimator rejects
+@np.errstate(over="ignore", invalid="ignore")
+def _tally(w: np.ndarray, y: np.ndarray) -> _Tally:
+    """The statistics of one block's (T, B) summands, row by row, as numpy's mean and var form them
+    (sum / B, then the sum of squared deviations); w's buffer ends up holding w - y."""
+    rows = []
+    for wk, yk in zip(w, y):
+        peak_w, mean_w = np.abs(wk).max(), wk.mean()
+        rk = np.subtract(wk, yk, out=wk)
+        mean_r, mean_y = rk.mean(), yk.mean()
+        dev_r, dev_y = rk - mean_r, yk - mean_y
+        rows.append((peak_w, np.abs(rk).max(), mean_w, mean_r, mean_y, (dev_r * dev_r).sum(), (dev_y * dev_y).sum()))
+    cols = np.array(rows, dtype=float).T
+    return _Tally(w.shape[1], cols[:2], cols[2:5], cols[5:])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _merge(a: _Tally, b: _Tally) -> _Tally:
+    """Pool two disjoint sets of paths (Chan, Golub & LeVeque, 1979): with n = n_a + n_b and
+    delta = mean_b - mean_a, mean = mean_a + delta (n_b / n) and ss = ss_a + ss_b + delta^2 (n_a n_b / n);
+    a peak is the larger one, and nan wins (np.maximum)."""
+    n = a.n + b.n
+    delta = b.means - a.means
+    return _Tally(
+        n,
+        np.maximum(a.peaks, b.peaks),
+        a.means + delta * (b.n / n),
+        a.ss + b.ss + delta[1:] * delta[1:] * (a.n * b.n / n),
     )
 
 
-def _check_peak(name: str, s: np.ndarray, bound: float) -> None:
-    peak = float(np.abs(s).max())
+def estimate_heat_content(
+    v: GaussianMixturePotential, alpha: float, t, cfg: McConfig
+) -> McEstimate | tuple[McEstimate, ...]:
+    """Monte Carlo Q(t) = mean(w - y) + t^2 T_2(t) - t int V with standard error sd(w - y)/sqrt(n).
+
+    t is one time, which returns one McEstimate, or a sequence of times,
+    which returns a tuple of McEstimates in the order given; the times share
+    every draw (see the module docstring), and each one's estimate is
+    bit-identical to a call at that time alone.  The arguments are checked
+    first, for every V.  V = 0 then returns exactly 0 with zero variance
+    (every summand vanishes identically, so no paths are drawn).
+    """
+    _check_alpha(alpha)
+    scalar = isinstance(t, str) or np.ndim(t) == 0
+    times = [t] if scalar else list(t)
+    for s in times:
+        _check_positive_finite("t", s)
+    if not times:
+        raise ValueError("t is an empty sequence")
+    ts = [float(s) for s in times]
+    n = cfg.n_paths
+    if v.is_zero:
+        out = tuple(McEstimate(0.0, 0.0, n) for _ in ts)
+    else:
+        sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
+
+        def job(i: int) -> _Tally:
+            blocks = _chunk_summands(v, alpha, ts, cfg, i, sizes[i])
+            return functools.reduce(_merge, itertools.starmap(_tally, blocks))
+
+        if cfg.threads == 1 or len(sizes) == 1:
+            total = functools.reduce(_merge, map(job, range(len(sizes))))
+        else:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
+        out = tuple(_estimate(v, alpha, s, total, k) for k, s in enumerate(ts))
+    return out[0] if scalar else out
+
+
+def _estimate(v: GaussianMixturePotential, alpha: float, t: float, total: _Tally, k: int) -> McEstimate:
+    """The k-th time's McEstimate from the pooled statistics, after the bound checks."""
+    (peak_w, peak_r), (mean_w, mean_r, mean_y), (ss_r, ss_y) = (x[:, k] for x in (total.peaks, total.means, total.ss))
+    if not math.isfinite(peak_w):
+        raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
+    bound = _summand_bound(v, t)
+    _check_peak("summand", peak_w, bound)
+    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
+    _check_peak("summand less y", peak_r, bound * t * sum(abs(c) for c in v.weights))
+    vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
+    n = total.n
+    root_n = math.sqrt(n)
+    return McEstimate(
+        float(mean_r) + t2 - vol,
+        math.sqrt(ss_r / (n - 1)) / root_n,
+        n,
+        plain_mean=float(mean_w) - vol,
+        t2_residual=float(mean_y) - t2,
+        t2_residual_se=math.sqrt(ss_y / (n - 1)) / root_n,
+    )
+
+
+def _check_peak(name: str, peak: float, bound: float) -> None:
     if peak > bound * (1.0 + 1e-12):
         raise RuntimeError(f"{name} {peak:g} above its bound {bound:g}")

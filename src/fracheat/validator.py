@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,11 +110,15 @@ class ExpansionReport:
 def estimate_series(
     v: GaussianMixturePotential, alpha: float, t_list, cfg: McConfig
 ) -> list[tuple[float, McEstimate]]:
-    """(t, estimate) per time, in increasing t; the i-th time draws from seed + i.
+    """(t, estimate) per time, in increasing t, from one estimator call at cfg.seed.
 
-    One estimate per time must not reuse another time's random streams, or
-    residual noise would be correlated across the order-fit abscissae.
-    Each time must be a positive finite real number (a bool or a string is not).
+    The times share every draw: each path's start, time fraction and span-1
+    shape serve every t (the module docstring of ``montecarlo``).  Sharing
+    breaks no gate.  Every bound check reads its own time at a fixed se
+    multiple (``se_factor``), the order fit reports no slope se, and each
+    time's estimate has the same law as if drawn alone; only the rows'
+    noise now moves together.  Each time must be a positive finite real
+    number (a bool or a string is not).
     """
     times = list(t_list)
     for t in times:
@@ -122,10 +126,7 @@ def estimate_series(
     ts = sorted(float(t) for t in times)
     if not ts:
         raise ValueError("t_list is empty")
-    return [
-        (t, estimate_heat_content(v, alpha, t, replace(cfg, seed=(cfg.seed + i) % 2**64)))
-        for i, t in enumerate(ts)
-    ]
+    return list(zip(ts, estimate_heat_content(v, alpha, ts, cfg)))
 
 
 def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:

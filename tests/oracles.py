@@ -373,42 +373,89 @@ def proposal_chunk_summands(v, alpha, t, m, seed, n_chunk):
     return (np.expm1(-a) + a) / proposal_density(x0, center, sigma, alpha)
 
 
-def chunk_summands_unblocked(v, alpha, t, cfg, chunk_index, n_chunk, block):
+def chunk_summands_unblocked(v, alpha, ts, cfg, chunk_index, n_chunk, block):
     """The Duhamel chunk kernel with whole-chunk position and value arrays: its summands w and
-    their control variates y, the same products with e^{-A} set to 1.
+    their control variates y, the same products with e^{-A} set to 1, at every time of ts, each
+    of shape (len(ts), n_chunk).
 
     Unlike the rest of this module this is not an independent route: it
     draws from the package's streams and sampler in the kernel's order (the
-    chunk's component choices, start normals and times, then per block of
-    ``block`` paths its span-1 ``sample_increment`` draws, scaled by
-    (U/m)^{1/alpha}), but walks, evaluates and integrates every path of the
-    chunk at once, so that the blocked walk can be held to bit-identity with
-    it.  The positions X_1..X_m are built in place in the draws' array, and
-    V(x0) is both the trapezoid's left end and the numerator of V/g.
+    chunk's component choices, start normals and uniforms, then per block of
+    ``block`` paths its span-1 ``sample_increment`` draws), scales the draws
+    by (s/m)^{1/alpha} with U = t s, and walks, evaluates and integrates
+    every path of the chunk at once, time by time, so that the blocked walk
+    can be held to bit-identity with it.  The relative paths are built in
+    place in the draws' array; a time's positions are x0 + t^{1/alpha} times
+    them, and V(x0) is both the trapezoid's left end and the numerator of V/g.
     """
     from fracheat.sampling import RngStream, sample_increment
 
     d, m = v.dimension, cfg.m_steps
-    w, a, mu = (np.asarray(x, dtype=float) for x in (v.weights, v.sharpness, v.centers))
-    mu = mu.reshape(len(w), d)
-    mass = np.abs(w) * (math.pi / a) ** (d / 2.0)
+    c, a, mu = (np.asarray(x, dtype=float) for x in (v.weights, v.sharpness, v.centers))
+    mu = mu.reshape(len(c), d)
+    mass = np.abs(c) * (math.pi / a) ** (d / 2.0)
     gen = RngStream(cfg.seed, chunk_index).generator
-    comp = gen.choice(len(w), size=n_chunk, p=mass / mass.sum())
+    comp = gen.choice(len(c), size=n_chunk, p=mass / mass.sum())
     x0 = gen.standard_normal((n_chunk, d))
     x0 /= np.sqrt(2.0 * a)[comp, np.newaxis]
     x0 += mu[comp]
-    step = t * (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
-    pos = np.empty((n_chunk, m, d))
+    span = (1.0 - np.sqrt(1.0 - gen.random(n_chunk))) / m
+    rel = np.empty((n_chunk, m, d))
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
-        pos[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
-        pos[lo:hi] *= (step[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
-    np.cumsum(pos, axis=1, out=pos)
-    pos += x0[:, np.newaxis, :]
+        rel[lo:hi] = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
+        rel[lo:hi] *= (span[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
+    np.cumsum(rel, axis=1, out=rel)
     v0 = v.evaluate(x0)
-    vals = v.evaluate(pos)
-    a_u = step * (vals.sum(axis=1) + 0.5 * (v0 - vals[:, -1]))
-    out = vals[:, -1] * np.exp(-a_u)
-    g = sum(abs(c) * np.exp(-ai * ((x0 - mi) ** 2).sum(axis=1)) for c, ai, mi in zip(w, a, mu))
-    scale = 0.5 * t * t * float(mass.sum()) * v0 / g
-    return out * scale, vals[:, -1] * scale
+    g = sum(abs(ci) * np.exp(-ai * ((x0 - mi) ** 2).sum(axis=1)) for ci, ai, mi in zip(c, a, mu))
+    ratio = float(mass.sum()) * v0 / g
+    w, y = np.empty((len(ts), n_chunk)), np.empty((len(ts), n_chunk))
+    for k, t in enumerate(ts):
+        vals = v.evaluate(rel * t ** (1.0 / alpha) + x0[:, np.newaxis, :])
+        a_u = (t * span) * (vals.sum(axis=1) + 0.5 * (v0 - vals[:, -1]))
+        y[k] = vals[:, -1] * (0.5 * t * t * ratio)
+        w[k] = y[k] * np.exp(-a_u)
+    return w, y
+
+
+def pooled_statistics(parts, block):
+    """Per time, the estimator's pooled statistics of chunks of summands (w, y), each (T, n_chunk).
+
+    Each run of ``block`` paths of a chunk gives its count, means and
+    centred sums of squares as numpy's mean and var(ddof=0) form them; the
+    runs are pooled in order within each chunk, then the chunks in order, by
+    Chan, Golub & LeVeque's update (Updating formulae and a pairwise
+    algorithm for computing sample variances, 1979), written out here in
+    scalar floats.  Returns per time a dict of n, the means of w, w - y and
+    y, and the sums of squares of w - y and y.
+    """
+    def stats(w, y):
+        r = w - y
+        return {
+            "n": len(w),
+            "mean_w": float(w.mean()),
+            "mean_r": float(r.mean()),
+            "mean_y": float(y.mean()),
+            "ss_r": float(((r - r.mean()) ** 2).sum()),
+            "ss_y": float(((y - y.mean()) ** 2).sum()),
+        }
+
+    def pool(a, b):
+        n = a["n"] + b["n"]
+        out = {"n": n}
+        for key in ("mean_w", "mean_r", "mean_y"):
+            out[key] = a[key] + (b[key] - a[key]) * (b["n"] / n)
+        for key in ("r", "y"):
+            delta = b["mean_" + key] - a["mean_" + key]
+            out["ss_" + key] = a["ss_" + key] + b["ss_" + key] + delta * delta * (a["n"] * b["n"] / n)
+        return out
+
+    n_times = parts[0][0].shape[0]
+    out = []
+    for k in range(n_times):
+        chunks = [
+            functools.reduce(pool, (stats(w[k, lo:lo + block], y[k, lo:lo + block]) for lo in range(0, w.shape[1], block)))
+            for w, y in parts
+        ]
+        out.append(functools.reduce(pool, chunks))
+    return out

@@ -387,9 +387,9 @@ def pipeline_runs(tmp_path_factory):
         calls = []
 
         def counted(*args):
-            est = real(*args)
-            calls.append((args[2], est.mean, est.standard_error))
-            return est
+            ests = real(*args)
+            calls.append([(t, est.mean, est.standard_error) for t, est in zip(args[2], ests)])
+            return ests
 
         with pytest.MonkeyPatch.context() as mp:
             # the CLI may not bypass the validator's loop with an estimator of its own
@@ -405,12 +405,12 @@ def test_mc_validate_and_report_share_estimates(pipeline_runs):
     assert calls["mc"] == calls["validate"] == calls["report"]
     mc_rows = [(e["t"], e["mean"], e["standard_error"]) for e in pipeline_runs["mc"][1]["estimates"]]
     report_rows = [(r["t"], r["estimate"], r["standard_error"]) for r in pipeline_runs["report"][1]["rows"]]
-    assert mc_rows == report_rows == calls["mc"]
+    assert [mc_rows] == [report_rows] == calls["mc"]
 
 
-def test_validate_makes_one_estimator_call_per_time(pipeline_runs):
+def test_validate_makes_one_estimator_call_per_series(pipeline_runs):
     calls, _ = pipeline_runs["validate"]
-    assert [t for t, _, _ in calls] == [0.02, 0.05, 0.1, 0.2]
+    assert [[t for t, _, _ in series] for series in calls] == [[0.02, 0.05, 0.1, 0.2]]
 
 
 def test_validate_renders_the_report_checks(pipeline_runs):

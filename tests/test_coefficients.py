@@ -244,6 +244,18 @@ def test_t2_exact_matches_series_oracle(unit_gaussian, t):
                 t2_exact(v, 2.0, bad)
 
 
+def test_t2_exact_cache_keeps_its_argument_checks(unit_gaussian):
+    # a bool equals and hashes like 1 and 1.0; the typed cache keeps them apart,
+    # so True meets the checks even when the float entry is cached
+    t2_exact(unit_gaussian, 1.0, 1.0)
+    for alpha, t in ((True, 1.0), (1.0, True)):
+        with pytest.raises(ValueError):
+            t2_exact(unit_gaussian, alpha, t)
+    hits = t2_exact.cache_info().hits
+    assert t2_exact(unit_gaussian, 1.0, 1.0) == t2_exact(unit_gaussian, 1.0, 1.0)
+    assert t2_exact.cache_info().hits == hits + 2
+
+
 # the four mixtures of the benchmark workloads (README, trio, five in d = 1,
 # the signed d = 2 mixture) and two d = 3 mixtures
 T2_MIXTURES = [
@@ -272,6 +284,7 @@ def test_t2_exact_builds_no_lattice(monkeypatch):
         raise AssertionError("t2_exact read the lattice")
 
     monkeypatch.setattr(coefficients, "lattice_fields", refuse)
+    t2_exact.cache_clear()
     for d in (1, 2, 3):
         v = gaussian(center=(0.0,) * d)
         assert t2_exact(v, 1.5, 0.1) == pytest.approx(oracles.t2_pair_quad(v, 1.5, 0.1), rel=1e-12, abs=0), d

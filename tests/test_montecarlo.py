@@ -11,6 +11,7 @@ from fracheat import (
     McConfig,
     RngStream,
     estimate_heat_content,
+    estimate_series,
     gaussian,
     mixture,
     montecarlo,
@@ -29,6 +30,13 @@ KERNEL_V = {
     3: mixture([1.0, -0.4], [(0.0, 0.0, 0.1), (0.8, -0.3, 0.2)], [1.0, 0.5]),
 }
 TWO_BUMP = ([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
+SERIES = (0.02, 0.05, 0.1, 0.2)
+
+
+def _chunk(v, alpha, ts, cfg, chunk_index, n_chunk):
+    """One chunk's (w, y), each (len(ts), n_chunk), from the kernel's blocks."""
+    w, y = zip(*_chunk_summands(v, alpha, ts, cfg, chunk_index, n_chunk))
+    return np.concatenate(w, axis=1), np.concatenate(y, axis=1)
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -56,13 +64,39 @@ def test_thread_count_never_changes_the_estimate(unit_gaussian):
 @pytest.mark.parametrize("alpha, v", [(2.0, gaussian()), (1.0, KERNEL_V[2])], ids=["a2-d1", "a1-d2"])
 def test_thread_count_never_changes_the_estimate_across_blocks(alpha, v):
     # 2 full chunks and 1,500 paths: the last chunk spans a block boundary
-    # (1,008 paths per block at 64 steps), and so does every full chunk
+    # (1,008 paths per block at 64 steps), and so does every full chunk; the
+    # chunks' statistics of the four times are pooled in chunk order whichever
+    # thread finished first
     n = 2 * 32768 + 1500
     assert n % 32768 > _BLOCK_POINTS // 65
-    one = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=n, seed=4, threads=1))
-    three = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=n, seed=4, threads=3))
-    assert one.mean == three.mean
-    assert one.standard_error == three.standard_error
+    one = estimate_heat_content(v, alpha, SERIES, McConfig(n_paths=n, seed=4, threads=1))
+    three = estimate_heat_content(v, alpha, SERIES, McConfig(n_paths=n, seed=4, threads=3))
+    assert len(one) == len(SERIES) and one == three
+
+
+@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (1.0, 1.5, 2.0)))
+def test_a_time_in_a_series_equals_a_lone_call(d, alpha):
+    # the times share draws, never arithmetic: each one's estimate is the same
+    # bits for any order or subset of the series it sits in, two chunks here
+    v = KERNEL_V[d]
+    cfg = McConfig(n_paths=32768 + 700, m_steps=4, seed=17)
+    lone = {t: estimate_heat_content(v, alpha, t, cfg) for t in SERIES}
+    assert all(isinstance(e, montecarlo.McEstimate) for e in lone.values())
+    for ts in (SERIES, SERIES[::-1], (0.1, 0.02), (0.2,), (0.05, 0.2, 0.05)):
+        series = estimate_heat_content(v, alpha, ts, cfg)
+        assert isinstance(series, tuple)
+        assert series == tuple(lone[t] for t in ts), ts
+    assert estimate_heat_content(v, alpha, np.array(SERIES), cfg) == tuple(lone[t] for t in SERIES)
+    assert [e for _, e in estimate_series(v, alpha, SERIES[::-1], cfg)] == [lone[t] for t in SERIES]
+
+
+def test_a_series_checks_every_time():
+    v, cfg = gaussian(), McConfig(n_paths=1000)
+    for ts in ([], [0.1, -0.1], [0.1, True], (0.1, math.nan), ["0.1"], "0.1"):
+        with pytest.raises(ValueError):
+            estimate_heat_content(v, 1.5, ts, cfg)
+    zero = mixture([], [], [], dimension=1)
+    assert estimate_heat_content(zero, 1.5, [0.1, 0.2], cfg) == (montecarlo.McEstimate(0.0, 0.0, 1000),) * 2
 
 
 @pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.0, 1.5, 2.0)))
@@ -72,33 +106,40 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
     # with the same float operations in the same order: 3000 paths is not a
     # multiple of a block
     v = KERNEL_V[d]
+    ts = (0.1, 0.02, 0.3)
     for n, m in itertools.product((100, 3000, 32768), (1, 7, 64)):
         cfg = McConfig(n_paths=n, m_steps=m, seed=13)
-        blocked = _chunk_summands(v, alpha, 0.1, cfg, 2, n)
+        blocked = _chunk(v, alpha, ts, cfg, 2, n)
         block = min(n, _BLOCK_POINTS // (m + 1))
-        whole = oracles.chunk_summands_unblocked(v, alpha, 0.1, cfg, 2, n, block)
+        whole = oracles.chunk_summands_unblocked(v, alpha, ts, cfg, 2, n, block)
         for name, got, want in zip("wy", blocked, whole):
-            assert np.array_equal(got, want), (name, n, m)
+            assert got.shape == (len(ts), n) and np.array_equal(got, want), (name, n, m)
 
 
 @pytest.mark.parametrize("d, alpha, threads", [(1, 1.5, 1), (2, 1.0, 3), (3, 2.0, 2)])
 def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, threads):
     # every statistic of the estimate, bit for bit, from the unblocked oracle's
-    # summands over two chunks; plain_mean = mean(w) - t int V is the estimate
-    # as it was computed before y was subtracted
-    v, t = KERNEL_V[d], 0.1
+    # summands over two chunks, pooled block by block and chunk by chunk;
+    # plain_mean = mean(w) - t int V is the estimate as it was computed before
+    # y was subtracted
+    v, ts = KERNEL_V[d], (0.1, 0.04)
     n = 32768 + 3000
     cfg = McConfig(n_paths=n, m_steps=16, seed=7, threads=threads)
-    est = estimate_heat_content(v, alpha, t, cfg)
+    ests = estimate_heat_content(v, alpha, ts, cfg)
     block = _BLOCK_POINTS // 17
-    parts = [oracles.chunk_summands_unblocked(v, alpha, t, cfg, i, size, min(size, block))
+    parts = [oracles.chunk_summands_unblocked(v, alpha, ts, cfg, i, size, min(size, block))
              for i, size in enumerate((32768, 3000))]
-    w, y = (np.concatenate(s) for s in zip(*parts))
-    assert est.plain_mean == float(w.mean()) - t * v.integral()
-    assert est.t2_residual == float(y.mean()) - t * t * t2_exact(v, alpha, t)
-    assert est.t2_residual_se == float(y.std(ddof=1) / math.sqrt(n))
-    assert est.mean == float((w - y).mean()) + t * t * t2_exact(v, alpha, t) - t * v.integral()
-    assert est.standard_error == float((w - y).std(ddof=1) / math.sqrt(n))
+    for t, est, s in zip(ts, ests, oracles.pooled_statistics(parts, block)):
+        assert s["n"] == est.n_samples == n
+        assert est.plain_mean == s["mean_w"] - t * v.integral()
+        assert est.t2_residual == s["mean_y"] - t * t * t2_exact(v, alpha, t)
+        assert est.t2_residual_se == math.sqrt(s["ss_y"] / (n - 1)) / math.sqrt(n)
+        assert est.mean == s["mean_r"] + t * t * t2_exact(v, alpha, t) - t * v.integral()
+        assert est.standard_error == math.sqrt(s["ss_r"] / (n - 1)) / math.sqrt(n)
+        # the pooled statistics are the whole sample's, to rounding
+        r = np.concatenate([p[0][ts.index(t)] - p[1][ts.index(t)] for p in parts])
+        assert s["mean_r"] == pytest.approx(float(r.mean()), rel=1e-13)
+        assert est.standard_error == pytest.approx(float(r.std(ddof=1) / math.sqrt(n)), rel=1e-11)
 
 
 D1_MIXTURES = {
@@ -130,7 +171,7 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     assert bound == pytest.approx(0.5 * t**2 * _start_mixture(v)[1].sum() * 1.6 * math.exp(0.3 * t))
     cv_bound = bound * t * 1.6  # |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
     for alpha in (0.8, 2.0):
-        w, y = _chunk_summands(v, alpha, t, McConfig(n_paths=5000), 0, 5000)
+        w, y = _chunk(v, alpha, [t], McConfig(n_paths=5000), 0, 5000)
         assert np.abs(w).max() <= bound
         assert np.abs(w - y).max() <= cv_bound
     # a kernel that breaks either bound, by more than rounding, is caught
@@ -138,8 +179,10 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
 
     def last_path(w_last, y_last):
         def patched(*a):
-            w, y = kernel(*a)
-            return np.append(w[:-1], w_last), np.append(y[:-1], y_last)
+            blocks = list(kernel(*a))
+            w, y = blocks[-1]
+            w[:, -1], y[:, -1] = w_last, y_last
+            return iter(blocks)
 
         return patched
 
@@ -188,8 +231,20 @@ def test_chunk_kernel_peak_memory(unit_gaussian):
     cfg = McConfig(n_paths=n, m_steps=m)
     limit = n * (m + 1) * 8
     for alpha in (1.5, 2.0):
-        assert _traced_peak(lambda: _chunk_summands(unit_gaussian, alpha, t, cfg, 0, n)) < limit
+        assert _traced_peak(lambda: _chunk(unit_gaussian, alpha, [t], cfg, 0, n)) < limit
     assert _traced_peak(lambda: sample_subordinator(0.75, 1.0, RngStream(0, 0), size=n * m)) > limit
+
+
+def test_series_peak_memory_does_not_grow_with_the_chunk_count():
+    # each block's summands are reduced to per-time statistics at once, so a
+    # four-time estimate over 8 chunks peaks where one over 2 chunks does
+    v = KERNEL_V[1]
+    estimate_heat_content(v, 1.5, SERIES, McConfig(n_paths=1000))  # T_2 and the mixture's arrays, cached
+    peaks = [
+        _traced_peak(lambda: estimate_heat_content(v, 1.5, SERIES, McConfig(n_paths=k * 32768, m_steps=4)))
+        for k in (2, 8)
+    ]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_zero_potential_has_zero_variance(grid1):

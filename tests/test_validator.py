@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import fracheat.coefficients as coefficients
+import fracheat.validator as validator
 from fracheat import (
     McConfig,
     estimate_heat_content,
@@ -86,15 +88,50 @@ def test_positivity_audit_signed(grid1):
     assert not by_label["C5 >= 0"].required
 
 
-def test_estimate_series_sorts_times_and_offsets_seeds(unit_gaussian):
+def test_estimate_series_sorts_times_and_shares_one_seed(unit_gaussian):
     cfg = McConfig(n_paths=1000, seed=2**64 - 1)
     series = estimate_series(unit_gaussian, 1.5, [0.2, 0.05, 0.1], cfg)
     assert [t for t, _ in series] == [0.05, 0.1, 0.2]
-    for i, (t, est) in enumerate(series):
-        # the seed wraps around 2^64 rather than leaving the valid range
-        assert est == estimate_heat_content(unit_gaussian, 1.5, t, McConfig(n_paths=1000, seed=(i - 1) % 2**64))
+    for t, est in series:
+        # every time reads the series' own seed, the largest one here
+        assert est == estimate_heat_content(unit_gaussian, 1.5, t, cfg)
     with pytest.raises(ValueError):
         estimate_series(unit_gaussian, 1.5, [], cfg)
+
+
+def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian):
+    # the benchmark's tracer wraps validator.estimate_heat_content by name and
+    # counts a call's paths as its fourth positional argument's n_paths
+    calls = []
+    real = validator.estimate_heat_content
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(validator, "estimate_heat_content", recorded)
+    cfg = McConfig(n_paths=1000, seed=5)
+    report = expansion_report(unit_gaussian, 1.5, [0.2, 0.02, 0.1, 0.05], cfg)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 4
+    assert list(args[2]) == [0.02, 0.05, 0.1, 0.2] and isinstance(args[3], McConfig) and args[3].n_paths == 1000
+    assert [r.t for r in report.rows] == [0.02, 0.05, 0.1, 0.2]
+
+
+def test_report_integrates_each_t2_once(monkeypatch):
+    # the estimator's control variate and the exact-t2 row read one cached T_2
+    calls = []
+    real = coefficients._pair_integral
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(coefficients, "_pair_integral", counted)
+    coefficients.t2_exact.cache_clear()
+    expansion_report(gaussian(weight=-0.7), 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
+    assert len(calls) == 4
 
 
 def test_theorem1_part_i_requires_nonpositive_potential():
