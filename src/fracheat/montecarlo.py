@@ -202,7 +202,7 @@ def _chunk_summands(
 
 @dataclass(frozen=True)
 class _Tally:
-    """Per-time statistics of n paths, each row one time: peaks = (max|w|, max|w - y|),
+    """Per-time statistics of n paths, one column per time: peaks = (max|w|, max|w - y|),
     means = (mean w, mean (w - y), mean y) and ss = the centred sums of squares of w - y and y."""
 
     n: int
