@@ -54,19 +54,25 @@ so the thread count changes scheduling but not a single drawn number.
 
 Within a chunk the draws come in this order: the component choices, the
 start points' normals and the uniforms r for the whole chunk, then block by
-block of ``_BLOCK_POINTS`` // (m + 1) paths the block's span-1 increments.
-The chunk size and the block size are therefore both part of the draw
-order: changing either changes the numbers.  A block holds its (B, m, d)
-array of draws, turned into P in place, and one position buffer of that
-shape that each time refills; V(x0) is evaluated once per chunk.  Each
-block's (T, B) summands w and y are reduced at once to per-time counts,
-means, centred sums of squares and peaks, which are pooled block by block
-and then chunk by chunk, in order, by the pairwise update of Chan, Golub &
-LeVeque (1979).  So apart from the per-path vectors (start, V(x0), V/g, s)
-nothing chunk-sized is built, no path-sized array outlives its chunk, and
-memory does not grow with n_paths or with the number of times: a
-32768-path, 64-step chunk in d = 1 peaks at a few MB of traced memory for
-every alpha.
+block of ``_BLOCK_POINTS`` // (m + 1) paths the block's span-1 increments,
+one ``sample_increment`` call per block.  The chunk size and the block size
+are therefore both part of the draw order: changing either changes the
+numbers.  A block's (B, m, d) draws are turned into P in place; V(x0) is
+evaluated once per chunk.  The evaluation then walks the block in row tiles
+of ``_TILE_POINTS`` // ((m + 1) d) paths, sized so that a tile's rows of P,
+its position buffer and evaluate's temporaries fit in L2 together.  Each
+tile runs every time of the series while its rows of P stay in cache:
+positions x0 + t^{1/alpha} P in one tile-sized buffer, V on them, A_U, and
+that time's w and y written into the block's (T, B) columns.  Tiles are not
+part of the draw order: every float operation on a path is the same in any
+tile, so the tile size changes no number.  Each block's (T, B) summands are
+reduced at once to per-time counts, means, centred sums of squares and
+peaks, which are pooled block by block and then chunk by chunk, in order,
+by the pairwise update of Chan, Golub & LeVeque (1979).  So apart from the
+per-path vectors (start, V(x0), V/g, s) nothing chunk-sized is built, no
+path-sized array outlives its chunk, and memory does not grow with n_paths
+or with the number of times: a 32768-path, 64-step chunk in d = 1 peaks
+below 3.6 MB of traced memory for every alpha.
 """
 
 from __future__ import annotations
@@ -92,9 +98,17 @@ __all__ = [
 ]
 
 _CHUNK = 32768
-# B = _BLOCK_POINTS // (m + 1) paths per block, part of the draw order: the
-# block's (B, m, 1) float64 array and evaluate's temporaries fit a 2 MB L2 at d = 1
+# B = _BLOCK_POINTS // (m + 1) paths per block, part of the draw order: each
+# block's increments come from one sample_increment call
 _BLOCK_POINTS = 2**16
+# _TILE_POINTS // ((m + 1) d) paths per evaluation tile, not part of the draw
+# order: at most _TILE_POINTS / d path points.  Per point a tile keeps live
+# its rows of P and the position buffer (8 d bytes each) and evaluate's out,
+# term and, for d >= 2, gap (8 bytes each): 32 bytes at d = 1, 56 at d = 2,
+# 72 at d = 3, never above 32 d.  So a tile's working set is at most
+# 32 * 2^15 bytes = 1 MB for every d, half a 2 MB L2, where a whole 1,008-path
+# block at d = 1 and 64 steps would hold 4 * 1008 * 64 * 8 bytes = 2 MB
+_TILE_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -161,11 +175,11 @@ def _chunk_summands(
     from the chunk's own substream: w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) and its control
     variate y, the same product with e^{-A_U} set to 1.
 
-    Draw order and block walk as in the module docstring.  Each block's
-    span-1 draws become its relative path P in place, scaled per path by
-    (s/m)^{1/alpha} and summed along the path; each time then evaluates V
-    at x0 + t^{1/alpha} P in one reused buffer, so row k depends on ts[k]
-    alone.
+    Draw order, block and tile walk as in the module docstring.  Each
+    block's span-1 draws become its relative path P in place, scaled per
+    path by (s/m)^{1/alpha} and summed along the path; tile by tile, each
+    time then evaluates V at x0 + t^{1/alpha} P in one reused buffer, so
+    row k depends on ts[k] alone.
     """
     d = v.dimension
     m = cfg.m_steps
@@ -181,7 +195,8 @@ def _chunk_summands(
     v0 = v.evaluate(x0)
     ratio = float(mass.sum()) * v0 / g.evaluate(x0)
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
-    buf = np.empty((block, m, d))
+    tile = min(block, max(1, _TILE_POINTS // ((m + 1) * d)))
+    buf = np.empty((tile, m, d))
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
         path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
@@ -190,13 +205,16 @@ def _chunk_summands(
         w, y = np.empty((len(ts), hi - lo)), np.empty((len(ts), hi - lo))
         # e^{-A} may overflow to inf (and 0 * inf to nan); the estimator rejects non-finite summands
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, t in enumerate(ts):
-                pos = np.multiply(path, t ** (1.0 / alpha), out=buf[: hi - lo])
-                pos += x0[lo:hi, np.newaxis, :]
-                vals = v.evaluate(pos)
-                a_u = (t * span[lo:hi]) * (vals.sum(axis=1) + 0.5 * (v0[lo:hi] - vals[:, -1]))
-                np.multiply(vals[:, -1], 0.5 * t * t * ratio[lo:hi], out=y[k])
-                np.multiply(y[k], np.exp(-a_u), out=w[k])
+            for i in range(0, hi - lo, tile):
+                j = min(i + tile, hi - lo)
+                rows = slice(lo + i, lo + j)
+                for k, t in enumerate(ts):
+                    pos = np.multiply(path[i:j], t ** (1.0 / alpha), out=buf[: j - i])
+                    pos += x0[rows, np.newaxis, :]
+                    vals = v.evaluate(pos)
+                    a_u = (t * span[rows]) * (vals.sum(axis=1) + 0.5 * (v0[rows] - vals[:, -1]))
+                    np.multiply(vals[:, -1], 0.5 * t * t * ratio[rows], out=y[k, i:j])
+                    np.multiply(y[k, i:j], np.exp(-a_u), out=w[k, i:j])
         yield w, y
 
 

@@ -33,7 +33,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
-from .sampling import _check_count, _check_positive_finite
+from .sampling import _check_count, _check_positive_finite, _is_finite_real
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
@@ -133,7 +133,7 @@ def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
     """The report's own ranges: 1 <= n_max <= MAX_ORDER and, when given, 0 < gamma < min(1, alpha)."""
     if not 1 <= _check_count("n_max", n_max) <= MAX_ORDER:
         raise ValueError(f"n_max must lie in 1..{MAX_ORDER}, got {n_max}")
-    if gamma is not None and not 0.0 < gamma < min(1.0, alpha):
+    if gamma is not None and not (_is_finite_real(gamma) and 0.0 < gamma < min(1.0, alpha)):
         raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
 
 
@@ -205,7 +205,8 @@ def _check_rows(
       - Theorem 2, when gamma is given: |Q + t int V - (t^2/2) int V^2| <=
         t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}
         + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha;
-      - t2 control: mean(y) - t^2 T_2(t) = 0 at the se of y, the paths' own check of T_2.
+      - t2 control: mean(y) - t^2 T_2(t) = 0 at the se of y, the paths' own check of T_2;
+        its note says that the rows of one series move together, as they share the start points.
     No row compares the control-variate estimate with the T_2 it used.
     """
     q, se = est.mean, est.standard_error
@@ -228,7 +229,8 @@ def _check_rows(
         b = b3 + v.holder_constant(gamma) * moment * t ** (r + 2.0) / ((r + 1.0) * (r + 2.0))
         value = q + t * vol - t**2 * c0k(v, 2)
         rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}", se))
-    rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, "", est.t2_residual_se))
+    shared = "the times of one series share the seed's start points, so these rows move together"
+    rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, shared, est.t2_residual_se))
     return rows
 
 

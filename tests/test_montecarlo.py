@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from fracheat import (
     t2_exact,
 )
 from fracheat.cli import resolve_config
-from fracheat.montecarlo import _BLOCK_POINTS, _chunk_summands, _start_mixture, _summand_bound
+from fracheat.montecarlo import _BLOCK_POINTS, _TILE_POINTS, _chunk_summands, _start_mixture, _summand_bound
+from fracheat.potentials import GaussianMixturePotential
 from fracheat.sampling import sample_subordinator
 
 # one signed mixture per dimension, for the chunk kernel's bit-identity checks
@@ -114,6 +116,53 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
         whole = oracles.chunk_summands_unblocked(v, alpha, ts, cfg, 2, n, block)
         for name, got, want in zip("wy", blocked, whole):
             assert got.shape == (len(ts), n) and np.array_equal(got, want), (name, n, m)
+
+
+@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.0, 1.5, 2.0)))
+def test_blocked_kernel_is_bit_identical_with_uneven_tiles(d, alpha, monkeypatch):
+    # tiles of 3/7 of a block's points leave a short last tile in every full block,
+    # at 1, 7 and 64 steps alike
+    monkeypatch.setattr(montecarlo, "_TILE_POINTS", 3 * _BLOCK_POINTS // 7 * d)
+    test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha)
+
+
+@pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (1.0, 1.5, 2.0)))
+def test_tile_size_never_changes_a_number(d, alpha, monkeypatch):
+    # tiles are not part of the draw order and every float operation on a path
+    # is the same in any tile: a two-chunk series at 1 and 2 threads gives the
+    # same estimates with tiles that split a block unevenly (5000 of 13,107
+    # paths at 4 steps), that equal a block, and that exceed a chunk
+    v, m = KERNEL_V[d], 4
+    cfg = McConfig(n_paths=32768 + 700, m_steps=m, seed=17)
+    want = estimate_heat_content(v, alpha, SERIES, cfg)
+    block = _BLOCK_POINTS // (m + 1)
+    assert 5000 < block and block % 5000
+    for paths in (5000, block, 40_000):
+        monkeypatch.setattr(montecarlo, "_TILE_POINTS", paths * (m + 1) * d)
+        for threads in (1, 2):
+            got = estimate_heat_content(v, alpha, SERIES, replace(cfg, threads=threads))
+            assert got == want, (paths, threads)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluation_walks_each_block_in_tiles(d, monkeypatch):
+    # V on path positions is evaluated one tile at a time, never on a whole
+    # block, and every path of the chunk is evaluated once per time
+    v, m, n, ts = KERNEL_V[d], 64, 3000, (0.1, 0.02)
+    block, tile = _BLOCK_POINTS // (m + 1), _TILE_POINTS // ((m + 1) * d)
+    assert tile < block
+    shapes = []
+    evaluate = GaussianMixturePotential.evaluate
+
+    def spy(self, x):
+        shapes.append(np.shape(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(GaussianMixturePotential, "evaluate", spy)
+    _chunk(v, 1.5, ts, McConfig(n_paths=n, m_steps=m), 0, n)
+    on_paths = [s for s in shapes if len(s) == 3]
+    assert all(s[1:] == (m, d) and s[0] <= tile for s in on_paths), on_paths
+    assert sum(s[0] for s in on_paths) == n * len(ts)
 
 
 @pytest.mark.parametrize("d, alpha, threads", [(1, 1.5, 1), (2, 1.0, 3), (3, 2.0, 2)])

@@ -175,6 +175,11 @@ def test_theorem2_gamma_validation():
     for gamma, alpha in ((1.2, 2.0), (1.0, 2.0), (0.9, 0.8), (0.0, 2.0)):
         with pytest.raises(ValueError):
             expansion_report(v, alpha, [0.1], cfg, gamma=gamma)
+    # a library caller's gamma that is no finite real number gets the same
+    # ValueError, never a TypeError from the comparison
+    for gamma in ("0.5", 0.5j, np.True_, np.bool_(False), True, math.nan, math.inf, [0.5]):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            expansion_report(v, 1.5, [0.1], cfg, gamma=gamma)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -188,6 +193,9 @@ def test_se_mult_counts_the_checks_built(sign, gamma):
     if sign < 0 and gamma is not None:
         # sandwich pair, remainder, exact-t2, theorem 2 and t2 control at five times
         assert len(checks) == 30 and report.se_mult == 4.0
+    # the t2 control rows of one series move together, and say so
+    controls = [c for c in checks if c.name.startswith("t2 control")]
+    assert len(controls) == len(ts) and all("share the seed's start points" in c.note for c in controls)
 
 
 def test_t2_consistency_quick(unit_gaussian):
