@@ -63,7 +63,6 @@ from .validator import (
     report_to_csv,
     report_to_json,
     se_factor,
-    t2_consistency_check,
 )
 
 __all__ = [
@@ -86,5 +85,5 @@ __all__ = [
     # validator
     "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
     "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",
-    "se_factor", "t2_consistency_check",
+    "se_factor",
 ]

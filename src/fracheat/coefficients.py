@@ -325,7 +325,46 @@ def t2_exact(v: GaussianMixturePotential, alpha: float, t: float) -> float:
     """
     _check_alpha(alpha)
     _check_time(t)
-    return _pair_integral(v, lambda r: t2_kernel(t * r**alpha))
+    return _pair_integral(v, v, lambda r: t2_kernel(t * r**alpha))
+
+
+# -- the third-order control's mean --------------------------------------------
+
+
+def t3_kernel(u) -> np.ndarray:
+    """phi(u) = int_0^1 2 s (1 - s) e^{-us} ds = 2 ((u - 2) + (u + 2) e^{-u}) / u^3.
+
+    The closed form loses about eps/u^3 to cancellation, so for |u| < 0.5 phi
+    is the 16-term series sum_n (-u)^n/n! 2/((n + 2)(n + 3)) by Horner's rule,
+    whose first omitted term is below 5e-21 there.  phi(0) = 1/3; phi > 0 is
+    decreasing on the whole line.
+    """
+    arr = np.asarray(u, dtype=float)
+    near = np.abs(arr) < 0.5
+    big = np.where(near, 1.0, arr)
+    series = np.zeros_like(arr)
+    for n in range(15, -1, -1):
+        series = 2.0 / ((n + 2) * (n + 3)) - arr / (n + 1) * series
+    out = np.where(near, series, 2.0 * (2.0 * big + (big + 2.0) * np.expm1(-big)) / big**3)
+    return float(out) if np.ndim(u) == 0 else out
+
+
+def t3_control_mean(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
+    """E c' = -(t^3/2) (2 pi)^{-d} int conj((V^2)hat(xi)) vhat(xi) phi(t |xi|^alpha) dxi at each t of ts.
+
+    c' = -y t s V(x0) is the estimator's third-order control (``montecarlo``);
+    phi = ``t3_kernel``, and E c' -> -t^3 int V^3 / 6 = -t^3 C_{0,3} as t -> 0.
+    One radial pair integral of (V^2, V) serves every time, and each time's
+    value is bit-identical to a call at that time alone.
+    """
+    _check_alpha(alpha)
+    for t in ts:
+        _check_time(t)
+    times = np.array([float(t) for t in ts])
+    if v.is_zero:
+        return np.zeros(times.size)
+    pair = _pair_integral(v.power(2), v, lambda r: t3_kernel(np.multiply.outer(times, r**alpha)))
+    return -0.5 * times**3 * pair
 
 
 def _bessel_j0(z) -> np.ndarray:
@@ -341,22 +380,33 @@ def _bessel_j0(z) -> np.ndarray:
 _SPHERE = {1: (np.cos, math.pi), 2: (_bessel_j0, 2.0 * math.pi), 3: (lambda z: np.sinc(z / math.pi), 2.0 * math.pi**2)}
 
 
-def _pair_integral(v: GaussianMixturePotential, f) -> float:
-    """(2 pi)^{-d} int |vhat(xi)|^2 f(|xi|) dxi as one radial tanh-sinh integral; f takes an array of radii.
+def _pair_integral(p: GaussianMixturePotential, q: GaussianMixturePotential, f):
+    """(2 pi)^{-d} int conj(phat(xi)) qhat(xi) f(|xi|) dxi as one radial tanh-sinh integral.
 
-    The sphere mean of |vhat|^2 at |xi| = r is sum_{i<=j} (2 - delta_ij) c_i c_j (pi^2/(a_i a_j))^{d/2}
-    e^{-b_ij r^2} J_d(r |mu_i - mu_j|), b_ij = 1/(4 a_i) + 1/(4 a_j), with J_d = cos, J_0, sinc in
-    d = 1, 2, 3.  Beyond r = sqrt(160 max a) every e^{-b_ij r^2} is below e^{-80}.  The rule
-    absorbs a kink of f at r = 0, such as that of |xi|^alpha, so no lattice or kink correction enters.
+    f takes an array of radii and returns one kernel's values there, or a
+    (K, radii) array of K kernels, which gives K integrals at once.  The
+    sphere mean of conj(phat) qhat at |xi| = r is the sum over every pair
+    (i, j) of c_i^p c_j^q (pi^2/(a_i^p a_j^q))^{d/2} e^{-b_ij r^2} J_d(r |mu_i^p - mu_j^q|),
+    b_ij = 1/(4 a_i^p) + 1/(4 a_j^q), with J_d = cos, J_0, sinc in d = 1, 2, 3;
+    for q = p the sum runs over i <= j with the off-diagonal pairs doubled.
+    Beyond r = sqrt(160 max a) every e^{-b_ij r^2} is below e^{-80}.  The rule
+    absorbs a kink of f at r = 0, such as that of |xi|^alpha, so no lattice or
+    kink correction enters.
     """
-    if v.is_zero:
+    if p.is_zero or q.is_zero:
         return 0.0
-    d = v.dimension
-    w, a, mu = v._arrays()
-    i, j = np.triu_indices(len(w))
-    amp = np.where(i == j, 1.0, 2.0) * w[i] * w[j] * (math.pi**2 / (a[i] * a[j])) ** (d / 2.0)
-    b = 0.25 / a[i] + 0.25 / a[j]
-    gap = np.sqrt(((mu[i] - mu[j]) ** 2).sum(axis=1))
+    d = p.dimension
+    wp, ap, mp = p._arrays()
+    wq, aq, mq = q._arrays()
+    if q is p:
+        i, j = np.triu_indices(len(wp))
+        double = np.where(i == j, 1.0, 2.0)
+    else:
+        i, j = np.indices((len(wp), len(wq))).reshape(2, -1)
+        double = 1.0
+    amp = double * wp[i] * wq[j] * (math.pi**2 / (ap[i] * aq[j])) ** (d / 2.0)
+    b = 0.25 / ap[i] + 0.25 / aq[j]
+    gap = np.sqrt(((mp[i] - mq[j]) ** 2).sum(axis=1))
     mean, scale = _SPHERE[d]
 
     def radial(r: np.ndarray) -> np.ndarray:
@@ -364,35 +414,42 @@ def _pair_integral(v: GaussianMixturePotential, f) -> float:
         pairs = amp * np.exp(-b * col**2) * mean(col * gap)
         return r ** (d - 1) * f(r) * pairs.sum(axis=1)
 
-    return _tanh_sinh(radial, math.sqrt(160.0 * a.max())) / scale
+    return _tanh_sinh(radial, math.sqrt(160.0 * max(ap.max(), aq.max()))) / scale
 
 
-def _tanh_sinh(fn, b: float) -> float:
+def _tanh_sinh(fn, b: float):
     """int_0^b fn by the tanh-sinh rule (Takahasi & Mori, 1974); fn takes an array of nodes.
 
     x = b / (1 + e^{-pi sinh u}) and the weight b pi cosh(u) / (4 cosh^2((pi/2) sinh u))
     at u = k h.  Each halving of h adds the odd k, so every level costs one
-    fn call on its new nodes only.
+    fn call on its new nodes only.  fn may return a (K, nodes) array; then
+    the result is the K integrals, each kept from the first level at which it
+    converged, which is the value a lone call on that row would return.
 
     Raises:
-        ValueError: if two successive levels still differ by more than _TS_RTOL
-            relative after _TS_LEVELS halvings.
+        ValueError: if two successive levels of some integral still differ by
+            more than _TS_RTOL relative after _TS_LEVELS halvings.
     """
 
-    def level(u: np.ndarray) -> float:
+    def level(u: np.ndarray):
         s = 0.5 * math.pi * np.sinh(u)
         x = b / (1.0 + np.exp(-2.0 * s))
         w = (0.25 * math.pi * b) * np.cosh(u) / np.cosh(s) ** 2
-        return float(np.dot(w, fn(x)))
+        vals = fn(x)
+        return np.dot(w, vals) if vals.ndim == 1 else np.array([np.dot(w, row) for row in vals])
 
     h = 0.5
     total = h * level(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
+    done = np.zeros(np.shape(total), dtype=bool)
+    out = total
     for _ in range(_TS_LEVELS):
         h *= 0.5
         odd = h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2)
         prev, total = total, 0.5 * total + h * level(odd)
-        if abs(total - prev) <= _TS_RTOL * abs(total):
-            return total
+        out = np.where(done, out, total)
+        done |= np.abs(total - prev) <= _TS_RTOL * np.abs(total)
+        if done.all():
+            return float(out) if out.ndim == 0 else out
     raise ValueError(f"tanh-sinh quadrature did not converge: last two levels {prev!r} and {total!r}")
 
 

@@ -20,21 +20,37 @@ Second-order control variate: the same product with e^{-A_U} set to 1,
     y = (t^2/2) Z (V(x0)/g(x0)) V(X_U),
 
 has E y = int_0^t (t - u) <V, e^{-uF} V> du = t^2 T_2(t), since X is the free
-stable process, and ``coefficients.t2_exact`` gives T_2 with no lattice.  So
-the estimate is mean(w - y) + t^2 T_2(t) - t int V, with the se of w - y:
-the paths estimate only what t^2 T_2 leaves out, and w - y = y (e^{-A_U} - 1)
-is O(t ||V||_inf) times w.  The estimate also keeps mean(w) - t int V
-(``plain_mean``) and mean(y) - t^2 T_2 with its se (``t2_residual``), which
-checks T_2 against the paths alone.
+stable process, and ``coefficients.t2_exact`` gives T_2 with no lattice.
+Third-order control variate: the first-order term of e^{-A_U} - 1 with the
+exponent frozen at its start, A_U ~ U V(x0) = t s V(x0),
+
+    c' = -y t s V(x0),
+
+has E c' = -(t^3/2) (2 pi)^{-d} int conj((V^2)hat) vhat phi(t |xi|^alpha) dxi
+(``coefficients.t3_control_mean``, one quadrature for a whole series), which
+tends to -t^3 int V^3 / 6.  So the estimate is
+mean(w - y - c') + t^2 T_2(t) + E c' - t int V, with the se of w - y - c':
+the paths estimate only what t^2 T_2 and E c' leave out, and the residual
+y (e^{-A_U} - 1 + t s V(x0)) follows A_U - t s V(x0), how far the path's
+exponent strays from its frozen start.  Each path's residuals w - y and
+w - y - c' are formed path by path, never from pooled means: on the
+benchmark workloads at t = 0.02 to 0.2 the variance of w - y is 20x to 400x
+below w's and that of w - y - c' a further 18x to 590x below, so a
+difference of means would lose digits to cancellation.
+The estimate also keeps mean(w) - t int V (``plain_mean``), the estimate
+with y alone and its se (``t2_mean``, ``t2_standard_error``), and the two
+controls' own checks: mean(y) - t^2 T_2 (``t2_residual``) and
+mean(c') - E c' (``t3_residual``), each with its se.
 
 Invariant: |V/g| <= 1, |V| <= sum_i |c_i| and V >= -sum_{c_i<0} |c_i|, so
 
-    |w| <= B = (t^2/2) Z sum_i |c_i| e^{t sum_{c_i<0} |c_i|},
+    |w| <= B = (t^2/2) Z sum_i |c_i| e^{t sum_{c_i<0} |c_i|}.
 
-and, A_U lying between U min V and U max V, |w - y| <= B t sum_i |c_i|; the
-estimator asserts both.  So the variance is finite for every alpha and
-d with no tuning: the start points stay where V lives, and a path that
-jumps far away only shrinks its summand.
+A_U and t s V(x0) both lie between U min V and U max V, so with
+b = t sum_i |c_i| also |w - y| <= B b and |w - y - c'| <= B b (1 + b/2);
+the estimator asserts all three.  So the variance is finite for every
+alpha and d with no tuning: the start points stay where V lives, and a
+path that jumps far away only shrinks its summand.
 
 By self-similarity a path to any time t is a rescaled path to time 1:
 with U = t s and s = 1 - sqrt(1 - r) independent of t, its m increments of
@@ -63,22 +79,22 @@ of ``_TILE_POINTS`` // ((m + 1) d) paths, sized so that a tile's rows of P,
 its position buffer and evaluate's temporaries fit in L2 together.  Each
 tile runs every time of the series while its rows of P stay in cache:
 positions x0 + t^{1/alpha} P in one tile-sized buffer, V on them, A_U, and
-that time's w and y written into the block's (T, B) columns.  Tiles are not
-part of the draw order: every float operation on a path is the same in any
-tile, so the tile size changes no number.  Each block's (T, B) summands are
-reduced at once to per-time counts, means, centred sums of squares and
-peaks, which are pooled block by block and then chunk by chunk, in order,
-by the pairwise update of Chan, Golub & LeVeque (1979).  So apart from the
-per-path vectors (start, V(x0), V/g, s) nothing chunk-sized is built, no
+that time's columns (``_COLUMNS``: w - y - c', w - y, w, y and c') written
+into the block's (C, T, B) array.  Tiles are not part of the draw order:
+every float operation on a path is the same in any tile, so the tile size
+changes no number.  Each block's columns are reduced at once to a count and,
+per column and time, a mean, a centred sum of squares and a peak, which are
+pooled block by block and then chunk by chunk, in order, by the pairwise
+update of Chan, Golub & LeVeque (1979).  So apart from the per-path vectors
+(start, V(x0), V/g, s) nothing chunk-sized is built, no
 path-sized array outlives its chunk, and memory does not grow with n_paths
 or with the number of times: a 32768-path, 64-step chunk in d = 1 peaks
-below 3.6 MB of traced memory for every alpha.
+below 3.8 MB of traced memory for every alpha.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -86,7 +102,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import t2_exact
+from .coefficients import t2_exact, t3_control_mean
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
@@ -109,6 +125,9 @@ _BLOCK_POINTS = 2**16
 # 32 * 2^15 bytes = 1 MB for every d, half a 2 MB L2, where a whole 1,008-path
 # block at d = 1 and 64 steps would hold 4 * 1008 * 64 * 8 bytes = 2 MB
 _TILE_POINTS = 2**15
+# the kernel's per-path columns, in the order it writes them: the residual that
+# the estimate reads, then each quantity whose mean, se or peak a field reads
+_COLUMNS = ("w - y - c'", "w - y", "w", "y", "c'")
 
 
 @dataclass(frozen=True)
@@ -138,19 +157,28 @@ class McConfig:
 class McEstimate:
     """A Monte Carlo mean, its standard error and its sample count.
 
-    From ``estimate_heat_content``, one per time: mean = mean(w - y) +
-    t^2 T_2 - t int V and the se of w - y; plain_mean = mean(w) - t int V, the
-    estimate without the control variate; t2_residual = mean(y) - t^2 T_2
-    with its standard error t2_residual_se, a check of T_2 by the paths
-    alone.  The last three are 0.0 for V = 0 and for every other estimator.
+    From ``estimate_heat_content``, one per time: mean = mean(w - y - c') +
+    t^2 T_2 + E c' - t int V and the se of w - y - c'.  The rest are 0.0 for
+    V = 0 and for every other estimator:
+      - plain_mean = mean(w) - t int V, the estimate without a control variate;
+      - t2_mean = mean(w - y) + t^2 T_2 - t int V and its standard error
+        t2_standard_error, the estimate with the second-order control alone;
+      - t2_residual = mean(y) - t^2 T_2 with its standard error
+        t2_residual_se, a check of T_2 by the paths alone;
+      - t3_residual = mean(c') - E c' with its standard error
+        t3_residual_se, a check of E c' by the paths alone.
     """
 
     mean: float
     standard_error: float
     n_samples: int
     plain_mean: float = 0.0
+    t2_mean: float = 0.0
+    t2_standard_error: float = 0.0
     t2_residual: float = 0.0
     t2_residual_se: float = 0.0
+    t3_residual: float = 0.0
+    t3_residual_se: float = 0.0
 
 
 def _start_mixture(v: GaussianMixturePotential) -> tuple[GaussianMixturePotential, np.ndarray]:
@@ -170,16 +198,17 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
 
 def _chunk_summands(
     v: GaussianMixturePotential, alpha: float, ts: list[float], cfg: McConfig, chunk_index: int, n_chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Block by block, (w, y) of one chunk's paths at every time of ts, each of shape (len(ts), block),
-    from the chunk's own substream: w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U) and its control
-    variate y, the same product with e^{-A_U} set to 1.
+) -> Iterator[np.ndarray]:
+    """Block by block, the (C, T, B) columns of one chunk's paths at every time of ts, from the chunk's
+    own substream: column c of ``_COLUMNS`` at time ts[k] for each of the block's B paths.
 
-    Draw order, block and tile walk as in the module docstring.  Each
-    block's span-1 draws become its relative path P in place, scaled per
-    path by (s/m)^{1/alpha} and summed along the path; tile by tile, each
-    time then evaluates V at x0 + t^{1/alpha} P in one reused buffer, so
-    row k depends on ts[k] alone.
+    w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U), y is w with e^{-A_U} set to
+    1, c' = -y t s V(x0), and the residuals w - y and w - y - c' are formed
+    path by path.  Draw order, block and tile walk as in the module
+    docstring.  Each block's span-1 draws become its relative path P in
+    place, scaled per path by (s/m)^{1/alpha} and summed along the path;
+    tile by tile, each time then evaluates V at x0 + t^{1/alpha} P in one
+    reused buffer, so the columns of time k depend on ts[k] alone.
     """
     d = v.dimension
     m = cfg.m_steps
@@ -202,26 +231,31 @@ def _chunk_summands(
         path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
         path *= (span[lo:hi] ** (1.0 / alpha))[:, np.newaxis, np.newaxis]
         np.cumsum(path, axis=1, out=path)
-        w, y = np.empty((len(ts), hi - lo)), np.empty((len(ts), hi - lo))
+        cols = np.empty((len(_COLUMNS), len(ts), hi - lo))
         # e^{-A} may overflow to inf (and 0 * inf to nan); the estimator rejects non-finite summands
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, hi - lo, tile):
                 j = min(i + tile, hi - lo)
                 rows = slice(lo + i, lo + j)
+                frozen = (m * span[rows]) * v0[rows]  # s V(x0), with s = U / t
                 for k, t in enumerate(ts):
                     pos = np.multiply(path[i:j], t ** (1.0 / alpha), out=buf[: j - i])
                     pos += x0[rows, np.newaxis, :]
                     vals = v.evaluate(pos)
                     a_u = (t * span[rows]) * (vals.sum(axis=1) + 0.5 * (v0[rows] - vals[:, -1]))
-                    np.multiply(vals[:, -1], 0.5 * t * t * ratio[rows], out=y[k, i:j])
-                    np.multiply(y[k, i:j], np.exp(-a_u), out=w[k, i:j])
-        yield w, y
+                    r3, r2, w, y, c = cols[:, k, i:j]
+                    np.multiply(vals[:, -1], 0.5 * t * t * ratio[rows], out=y)
+                    np.multiply(y, np.exp(-a_u), out=w)
+                    np.subtract(w, y, out=r2)
+                    np.multiply(y, -t * frozen, out=c)
+                    np.subtract(r2, c, out=r3)
+        yield cols
 
 
 @dataclass(frozen=True)
 class _Tally:
-    """Per-time statistics of n paths, one column per time: peaks = (max|w|, max|w - y|),
-    means = (mean w, mean (w - y), mean y) and ss = the centred sums of squares of w - y and y."""
+    """Per-column, per-time statistics of n paths, each of shape (C, T): the peak |x|, the mean and the
+    centred sum of squares."""
 
     n: int
     peaks: np.ndarray
@@ -231,18 +265,12 @@ class _Tally:
 
 # a non-finite summand makes its time's statistics nan or inf, which the estimator rejects
 @np.errstate(over="ignore", invalid="ignore")
-def _tally(w: np.ndarray, y: np.ndarray) -> _Tally:
-    """The statistics of one block's (T, B) summands, row by row, as numpy's mean and var form them
-    (sum / B, then the sum of squared deviations); w's buffer ends up holding w - y."""
-    rows = []
-    for wk, yk in zip(w, y):
-        peak_w, mean_w = np.abs(wk).max(), wk.mean()
-        rk = np.subtract(wk, yk, out=wk)
-        mean_r, mean_y = rk.mean(), yk.mean()
-        dev_r, dev_y = rk - mean_r, yk - mean_y
-        rows.append((peak_w, np.abs(rk).max(), mean_w, mean_r, mean_y, (dev_r * dev_r).sum(), (dev_y * dev_y).sum()))
-    cols = np.array(rows, dtype=float).T
-    return _Tally(w.shape[1], cols[:2], cols[2:5], cols[5:])
+def _tally(cols: np.ndarray) -> _Tally:
+    """The statistics of one block's (C, T, B) columns along its paths, as numpy's mean and var form
+    them (sum / B, then the sum of squared deviations)."""
+    means = cols.mean(axis=-1)
+    dev = cols - means[..., np.newaxis]
+    return _Tally(cols.shape[-1], np.abs(cols).max(axis=-1), means, (dev * dev).sum(axis=-1))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -256,14 +284,14 @@ def _merge(a: _Tally, b: _Tally) -> _Tally:
         n,
         np.maximum(a.peaks, b.peaks),
         a.means + delta * (b.n / n),
-        a.ss + b.ss + delta[1:] * delta[1:] * (a.n * b.n / n),
+        a.ss + b.ss + delta * delta * (a.n * b.n / n),
     )
 
 
 def estimate_heat_content(
     v: GaussianMixturePotential, alpha: float, t, cfg: McConfig
 ) -> McEstimate | tuple[McEstimate, ...]:
-    """Monte Carlo Q(t) = mean(w - y) + t^2 T_2(t) - t int V with standard error sd(w - y)/sqrt(n).
+    """Monte Carlo Q(t) = mean(w - y - c') + t^2 T_2(t) + E c' - t int V with standard error sd(w - y - c')/sqrt(n).
 
     t is one time, which returns one McEstimate, or a sequence of times,
     which returns a tuple of McEstimates in the order given; the times share
@@ -287,37 +315,47 @@ def estimate_heat_content(
         sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
 
         def job(i: int) -> _Tally:
-            blocks = _chunk_summands(v, alpha, ts, cfg, i, sizes[i])
-            return functools.reduce(_merge, itertools.starmap(_tally, blocks))
+            return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, cfg, i, sizes[i])))
 
         if cfg.threads == 1 or len(sizes) == 1:
             total = functools.reduce(_merge, map(job, range(len(sizes))))
         else:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
-        out = tuple(_estimate(v, alpha, s, total, k) for k, s in enumerate(ts))
+        controls = t3_control_mean(v, alpha, ts)
+        out = tuple(_estimate(v, alpha, s, float(c), total, k) for k, (s, c) in enumerate(zip(ts, controls)))
     return out[0] if scalar else out
 
 
-def _estimate(v: GaussianMixturePotential, alpha: float, t: float, total: _Tally, k: int) -> McEstimate:
-    """The k-th time's McEstimate from the pooled statistics, after the bound checks."""
-    (peak_w, peak_r), (mean_w, mean_r, mean_y), (ss_r, ss_y) = (x[:, k] for x in (total.peaks, total.means, total.ss))
-    if not math.isfinite(peak_w):
-        raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
-    bound = _summand_bound(v, t)
-    _check_peak("summand", peak_w, bound)
-    # A_U lies between U min V and U max V, so |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
-    _check_peak("summand less y", peak_r, bound * t * sum(abs(c) for c in v.weights))
-    vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
+def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: float, total: _Tally, k: int) -> McEstimate:
+    """The k-th time's McEstimate from the pooled columns and E c' = control, after the bound checks."""
     n = total.n
     root_n = math.sqrt(n)
+    peak, mean = ({name: float(x[c, k]) for c, name in enumerate(_COLUMNS)} for x in (total.peaks, total.means))
+    se = {name: math.sqrt(total.ss[c, k] / (n - 1)) / root_n for c, name in enumerate(_COLUMNS)}
+    if not math.isfinite(peak["w"]):
+        raise RuntimeError(f"non-finite summand: e^(-A) overflows for this potential at t = {t:g}")
+    bound = _summand_bound(v, t)
+    _check_peak("summand", peak["w"], bound)
+    # A_U and t s V(x0) both lie between U min V and U max V, U <= t and max V - min V <= sum_i |c_i|.
+    # With b = t sum_i |c_i|, and B bounding |y| e^{t sum_{c_i<0} |c_i|}: |w - y| = |y| |e^{-A_U} - 1|
+    # <= B b, and |w - y - c'| = |y| |e^{-A_U} - 1 + t s V(x0)| <= |y| (|e^{-A_U} - 1 + A_U| + |A_U - t s V(x0)|)
+    # <= B b (1 + b / 2)
+    sum_abs = sum(abs(c) for c in v.weights)
+    _check_peak("summand less y", peak["w - y"], bound * t * sum_abs)
+    _check_peak("summand less y and c'", peak["w - y - c'"], bound * t * sum_abs * (1.0 + 0.5 * t * sum_abs))
+    vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
     return McEstimate(
-        float(mean_r) + t2 - vol,
-        math.sqrt(ss_r / (n - 1)) / root_n,
+        mean["w - y - c'"] + t2 + control - vol,
+        se["w - y - c'"],
         n,
-        plain_mean=float(mean_w) - vol,
-        t2_residual=float(mean_y) - t2,
-        t2_residual_se=math.sqrt(ss_y / (n - 1)) / root_n,
+        plain_mean=mean["w"] - vol,
+        t2_mean=mean["w - y"] + t2 - vol,
+        t2_standard_error=se["w - y"],
+        t2_residual=mean["y"] - t2,
+        t2_residual_se=se["y"],
+        t3_residual=mean["c'"] - control,
+        t3_residual_se=se["c'"],
     )
 
 

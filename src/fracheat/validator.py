@@ -1,14 +1,14 @@
 """Bound checks, remainder-order fits and the expansion report.
 
 Every bound check comes from one per-time builder, ``_check_rows``, which
-``expansion_report`` runs on each estimate; ``t2_consistency_check`` is a
-view of one of its rows.  The bounds are deterministic: the Holder term of
-Theorem 2 uses the exact stable moment E|X_1|^gamma, so no Monte Carlo draw
-enters a bound.  Every boolean verdict carries a numeric margin (distance to
-violation after the Monte Carlo slack is applied), so a failing check shows
-how badly it failed and a passing one how much room it had.  Monte Carlo
-slack is 3 standard errors per bound, each row at the se of the summands it
-reads, widened to 4 when one report checks more than 20 bounds.
+``expansion_report`` runs on each estimate.  The bounds are deterministic:
+the Holder term of Theorem 2 uses the exact stable moment E|X_1|^gamma, so
+no Monte Carlo draw enters a bound.  Every boolean verdict carries a numeric
+margin (distance to violation after the Monte Carlo slack is applied), so a
+failing check shows how badly it failed and a passing one how much room it
+had.  Monte Carlo slack is 3 standard errors per bound, each row at the se
+of the summands it reads, widened to 4 when one report checks more than 20
+bounds.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "ExpansionReport",
     "se_factor",
     "estimate_series",
-    "t2_consistency_check",
     "fit_remainder_order",
     "positivity_audit",
     "expansion_report",
@@ -195,19 +194,22 @@ def _check_rows(
 ) -> list[tuple[str, float, float, float, str, float]]:
     """(name, value, lower, upper, note, se) of every bound one estimate must meet.
 
-    Q is the control-variate estimate mean(w - y) + t^2 T_2(t) - t int V of
-    ``estimate_heat_content``, and every row but the last reads it at its se.
-    In order:
+    Q is the control-variate estimate mean(w - y - c') + t^2 T_2(t) + E c' - t int V
+    of ``estimate_heat_content``, and every row but the two controls reads it
+    at its se, that of w - y - c'.  In order:
       - Theorem 1(i), only for V <= 0: -t int V <= Q <= -t int V (1 + t ||V||_inf e^{t ||V||_inf} / 2);
       - Theorem 1(ii): |Q + t int V| <= t^2 ||V||_1 ||V||_inf e^{t ||V||_inf};
       - exact-t2 consistency: |Q - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf},
-        which is mean(w - y) against that bound;
+        which is mean(w - y - c') + E c' against that bound;
       - Theorem 2, when gamma is given: |Q + t int V - (t^2/2) int V^2| <=
         t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}
         + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha;
       - t2 control: mean(y) - t^2 T_2(t) = 0 at the se of y, the paths' own check of T_2;
-        its note says that the rows of one series move together, as they share the start points.
-    No row compares the control-variate estimate with the T_2 it used.
+      - t3 control: mean(c') - E c' = 0 at the se of c', the paths' own check of E c'.
+        Neither c' nor y reads A_U, so neither row carries a step-count bias.
+    The controls' notes say that the rows of one series move together, as
+    they share the start points.  No row compares the estimate with the T_2
+    or E c' it used.
     """
     q, se = est.mean, est.standard_error
     vol = v.integral()
@@ -231,20 +233,8 @@ def _check_rows(
         rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}", se))
     shared = "the times of one series share the seed's start points, so these rows move together"
     rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, shared, est.t2_residual_se))
+    rows.append((f"t3 control t={t:g}", est.t3_residual, 0.0, 0.0, shared, est.t3_residual_se))
     return rows
-
-
-def t2_consistency_check(
-    v: GaussianMixturePotential,
-    alpha: float,
-    t: float,
-    est: McEstimate,
-    k: float = 3.0,
-) -> BoundCheck:
-    """The report's exact-t2 consistency check of one estimate, at k se; T_2 comes from
-    `t2_exact`, whose radial pair integral reads no lattice in any d."""
-    row = next(r for r in _check_rows(v, alpha, t, est, None) if r[0].startswith("exact-t2"))
-    return _bound(*row, k)
 
 
 # -- remainder-order fit -------------------------------------------------------
@@ -342,8 +332,8 @@ def expansion_report(
     Per time: the estimate, partial sums Q_N for N = 1..n_max, residuals and
     the bound checks of ``_check_rows`` (the V <= 0 sandwich when it applies,
     the first-order remainder, the exact-t2 consistency, the Holder
-    second-order bound when gamma is given, and the t2 control at the se of
-    its own summands), all at the one se multiple ``se_factor`` sets from the
+    second-order bound when gamma is given, and the t2 and t3 controls at
+    the se of their own summands), all at the one se multiple ``se_factor`` sets from the
     number of checks.  Per order N: a log-log
     remainder fit over the times whose residuals clear the noise gate.
     Deterministic given the seed; the estimates come from ``estimate_series``.

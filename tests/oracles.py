@@ -3,7 +3,7 @@
 Everything here is computed from first principles with plain numpy/scipy:
 the iterated Beta-function product for the simplex weights, closed Gaussian
 moments for the analytic anchors, a quadrature route for frequency-side
-energies and for T_2, a standalone split-step evolution for the heat
+energies, for T_2 and for the mean of the third-order control, a standalone split-step evolution for the heat
 content itself, and a closed form and a nested quadrature for the L1 norm
 of a signed mixture.  None of it touches the package's coefficient, grid, sampling or
 norm machinery, so agreement is evidence rather than tautology.  The two
@@ -199,6 +199,68 @@ def t2_pair_quad(v, alpha: float, t: float) -> float:
     return area * quad(fn, 0.0, cut, limit=300, epsabs=1e-14, epsrel=1e-13)[0] / (2.0 * math.pi) ** d
 
 
+def _phi(u: float) -> float:
+    """int_0^1 2 s (1 - s) e^{-us} ds = 2 ((u - 2) + (u + 2) e^{-u}) / u^3, summed directly for |u| < 1."""
+    if abs(u) < 1.0:
+        return sum((-u) ** k / math.factorial(k) * 2.0 / ((k + 2) * (k + 3)) for k in range(30))
+    return 2.0 * ((u - 2.0) + (u + 2.0) * math.exp(-u)) / u**3
+
+
+def _square_terms(v):
+    """The components (weight, center, sharpness) of V^2, one per ordered pair of V's components:
+    c_i c_j e^{-a_i |x - mu_i|^2 - a_j |x - mu_j|^2} = c_i c_j e^{-a_i a_j |mu_i - mu_j|^2 / (a_i + a_j)}
+    e^{-(a_i + a_j) |x - m_ij|^2}, m_ij = (a_i mu_i + a_j mu_j) / (a_i + a_j)."""
+    out = []
+    for c_i, mu_i, a_i in zip(v.weights, v.centers, v.sharpness):
+        for c_j, mu_j, a_j in zip(v.weights, v.centers, v.sharpness):
+            a = a_i + a_j
+            weight = c_i * c_j * math.exp(-a_i * a_j * math.dist(mu_i, mu_j) ** 2 / a)
+            out.append((weight, tuple((a_i * x + a_j * y) / a for x, y in zip(mu_i, mu_j)), a))
+    return out
+
+
+def t3_control_pair_quad(v, alpha: float, t: float) -> float:
+    """E c' = -(t^3/2) (2 pi)^{-d} int conj((V^2)hat) vhat phi(t |xi|^alpha) dxi by adaptive quadrature
+    of the pair form: V^2's components from ``_square_terms``, each paired with each of V's, with the
+    sphere means cos, scipy's j0 and sin z/z in d = 1, 2, 3, as in ``t2_pair_quad``."""
+    d = v.dimension
+    sphere = {1: (math.cos, 2.0), 2: (j0, 2.0 * math.pi), 3: (lambda z: math.sin(z) / z if z else 1.0, 4.0 * math.pi)}
+    mean, area = sphere[d]
+    squares = _square_terms(v)
+    cut = math.sqrt(160.0 * max(a for _, _, a in squares))
+    terms = []
+    for c_p, mu_p, a_p in squares:
+        for c_q, mu_q, a_q in zip(v.weights, v.centers, v.sharpness):
+            amp = c_p * c_q * (math.pi**2 / (a_p * a_q)) ** (d / 2.0)
+            terms.append((amp, 0.25 / a_p + 0.25 / a_q, math.dist(mu_p, mu_q)))
+
+    def fn(r: float) -> float:
+        return r ** (d - 1) * _phi(t * r**alpha) * sum(amp * math.exp(-b * r * r) * mean(r * gap) for amp, b, gap in terms)
+
+    integral = area * quad(fn, 0.0, cut, limit=300, epsabs=1e-16, epsrel=1e-13)[0] / (2.0 * math.pi) ** d
+    return -0.5 * t**3 * integral
+
+
+def t3_control_polar_2d(v, alpha: float, t: float) -> float:
+    """E c' in d = 2 by nested polar quadrature of conj((V^2)hat) vhat, as ``t2_polar_2d`` does for T_2:
+    both transforms summed in Python complex numbers, nothing reduced over component pairs."""
+    squares = [(c * math.pi / a, 0.25 / a, mu) for c, mu, a in _square_terms(v)]
+    terms = [(c * math.pi / a, 0.25 / a, mu) for c, mu, a in zip(v.weights, v.centers, v.sharpness)]
+    cut = math.sqrt(160.0 * max(a for _, _, a in _square_terms(v)))
+
+    def hat(parts, r, th):
+        x, y = r * math.cos(th), r * math.sin(th)
+        return sum(amp * cmath.exp(-b * r * r - 1j * (x * mu[0] + y * mu[1])) for amp, b, mu in parts)
+
+    @functools.lru_cache(maxsize=None)
+    def ring(r: float) -> float:
+        fn = lambda th: (hat(squares, r, th).conjugate() * hat(terms, r, th)).real
+        return quad(fn, 0.0, 2.0 * math.pi, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+
+    fn = lambda r: r * ring(r) * _phi(t * r**alpha)
+    return -0.5 * t**3 * quad(fn, 0.0, cut, limit=300, epsabs=1e-16, epsrel=1e-13)[0] / (2.0 * math.pi) ** 2
+
+
 def q_reference(weights, centers, sharpness, alpha: float, t: float,
                 half_extent: float = 64.0, n: int = 2048, steps: int = 1024) -> float:
     """Heat content by Strang splitting on w = u - 1, Richardson extrapolated.
@@ -374,19 +436,21 @@ def proposal_chunk_summands(v, alpha, t, m, seed, n_chunk):
 
 
 def chunk_summands_unblocked(v, alpha, ts, cfg, chunk_index, n_chunk, block):
-    """The Duhamel chunk kernel with whole-chunk position and value arrays: its summands w and
-    their control variates y, the same products with e^{-A} set to 1, at every time of ts, each
-    of shape (len(ts), n_chunk).
+    """The Duhamel chunk kernel with whole-chunk position and value arrays: its per-path columns at
+    every time of ts, as one (5, len(ts), n_chunk) array in the kernel's order w - y - c', w - y, w,
+    y, c'.  y is w with e^{-A} set to 1, and c' = -y t s V(x0) with s = U / t = m times a step's
+    span at t = 1.
 
     Unlike the rest of this module this is not an independent route: it
     draws from the package's streams and sampler in the kernel's order (the
     chunk's component choices, start normals and uniforms, then per block of
     ``block`` paths its span-1 ``sample_increment`` draws), scales the draws
-    by (s/m)^{1/alpha} with U = t s, and walks, evaluates and integrates
-    every path of the chunk at once, time by time, so that the blocked walk
-    can be held to bit-identity with it.  The relative paths are built in
-    place in the draws' array; a time's positions are x0 + t^{1/alpha} times
-    them, and V(x0) is both the trapezoid's left end and the numerator of V/g.
+    by (s/m)^{1/alpha}, and walks, evaluates and integrates every path of
+    the chunk at once, time by time, so that the blocked walk can be held to
+    bit-identity with it.  The relative paths are built in place in the
+    draws' array; a time's positions are x0 + t^{1/alpha} times them, and
+    V(x0) is the trapezoid's left end, the numerator of V/g and the frozen
+    exponent's rate in c'.
     """
     from fracheat.sampling import RngStream, sample_increment
 
@@ -409,53 +473,49 @@ def chunk_summands_unblocked(v, alpha, ts, cfg, chunk_index, n_chunk, block):
     v0 = v.evaluate(x0)
     g = sum(abs(ci) * np.exp(-ai * ((x0 - mi) ** 2).sum(axis=1)) for ci, ai, mi in zip(c, a, mu))
     ratio = float(mass.sum()) * v0 / g
-    w, y = np.empty((len(ts), n_chunk)), np.empty((len(ts), n_chunk))
+    w, y, cv = (np.empty((len(ts), n_chunk)) for _ in range(3))
     for k, t in enumerate(ts):
         vals = v.evaluate(rel * t ** (1.0 / alpha) + x0[:, np.newaxis, :])
         a_u = (t * span) * (vals.sum(axis=1) + 0.5 * (v0 - vals[:, -1]))
         y[k] = vals[:, -1] * (0.5 * t * t * ratio)
         w[k] = y[k] * np.exp(-a_u)
-    return w, y
+        cv[k] = y[k] * (-t * ((m * span) * v0))
+    return np.stack([w - y - cv, w - y, w, y, cv])
 
 
 def pooled_statistics(parts, block):
-    """Per time, the estimator's pooled statistics of chunks of summands (w, y), each (T, n_chunk).
+    """Per time, the estimator's pooled statistics of chunks of columns, each (C, T, n_chunk).
 
-    Each run of ``block`` paths of a chunk gives its count, means and
-    centred sums of squares as numpy's mean and var(ddof=0) form them; the
-    runs are pooled in order within each chunk, then the chunks in order, by
-    Chan, Golub & LeVeque's update (Updating formulae and a pairwise
-    algorithm for computing sample variances, 1979), written out here in
-    scalar floats.  Returns per time a dict of n, the means of w, w - y and
-    y, and the sums of squares of w - y and y.
+    Each run of ``block`` paths of a chunk gives its count and, per column,
+    its mean and centred sum of squares as numpy's mean and var(ddof=0) form
+    them; the runs are pooled in order within each chunk, then the chunks in
+    order, by Chan, Golub & LeVeque's update (Updating formulae and a
+    pairwise algorithm for computing sample variances, 1979), written out
+    here in scalar floats.  Returns per time a dict of n and, per column c,
+    the lists mean[c] and ss[c].
     """
-    def stats(w, y):
-        r = w - y
+    def stats(cols):
         return {
-            "n": len(w),
-            "mean_w": float(w.mean()),
-            "mean_r": float(r.mean()),
-            "mean_y": float(y.mean()),
-            "ss_r": float(((r - r.mean()) ** 2).sum()),
-            "ss_y": float(((y - y.mean()) ** 2).sum()),
+            "n": cols.shape[1],
+            "mean": [float(x.mean()) for x in cols],
+            "ss": [float(((x - x.mean()) ** 2).sum()) for x in cols],
         }
 
     def pool(a, b):
         n = a["n"] + b["n"]
-        out = {"n": n}
-        for key in ("mean_w", "mean_r", "mean_y"):
-            out[key] = a[key] + (b[key] - a[key]) * (b["n"] / n)
-        for key in ("r", "y"):
-            delta = b["mean_" + key] - a["mean_" + key]
-            out["ss_" + key] = a["ss_" + key] + b["ss_" + key] + delta * delta * (a["n"] * b["n"] / n)
-        return out
+        delta = [mb - ma for ma, mb in zip(a["mean"], b["mean"])]
+        return {
+            "n": n,
+            "mean": [ma + dm * (b["n"] / n) for ma, dm in zip(a["mean"], delta)],
+            "ss": [sa + sb + dm * dm * (a["n"] * b["n"] / n) for sa, sb, dm in zip(a["ss"], b["ss"], delta)],
+        }
 
-    n_times = parts[0][0].shape[0]
+    n_times = parts[0].shape[1]
     out = []
     for k in range(n_times):
         chunks = [
-            functools.reduce(pool, (stats(w[k, lo:lo + block], y[k, lo:lo + block]) for lo in range(0, w.shape[1], block)))
-            for w, y in parts
+            functools.reduce(pool, (stats(cols[:, k, lo:lo + block]) for lo in range(0, cols.shape[2], block)))
+            for cols in parts
         ]
         out.append(functools.reduce(pool, chunks))
     return out

@@ -32,11 +32,11 @@ from fracheat import (
     mixture,
     partial_sum,
     sampler_selftest,
-    t2_consistency_check,
     t2_exact,
     weight_A,
 )
 from fracheat import montecarlo, validator
+from fracheat.coefficients import t3_control_mean
 
 ALPHAS = (0.8, 1.0, 1.5, 2.0)
 QUAD_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
@@ -170,14 +170,20 @@ def test_criterion_5_first_order_bounds(announce):
     checks = []
     for alpha in (1.0, 2.0):
         for weight, seed in ((-1.0, 51_000), (1.0, 52_000)):
-            # the sandwich pair (V <= 0 only) and the remainder, per time
+            # the sandwich pair (V <= 0 only) and the remainder, per time, judged
+            # at 3 se whatever multiple the report's own bound count sets
             report = expansion_report(
                 gaussian(weight=weight),
                 alpha,
                 T_GRID,
                 McConfig(n_paths=1_000_000, m_steps=64, seed=seed + int(10 * alpha), threads=4),
             )
-            checks += [c for row in report.rows for c in row.checks if c.name.startswith("first-order")]
+            checks += [
+                validator._bound(c.name, c.value, c.lower, c.upper, c.note, c.se, 3.0)
+                for row in report.rows
+                for c in row.checks
+                if c.name.startswith("first-order")
+            ]
     assert all(c.se_mult == 3.0 for c in checks)
     failing = [c.name for c in checks if not c.passed]
     ok = not failing
@@ -197,7 +203,8 @@ def test_criterion_6_exact_t2_consistency(q_table, announce):
     failing = []
     margins = []
     for (sign, alpha, t), est in q_table.items():
-        check = t2_consistency_check(gaussian(weight=sign), alpha, t, est, k=3.0)
+        rows = validator._check_rows(gaussian(weight=sign), alpha, t, est, None)
+        check = validator._bound(*next(r for r in rows if r[0].startswith("exact-t2")), 3.0)
         margins.append(check.margin)
         if not check.passed:
             failing.append(f"sign={sign:+g} alpha={alpha} t={t}")
@@ -213,10 +220,12 @@ def test_criterion_6_exact_t2_consistency(q_table, announce):
 
 @pytest.mark.slow
 def test_t2_control_catches_a_scaled_t2(monkeypatch):
-    # the estimator adds t^2 T_2 back; with T_2 off by 1% its paths' mean of y
-    # no longer matches, and the report's t2 control row fails at criterion
-    # 6's configurations and seeds
+    # the estimator adds t^2 T_2 and E c' back; with T_2 and E c' both off by
+    # 1%, its paths' means of y and c' no longer match them, and each control
+    # row fails at criterion 6's configurations and seeds under its own
+    # mutant: the t2 row reads mean(y) - t^2 T_2 and the t3 row mean(c') - E c'
     monkeypatch.setattr(montecarlo, "t2_exact", lambda v, alpha, t: 1.01 * t2_exact(v, alpha, t))
+    monkeypatch.setattr(montecarlo, "t3_control_mean", lambda v, alpha, ts: 1.01 * t3_control_mean(v, alpha, ts))
     idx = 0
     for sign in (1.0, -1.0):
         v = gaussian(weight=sign)
@@ -224,9 +233,10 @@ def test_t2_control_catches_a_scaled_t2(monkeypatch):
             for t in T_GRID:
                 cfg = McConfig(n_paths=1_000_000, m_steps=64, seed=61_000 + idx, threads=4)
                 est = estimate_heat_content(v, alpha, t, cfg)
-                row = next(r for r in validator._check_rows(v, alpha, t, est, None) if r[0].startswith("t2 control"))
-                check = validator._bound(*row, 3.0)
-                assert not check.passed, (sign, alpha, t, check)
+                rows = validator._check_rows(v, alpha, t, est, None)
+                for name in ("t2 control", "t3 control"):
+                    check = validator._bound(*next(r for r in rows if r[0].startswith(name)), 3.0)
+                    assert not check.passed, (name, sign, alpha, t, check)
                 idx += 1
 
 

@@ -25,7 +25,8 @@ from fracheat import (
     t2_exact,
     t2_kernel,
 )
-from fracheat.coefficients import MAX_ORDER, lattice_fields
+from fracheat.coefficients import MAX_ORDER, lattice_fields, t3_control_mean, t3_kernel
+from scipy.integrate import quad
 
 PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
 
@@ -307,6 +308,82 @@ def test_tanh_sinh_raises_when_the_levels_disagree(monkeypatch):
     monkeypatch.undo()
     # an endpoint kink like t2_exact's |xi|^alpha at 0 is what the rule absorbs
     assert coefficients._tanh_sinh(lambda x: x**0.3 * np.exp(-x), 50.0) == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
+
+
+def test_t3_kernel_matches_quadrature_on_both_branches():
+    # phi(u) = int_0^1 2 s (1 - s) e^{-us} ds: the series inside |u| < 0.5, the
+    # closed form outside, and u < 0, where the exponent grows
+    assert t3_kernel(0.0) == pytest.approx(1.0 / 3.0, rel=1e-16)
+    u = [-40.0, -3.0, -0.6, -0.5, -0.49, -0.1, -1e-6, 1e-9, 1e-4, 0.1, 0.3, 0.49, 0.5, 0.51, 1.0, 4.0, 30.0, 300.0]
+    vals = t3_kernel(np.array(u))
+    assert vals.shape == (len(u),) and np.all(np.diff(vals) < 0) and np.all(vals > 0)
+    for x, got in zip(u, vals):
+        ref = quad(lambda s: 2.0 * s * (1.0 - s) * math.exp(-x * s), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        assert got == pytest.approx(ref, rel=2e-14, abs=0), x
+        assert t3_kernel(x) == got
+    # the branches meet at |u| = 0.5, the closed form taking over at 0.5 itself,
+    # to within the closed form's cancellation there
+    for edge in (0.5, -0.5):
+        inside = np.nextafter(edge, 0.0)
+        assert abs(t3_kernel(inside) - t3_kernel(edge)) < 2e-15, edge
+
+
+# d = 1 and 3: the pair form with V^2's components built by the oracle; d = 2:
+# nested polar quadrature of conj((V^2)hat) vhat, which reduces nothing over pairs
+T3_ORACLES = {1: oracles.t3_control_pair_quad, 2: oracles.t3_control_polar_2d, 3: oracles.t3_control_pair_quad}
+
+
+@pytest.mark.parametrize("v", [T2_MIXTURES[i] for i in (0, 1, 3, 4, 5)])
+def test_t3_control_mean_matches_adaptive_quadrature(v):
+    ts = (0.02, 0.2, 1.0)
+    for alpha in (0.8, 1.0, 1.5, 2.0):
+        got = t3_control_mean(v, alpha, ts)
+        for t, e in zip(ts, got):
+            ref = T3_ORACLES[v.dimension](v, alpha, t)
+            assert e == pytest.approx(ref, rel=1e-12, abs=0), (alpha, t)
+        # one quadrature for the series, and each time's value is a lone call's
+        assert [t3_control_mean(v, alpha, [t])[0] for t in ts] == list(got)
+
+
+def test_t3_control_mean_tends_to_the_cubic_coefficient():
+    # phi(0) = 1/3, so E c' = -t^3 int V^3 / 6 + O(t^4)
+    for v in (T2_MIXTURES[1], T2_MIXTURES[3]):
+        for t in (1e-3, 1e-4):
+            assert t3_control_mean(v, 1.5, [t])[0] == pytest.approx(-(t**3) * c0k(v, 3), rel=20 * t)
+
+
+def test_t3_control_mean_checks_its_arguments():
+    v = gaussian()
+    assert list(t3_control_mean(mixture([], [], [], dimension=1), 1.5, [0.1, 0.2])) == [0.0, 0.0]
+    for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
+        with pytest.raises(ValueError):
+            t3_control_mean(v, alpha, ts)
+
+
+def test_pair_integral_of_two_mixtures_sums_every_pair():
+    # with q = p the triangle sum of T_2 and the full sum over ordered pairs agree;
+    # the cross pair (p, q) is bilinear in each mixture
+    p = T2_MIXTURES[1]
+    f = lambda r: t2_kernel(0.1 * r**1.5)
+    twin = mixture(p.weights, p.centers, p.sharpness)
+    assert twin is not p and twin == p
+    assert coefficients._pair_integral(p, twin, f) == pytest.approx(coefficients._pair_integral(p, p, f), rel=1e-14)
+    q = T2_MIXTURES[2]
+    parts = [mixture([c], [mu], [a]) for c, mu, a in zip(q.weights, q.centers, q.sharpness)]
+    whole = coefficients._pair_integral(p, q, f)
+    assert whole == pytest.approx(sum(coefficients._pair_integral(p, part, f) for part in parts), rel=1e-13)
+    assert coefficients._pair_integral(q, p, f) == pytest.approx(whole, rel=1e-13)
+
+
+def test_tanh_sinh_keeps_each_integral_at_its_own_level():
+    # K integrands at once: each is the value a lone call gives, although a
+    # slower one keeps the rule refining
+    rows = lambda x: np.stack([np.exp(-x), x**0.3 * np.exp(-x), np.sqrt(x) * np.cos(3.0 * x)])
+    together = coefficients._tanh_sinh(rows, 20.0)
+    assert together.shape == (3,)
+    for k in range(3):
+        assert together[k] == coefficients._tanh_sinh(lambda x: rows(x)[k], 20.0)
+        assert together[k] == coefficients._tanh_sinh(lambda x: rows(x)[k : k + 1], 20.0)[0]
 
 
 def test_grid_refinement_stability():

@@ -21,7 +21,8 @@ from fracheat import (
     t2_exact,
 )
 from fracheat.cli import resolve_config
-from fracheat.montecarlo import _BLOCK_POINTS, _TILE_POINTS, _chunk_summands, _start_mixture, _summand_bound
+from fracheat.coefficients import t3_control_mean
+from fracheat.montecarlo import _BLOCK_POINTS, _COLUMNS, _TILE_POINTS, _chunk_summands, _start_mixture, _summand_bound
 from fracheat.potentials import GaussianMixturePotential
 from fracheat.sampling import sample_subordinator
 
@@ -36,9 +37,12 @@ SERIES = (0.02, 0.05, 0.1, 0.2)
 
 
 def _chunk(v, alpha, ts, cfg, chunk_index, n_chunk):
-    """One chunk's (w, y), each (len(ts), n_chunk), from the kernel's blocks."""
-    w, y = zip(*_chunk_summands(v, alpha, ts, cfg, chunk_index, n_chunk))
-    return np.concatenate(w, axis=1), np.concatenate(y, axis=1)
+    """One chunk's columns, (len(_COLUMNS), len(ts), n_chunk), from the kernel's blocks."""
+    return np.concatenate(list(_chunk_summands(v, alpha, ts, cfg, chunk_index, n_chunk)), axis=2)
+
+
+def _col(name):
+    return _COLUMNS.index(name)
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -114,8 +118,9 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
         blocked = _chunk(v, alpha, ts, cfg, 2, n)
         block = min(n, _BLOCK_POINTS // (m + 1))
         whole = oracles.chunk_summands_unblocked(v, alpha, ts, cfg, 2, n, block)
-        for name, got, want in zip("wy", blocked, whole):
-            assert got.shape == (len(ts), n) and np.array_equal(got, want), (name, n, m)
+        assert blocked.shape == (len(_COLUMNS), len(ts), n)
+        for name, got, want in zip(_COLUMNS, blocked, whole):
+            assert np.array_equal(got, want), (name, n, m)
 
 
 @pytest.mark.parametrize("d, alpha", itertools.product((1, 2, 3), (0.8, 1.0, 1.5, 2.0)))
@@ -167,10 +172,10 @@ def test_evaluation_walks_each_block_in_tiles(d, monkeypatch):
 
 @pytest.mark.parametrize("d, alpha, threads", [(1, 1.5, 1), (2, 1.0, 3), (3, 2.0, 2)])
 def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, threads):
-    # every statistic of the estimate, bit for bit, from the unblocked oracle's
-    # summands over two chunks, pooled block by block and chunk by chunk;
+    # every field of the estimate, bit for bit, from the unblocked oracle's
+    # columns over two chunks, pooled block by block and chunk by chunk;
     # plain_mean = mean(w) - t int V is the estimate as it was computed before
-    # y was subtracted
+    # any control was subtracted, and t2_mean the estimate with y alone
     v, ts = KERNEL_V[d], (0.1, 0.04)
     n = 32768 + 3000
     cfg = McConfig(n_paths=n, m_steps=16, seed=7, threads=threads)
@@ -178,17 +183,28 @@ def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, thread
     block = _BLOCK_POINTS // 17
     parts = [oracles.chunk_summands_unblocked(v, alpha, ts, cfg, i, size, min(size, block))
              for i, size in enumerate((32768, 3000))]
-    for t, est, s in zip(ts, ests, oracles.pooled_statistics(parts, block)):
+    controls = t3_control_mean(v, alpha, ts)
+    for k, (t, est, s) in enumerate(zip(ts, ests, oracles.pooled_statistics(parts, block))):
+        mean = {name: s["mean"][i] for i, name in enumerate(_COLUMNS)}
+        se = {name: math.sqrt(s["ss"][i] / (n - 1)) / math.sqrt(n) for i, name in enumerate(_COLUMNS)}
+        t2, ec, vol = t * t * t2_exact(v, alpha, t), float(controls[k]), t * v.integral()
         assert s["n"] == est.n_samples == n
-        assert est.plain_mean == s["mean_w"] - t * v.integral()
-        assert est.t2_residual == s["mean_y"] - t * t * t2_exact(v, alpha, t)
-        assert est.t2_residual_se == math.sqrt(s["ss_y"] / (n - 1)) / math.sqrt(n)
-        assert est.mean == s["mean_r"] + t * t * t2_exact(v, alpha, t) - t * v.integral()
-        assert est.standard_error == math.sqrt(s["ss_r"] / (n - 1)) / math.sqrt(n)
+        assert est.plain_mean == mean["w"] - vol
+        assert est.t2_residual == mean["y"] - t2
+        assert est.t2_residual_se == se["y"]
+        assert est.t2_mean == mean["w - y"] + t2 - vol
+        assert est.t2_standard_error == se["w - y"]
+        assert est.t3_residual == mean["c'"] - ec
+        assert est.t3_residual_se == se["c'"]
+        assert est.mean == mean["w - y - c'"] + t2 + ec - vol
+        assert est.standard_error == se["w - y - c'"]
         # the pooled statistics are the whole sample's, to rounding
-        r = np.concatenate([p[0][ts.index(t)] - p[1][ts.index(t)] for p in parts])
-        assert s["mean_r"] == pytest.approx(float(r.mean()), rel=1e-13)
+        r = np.concatenate([p[_col("w - y - c'"), k] for p in parts])
+        assert mean["w - y - c'"] == pytest.approx(float(r.mean()), rel=1e-13)
         assert est.standard_error == pytest.approx(float(r.std(ddof=1) / math.sqrt(n)), rel=1e-11)
+        # each residual is formed path by path: w - y - c' is the difference of the other columns
+        for p in parts:
+            assert np.array_equal(p[_col("w - y - c'"), k], (p[_col("w"), k] - p[_col("y"), k]) - p[_col("c'"), k])
 
 
 D1_MIXTURES = {
@@ -219,28 +235,45 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     bound = _summand_bound(v, t)
     assert bound == pytest.approx(0.5 * t**2 * _start_mixture(v)[1].sum() * 1.6 * math.exp(0.3 * t))
     cv_bound = bound * t * 1.6  # |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
+    # |e^{-A_U} - 1 + t s V(x0)| <= b (1 + b/2) e^{t sum_{c_i<0} |c_i|}, b = t sum_i |c_i|
+    cv3_bound = cv_bound * (1.0 + 0.5 * t * 1.6)
     for alpha in (0.8, 2.0):
-        w, y = _chunk(v, alpha, [t], McConfig(n_paths=5000), 0, 5000)
-        assert np.abs(w).max() <= bound
-        assert np.abs(w - y).max() <= cv_bound
-    # a kernel that breaks either bound, by more than rounding, is caught
+        cols = _chunk(v, alpha, [t], McConfig(n_paths=5000), 0, 5000)
+        assert np.abs(cols[_col("w")]).max() <= bound
+        assert np.abs(cols[_col("w - y")]).max() <= cv_bound
+        assert np.abs(cols[_col("w - y - c'")]).max() <= cv3_bound
+    # a kernel that breaks any bound, by more than rounding, is caught
     kernel = _chunk_summands
 
-    def last_path(w_last, y_last):
+    def last_path(w_last, y_last, c_last=0.0):
+        # the last path of the last block, its residuals formed from the patched values
         def patched(*a):
             blocks = list(kernel(*a))
-            w, y = blocks[-1]
-            w[:, -1], y[:, -1] = w_last, y_last
+            cols = blocks[-1]
+            w, y, c = w_last, y_last, c_last
+            for name, x in (("w", w), ("y", y), ("c'", c), ("w - y", w - y), ("w - y - c'", (w - y) - c)):
+                cols[_col(name), :, -1] = x
             return iter(blocks)
 
         return patched
 
-    for w_last, y_last in ((-1.001 * bound, 0.0), (0.0, 1.001 * cv_bound), (0.5 * bound, 0.5 * bound + 1.001 * cv_bound)):
-        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(w_last, y_last))
+    for case in (
+        (-1.001 * bound, 0.0),
+        (0.0, 1.001 * cv_bound),
+        (0.5 * bound, 0.5 * bound + 1.001 * cv_bound),
+        # a corrupted c': w and y within their bounds, c' past the residual's
+        (0.0, 0.0, 1.001 * cv3_bound),
+        (0.5 * bound, 0.5 * bound - 0.5 * cv_bound, -1.001 * cv3_bound + 0.5 * cv_bound),
+    ):
+        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
         with pytest.raises(RuntimeError, match="above its bound"):
             estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
-    for w_last, y_last in ((bound * (1 + 1e-13), bound * (1 + 1e-13)), (0.0, cv_bound * (1 + 1e-13))):
-        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(w_last, y_last))
+    for case in (
+        (bound * (1 + 1e-13), bound * (1 + 1e-13)),
+        (0.0, cv_bound * (1 + 1e-13)),
+        (0.0, 0.0, cv3_bound * (1 + 1e-13)),
+    ):
+        monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
         estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
 
 
@@ -333,7 +366,13 @@ def test_exponent_integral_is_trapezoid_rule():
         controls = 0.5 * t**2 * mass.sum() * vals[:, 0] / g * vals[:, -1]
         assert est.t2_residual == pytest.approx(controls.mean() - t**2 * t2_exact(v, alpha, t), abs=1e-15)
         cv = (summands - controls).mean() + t**2 * t2_exact(v, alpha, t) - t * v.integral()
-        assert est.mean == pytest.approx(cv, rel=1e-12)
+        assert est.t2_mean == pytest.approx(cv, rel=1e-12)
+        # c' = -y U V(x0), the first-order term of e^{-A_U} - 1 with the exponent frozen at x0
+        frozen = -controls * u * vals[:, 0]
+        ec = t3_control_mean(v, alpha, [t])[0]
+        assert est.t3_residual == pytest.approx(frozen.mean() - ec, abs=1e-15)
+        cv3 = (summands - controls - frozen).mean() + t**2 * t2_exact(v, alpha, t) + ec - t * v.integral()
+        assert est.mean == pytest.approx(cv3, rel=1e-12)
 
 
 def test_default_proposal_geometry():
@@ -397,13 +436,17 @@ def test_estimate_near_alpha_two_matches_split_step_reference(alpha, sign):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_estimate_near_alpha_two_runs_in_higher_dimensions(d):
-    # Kanter at beta = alpha/2 near 1; Q(t) moves by about 1e-6 between
-    # alpha = 1.99 and 2 in d = 1, far below these standard errors
-    v = mixture([1.0], [[0.0] * d], [1.0])
-    ref = estimate_heat_content(v, 2.0, 0.1, McConfig(n_paths=16_384, seed=24))
+    # Kanter at beta = alpha/2 near 1.  Q(t) moves by 2e-6 (d = 2) and 5e-6
+    # (d = 3) between alpha = 1.99 and 2, which an se of 3e-7 resolves; that
+    # move is almost all in t^2 T_2 + E c', which the estimate takes from
+    # quadrature, so what the paths estimate is compared across alpha
+    v, t = mixture([1.0], [[0.0] * d], [1.0]), 0.1
+    exact = lambda alpha: t * t * t2_exact(v, alpha, t) + t3_control_mean(v, alpha, [t])[0]
+    ref = estimate_heat_content(v, 2.0, t, McConfig(n_paths=16_384, seed=24))
     for alpha in (1.99, 1.999):
-        est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=16_384, seed=25))
-        assert abs(est.mean - ref.mean) < 4 * math.hypot(est.standard_error, ref.standard_error), alpha
+        est = estimate_heat_content(v, alpha, t, McConfig(n_paths=16_384, seed=25))
+        gap = (est.mean - exact(alpha)) - (ref.mean - exact(2.0))
+        assert abs(gap) < 4 * math.hypot(est.standard_error, ref.standard_error), alpha
 
 
 @pytest.mark.slow

@@ -19,7 +19,6 @@ from fracheat import (
     report_to_csv,
     report_to_json,
     se_factor,
-    t2_consistency_check,
 )
 
 
@@ -121,17 +120,20 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
 
 def test_report_integrates_each_t2_once(monkeypatch):
     # the estimator's control variate and the exact-t2 row read one cached T_2
+    # per time, and one pair integral of (V^2, V) gives E c' at every time
     calls = []
     real = coefficients._pair_integral
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args[:2])
         return real(*args)
 
+    v = gaussian(weight=-0.7)
     monkeypatch.setattr(coefficients, "_pair_integral", counted)
     coefficients.t2_exact.cache_clear()
-    expansion_report(gaussian(weight=-0.7), 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
-    assert len(calls) == 4
+    expansion_report(v, 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
+    assert sum(p is q is v for p, q in calls) == 4
+    assert [(p, q) for p, q in calls if p is not q] == [(v.power(2), v)]
 
 
 def test_theorem1_part_i_requires_nonpositive_potential():
@@ -191,21 +193,24 @@ def test_se_mult_counts_the_checks_built(sign, gamma):
     assert report.se_mult == se_factor(len(checks))
     assert all(c.se_mult == report.se_mult for c in checks)
     if sign < 0 and gamma is not None:
-        # sandwich pair, remainder, exact-t2, theorem 2 and t2 control at five times
-        assert len(checks) == 30 and report.se_mult == 4.0
-    # the t2 control rows of one series move together, and say so
-    controls = [c for c in checks if c.name.startswith("t2 control")]
-    assert len(controls) == len(ts) and all("share the seed's start points" in c.note for c in controls)
+        # sandwich pair, remainder, exact-t2, theorem 2, t2 and t3 control at five times
+        assert len(checks) == 35 and report.se_mult == 4.0
+    # the control rows of one series move together, and say so
+    for name in ("t2 control", "t3 control"):
+        controls = [c for c in checks if c.name.startswith(name)]
+        assert len(controls) == len(ts) and all("share the seed's start points" in c.note for c in controls)
 
 
 def test_t2_consistency_quick(unit_gaussian):
     cfg = McConfig(n_paths=100_000, seed=4)
-    check = t2_consistency_check(unit_gaussian, 2.0, 0.05, estimate_heat_content(unit_gaussian, 2.0, 0.05, cfg))
+    est = estimate_heat_content(unit_gaussian, 2.0, 0.05, cfg)
+    row = next(r for r in validator._check_rows(unit_gaussian, 2.0, 0.05, est, None) if r[0].startswith("exact-t2"))
+    check = validator._bound(*row, 3.0)
     assert check.passed
     assert math.isfinite(check.margin)
-    # the same row the report builds for that estimate
-    row = expansion_report(unit_gaussian, 2.0, [0.05], cfg).rows[0]
-    assert check in row.checks
+    # the same row the report builds for that estimate, at its 3 se
+    report = expansion_report(unit_gaussian, 2.0, [0.05], cfg)
+    assert report.se_mult == 3.0 and check in report.rows[0].checks
 
 
 def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
@@ -218,7 +223,22 @@ def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
         check = next(c for c in row.checks if c.name == f"t2 control t={t:g}")
         assert (check.value, check.lower, check.upper, check.se) == (est.t2_residual, 0.0, 0.0, est.t2_residual_se)
         assert check.passed and check.se > 10 * row.standard_error
-        assert all(c.se == row.standard_error for c in row.checks if c is not check)
+        assert all(c.se == row.standard_error for c in row.checks if "control" not in c.name)
+
+
+def test_t3_control_row_reads_the_paths_own_check_of_its_mean(unit_gaussian):
+    # one row per time, after the t2 control: mean(c') - E c' against [0, 0] at
+    # the se of c'; c' tracks w - y, so that se is about the t2 estimate's,
+    # 5x to 10x the se of w - y - c' that the other rows read
+    cfg = McConfig(n_paths=20_000, seed=14)
+    ts = [0.05, 0.1]
+    report = expansion_report(unit_gaussian, 1.5, ts, cfg)
+    for (t, est), row in zip(estimate_series(unit_gaussian, 1.5, ts, cfg), report.rows):
+        check = row.checks[-1]
+        assert check.name == f"t3 control t={t:g}" and row.checks[-2].name == f"t2 control t={t:g}"
+        assert (check.value, check.lower, check.upper, check.se) == (est.t3_residual, 0.0, 0.0, est.t3_residual_se)
+        assert check.passed and check.se > 5 * row.standard_error
+        assert check.se == pytest.approx(est.t2_standard_error, rel=0.5)
 
 
 def test_expansion_report_structure(grid1, unit_gaussian):
@@ -233,8 +253,8 @@ def test_expansion_report_structure(grid1, unit_gaussian):
                 partial_sum(unit_gaussian, grid1, 2.0, n, row.t), rel=1e-12
             )
             assert row.residuals[n] == pytest.approx(row.estimate - ps, rel=1e-12)
-        # V >= 0 here, so the sandwich is absent: remainder, exact-t2 and t2 control checks
-        assert len(row.checks) == 3
+        # V >= 0 here, so the sandwich is absent: remainder, exact-t2, t2 and t3 control checks
+        assert len(row.checks) == 4
         assert all(c.passed for c in row.checks)
     assert 1 in report.fitted_orders
     assert abs(report.fitted_orders[1].slope - 2.0) <= 0.4
