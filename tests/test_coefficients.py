@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import fracheat.coefficients as coefficients
 import fracheat.spectral as spectral
@@ -26,7 +27,6 @@ from fracheat import (
     t2_kernel,
 )
 from fracheat.coefficients import MAX_ORDER, lattice_fields, t3_control_mean, t3_kernel
-from scipy.integrate import quad
 
 PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
 

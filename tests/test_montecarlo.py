@@ -257,16 +257,16 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
 
         return patched
 
-    for case in (
-        (-1.001 * bound, 0.0),
-        (0.0, 1.001 * cv_bound),
-        (0.5 * bound, 0.5 * bound + 1.001 * cv_bound),
-        # a corrupted c': w and y within their bounds, c' past the residual's
-        (0.0, 0.0, 1.001 * cv3_bound),
-        (0.5 * bound, 0.5 * bound - 0.5 * cv_bound, -1.001 * cv3_bound + 0.5 * cv_bound),
+    for case, name in (
+        ((-1.001 * bound, 0.0), "summand"),
+        ((0.0, 1.001 * cv_bound), "summand less y"),
+        ((0.5 * bound, 0.5 * bound + 1.001 * cv_bound), "summand less y"),
+        # a corrupted c': w, y and w - y within their bounds, w - y - c' past its own
+        ((0.0, 0.0, 1.001 * cv3_bound), "summand less y and c'"),
+        ((0.5 * bound, 0.5 * bound - 0.5 * cv_bound, -1.001 * cv3_bound + 0.5 * cv_bound), "summand less y and c'"),
     ):
         monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
-        with pytest.raises(RuntimeError, match="above its bound"):
+        with pytest.raises(RuntimeError, match=f"^{name} [^ ]+ above its bound"):
             estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
     for case in (
         (bound * (1 + 1e-13), bound * (1 + 1e-13)),
