@@ -301,13 +301,26 @@ def test_bessel_j0_matches_scipy():
 
 def test_tanh_sinh_raises_when_the_levels_disagree(monkeypatch):
     # |x - 1/3|^{-1/2} is integrable, but its interior singularity defeats the rule
-    fn = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
+    fn = lambda x: (np.abs(x - 1.0 / 3.0) ** -0.5)[np.newaxis]
     monkeypatch.setattr(coefficients, "_TS_LEVELS", 4)
     with pytest.raises(ValueError, match="tanh-sinh quadrature did not converge"):
-        coefficients._tanh_sinh(fn, 1.0)
+        coefficients._tanh_sinh(lambda x: (fn(x), fn(x)), 1.0)
     monkeypatch.undo()
     # an endpoint kink like t2_exact's |xi|^alpha at 0 is what the rule absorbs
-    assert coefficients._tanh_sinh(lambda x: x**0.3 * np.exp(-x), 50.0) == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
+    kink = lambda x: (x**0.3 * np.exp(-x))[np.newaxis]
+    got = coefficients._tanh_sinh(lambda x: (kink(x), kink(x)), 50.0)
+    assert got.shape == (1,) and got[0] == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
+
+
+def test_tanh_sinh_holds_a_cancelled_integral_to_its_bound():
+    # values of 1e-20 whose sign changes from node to node defeat a relative
+    # test, as the rounding of pair sums that cancel to zero does; held to
+    # _TS_FLOOR of the integral of a bound of 1, they converge at once
+    noise = lambda x: 1e-20 * np.sin(1e9 * x)[np.newaxis]
+    with pytest.raises(ValueError, match="tanh-sinh quadrature did not converge"):
+        coefficients._tanh_sinh(lambda x: (noise(x), np.abs(noise(x))), 1.0)
+    got = coefficients._tanh_sinh(lambda x: (noise(x), np.ones((1, x.size))), 1.0)
+    assert got.shape == (1,) and abs(got[0]) < 1e-19
 
 
 def test_t3_kernel_matches_quadrature_on_both_branches():
@@ -345,6 +358,28 @@ def test_t3_control_mean_matches_adaptive_quadrature(v):
         assert [t3_control_mean(v, alpha, [t])[0] for t in ts] == list(got)
 
 
+# odd under x -> -x, so V^2 is even and <V^2, e^{-tsF} V> = 0: the pair sums
+# of E c' cancel to rounding at every radius
+DIPOLES = [
+    mixture([1.0, -1.0], [[1.0] + [0.3] * (d - 1), [-1.0] + [-0.3] * (d - 1)], [1.0, 1.0], dimension=d)
+    for d in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("v", DIPOLES)
+def test_t3_control_mean_of_an_odd_potential_vanishes(v):
+    ts = np.array([0.02, 0.2, 1.0])
+    half = mixture([1.0], [v.centers[0]], [1.0], dimension=v.dimension)
+    for alpha in (0.8, 1.5, 2.0):
+        got = t3_control_mean(v, alpha, ts)
+        assert np.all(np.abs(got) < 1e-14 * ts**3 * c0k(half, 3)), alpha
+    # a slightly uneven dipole's E c' is a hundredth of its parts', and the
+    # rule still meets the oracle
+    uneven = mixture([1.0, -0.99], v.centers, [1.0, 1.0], dimension=v.dimension)
+    for t, got in zip(ts, t3_control_mean(uneven, 1.5, ts)):
+        assert got == pytest.approx(oracles.t3_control_pair_quad(uneven, 1.5, t), rel=1e-9, abs=0), t
+
+
 def test_t3_control_mean_tends_to_the_cubic_coefficient():
     # phi(0) = 1/3, so E c' = -t^3 int V^3 / 6 + O(t^4)
     for v in (T2_MIXTURES[1], T2_MIXTURES[3]):
@@ -364,7 +399,7 @@ def test_pair_integral_of_two_mixtures_sums_every_pair():
     # with q = p the triangle sum of T_2 and the full sum over ordered pairs agree;
     # the cross pair (p, q) is bilinear in each mixture
     p = T2_MIXTURES[1]
-    f = lambda r: t2_kernel(0.1 * r**1.5)
+    f = lambda r: t2_kernel(0.1 * r**1.5)[np.newaxis]
     twin = mixture(p.weights, p.centers, p.sharpness)
     assert twin is not p and twin == p
     assert coefficients._pair_integral(p, twin, f) == pytest.approx(coefficients._pair_integral(p, p, f), rel=1e-14)
@@ -379,11 +414,11 @@ def test_tanh_sinh_keeps_each_integral_at_its_own_level():
     # K integrands at once: each is the value a lone call gives, although a
     # slower one keeps the rule refining
     rows = lambda x: np.stack([np.exp(-x), x**0.3 * np.exp(-x), np.sqrt(x) * np.cos(3.0 * x)])
-    together = coefficients._tanh_sinh(rows, 20.0)
+    together = coefficients._tanh_sinh(lambda x: (rows(x), np.abs(rows(x))), 20.0)
     assert together.shape == (3,)
     for k in range(3):
-        assert together[k] == coefficients._tanh_sinh(lambda x: rows(x)[k], 20.0)
-        assert together[k] == coefficients._tanh_sinh(lambda x: rows(x)[k : k + 1], 20.0)[0]
+        one = lambda x: rows(x)[k : k + 1]
+        assert together[k] == coefficients._tanh_sinh(lambda x: (one(x), np.abs(one(x))), 20.0)[0]
 
 
 def test_grid_refinement_stability():

@@ -449,6 +449,23 @@ def test_estimate_near_alpha_two_runs_in_higher_dimensions(d):
         assert abs(gap) < 4 * math.hypot(est.standard_error, ref.standard_error), alpha
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_estimate_of_an_odd_potential_runs(d):
+    # an odd V gives E c' = 0, a pair integral that cancels to rounding; the
+    # estimate still runs, and at alpha = 2 in d = 1 it meets the split-step
+    # reference
+    centers = [[1.0] + [0.3] * (d - 1), [-1.0] + [-0.3] * (d - 1)]
+    v = mixture([1.0, -1.0], centers, [1.0, 1.0], dimension=d)
+    ts = (0.05, 0.2)
+    for alpha in (1.5, 2.0):
+        ests = estimate_heat_content(v, alpha, ts, McConfig(n_paths=16_384, seed=26))
+        for t, est in zip(ts, ests):
+            assert abs(est.t3_residual) < 4 * est.t3_residual_se, (alpha, t)
+            if d == 1 and alpha == 2.0:
+                ref = oracles.q_reference([1.0, -1.0], [1.0, -1.0], [1.0, 1.0], alpha, t, half_extent=32.0, n=1024)
+                assert abs(est.mean - ref) < 4 * est.standard_error, t
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("sigma", [0.3, 0.5])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])

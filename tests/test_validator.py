@@ -154,6 +154,14 @@ def test_theorem1_zero_potential_is_trivially_tight():
     assert all(c.value == 0.0 and c.se == 0.0 for c in checks)
 
 
+def test_report_of_an_odd_potential_checks_a_zero_t3_control():
+    # E c' = 0 for an odd V; its t3 control rows read the paths' mean of c'
+    v = mixture([1.0, -1.0], [1.0, -1.0], [1.0, 1.0])
+    report = expansion_report(v, 1.5, [0.05, 0.1], McConfig(n_paths=4096, seed=3))
+    rows = [c for row in report.rows for c in row.checks if c.name.startswith("t3 control")]
+    assert len(rows) == 2 and all(c.passed and c.se > 0.0 for c in rows)
+
+
 def test_theorem1_statistical_run():
     v = gaussian(weight=-1.0)
     report = expansion_report(v, 2.0, [0.05, 0.1], McConfig(n_paths=120_000, seed=2))
