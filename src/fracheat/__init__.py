@@ -32,7 +32,6 @@ from .montecarlo import (
 from .potentials import GaussianMixturePotential, gaussian, mixture
 from .sampling import (
     RngStream,
-    closed_form_density,
     empirical_cf,
     levy_cdf,
     moment_estimate,
@@ -40,14 +39,13 @@ from .sampling import (
     sample_subordinator,
     sampler_selftest,
 )
-from .simplex import enumerate_compositions, simplex_integral, weight_A
+from .simplex import enumerate_compositions, weight_A
 from .spectral import (
     GridField,
     SpectralGrid,
     apply_fractional_laplacian,
     forward_transform,
     grid_integral,
-    inverse_transform,
     sample_on_grid,
     weighted_freq_sum,
 )
@@ -75,13 +73,13 @@ __all__ = [
     # potentials
     "GaussianMixturePotential", "gaussian", "mixture",
     # sampling
-    "RngStream", "closed_form_density", "empirical_cf", "levy_cdf", "moment_estimate",
+    "RngStream", "empirical_cf", "levy_cdf", "moment_estimate",
     "sample_increment", "sample_subordinator", "sampler_selftest",
     # simplex
-    "enumerate_compositions", "simplex_integral", "weight_A",
+    "enumerate_compositions", "weight_A",
     # spectral
     "GridField", "SpectralGrid", "apply_fractional_laplacian", "forward_transform", "grid_integral",
-    "inverse_transform", "sample_on_grid", "weighted_freq_sum",
+    "sample_on_grid", "weighted_freq_sum",
     # validator
     "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
     "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",

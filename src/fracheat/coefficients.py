@@ -59,6 +59,7 @@ __all__ = [
     "partial_sum",
     "t2_exact",
     "t2_kernel",
+    "t3_exact",
     "coefficient_table",
 ]
 
@@ -73,6 +74,17 @@ _TS_SPAN = 3.5
 _TS_RTOL = 1e-13
 _TS_FLOOR = 1e-15
 _TS_LEVELS = 10
+# t3_exact's two rules keep a level once it differs from the one before by at most _T3_RTOL
+# of its value or _T3_FLOOR of the integral of its |terms|, which holds a T_3 whose terms
+# cancel, as an odd V's do.  Each rule's error about squares when its resolution doubles
+# (halving h, doubling the Gauss-Legendre order), so the kept level errs far less than the
+# difference: on the test mixtures at t <= 1, levels 3e-4 (d = 1 rule) and 1.5e-7 (alpha = 2
+# rule) of T_3 from the one before erred by 4e-12.  At most _T3_LEVELS doublings; the d = 1
+# rule's grid is summed in blocks of about _T3_POINTS points.
+_T3_RTOL = 1e-6
+_T3_FLOOR = 1e-9
+_T3_LEVELS = 5
+_T3_POINTS = 2**12
 
 
 class RouteUnavailable(ValueError):
@@ -335,6 +347,14 @@ def t2_exact(v: GaussianMixturePotential, alpha: float, t: float) -> float:
 # -- the third-order control's mean --------------------------------------------
 
 
+def _exp_series(u: np.ndarray, coef) -> np.ndarray:
+    """sum_{n < 16} (-u)^n/n! coef(n) by Horner's rule, for the |u| < 0.5 branches of ``t3_kernel`` and ``_psi``."""
+    series = np.zeros_like(u)
+    for n in range(15, -1, -1):
+        series = coef(n) - u / (n + 1) * series
+    return series
+
+
 def t3_kernel(u) -> np.ndarray:
     """phi(u) = int_0^1 2 s (1 - s) e^{-us} ds = 2 ((u - 2) + (u + 2) e^{-u}) / u^3.
 
@@ -346,9 +366,7 @@ def t3_kernel(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     near = np.abs(arr) < 0.5
     big = np.where(near, 1.0, arr)
-    series = np.zeros_like(arr)
-    for n in range(15, -1, -1):
-        series = 2.0 / ((n + 2) * (n + 3)) - arr / (n + 1) * series
+    series = _exp_series(arr, lambda n: 2.0 / ((n + 2) * (n + 3)))
     out = np.where(near, series, 2.0 * (2.0 * big + (big + 2.0) * np.expm1(-big)) / big**3)
     return float(out) if np.ndim(u) == 0 else out
 
@@ -367,6 +385,195 @@ def t3_control_mean(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray
     times = np.array([float(t) for t in ts])
     pair = _pair_integral(v.power(2), v, lambda r: t3_kernel(np.multiply.outer(times, r**alpha)))
     return -0.5 * times**3 * pair
+
+
+# -- the cubic Duhamel term ------------------------------------------------------
+
+
+def _psi(u: np.ndarray) -> np.ndarray:
+    """psi(u) = (e^{-u} - 1 + u)/u^2 to full precision: the 16-term series sum_n (-u)^n/(n + 2)! for
+    |u| < 0.5, the closed form outside, which loses at most 5 eps there.  ``t2_kernel`` keeps its own
+    branch at 1e-4, which errs by about 2 eps/u below 0.5, so that T_2 stays as it was."""
+    near = np.abs(u) < 0.5
+    big = np.where(near, 1.0, u)
+    return np.where(near, _exp_series(u, lambda n: 1.0 / ((n + 1) * (n + 2))), (np.expm1(-big) + big) / big**2)
+
+
+def _duhamel_kernel(a: np.ndarray, b: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
+    """K(a, b) = int_0^1 (1 - s) int_0^s e^{-r a - (s - r) b} dr ds, broadcast over a and b, given
+    psi_a = ``_psi(a)`` and psi_b = ``_psi(b)``, which a caller that pairs each a with many b forms once.
+
+    The inner integral is (e^{-s b} - e^{-s a})/(a - b), so K = (psi(b) - psi(a))/(a - b) with
+    psi = ``t2_kernel``, the mean of phi/2 over [b, a] with phi = ``t3_kernel``, and K(a, a) = phi(a)/2.
+    The divided difference of a full-precision psi loses about 6 eps (1 + a + b)/|a - b| to
+    cancellation, so where |a - b| <= 5e-3 (1 + a + b) the 3-point Gauss-Legendre rule on that
+    mean takes over, which errs there by below 0.16 (|a - b|/(a + b))^6 relative: each branch
+    errs by below about 1e-13.
+    """
+    gap = a - b
+    near = np.abs(gap) <= 5e-3 * (1.0 + a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (psi_b - psi_a) / gap
+    lo, hi = (x[near] for x in np.broadcast_arrays(a, b))
+    mid, half = 0.5 * (lo + hi), math.sqrt(0.15) * (hi - lo)
+    phi = t3_kernel(np.concatenate([mid - half, mid, mid + half])).reshape(3, -1)
+    out[near] = (5.0 * (phi[0] + phi[2]) + 8.0 * phi[1]) / 36.0
+    return out
+
+
+def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
+    """T_3(t) at each t of ts: t^3 T_3(t) = E[y A_U], the cubic Duhamel term, so that
+    Q(t) = -t int V + t^2 T_2(t) - t^3 T_3(t) + O(t^4).
+
+        T_3 = (2 pi)^{-2d} int int conj(vhat(xi)) vhat(xi - eta) vhat(eta) K(t |xi|^alpha, t |eta|^alpha) dxi deta
+            = int_0^1 (1 - s) int_0^s int (P_{t r} V) V (P_{t (s - r)} V) dx dr ds,
+
+    with K = ``_duhamel_kernel`` and P_u = e^{-u F}.  T_3(0) = int V^3 / 6.  At alpha = 2, in every
+    d, each P_u of a Gaussian is a Gaussian (``_t3_heat``); in d = 1 at alpha < 2 a product
+    tanh-sinh rule sums the Fourier form (``_t3_fourier``).  Each time's value is bit-identical
+    to a call at that time alone.
+
+    Raises:
+        RouteUnavailable: in d >= 2 at alpha < 2, where the Fourier form is 2d-dimensional.
+        ValueError: on a bad alpha or t, or if a rule does not converge.
+    """
+    _check_alpha(alpha)
+    for t in ts:
+        _check_time(t)
+    times = np.array([float(t) for t in ts])
+    if alpha != 2.0 and v.dimension != 1:
+        raise RouteUnavailable(f"t3_exact needs d = 1 or alpha = 2, got d = {v.dimension}, alpha = {alpha}")
+    if v.is_zero:
+        return np.zeros(times.size)
+    if alpha == 2.0:
+        return np.array([_t3_heat(v, t) for t in times])
+    return _t3_fourier(v, float(alpha), times)
+
+
+@functools.lru_cache(maxsize=_T3_LEVELS + 1)
+def _triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, s - r, weight) at the n^2 nodes of a Gauss-Legendre rule for int_0^1 (1 - s) int_0^s f(r, s - r) dr ds.
+
+    Duffy's map r = s tau takes the triangle to the unit square with Jacobian s; each
+    side carries the n-point rule on [0, 1], whose nodes and weights are the eigenvalues
+    and the squared first components of the Jacobi matrix of the Legendre polynomials
+    (Golub & Welsch, 1969)."""
+    k = np.arange(1.0, n)
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    x, w = 0.5 * (x + 1.0), vectors[0] ** 2
+    s, tau = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
+    weight = np.outer(w, w).ravel() * (1.0 - s) * s
+    return s * tau, s * (1.0 - tau), weight
+
+
+def _t3_heat(v: GaussianMixturePotential, t: float) -> float:
+    """T_3(t) at alpha = 2 in any d.  With P_u e^{-a |x - mu|^2} = (1 + 4 a u)^{-d/2} e^{-a |x - mu|^2 / (1 + 4 a u)},
+    each triple (i, j, k) of components gives at (r, s - r) the Gaussian integral
+
+        int e^{-p |x - mu_i|^2 - q |x - mu_j|^2 - w |x - mu_k|^2} dx
+            = (pi / S)^{d/2} e^{-(p q |mu_i - mu_j|^2 + p w |mu_i - mu_k|^2 + q w |mu_j - mu_k|^2) / S},
+
+    p = a_i, q = a_j l_j, w = a_k l_k, S = p + q + w, l_j = 1/(1 + 4 a_j t r), l_k = 1/(1 + 4 a_k t (s - r)),
+    times c_i c_j c_k (l_j l_k)^{d/2}.  The (r, s) triangle takes ``_triangle_rule`` from 4 nodes
+    a side, doubled until two orders agree (``_T3_RTOL``, ``_T3_FLOOR``)."""
+    c, a, mu = v._arrays()
+    gap = ((mu[:, np.newaxis] - mu) ** 2).sum(axis=-1)
+    triples = np.multiply.outer(c, np.multiply.outer(c, c)).ravel()
+    # (i, j, k) on the last three axes: p, |mu_i - mu_j|^2, |mu_i - mu_k|^2, |mu_j - mu_k|^2
+    p, g_ij, g_ik, g_jk = a[:, None, None], gap[:, :, None], gap[:, None, :], gap[None]
+    n, prev = 4, None
+    for _ in range(_T3_LEVELS + 1):
+        r1, r2, weight = _triangle_rule(n)
+        lj, lk = (1.0 / (1.0 + 4.0 * t * np.multiply.outer(r, a)) for r in (r1, r2))
+        q, w = (a * lj)[:, None, :, None], (a * lk)[:, None, None, :]
+        big_s = p + q + w
+        scale = math.pi * lj[:, None, :, None] * lk[:, None, None, :] / big_s
+        term = (scale ** (v.dimension / 2.0) * np.exp(-(p * (q * g_ij + w * g_ik) + q * w * g_jk) / big_s)).reshape(weight.size, -1)
+        total, mass = weight @ (term @ np.stack([triples, np.abs(triples)], axis=1))
+        if prev is not None and abs(total - prev) <= max(_T3_RTOL * abs(total), _T3_FLOOR * mass):
+            return total
+        n, prev = 2 * n, total
+    raise ValueError(f"T_3 at alpha = 2 did not converge at t = {t!r}: last two orders {prev!r} and {total!r}")
+
+
+def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> np.ndarray:
+    """T_3 at each of times in d = 1 by a product tanh-sinh rule on the quadrant (0, R)^2.
+
+    vhat(-xi) = conj(vhat(xi)) and K reads |xi| and |eta| only, so the plane is twice the real part of
+    the half plane xi > 0, and T_3 = (1/(2 pi^2)) int_0^R int_0^R G K(t xi^alpha, t eta^alpha) deta dxi with
+    G = Re[F(xi, eta) + F(xi, -eta)], F(xi, eta) = conj(vhat(xi)) vhat(xi - eta) vhat(eta).  The kinks
+    of |xi|^alpha and |eta|^alpha lie on the axes, which the rule has as its ends.  With
+    vhat(x) = sum_j A_j(x) e^{-i mu_j x}, A_j(x) = c_j (pi/a_j)^{1/2} e^{-x^2/(4 a_j)}, and
+    p_j = conj(vhat(xi)) e^{-i mu_j xi}, q_j = e^{i mu_j eta} vhat(eta):
+
+        G = sum_j (A_j(xi - eta) + A_j(xi + eta)) Re p_j Re q_j + (A_j(xi + eta) - A_j(xi - eta)) Im p_j Im q_j,
+
+    bounded by g(xi) g(eta) (g(xi - eta) + g(xi + eta)) with g = sum_j |A_j|.  Beyond
+    R = sqrt(160 max a) that bound is below e^{-60} of its peak.  Each level halves h as
+    ``_tanh_sinh`` does and sums only its new points; each time keeps the first level at
+    which it converged (``_T3_RTOL``, ``_T3_FLOOR``).
+    """
+    c, a, mu = v._arrays()
+    amp, rate, mu = c * np.sqrt(math.pi / a), 0.25 / a, mu[:, 0]
+    cut = math.sqrt(160.0 * a.max())
+
+    def nodes(u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The nodes x and weights of the steps u, and t x^alpha and its psi at each time, (T, nodes);
+        nodes where the bound's factor g(x) is below 1e-17 g(0), which bunch up at R and carry less
+        than that share of the integral, are left out."""
+        x, w = _ts_nodes(u, cut)
+        keep = np.abs(amp) @ np.exp(-np.multiply.outer(rate, x**2)) > 1e-17 * np.abs(amp).sum()
+        x, w = x[keep], w[keep]
+        rate_t = np.multiply.outer(times, x**alpha)
+        return x, w, rate_t, _psi(rate_t)
+
+    def grid(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The (2, T) weighted sums of G K and of its bound times K over the product of two node sets."""
+        y, wy, b, psi_b = ys
+        a_y = amp * np.exp(-(y**2)[:, np.newaxis] * rate)
+        turn_y = np.exp(1j * np.multiply.outer(y, mu))
+        q = turn_y * (a_y * turn_y.conj()).sum(axis=1)[:, np.newaxis]
+        g_y = np.abs(a_y).sum(axis=1)
+        out = np.zeros((2, times.size))
+        step = max(1, _T3_POINTS // y.size)
+        for lo in range(0, xs[0].size, step):
+            x, wx, a_t, psi_a = (arr[..., lo : lo + step] for arr in xs)
+            a_x = amp * np.exp(-(x**2)[:, np.newaxis] * rate)
+            turn_x = np.exp(-1j * np.multiply.outer(x, mu))
+            p = (a_x * turn_x).sum(axis=1).conj()[:, np.newaxis] * turn_x
+            minus, plus = np.subtract.outer(x, y) ** 2, np.add.outer(x, y) ** 2
+            g = np.zeros(minus.shape)
+            g_pair = np.zeros(minus.shape)
+            for j in range(amp.size):
+                a_minus, a_plus = amp[j] * np.exp(-rate[j] * minus), amp[j] * np.exp(-rate[j] * plus)
+                g += (a_minus + a_plus) * np.multiply.outer(p[:, j].real, q[:, j].real)
+                g += (a_plus - a_minus) * np.multiply.outer(p[:, j].imag, q[:, j].imag)
+                g_pair += np.abs(a_minus) + np.abs(a_plus)
+            weight = np.multiply.outer(wx, wy)
+            g *= weight
+            g_pair *= weight * np.multiply.outer(np.abs(a_x).sum(axis=1), g_y)
+            kern = _duhamel_kernel(a_t[:, :, None], b[:, None, :], psi_a[:, :, None], psi_b[:, None, :])
+            for k in range(times.size):
+                out[:, k] += np.dot(g.ravel(), kern[k].ravel()), np.dot(g_pair.ravel(), kern[k].ravel())
+        return out
+
+    h = 0.5
+    old = nodes(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
+    total, mass = h * h * grid(old, old)
+    done = np.zeros(times.size, dtype=bool)
+    out, prev = total, None
+    for _ in range(_T3_LEVELS):
+        h *= 0.5
+        new = nodes(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
+        every = tuple(np.concatenate([x, y], axis=-1) for x, y in zip(old, new))
+        step = grid(new, every) + grid(old, new)
+        prev, total, mass = total, 0.25 * total + h * h * step[0], 0.25 * mass + h * h * step[1]
+        out = np.where(done, out, total)
+        done |= np.abs(total - prev) <= np.maximum(_T3_RTOL * np.abs(total), _T3_FLOOR * mass)
+        if done.all():
+            return out / (2.0 * math.pi**2)
+        old = every
+    raise ValueError(f"T_3 quadrature did not converge: last two levels {prev!r} and {total!r}")
 
 
 def _bessel_j0(z) -> np.ndarray:
@@ -422,6 +629,15 @@ def _pair_integral(p: GaussianMixturePotential, q: GaussianMixturePotential, f) 
     return _tanh_sinh(radial, math.sqrt(160.0 * max(ap.max(initial=0.0), aq.max(initial=0.0)))) / scale
 
 
+def _ts_nodes(u: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tanh-sinh nodes x = b / (1 + e^{-pi sinh u}) of [0, b] at the steps u and their weights
+    b pi cosh(u) / (4 cosh^2((pi/2) sinh u)), to be multiplied by the step h."""
+    s = 0.5 * math.pi * np.sinh(u)
+    x = b / (1.0 + np.exp(-2.0 * s))
+    w = (0.25 * math.pi * b) * np.cosh(u) / np.cosh(s) ** 2
+    return x, w
+
+
 def _tanh_sinh(fn, b: float) -> np.ndarray:
     """int_0^b of K integrands at once by the tanh-sinh rule (Takahasi & Mori, 1974).
 
@@ -442,9 +658,7 @@ def _tanh_sinh(fn, b: float) -> np.ndarray:
     """
 
     def level(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = 0.5 * math.pi * np.sinh(u)
-        x = b / (1.0 + np.exp(-2.0 * s))
-        w = (0.25 * math.pi * b) * np.cosh(u) / np.cosh(s) ** 2
+        x, w = _ts_nodes(u, b)
         vals, bounds = fn(x)
         return np.array([np.dot(w, row) for row in vals]), np.array([np.dot(w, row) for row in bounds])
 

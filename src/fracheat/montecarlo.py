@@ -21,34 +21,39 @@ Second-order control variate: the same product with e^{-A_U} set to 1,
 
 has E y = int_0^t (t - u) <V, e^{-uF} V> du = t^2 T_2(t), since X is the free
 stable process, and ``coefficients.t2_exact`` gives T_2 with no lattice.
-Third-order control variate: the first-order term of e^{-A_U} - 1 with the
-exponent frozen at its start, A_U ~ U V(x0) = t s V(x0),
+Third-order control variate: the first-order term of e^{-A_U} - 1 along the
+path itself,
 
-    c' = -y t s V(x0),
+    c'' = -y A_U,
 
-has E c' = -(t^3/2) (2 pi)^{-d} int conj((V^2)hat) vhat phi(t |xi|^alpha) dxi
-(``coefficients.t3_control_mean``, one quadrature for a whole series), which
-tends to -t^3 int V^3 / 6.  So the estimate is
-mean(w - y - c') + t^2 T_2(t) + E c' - t int V, with the se of w - y - c':
-the paths estimate only what t^2 T_2 and E c' leave out, and the residual
-y (e^{-A_U} - 1 + t s V(x0)) follows A_U - t s V(x0), how far the path's
-exponent strays from its frozen start.  Each path's residuals w - y and
-w - y - c' are formed path by path, never from pooled means: on the
+has E c'' = -t^3 T_3(t), the cubic Duhamel term (``coefficients.t3_exact``,
+one call for a whole series), which tends to -t^3 int V^3 / 6.  So the
+estimate is mean(w - y - c'') + t^2 T_2(t) - t^3 T_3(t) - t int V, with the
+se of w - y - c'' = y (e^{-A_U} - 1 + A_U): the paths estimate only what is
+of second order in A_U.  The trapezoid rule's first-order step bias cancels
+in w - y - c'', and the mean of c'' reads it instead (``t3_residual``).
+T_3 has an exact form in d = 1 and at alpha = 2; in d >= 2 at alpha < 2 the
+control is c' = -y t s V(x0), the exponent frozen at its start, whose mean
+E c' (``coefficients.t3_control_mean``) needs only a radial integral, and
+w - y - c' follows how far A_U strays from t s V(x0).  c names whichever
+control is used (``_path_control``).  Each path's residuals w - y and
+w - y - c are formed path by path, never from pooled means: on the
 benchmark workloads at t = 0.02 to 0.2 the variance of w - y is 20x to 400x
-below w's and that of w - y - c' a further 18x to 590x below, so a
-difference of means would lose digits to cancellation.
+below w's and that of w - y - c a further 18x to 590x (c') or 76x to 56,000x
+(c'') below, so a difference of means would lose digits to cancellation.
 The estimate also keeps mean(w) - t int V (``plain_mean``), the estimate
 with y alone and its se (``t2_mean``, ``t2_standard_error``), and the two
 controls' own checks: mean(y) - t^2 T_2 (``t2_residual``) and
-mean(c') - E c' (``t3_residual``), each with its se.
+mean(c) - E c (``t3_residual``), each with its se.
 
 Invariant: |V/g| <= 1, |V| <= sum_i |c_i| and V >= -sum_{c_i<0} |c_i|, so
 
     |w| <= B = (t^2/2) Z sum_i |c_i| e^{t sum_{c_i<0} |c_i|}.
 
 A_U and t s V(x0) both lie between U min V and U max V, so with
-b = t sum_i |c_i| also |w - y| <= B b and |w - y - c'| <= B b (1 + b/2);
-the estimator asserts all three.  So the variance is finite for every
+b = t sum_i |c_i| also |w - y| <= B b, |w - y - c''| <= B b^2 / 2 and
+|w - y - c'| <= B b (1 + b/2); the estimator asserts the bound of each
+column it forms.  So the variance is finite for every
 alpha and d with no tuning: the start points stay where V lives, and a
 path that jumps far away only shrinks its summand.
 
@@ -79,7 +84,7 @@ of ``_TILE_POINTS`` // ((m + 1) d) paths, sized so that a tile's rows of P,
 its position buffer and evaluate's temporaries fit in L2 together.  Each
 tile runs every time of the series while its rows of P stay in cache:
 positions x0 + t^{1/alpha} P in one tile-sized buffer, V on them, A_U, and
-that time's columns (``_COLUMNS``: w - y - c', w - y, w, y and c') written
+that time's columns (``_COLUMNS``: w - y - c, w - y, w, y and c) written
 into the block's (C, T, B) array.  Tiles are not part of the draw order:
 every float operation on a path is the same in any tile, so the tile size
 changes no number.  Each block's columns are reduced at once to a count and,
@@ -102,7 +107,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import t2_exact, t3_control_mean
+from .coefficients import t2_exact, t3_control_mean, t3_exact
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
@@ -126,8 +131,9 @@ _BLOCK_POINTS = 2**16
 # block at d = 1 and 64 steps would hold 4 * 1008 * 64 * 8 bytes = 2 MB
 _TILE_POINTS = 2**15
 # the kernel's per-path columns, in the order it writes them: the residual that
-# the estimate reads, then each quantity whose mean, se or peak a field reads
-_COLUMNS = ("w - y - c'", "w - y", "w", "y", "c'")
+# the estimate reads, then each quantity whose mean, se or peak a field reads;
+# c is the third-order control, c'' or c' (``_path_control``)
+_COLUMNS = ("w - y - c", "w - y", "w", "y", "c")
 
 
 @dataclass(frozen=True)
@@ -157,16 +163,19 @@ class McConfig:
 class McEstimate:
     """A Monte Carlo mean, its standard error and its sample count.
 
-    From ``estimate_heat_content``, one per time: mean = mean(w - y - c') +
-    t^2 T_2 + E c' - t int V and the se of w - y - c'.  The rest are 0.0 for
-    V = 0 and for every other estimator:
+    From ``estimate_heat_content``, one per time: mean = mean(w - y - c) +
+    t^2 T_2 + E c - t int V and the se of w - y - c, where the control c is
+    c'' = -y A_U with E c'' = -t^3 T_3 in d = 1 and at alpha = 2, else
+    c' = -y t s V(x0).  The rest are 0.0 for V = 0 and for every other
+    estimator:
       - plain_mean = mean(w) - t int V, the estimate without a control variate;
       - t2_mean = mean(w - y) + t^2 T_2 - t int V and its standard error
         t2_standard_error, the estimate with the second-order control alone;
       - t2_residual = mean(y) - t^2 T_2 with its standard error
         t2_residual_se, a check of T_2 by the paths alone;
-      - t3_residual = mean(c') - E c' with its standard error
-        t3_residual_se, a check of E c' by the paths alone.
+      - t3_residual = mean(c) - E c with its standard error
+        t3_residual_se, a check of E c by the paths alone; with c'' it also
+        reads the trapezoid rule's step bias in A_U.
     """
 
     mean: float
@@ -196,6 +205,12 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
     return 0.5 * t * t * z * sum(abs(c) for c in v.weights) * growth
 
 
+def _path_control(v: GaussianMixturePotential, alpha: float) -> bool:
+    """Whether the third-order control is c'' = -y A_U, whose mean needs T_3 (``coefficients.t3_exact``:
+    d = 1 or alpha = 2), rather than c' = -y t s V(x0)."""
+    return v.dimension == 1 or alpha == 2.0
+
+
 def _chunk_summands(
     v: GaussianMixturePotential, alpha: float, ts: list[float], cfg: McConfig, chunk_index: int, n_chunk: int
 ) -> Iterator[np.ndarray]:
@@ -203,8 +218,9 @@ def _chunk_summands(
     own substream: column c of ``_COLUMNS`` at time ts[k] for each of the block's B paths.
 
     w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U), y is w with e^{-A_U} set to
-    1, c' = -y t s V(x0), and the residuals w - y and w - y - c' are formed
-    path by path.  Draw order, block and tile walk as in the module
+    1, the control c is c'' = -y A_U or, where ``_path_control`` says no,
+    c' = -y t s V(x0), and the residuals w - y and w - y - c are formed path
+    by path.  Draw order, block and tile walk as in the module
     docstring.  Each block's span-1 draws become its relative path P in
     place, scaled per path by (s/m)^{1/alpha} and summed along the path;
     tile by tile, each time then evaluates V at x0 + t^{1/alpha} P in one
@@ -226,6 +242,7 @@ def _chunk_summands(
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
     tile = min(block, max(1, _TILE_POINTS // ((m + 1) * d)))
     buf = np.empty((tile, m, d))
+    path_control = _path_control(v, alpha)
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
         path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
@@ -237,7 +254,7 @@ def _chunk_summands(
             for i in range(0, hi - lo, tile):
                 j = min(i + tile, hi - lo)
                 rows = slice(lo + i, lo + j)
-                frozen = (m * span[rows]) * v0[rows]  # s V(x0), with s = U / t
+                frozen = (m * span[rows]) * v0[rows]  # s V(x0), with s = U / t, for c'
                 for k, t in enumerate(ts):
                     pos = np.multiply(path[i:j], t ** (1.0 / alpha), out=buf[: j - i])
                     pos += x0[rows, np.newaxis, :]
@@ -247,7 +264,7 @@ def _chunk_summands(
                     np.multiply(vals[:, -1], 0.5 * t * t * ratio[rows], out=y)
                     np.multiply(y, np.exp(-a_u), out=w)
                     np.subtract(w, y, out=r2)
-                    np.multiply(y, -t * frozen, out=c)
+                    np.multiply(y, -a_u if path_control else -t * frozen, out=c)
                     np.subtract(r2, c, out=r3)
         yield cols
 
@@ -291,7 +308,7 @@ def _merge(a: _Tally, b: _Tally) -> _Tally:
 def estimate_heat_content(
     v: GaussianMixturePotential, alpha: float, t, cfg: McConfig
 ) -> McEstimate | tuple[McEstimate, ...]:
-    """Monte Carlo Q(t) = mean(w - y - c') + t^2 T_2(t) + E c' - t int V with standard error sd(w - y - c')/sqrt(n).
+    """Monte Carlo Q(t) = mean(w - y - c) + t^2 T_2(t) + E c - t int V with standard error sd(w - y - c)/sqrt(n).
 
     t is one time, which returns one McEstimate, or a sequence of times,
     which returns a tuple of McEstimates in the order given; the times share
@@ -322,13 +339,16 @@ def estimate_heat_content(
         else:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
-        controls = t3_control_mean(v, alpha, ts)
+        if _path_control(v, alpha):
+            controls = -np.array(ts) ** 3 * t3_exact(v, alpha, ts)
+        else:
+            controls = t3_control_mean(v, alpha, ts)
         out = tuple(_estimate(v, alpha, s, float(c), total, k) for k, (s, c) in enumerate(zip(ts, controls)))
     return out[0] if scalar else out
 
 
 def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: float, total: _Tally, k: int) -> McEstimate:
-    """The k-th time's McEstimate from the pooled columns and E c' = control, after the bound checks."""
+    """The k-th time's McEstimate from the pooled columns and E c = control, after the bound checks."""
     n = total.n
     root_n = math.sqrt(n)
     peak, mean = ({name: float(x[c, k]) for c, name in enumerate(_COLUMNS)} for x in (total.peaks, total.means))
@@ -339,23 +359,26 @@ def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: floa
     _check_peak("summand", peak["w"], bound)
     # A_U and t s V(x0) both lie between U min V and U max V, U <= t and max V - min V <= sum_i |c_i|.
     # With b = t sum_i |c_i|, and B bounding |y| e^{t sum_{c_i<0} |c_i|}: |w - y| = |y| |e^{-A_U} - 1|
-    # <= B b, and |w - y - c'| = |y| |e^{-A_U} - 1 + t s V(x0)| <= |y| (|e^{-A_U} - 1 + A_U| + |A_U - t s V(x0)|)
-    # <= B b (1 + b / 2)
-    sum_abs = sum(abs(c) for c in v.weights)
-    _check_peak("summand less y", peak["w - y"], bound * t * sum_abs)
-    _check_peak("summand less y and c'", peak["w - y - c'"], bound * t * sum_abs * (1.0 + 0.5 * t * sum_abs))
+    # <= B b; |w - y - c''| = |y| |e^{-A_U} - 1 + A_U| <= |y| (A_U^2 / 2) e^{max(0, -A_U)} <= B b^2 / 2; and
+    # |w - y - c'| = |y| |e^{-A_U} - 1 + t s V(x0)| <= |y| (|e^{-A_U} - 1 + A_U| + |A_U - t s V(x0)|) <= B b (1 + b / 2)
+    b = t * sum(abs(c) for c in v.weights)
+    _check_peak("summand less y", peak["w - y"], bound * b)
+    if _path_control(v, alpha):
+        _check_peak("summand less y and c''", peak["w - y - c"], 0.5 * bound * b * b)
+    else:
+        _check_peak("summand less y and c'", peak["w - y - c"], bound * b * (1.0 + 0.5 * b))
     vol, t2 = t * v.integral(), t * t * t2_exact(v, alpha, t)
     return McEstimate(
-        mean["w - y - c'"] + t2 + control - vol,
-        se["w - y - c'"],
+        mean["w - y - c"] + t2 + control - vol,
+        se["w - y - c"],
         n,
         plain_mean=mean["w"] - vol,
         t2_mean=mean["w - y"] + t2 - vol,
         t2_standard_error=se["w - y"],
         t2_residual=mean["y"] - t2,
         t2_residual_se=se["y"],
-        t3_residual=mean["c'"] - control,
-        t3_residual_se=se["c'"],
+        t3_residual=mean["c"] - control,
+        t3_residual_se=se["c"],
     )
 
 

@@ -31,7 +31,7 @@ from .coefficients import (
     partial_sum,
     t2_exact,
 )
-from .montecarlo import McConfig, McEstimate, estimate_heat_content
+from .montecarlo import McConfig, McEstimate, _path_control, estimate_heat_content
 from .potentials import GaussianMixturePotential
 from .sampling import _check_count, _check_positive_finite, _is_finite_real
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
@@ -194,22 +194,27 @@ def _check_rows(
 ) -> list[tuple[str, float, float, float, str, float]]:
     """(name, value, lower, upper, note, se) of every bound one estimate must meet.
 
-    Q is the control-variate estimate mean(w - y - c') + t^2 T_2(t) + E c' - t int V
-    of ``estimate_heat_content``, and every row but the two controls reads it
-    at its se, that of w - y - c'.  In order:
+    Q is the control-variate estimate mean(w - y - c) + t^2 T_2(t) + E c - t int V
+    of ``estimate_heat_content``, where c is c'' = -y A_U with E c'' = -t^3 T_3(t)
+    in d = 1 and at alpha = 2, else c' = -y t s V(x0); every row but the two
+    controls reads Q at its se, that of w - y - c.  In order:
       - Theorem 1(i), only for V <= 0: -t int V <= Q <= -t int V (1 + t ||V||_inf e^{t ||V||_inf} / 2);
       - Theorem 1(ii): |Q + t int V| <= t^2 ||V||_1 ||V||_inf e^{t ||V||_inf};
       - exact-t2 consistency: |Q - (-t int V + t^2 T_2(t))| <= t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf},
-        which is mean(w - y - c') + E c' against that bound;
+        which is mean(w - y - c) + E c against that bound;
       - Theorem 2, when gamma is given: |Q + t int V - (t^2/2) int V^2| <=
         t^3 ||V||_1 ||V||_inf^2 e^{t ||V||_inf}
         + M_gamma E|X_1|^gamma t^{r + 2} / ((r + 1)(r + 2)),  r = gamma/alpha;
       - t2 control: mean(y) - t^2 T_2(t) = 0 at the se of y, the paths' own check of T_2;
-      - t3 control: mean(c') - E c' = 0 at the se of c', the paths' own check of E c'.
-        Neither c' nor y reads A_U, so neither row carries a step-count bias.
+      - t3 control: mean(c) - E c = 0 at the se of c, the paths' own check of E c.
+        y and c' do not read A_U, so the t2 row and a c' row carry no step-count
+        bias.  c'' reads the trapezoid rule's A_U, so a c'' row also reads its
+        step bias, E[y (int_0^U V(X_s) ds - A_U)]: the coupled shift from 32 to
+        64 steps was at most 1.2e-8 at t = 0.2 on the benchmark potentials,
+        about 0.01 se at their path budgets, so the row is a free probe of it.
     The controls' notes say that the rows of one series move together, as
-    they share the start points.  No row compares the estimate with the T_2
-    or E c' it used.
+    they share the start points, and a c'' row's note says that it reads the step bias.
+    No row compares the estimate with the T_2 or E c it used.
     """
     q, se = est.mean, est.standard_error
     vol = v.integral()
@@ -233,6 +238,8 @@ def _check_rows(
         rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}", se))
     shared = "the times of one series share the seed's start points, so these rows move together"
     rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, shared, est.t2_residual_se))
+    if _path_control(v, alpha):
+        shared += "; the control is c'' = -y A_U, so this row also reads the trapezoid rule's step bias"
     rows.append((f"t3 control t={t:g}", est.t3_residual, 0.0, 0.0, shared, est.t3_residual_se))
     return rows
 

@@ -36,7 +36,7 @@ from fracheat import (
     weight_A,
 )
 from fracheat import montecarlo, validator
-from fracheat.coefficients import t3_control_mean
+from fracheat.coefficients import t3_control_mean, t3_exact
 
 ALPHAS = (0.8, 1.0, 1.5, 2.0)
 QUAD_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
@@ -220,11 +220,13 @@ def test_criterion_6_exact_t2_consistency(q_table, announce):
 
 @pytest.mark.slow
 def test_t2_control_catches_a_scaled_t2(monkeypatch):
-    # the estimator adds t^2 T_2 and E c' back; with T_2 and E c' both off by
-    # 1%, its paths' means of y and c' no longer match them, and each control
+    # the estimator adds t^2 T_2 and E c back; with T_2 and E c both off by
+    # 1%, its paths' means of y and c no longer match them, and each control
     # row fails at criterion 6's configurations and seeds under its own
-    # mutant: the t2 row reads mean(y) - t^2 T_2 and the t3 row mean(c') - E c'
+    # mutant: the t2 row reads mean(y) - t^2 T_2 and the t3 row mean(c) - E c.
+    # Both means of E c are scaled, E c'' = -t^3 T_3 (d = 1, as here) and E c'
     monkeypatch.setattr(montecarlo, "t2_exact", lambda v, alpha, t: 1.01 * t2_exact(v, alpha, t))
+    monkeypatch.setattr(montecarlo, "t3_exact", lambda v, alpha, ts: 1.01 * t3_exact(v, alpha, ts))
     monkeypatch.setattr(montecarlo, "t3_control_mean", lambda v, alpha, ts: 1.01 * t3_control_mean(v, alpha, ts))
     idx = 0
     for sign in (1.0, -1.0):

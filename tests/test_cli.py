@@ -9,7 +9,6 @@ from fracheat import (
     SpectralGrid,
     apply_fractional_laplacian,
     cli,
-    closed_form_density,
     coefficient_table,
     estimate_heat_content,
     forward_transform,
@@ -23,6 +22,7 @@ from fracheat import (
     validator,
 )
 from fracheat.cli import ConfigError, config_digest, load_config, main
+from fracheat.sampling import closed_form_density
 
 MINIMAL = {
     "dimension": 1,

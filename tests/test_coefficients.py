@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fracheat import (
     t2_exact,
     t2_kernel,
 )
-from fracheat.coefficients import MAX_ORDER, lattice_fields, t3_control_mean, t3_kernel
+from fracheat.coefficients import MAX_ORDER, lattice_fields, t3_control_mean, t3_exact, t3_kernel
 
 PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
 
@@ -393,6 +394,114 @@ def test_t3_control_mean_checks_its_arguments():
     for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
         with pytest.raises(ValueError):
             t3_control_mean(v, alpha, ts)
+
+
+def test_duhamel_kernel_matches_its_series_and_the_mean_of_phi():
+    # K(a, b) = (psi(b) - psi(a))/(a - b) off the diagonal and Gauss-Legendre on
+    # the mean of phi/2 within 5e-3 (1 + a + b) of it; the oracle sums the
+    # divided-difference series for max(a, b) <= 1, and both branches meet
+    # adaptive quadrature of the mean of phi/2 over [b, a]
+    base = [0.0, 1e-9, 1e-4, 0.003, 0.1, 0.49, 0.5, 0.51, 1.0, 2.0, 7.5, 40.0, 300.0]
+    pairs = [(x, y) for x in base for y in base]
+    pairs += [(x, x * (1.0 + e)) for x in (1e-3, 0.3, 0.5, 2.0, 50.0) for e in (1e-12, 1e-8, 1e-5, 9e-3, 1.1e-2, 3e-2, 0.05)]
+    a, b = (np.array(col) for col in zip(*pairs))
+    kernel = lambda a, b: coefficients._duhamel_kernel(a, b, coefficients._psi(a), coefficients._psi(b))
+    got = kernel(a, b)
+    assert got.shape == a.shape and np.all(got > 0)
+    swapped = kernel(b, a)
+    assert swapped == pytest.approx(got, rel=1e-15, abs=0)
+    for x, y, k in zip(a, b, got):
+        assert k == pytest.approx(oracles._duhamel(x, y), rel=1e-13, abs=0), (x, y)
+        if x != y:
+            mean = quad(lambda u: 0.5 * oracles._phi(u), min(x, y), max(x, y), epsabs=0.0, epsrel=1e-13)[0] / abs(x - y)
+            assert k == pytest.approx(mean, rel=1e-12, abs=0), (x, y)
+    assert got[0] == 1.0 / 6.0 and kernel(np.array([2.0]), np.array([2.0]))[0] == pytest.approx(0.5 * t3_kernel(2.0), rel=1e-15)
+
+
+# the benchmark's signed trio and the two-bump in d = 1
+T3_D1 = [T2_MIXTURES[1], mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])]
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("v", T3_D1, ids=["signed", "two-bump"])
+def test_t3_exact_matches_dblquad_in_one_dimension(v, alpha):
+    ts = (0.02, 0.2, 1.0)
+    got = t3_exact(v, alpha, ts)
+    for t, value in zip(ts, got):
+        assert value == pytest.approx(oracles.t3_dblquad_1d(v, alpha, t), rel=1e-10, abs=0), t
+    # one rule for the series, and each time's value is a lone call's
+    assert [t3_exact(v, alpha, [t])[0] for t in ts] == list(got)
+    assert list(t3_exact(v, alpha, ts[::-1])) == list(got[::-1])
+
+
+@pytest.mark.parametrize("v", [T2_MIXTURES[i] for i in (1, 3, 4, 5)])
+def test_t3_exact_at_alpha_two_matches_the_physical_space_oracle(v):
+    ts = (0.02, 0.2, 1.0)
+    got = t3_exact(v, 2.0, ts)
+    for t, value in zip(ts, got):
+        assert value == pytest.approx(oracles.t3_heat_axes(v, t), rel=1e-10, abs=0), t
+    assert [t3_exact(v, 2.0, [t])[0] for t in ts] == list(got)
+
+
+@pytest.mark.parametrize("v", T3_D1, ids=["signed", "two-bump"])
+def test_t3_rules_agree_as_alpha_tends_to_two(v):
+    # the d = 1 Fourier rule run at alpha = 2 meets the Gaussian algebra, and the
+    # public value at alpha just below 2 (the Fourier rule) meets that at 2
+    ts = np.array([0.02, 0.2, 1.0])
+    algebra = np.array([coefficients._t3_heat(v, t) for t in ts])
+    assert coefficients._t3_fourier(v, 2.0, ts) == pytest.approx(algebra, rel=1e-12, abs=0)
+    assert t3_exact(v, 2.0, ts) == pytest.approx(algebra, rel=1e-15, abs=0)
+    assert t3_exact(v, 2.0 - 1e-10, ts) == pytest.approx(algebra, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("v", DIPOLES)
+def test_t3_exact_of_an_odd_potential_vanishes(v):
+    # an odd V has int V (P V)(P V) = 0: the terms cancel to rounding, and both
+    # rules converge on their floor instead of raising
+    half = mixture([1.0], [v.centers[0]], [1.0], dimension=v.dimension)
+    ts = [0.02, 0.2, 1.0]
+    for alpha in (0.8, 1.5, 2.0) if v.dimension == 1 else (2.0,):
+        got = t3_exact(v, alpha, ts)
+        assert np.all(np.abs(got) < 1e-14 * c0k(half, 3)), alpha
+    if v.dimension == 1:
+        uneven = mixture([1.0, -0.99], v.centers, [1.0, 1.0])
+        for t, got in zip(ts, t3_exact(uneven, 1.5, ts)):
+            assert got == pytest.approx(oracles.t3_dblquad_1d(uneven, 1.5, t), rel=1e-9, abs=0), t
+
+
+def test_t3_exact_starts_at_the_cubic_coefficient():
+    # K(0, 0) = 1/6, so T_3(0) = int V^3 / 6 = C_{0,3}
+    for v, alpha in ((T2_MIXTURES[1], 1.5), (T2_MIXTURES[3], 2.0), (T2_MIXTURES[5], 2.0)):
+        assert t3_exact(v, alpha, [0.0])[0] == pytest.approx(c0k(v, 3), rel=1e-13, abs=0)
+
+
+def test_t3_exact_checks_its_arguments(monkeypatch):
+    v = gaussian()
+    assert list(t3_exact(mixture([], [], [], dimension=1), 1.5, [0.1, 0.2])) == [0.0, 0.0]
+    for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
+        with pytest.raises(ValueError):
+            t3_exact(v, alpha, ts)
+    with pytest.raises(RouteUnavailable, match="d = 1 or alpha = 2"):
+        t3_exact(gaussian(center=(0.0, 0.0)), 1.5, [0.1])
+    monkeypatch.setattr(coefficients, "_T3_LEVELS", 0)
+    for alpha in (1.5, 2.0):
+        with pytest.raises(ValueError, match="did not converge"):
+            t3_exact(v, alpha, [0.1])
+
+
+def test_t3_exact_of_a_series_stays_small_in_memory():
+    # the d = 1 rule sums its grid in blocks, and the alpha = 2 rule's arrays are
+    # (nodes, K^3): below 1 MB of traced memory for the benchmark's report configs
+    ts = [0.02, 0.05, 0.1, 0.2]
+    for v, alpha in ((T2_MIXTURES[0], 1.5), (T2_MIXTURES[1], 2.0), (T2_MIXTURES[2], 2.0)):
+        t3_exact(v, alpha, ts)
+        tracemalloc.start()
+        try:
+            t3_exact(v, alpha, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (alpha, peak)
 
 
 def test_pair_integral_of_two_mixtures_sums_every_pair():

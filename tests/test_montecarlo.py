@@ -21,7 +21,7 @@ from fracheat import (
     t2_exact,
 )
 from fracheat.cli import resolve_config
-from fracheat.coefficients import t3_control_mean
+from fracheat.coefficients import t3_control_mean, t3_exact
 from fracheat.montecarlo import _BLOCK_POINTS, _COLUMNS, _TILE_POINTS, _chunk_summands, _start_mixture, _summand_bound
 from fracheat.potentials import GaussianMixturePotential
 from fracheat.sampling import sample_subordinator
@@ -43,6 +43,13 @@ def _chunk(v, alpha, ts, cfg, chunk_index, n_chunk):
 
 def _col(name):
     return _COLUMNS.index(name)
+
+
+def _control_mean(v, alpha, ts):
+    """E c at each time: -t^3 T_3 for c'' = -y A_U in d = 1 and at alpha = 2, else E c'."""
+    if v.dimension == 1 or alpha == 2.0:
+        return -np.array(ts) ** 3 * t3_exact(v, alpha, ts)
+    return t3_control_mean(v, alpha, ts)
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -183,7 +190,7 @@ def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, thread
     block = _BLOCK_POINTS // 17
     parts = [oracles.chunk_summands_unblocked(v, alpha, ts, cfg, i, size, min(size, block))
              for i, size in enumerate((32768, 3000))]
-    controls = t3_control_mean(v, alpha, ts)
+    controls = _control_mean(v, alpha, ts)
     for k, (t, est, s) in enumerate(zip(ts, ests, oracles.pooled_statistics(parts, block))):
         mean = {name: s["mean"][i] for i, name in enumerate(_COLUMNS)}
         se = {name: math.sqrt(s["ss"][i] / (n - 1)) / math.sqrt(n) for i, name in enumerate(_COLUMNS)}
@@ -194,17 +201,17 @@ def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, thread
         assert est.t2_residual_se == se["y"]
         assert est.t2_mean == mean["w - y"] + t2 - vol
         assert est.t2_standard_error == se["w - y"]
-        assert est.t3_residual == mean["c'"] - ec
-        assert est.t3_residual_se == se["c'"]
-        assert est.mean == mean["w - y - c'"] + t2 + ec - vol
-        assert est.standard_error == se["w - y - c'"]
+        assert est.t3_residual == mean["c"] - ec
+        assert est.t3_residual_se == se["c"]
+        assert est.mean == mean["w - y - c"] + t2 + ec - vol
+        assert est.standard_error == se["w - y - c"]
         # the pooled statistics are the whole sample's, to rounding
-        r = np.concatenate([p[_col("w - y - c'"), k] for p in parts])
-        assert mean["w - y - c'"] == pytest.approx(float(r.mean()), rel=1e-13)
+        r = np.concatenate([p[_col("w - y - c"), k] for p in parts])
+        assert mean["w - y - c"] == pytest.approx(float(r.mean()), rel=1e-13)
         assert est.standard_error == pytest.approx(float(r.std(ddof=1) / math.sqrt(n)), rel=1e-11)
-        # each residual is formed path by path: w - y - c' is the difference of the other columns
+        # each residual is formed path by path: w - y - c is the difference of the other columns
         for p in parts:
-            assert np.array_equal(p[_col("w - y - c'"), k], (p[_col("w"), k] - p[_col("y"), k]) - p[_col("c'"), k])
+            assert np.array_equal(p[_col("w - y - c"), k], (p[_col("w"), k] - p[_col("y"), k]) - p[_col("c"), k])
 
 
 D1_MIXTURES = {
@@ -234,14 +241,18 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     t = 0.4
     bound = _summand_bound(v, t)
     assert bound == pytest.approx(0.5 * t**2 * _start_mixture(v)[1].sum() * 1.6 * math.exp(0.3 * t))
-    cv_bound = bound * t * 1.6  # |e^{-A_U} - 1| <= t sum_i |c_i| e^{t sum_{c_i<0} |c_i|}
-    # |e^{-A_U} - 1 + t s V(x0)| <= b (1 + b/2) e^{t sum_{c_i<0} |c_i|}, b = t sum_i |c_i|
-    cv3_bound = cv_bound * (1.0 + 0.5 * t * 1.6)
-    for alpha in (0.8, 2.0):
-        cols = _chunk(v, alpha, [t], McConfig(n_paths=5000), 0, 5000)
-        assert np.abs(cols[_col("w")]).max() <= bound
-        assert np.abs(cols[_col("w - y")]).max() <= cv_bound
-        assert np.abs(cols[_col("w - y - c'")]).max() <= cv3_bound
+    b = t * 1.6  # t sum_i |c_i|
+    cv_bound = bound * b  # |e^{-A_U} - 1| <= b e^{t sum_{c_i<0} |c_i|}
+    # |e^{-A_U} - 1 + A_U| <= (b^2 / 2) e^{t sum_{c_i<0} |c_i|} for c'' = -y A_U (d = 1 here), and
+    # |e^{-A_U} - 1 + t s V(x0)| <= b (1 + b/2) e^{t sum_{c_i<0} |c_i|} for c' = -y t s V(x0) (d = 2 at alpha < 2)
+    path_bound, frozen_bound = 0.5 * bound * b * b, cv_bound * (1.0 + 0.5 * b)
+    v2 = KERNEL_V[2]
+    assert sum(abs(c) for c in v2.weights) == 1.4
+    for u, alpha, cv3_bound in ((v, 0.8, path_bound), (v, 2.0, path_bound), (v2, 1.5, _summand_bound(v2, t) * t * 1.4 * (1.0 + 0.7 * t))):
+        cols = _chunk(u, alpha, [t], McConfig(n_paths=5000), 0, 5000)
+        assert np.abs(cols[_col("w")]).max() <= _summand_bound(u, t)
+        assert np.abs(cols[_col("w - y")]).max() <= _summand_bound(u, t) * t * sum(abs(c) for c in u.weights)
+        assert np.abs(cols[_col("w - y - c")]).max() <= cv3_bound
     # a kernel that breaks any bound, by more than rounding, is caught
     kernel = _chunk_summands
 
@@ -251,7 +262,7 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
             blocks = list(kernel(*a))
             cols = blocks[-1]
             w, y, c = w_last, y_last, c_last
-            for name, x in (("w", w), ("y", y), ("c'", c), ("w - y", w - y), ("w - y - c'", (w - y) - c)):
+            for name, x in (("w", w), ("y", y), ("c", c), ("w - y", w - y), ("w - y - c", (w - y) - c)):
                 cols[_col(name), :, -1] = x
             return iter(blocks)
 
@@ -261,20 +272,30 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
         ((-1.001 * bound, 0.0), "summand"),
         ((0.0, 1.001 * cv_bound), "summand less y"),
         ((0.5 * bound, 0.5 * bound + 1.001 * cv_bound), "summand less y"),
-        # a corrupted c': w, y and w - y within their bounds, w - y - c' past its own
-        ((0.0, 0.0, 1.001 * cv3_bound), "summand less y and c'"),
-        ((0.5 * bound, 0.5 * bound - 0.5 * cv_bound, -1.001 * cv3_bound + 0.5 * cv_bound), "summand less y and c'"),
+        # a corrupted c'': w, y and w - y within their bounds, w - y - c'' past its own
+        ((0.0, 0.0, 1.001 * path_bound), "summand less y and c''"),
+        ((0.5 * bound, 0.5 * bound - 0.5 * cv_bound, -1.001 * path_bound + 0.5 * cv_bound), "summand less y and c''"),
+        # at the c' bound, which is wider than b^2/2, a c'' column still fails
+        ((0.0, 0.0, 0.999 * frozen_bound), "summand less y and c''"),
     ):
         monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
         with pytest.raises(RuntimeError, match=f"^{name} [^ ]+ above its bound"):
             estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
     for case in (
         (bound * (1 + 1e-13), bound * (1 + 1e-13)),
-        (0.0, cv_bound * (1 + 1e-13)),
-        (0.0, 0.0, cv3_bound * (1 + 1e-13)),
+        # c'' = w - y here, so that w - y - c'' = 0 stays within its tighter bound
+        (0.0, cv_bound * (1 + 1e-13), -cv_bound * (1 + 1e-13)),
+        (0.0, 0.0, path_bound * (1 + 1e-13)),
     ):
         monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
         estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
+    # in d = 2 at alpha < 2 the control is c', held to its own bound
+    frozen_bound = _summand_bound(v2, t) * t * 1.4 * (1.0 + 0.7 * t)
+    monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(0.0, 0.0, 1.001 * frozen_bound))
+    with pytest.raises(RuntimeError, match="^summand less y and c' [^ ]+ above its bound"):
+        estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
+    monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(0.0, 0.0, frozen_bound * (1 + 1e-13)))
+    estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
 
 
 @pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0), (1.0, 0)])
@@ -367,11 +388,11 @@ def test_exponent_integral_is_trapezoid_rule():
         assert est.t2_residual == pytest.approx(controls.mean() - t**2 * t2_exact(v, alpha, t), abs=1e-15)
         cv = (summands - controls).mean() + t**2 * t2_exact(v, alpha, t) - t * v.integral()
         assert est.t2_mean == pytest.approx(cv, rel=1e-12)
-        # c' = -y U V(x0), the first-order term of e^{-A_U} - 1 with the exponent frozen at x0
-        frozen = -controls * u * vals[:, 0]
-        ec = t3_control_mean(v, alpha, [t])[0]
-        assert est.t3_residual == pytest.approx(frozen.mean() - ec, abs=1e-15)
-        cv3 = (summands - controls - frozen).mean() + t**2 * t2_exact(v, alpha, t) + ec - t * v.integral()
+        # c'' = -y A_U, the first-order term of e^{-A_U} - 1, with E c'' = -t^3 T_3
+        path = -controls * a
+        ec = -(t**3) * t3_exact(v, alpha, [t])[0]
+        assert est.t3_residual == pytest.approx(path.mean() - ec, abs=1e-15)
+        cv3 = (summands - controls - path).mean() + t**2 * t2_exact(v, alpha, t) + ec - t * v.integral()
         assert est.mean == pytest.approx(cv3, rel=1e-12)
 
 
@@ -403,8 +424,10 @@ def test_step_count_bias_is_within_noise(unit_gaussian):
 @pytest.mark.slow
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_estimate_matches_split_step_reference(alpha):
+    # the se is about 1.8e-8; at the reference's default half-width 64 the jumps
+    # that wrap around its period move it by 5e-8 at alpha = 1, so it takes 256
     v = mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
-    ref = oracles.q_reference([1.0, 0.5], [0.0, 1.2], [1.0, 2.5], alpha, 0.1)
+    ref = oracles.q_reference([1.0, 0.5], [0.0, 1.2], [1.0, 2.5], alpha, 0.1, half_extent=256.0, n=8192)
     est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=200_000, seed=1))
     assert abs(est.mean - ref) < 4 * est.standard_error
 
@@ -415,10 +438,13 @@ def test_estimate_matches_split_step_reference(alpha):
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
 def test_estimate_is_unbiased_for_heavy_tails(alpha, sign):
     # se <= 7.5e-5 lets a bias of 3e-4 fail at 4 se; the heavy jumps of
-    # alpha < 2 carry paths far from V and back
+    # alpha < 2 carry paths far from V and back.  The se is about 3e-8, so the
+    # reference's box takes half-width 256 at its default mesh step: at 64 the
+    # jumps that wrap around its period moved it by 1.4e-7 at alpha = 0.8, and
+    # half-widths 64, 128 and 256 step by 1.1e-7 and 3.1e-8 toward the estimate
     weights = [sign * c for c in TWO_BUMP[0]]
     v = mixture(weights, TWO_BUMP[1], TWO_BUMP[2])
-    ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1)
+    ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1, half_extent=256.0, n=8192)
     est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=65_536, seed=21))
     assert est.standard_error <= 7.5e-5
     assert abs(est.mean - ref) < 4 * est.standard_error
@@ -438,8 +464,8 @@ def test_estimate_near_alpha_two_matches_split_step_reference(alpha, sign):
 def test_estimate_near_alpha_two_runs_in_higher_dimensions(d):
     # Kanter at beta = alpha/2 near 1.  Q(t) moves by 2e-6 (d = 2) and 5e-6
     # (d = 3) between alpha = 1.99 and 2, which an se of 3e-7 resolves; that
-    # move is almost all in t^2 T_2 + E c', which the estimate takes from
-    # quadrature, so what the paths estimate is compared across alpha
+    # move is almost all in t^2 T_2 + E c', so what is left of Q without them
+    # is compared across alpha, whichever control each estimate subtracts
     v, t = mixture([1.0], [[0.0] * d], [1.0]), 0.1
     exact = lambda alpha: t * t * t2_exact(v, alpha, t) + t3_control_mean(v, alpha, [t])[0]
     ref = estimate_heat_content(v, 2.0, t, McConfig(n_paths=16_384, seed=24))
@@ -451,9 +477,9 @@ def test_estimate_near_alpha_two_runs_in_higher_dimensions(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_estimate_of_an_odd_potential_runs(d):
-    # an odd V gives E c' = 0, a pair integral that cancels to rounding; the
-    # estimate still runs, and at alpha = 2 in d = 1 it meets the split-step
-    # reference
+    # an odd V gives E c = 0: T_3 (d = 1, alpha = 2) and the pair integral of
+    # E c' (d = 2 at alpha < 2) cancel to rounding; the estimate still runs,
+    # and at alpha = 2 in d = 1 it meets the split-step reference
     centers = [[1.0] + [0.3] * (d - 1), [-1.0] + [-0.3] * (d - 1)]
     v = mixture([1.0, -1.0], centers, [1.0, 1.0], dimension=d)
     ts = (0.05, 0.2)

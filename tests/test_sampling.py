@@ -9,7 +9,6 @@ from scipy import special, stats
 
 from fracheat import (
     RngStream,
-    closed_form_density,
     empirical_cf,
     levy_cdf,
     moment_estimate,
@@ -17,7 +16,7 @@ from fracheat import (
     sample_subordinator,
     sampler_selftest,
 )
-from fracheat.sampling import _ks_statistic
+from fracheat.sampling import _ks_statistic, closed_form_density
 from fracheat.validator import _stable_moment
 
 import oracles

@@ -4,7 +4,8 @@ from math import comb, factorial, prod
 import pytest
 
 import oracles
-from fracheat import enumerate_compositions, simplex_integral, weight_A
+from fracheat import enumerate_compositions, weight_A
+from fracheat.simplex import simplex_integral
 
 # Exact rational anchors, zero tolerance.
 ANCHORS = [

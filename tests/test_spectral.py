@@ -12,12 +12,11 @@ from fracheat import (
     forward_transform,
     gaussian,
     grid_integral,
-    inverse_transform,
     mixture,
     sample_on_grid,
     weighted_freq_sum,
 )
-from fracheat.spectral import kink_correction, symbol_array
+from fracheat.spectral import inverse_transform, kink_correction, symbol_array
 
 
 def test_forward_transform_matches_analytic_mixture_transform(grid1):

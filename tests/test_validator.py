@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracheat.coefficients as coefficients
+import fracheat.montecarlo as montecarlo
 import fracheat.validator as validator
 from fracheat import (
     McConfig,
@@ -120,20 +121,29 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
 
 def test_report_integrates_each_t2_once(monkeypatch):
     # the estimator's control variate and the exact-t2 row read one cached T_2
-    # per time, and one pair integral of (V^2, V) gives E c' at every time
-    calls = []
-    real = coefficients._pair_integral
+    # per time, and one call gives E c at every time: t3_exact for c'' in
+    # d = 1, one pair integral of (V^2, V) for c' in d = 2 at alpha < 2
+    calls, t3_calls = [], []
+    real, real_t3 = coefficients._pair_integral, montecarlo.t3_exact
 
     def counted(*args):
         calls.append(args[:2])
         return real(*args)
 
-    v = gaussian(weight=-0.7)
+    def counted_t3(*args):
+        t3_calls.append(args)
+        return real_t3(*args)
+
     monkeypatch.setattr(coefficients, "_pair_integral", counted)
-    coefficients.t2_exact.cache_clear()
-    expansion_report(v, 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
-    assert sum(p is q is v for p, q in calls) == 4
-    assert [(p, q) for p, q in calls if p is not q] == [(v.power(2), v)]
+    monkeypatch.setattr(montecarlo, "t3_exact", counted_t3)
+    for d, n_t3 in ((1, 1), (2, 0)):
+        calls.clear(), t3_calls.clear()
+        v = gaussian(weight=-0.7, center=(0.0,) * d)
+        coefficients.t2_exact.cache_clear()
+        expansion_report(v, 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
+        assert sum(p is q is v for p, q in calls) == 4
+        assert [(p, q) for p, q in calls if p is not q] == ([] if d == 1 else [(v.power(2), v)])
+        assert len(t3_calls) == n_t3
 
 
 def test_theorem1_part_i_requires_nonpositive_potential():
@@ -235,9 +245,10 @@ def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
 
 
 def test_t3_control_row_reads_the_paths_own_check_of_its_mean(unit_gaussian):
-    # one row per time, after the t2 control: mean(c') - E c' against [0, 0] at
-    # the se of c'; c' tracks w - y, so that se is about the t2 estimate's,
-    # 5x to 10x the se of w - y - c' that the other rows read
+    # one row per time, after the t2 control: mean(c) - E c against [0, 0] at
+    # the se of c; c = c'' = -y A_U in d = 1 tracks w - y, so that se is about
+    # the t2 estimate's, 5x to 10x the se of w - y - c that the other rows read,
+    # and the note says that the row reads the trapezoid rule's step bias
     cfg = McConfig(n_paths=20_000, seed=14)
     ts = [0.05, 0.1]
     report = expansion_report(unit_gaussian, 1.5, ts, cfg)
@@ -247,6 +258,7 @@ def test_t3_control_row_reads_the_paths_own_check_of_its_mean(unit_gaussian):
         assert (check.value, check.lower, check.upper, check.se) == (est.t3_residual, 0.0, 0.0, est.t3_residual_se)
         assert check.passed and check.se > 5 * row.standard_error
         assert check.se == pytest.approx(est.t2_standard_error, rel=0.5)
+        assert "step bias" in check.note and "step bias" not in row.checks[-2].note
 
 
 def test_expansion_report_structure(grid1, unit_gaussian):
