@@ -80,11 +80,13 @@ _TS_LEVELS = 10
 # (halving h, doubling the Gauss-Legendre order), so the kept level errs far less than the
 # difference: on the test mixtures at t <= 1, levels 3e-4 (d = 1 rule) and 1.5e-7 (alpha = 2
 # rule) of T_3 from the one before erred by 4e-12.  At most _T3_LEVELS doublings; the d = 1
-# rule's grid is summed in blocks of about _T3_POINTS points.
+# rule's grid is summed in blocks of about _T3_POINTS points, and its step h never falls
+# below _T3_STEP (a grid of about 3,600 nodes a side, 0.5 s for four times).
 _T3_RTOL = 1e-6
 _T3_FLOOR = 1e-9
 _T3_LEVELS = 5
 _T3_POINTS = 2**12
+_T3_STEP = 2.0**-8
 
 
 class RouteUnavailable(ValueError):
@@ -434,8 +436,11 @@ def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
     to a call at that time alone.
 
     Raises:
-        RouteUnavailable: in d >= 2 at alpha < 2, where the Fourier form is 2d-dimensional.
-        ValueError: on a bad alpha or t, or if a rule does not converge.
+        RouteUnavailable: in d >= 2 at alpha < 2, where the Fourier form is 2d-dimensional, and
+            where a rule does not converge within its budget: centres too far apart for the d = 1
+            rule's finest step, or a sharpness times t so large that the alpha = 2 rule's
+            Gauss-Legendre orders do not resolve the layer near the triangle's edges.
+        ValueError: on a bad alpha or t.
     """
     _check_alpha(alpha)
     for t in ts:
@@ -455,12 +460,9 @@ def _triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, s - r, weight) at the n^2 nodes of a Gauss-Legendre rule for int_0^1 (1 - s) int_0^s f(r, s - r) dr ds.
 
     Duffy's map r = s tau takes the triangle to the unit square with Jacobian s; each
-    side carries the n-point rule on [0, 1], whose nodes and weights are the eigenvalues
-    and the squared first components of the Jacobi matrix of the Legendre polynomials
-    (Golub & Welsch, 1969)."""
-    k = np.arange(1.0, n)
-    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    x, w = 0.5 * (x + 1.0), vectors[0] ** 2
+    side carries the n-point rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
     s, tau = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
     weight = np.outer(w, w).ravel() * (1.0 - s) * s
     return s * tau, s * (1.0 - tau), weight
@@ -493,7 +495,7 @@ def _t3_heat(v: GaussianMixturePotential, t: float) -> float:
         if prev is not None and abs(total - prev) <= max(_T3_RTOL * abs(total), _T3_FLOOR * mass):
             return total
         n, prev = 2 * n, total
-    raise ValueError(f"T_3 at alpha = 2 did not converge at t = {t!r}: last two orders {prev!r} and {total!r}")
+    raise RouteUnavailable(f"T_3 at alpha = 2 did not converge at t = {t!r}: last two orders {prev!r} and {total!r}")
 
 
 def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> np.ndarray:
@@ -509,9 +511,14 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
         G = sum_j (A_j(xi - eta) + A_j(xi + eta)) Re p_j Re q_j + (A_j(xi + eta) - A_j(xi - eta)) Im p_j Im q_j,
 
     bounded by g(xi) g(eta) (g(xi - eta) + g(xi + eta)) with g = sum_j |A_j|.  Beyond
-    R = sqrt(160 max a) that bound is below e^{-60} of its peak.  Each level halves h as
-    ``_tanh_sinh`` does and sums only its new points; each time keeps the first level at
-    which it converged (``_T3_RTOL``, ``_T3_FLOOR``).
+    R = sqrt(160 max a) that bound is below e^{-60} of its peak.  The phases e^{i (mu_i - mu_j) xi}
+    oscillate at the gaps between centres, up to D = max mu - min mu, and the rule's widest
+    node spacing is h pi R / 4, at xi = R/2: on two bumps the levels met once h R D <= 5.  So
+    the first level takes the largest h <= 1/2 with h R D <= 16, which is 1/2 for every
+    mixture with R D <= 32, and centres that would need a first h below 4 ``_T3_STEP``
+    raise at once.  Each level halves h as ``_tanh_sinh`` does and sums only its new points,
+    down to ``_T3_STEP``; each time keeps the first level at which it converged
+    (``_T3_RTOL``, ``_T3_FLOOR``).
     """
     c, a, mu = v._arrays()
     amp, rate, mu = c * np.sqrt(math.pi / a), 0.25 / a, mu[:, 0]
@@ -557,12 +564,15 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
                 out[:, k] += np.dot(g.ravel(), kern[k].ravel()), np.dot(g_pair.ravel(), kern[k].ravel())
         return out
 
-    h = 0.5
+    spread = cut * float(np.ptp(mu))
+    h = 2.0 ** -max(1, math.ceil(math.log2(max(spread, 16.0) / 16.0)))
+    if h < 4.0 * _T3_STEP:
+        raise RouteUnavailable(f"T_3 in d = 1 needs a step below {_T3_STEP:g} for centres {np.ptp(mu):g} apart")
     old = nodes(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
     total, mass = h * h * grid(old, old)
     done = np.zeros(times.size, dtype=bool)
     out, prev = total, None
-    for _ in range(_T3_LEVELS):
+    for _ in range(min(_T3_LEVELS, round(math.log2(h / _T3_STEP)))):
         h *= 0.5
         new = nodes(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
         every = tuple(np.concatenate([x, y], axis=-1) for x, y in zip(old, new))
@@ -573,7 +583,7 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
         if done.all():
             return out / (2.0 * math.pi**2)
         old = every
-    raise ValueError(f"T_3 quadrature did not converge: last two levels {prev!r} and {total!r}")
+    raise RouteUnavailable(f"T_3 quadrature did not converge: last two levels {prev!r} and {total!r}")
 
 
 def _bessel_j0(z) -> np.ndarray:

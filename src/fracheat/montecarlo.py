@@ -32,11 +32,15 @@ estimate is mean(w - y - c'') + t^2 T_2(t) - t^3 T_3(t) - t int V, with the
 se of w - y - c'' = y (e^{-A_U} - 1 + A_U): the paths estimate only what is
 of second order in A_U.  The trapezoid rule's first-order step bias cancels
 in w - y - c'', and the mean of c'' reads it instead (``t3_residual``).
-T_3 has an exact form in d = 1 and at alpha = 2; in d >= 2 at alpha < 2 the
-control is c' = -y t s V(x0), the exponent frozen at its start, whose mean
-E c' (``coefficients.t3_control_mean``) needs only a radial integral, and
-w - y - c' follows how far A_U strays from t s V(x0).  c names whichever
-control is used (``_path_control``).  Each path's residuals w - y and
+T_3 has an exact form in d = 1 and at alpha = 2.  Where it has none (d >= 2
+at alpha < 2) or its rule does not converge (centres far apart in d = 1, a
+sharp component at a late time at alpha = 2), ``coefficients.t3_exact``
+raises RouteUnavailable and that time's control is c' = -y t s V(x0), the
+exponent frozen at its start, whose mean E c'
+(``coefficients.t3_control_mean``) needs only a radial integral; w - y - c'
+follows how far A_U strays from t s V(x0).  Both means are found before any
+path is drawn (``_third_order_means``), and c names whichever control a time
+uses (``McEstimate.path_control``).  Each path's residuals w - y and
 w - y - c are formed path by path, never from pooled means: on the
 benchmark workloads at t = 0.02 to 0.2 the variance of w - y is 20x to 400x
 below w's and that of w - y - c a further 18x to 590x (c') or 76x to 56,000x
@@ -107,7 +111,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import t2_exact, t3_control_mean, t3_exact
+from .coefficients import RouteUnavailable, t2_exact, t3_control_mean, t3_exact
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
@@ -132,7 +136,7 @@ _BLOCK_POINTS = 2**16
 _TILE_POINTS = 2**15
 # the kernel's per-path columns, in the order it writes them: the residual that
 # the estimate reads, then each quantity whose mean, se or peak a field reads;
-# c is the third-order control, c'' or c' (``_path_control``)
+# c is the third-order control, c'' or c' (``_third_order_means``)
 _COLUMNS = ("w - y - c", "w - y", "w", "y", "c")
 
 
@@ -165,9 +169,9 @@ class McEstimate:
 
     From ``estimate_heat_content``, one per time: mean = mean(w - y - c) +
     t^2 T_2 + E c - t int V and the se of w - y - c, where the control c is
-    c'' = -y A_U with E c'' = -t^3 T_3 in d = 1 and at alpha = 2, else
-    c' = -y t s V(x0).  The rest are 0.0 for V = 0 and for every other
-    estimator:
+    c'' = -y A_U with E c'' = -t^3 T_3 where ``coefficients.t3_exact`` gives
+    T_3 (path_control is then True), else c' = -y t s V(x0).  The rest are
+    0.0 (False) for V = 0 and for every other estimator:
       - plain_mean = mean(w) - t int V, the estimate without a control variate;
       - t2_mean = mean(w - y) + t^2 T_2 - t int V and its standard error
         t2_standard_error, the estimate with the second-order control alone;
@@ -188,6 +192,7 @@ class McEstimate:
     t2_residual_se: float = 0.0
     t3_residual: float = 0.0
     t3_residual_se: float = 0.0
+    path_control: bool = False
 
 
 def _start_mixture(v: GaussianMixturePotential) -> tuple[GaussianMixturePotential, np.ndarray]:
@@ -205,20 +210,43 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
     return 0.5 * t * t * z * sum(abs(c) for c in v.weights) * growth
 
 
-def _path_control(v: GaussianMixturePotential, alpha: float) -> bool:
-    """Whether the third-order control is c'' = -y A_U, whose mean needs T_3 (``coefficients.t3_exact``:
-    d = 1 or alpha = 2), rather than c' = -y t s V(x0)."""
-    return v.dimension == 1 or alpha == 2.0
+def _third_order_means(v: GaussianMixturePotential, alpha: float, ts: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """E c at each time of ts and whether c is c'' = -y A_U (True) or c' = -y t s V(x0) (False).
+
+    c'' has E c'' = -t^3 T_3 wherever ``coefficients.t3_exact`` returns; where
+    it raises RouteUnavailable, c' with E c' from
+    ``coefficients.t3_control_mean``.  A series whose T_3 fails is retried
+    time by time, so that each time's control and mean are a lone call's.
+    """
+    try:
+        t3, exact = t3_exact(v, alpha, ts), np.ones(len(ts), dtype=bool)
+    except RouteUnavailable:
+        t3, exact = np.zeros(len(ts)), np.zeros(len(ts), dtype=bool)
+        for k, t in enumerate(ts if len(ts) > 1 else ()):
+            try:
+                t3[k], exact[k] = t3_exact(v, alpha, [t])[0], True
+            except RouteUnavailable:
+                pass
+    means = -np.array(ts) ** 3 * t3
+    if not exact.all():
+        means[~exact] = t3_control_mean(v, alpha, [t for t, e in zip(ts, exact) if not e])
+    return means, exact
 
 
 def _chunk_summands(
-    v: GaussianMixturePotential, alpha: float, ts: list[float], cfg: McConfig, chunk_index: int, n_chunk: int
+    v: GaussianMixturePotential,
+    alpha: float,
+    ts: list[float],
+    path_control: np.ndarray,
+    cfg: McConfig,
+    chunk_index: int,
+    n_chunk: int,
 ) -> Iterator[np.ndarray]:
     """Block by block, the (C, T, B) columns of one chunk's paths at every time of ts, from the chunk's
     own substream: column c of ``_COLUMNS`` at time ts[k] for each of the block's B paths.
 
     w = (t^2/2) Z (V(x0)/g(x0)) e^{-A_U} V(X_U), y is w with e^{-A_U} set to
-    1, the control c is c'' = -y A_U or, where ``_path_control`` says no,
+    1, the control c is c'' = -y A_U where path_control[k] is true, else
     c' = -y t s V(x0), and the residuals w - y and w - y - c are formed path
     by path.  Draw order, block and tile walk as in the module
     docstring.  Each block's span-1 draws become its relative path P in
@@ -242,7 +270,6 @@ def _chunk_summands(
     block = min(n_chunk, max(1, _BLOCK_POINTS // (m + 1)))
     tile = min(block, max(1, _TILE_POINTS // ((m + 1) * d)))
     buf = np.empty((tile, m, d))
-    path_control = _path_control(v, alpha)
     for lo in range(0, n_chunk, block):
         hi = min(lo + block, n_chunk)
         path = sample_increment(alpha, d, 1.0, gen, size=(hi - lo) * m).reshape(hi - lo, m, d)
@@ -264,7 +291,7 @@ def _chunk_summands(
                     np.multiply(vals[:, -1], 0.5 * t * t * ratio[rows], out=y)
                     np.multiply(y, np.exp(-a_u), out=w)
                     np.subtract(w, y, out=r2)
-                    np.multiply(y, -a_u if path_control else -t * frozen, out=c)
+                    np.multiply(y, -a_u if path_control[k] else -t * frozen, out=c)
                     np.subtract(r2, c, out=r3)
         yield cols
 
@@ -329,26 +356,24 @@ def estimate_heat_content(
     if v.is_zero:
         out = tuple(McEstimate(0.0, 0.0, n) for _ in ts)
     else:
+        controls, exact = _third_order_means(v, alpha, ts)
         sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
 
         def job(i: int) -> _Tally:
-            return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, cfg, i, sizes[i])))
+            return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, exact, cfg, i, sizes[i])))
 
         if cfg.threads == 1 or len(sizes) == 1:
             total = functools.reduce(_merge, map(job, range(len(sizes))))
         else:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
-        if _path_control(v, alpha):
-            controls = -np.array(ts) ** 3 * t3_exact(v, alpha, ts)
-        else:
-            controls = t3_control_mean(v, alpha, ts)
-        out = tuple(_estimate(v, alpha, s, float(c), total, k) for k, (s, c) in enumerate(zip(ts, controls)))
+        out = tuple(_estimate(v, alpha, s, float(c), bool(e), total, k) for k, (s, c, e) in enumerate(zip(ts, controls, exact)))
     return out[0] if scalar else out
 
 
-def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: float, total: _Tally, k: int) -> McEstimate:
-    """The k-th time's McEstimate from the pooled columns and E c = control, after the bound checks."""
+def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: float, path_control: bool, total: _Tally, k: int) -> McEstimate:
+    """The k-th time's McEstimate from the pooled columns and E c = control, after the bound checks; c is
+    c'' where path_control is true, else c'."""
     n = total.n
     root_n = math.sqrt(n)
     peak, mean = ({name: float(x[c, k]) for c, name in enumerate(_COLUMNS)} for x in (total.peaks, total.means))
@@ -363,7 +388,7 @@ def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: floa
     # |w - y - c'| = |y| |e^{-A_U} - 1 + t s V(x0)| <= |y| (|e^{-A_U} - 1 + A_U| + |A_U - t s V(x0)|) <= B b (1 + b / 2)
     b = t * sum(abs(c) for c in v.weights)
     _check_peak("summand less y", peak["w - y"], bound * b)
-    if _path_control(v, alpha):
+    if path_control:
         _check_peak("summand less y and c''", peak["w - y - c"], 0.5 * bound * b * b)
     else:
         _check_peak("summand less y and c'", peak["w - y - c"], bound * b * (1.0 + 0.5 * b))
@@ -379,6 +404,7 @@ def _estimate(v: GaussianMixturePotential, alpha: float, t: float, control: floa
         t2_residual_se=se["y"],
         t3_residual=mean["c"] - control,
         t3_residual_se=se["c"],
+        path_control=path_control,
     )
 
 

@@ -31,7 +31,7 @@ from .coefficients import (
     partial_sum,
     t2_exact,
 )
-from .montecarlo import McConfig, McEstimate, _path_control, estimate_heat_content
+from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
 from .sampling import _check_count, _check_positive_finite, _is_finite_real
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
@@ -196,7 +196,7 @@ def _check_rows(
 
     Q is the control-variate estimate mean(w - y - c) + t^2 T_2(t) + E c - t int V
     of ``estimate_heat_content``, where c is c'' = -y A_U with E c'' = -t^3 T_3(t)
-    in d = 1 and at alpha = 2, else c' = -y t s V(x0); every row but the two
+    where T_3 has a rule (``est.path_control``), else c' = -y t s V(x0); every row but the two
     controls reads Q at its se, that of w - y - c.  In order:
       - Theorem 1(i), only for V <= 0: -t int V <= Q <= -t int V (1 + t ||V||_inf e^{t ||V||_inf} / 2);
       - Theorem 1(ii): |Q + t int V| <= t^2 ||V||_1 ||V||_inf e^{t ||V||_inf};
@@ -238,7 +238,7 @@ def _check_rows(
         rows.append((f"second-order remainder t={t:g}", value, -b, b, f"holder gamma={gamma:g}", se))
     shared = "the times of one series share the seed's start points, so these rows move together"
     rows.append((f"t2 control t={t:g}", est.t2_residual, 0.0, 0.0, shared, est.t2_residual_se))
-    if _path_control(v, alpha):
+    if est.path_control:
         shared += "; the control is c'' = -y A_U, so this row also reads the trapezoid rule's step bias"
     rows.append((f"t3 control t={t:g}", est.t3_residual, 0.0, 0.0, shared, est.t3_residual_se))
     return rows

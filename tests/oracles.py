@@ -520,11 +520,11 @@ def proposal_chunk_summands(v, alpha, t, m, seed, n_chunk):
     return (np.expm1(-a) + a) / proposal_density(x0, center, sigma, alpha)
 
 
-def chunk_summands_unblocked(v, alpha, ts, cfg, chunk_index, n_chunk, block):
+def chunk_summands_unblocked(v, alpha, ts, path_control, cfg, chunk_index, n_chunk, block):
     """The Duhamel chunk kernel with whole-chunk position and value arrays: its per-path columns at
     every time of ts, as one (5, len(ts), n_chunk) array in the kernel's order w - y - c, w - y, w,
-    y, c.  y is w with e^{-A} set to 1, and the control c is c'' = -y A in d = 1 and at alpha = 2,
-    else c' = -y t s V(x0) with s = U / t = m times a step's span at t = 1.
+    y, c.  y is w with e^{-A} set to 1, and the control c is c'' = -y A where path_control[k] is
+    true, else c' = -y t s V(x0) with s = U / t = m times a step's span at t = 1.
 
     Unlike the rest of this module this is not an independent route: it
     draws from the package's streams and sampler in the kernel's order (the
@@ -564,7 +564,7 @@ def chunk_summands_unblocked(v, alpha, ts, cfg, chunk_index, n_chunk, block):
         a_u = (t * span) * (vals.sum(axis=1) + 0.5 * (v0 - vals[:, -1]))
         y[k] = vals[:, -1] * (0.5 * t * t * ratio)
         w[k] = y[k] * np.exp(-a_u)
-        cv[k] = y[k] * (-a_u if d == 1 or alpha == 2.0 else -t * ((m * span) * v0))
+        cv[k] = y[k] * (-a_u if path_control[k] else -t * ((m * span) * v0))
     return np.stack([w - y - cv, w - y, w, y, cv])
 
 

@@ -485,8 +485,27 @@ def test_t3_exact_checks_its_arguments(monkeypatch):
         t3_exact(gaussian(center=(0.0, 0.0)), 1.5, [0.1])
     monkeypatch.setattr(coefficients, "_T3_LEVELS", 0)
     for alpha in (1.5, 2.0):
-        with pytest.raises(ValueError, match="did not converge"):
+        with pytest.raises(RouteUnavailable, match="did not converge"):
             t3_exact(v, alpha, [0.1])
+
+
+def test_t3_exact_resolves_centres_far_apart():
+    # the phases e^{i (mu_i - mu_j) xi} oscillate at the gap between the centres: the
+    # d = 1 rule starts at a step that resolves them, and raises at once where that
+    # step would lie below its finest
+    v = mixture([1.0, 1.0], [-15.0, 15.0], [1.0, 1.0])
+    assert t3_exact(v, 1.5, [1.0])[0] == pytest.approx(oracles.t3_dblquad_1d(v, 1.5, 1.0), rel=1e-10, abs=0)
+    with pytest.raises(RouteUnavailable, match="centres 100 apart"):
+        t3_exact(mixture([1.0, 1.0], [-50.0, 50.0], [1.0, 1.0]), 1.5, [0.1])
+
+
+def test_t3_exact_at_alpha_two_on_a_sharp_component():
+    # P_{t r} of a component of sharpness a leaves a layer about 1/(4 a t) wide at the
+    # triangle's edges: a t = 100 converges, a t = 10^4 raises rather than return a guess
+    v = mixture([1.0], [0.0], [100.0])
+    assert t3_exact(v, 2.0, [1.0])[0] == pytest.approx(oracles.t3_heat_axes(v, 1.0), rel=1e-9, abs=0)
+    with pytest.raises(RouteUnavailable, match="did not converge"):
+        t3_exact(mixture([1.0], [0.0], [1e4]), 2.0, [1.0])
 
 
 def test_t3_exact_of_a_series_stays_small_in_memory():

@@ -22,7 +22,15 @@ from fracheat import (
 )
 from fracheat.cli import resolve_config
 from fracheat.coefficients import t3_control_mean, t3_exact
-from fracheat.montecarlo import _BLOCK_POINTS, _COLUMNS, _TILE_POINTS, _chunk_summands, _start_mixture, _summand_bound
+from fracheat.montecarlo import (
+    _BLOCK_POINTS,
+    _COLUMNS,
+    _TILE_POINTS,
+    _chunk_summands,
+    _start_mixture,
+    _summand_bound,
+    _third_order_means,
+)
 from fracheat.potentials import GaussianMixturePotential
 from fracheat.sampling import sample_subordinator
 
@@ -37,19 +45,14 @@ SERIES = (0.02, 0.05, 0.1, 0.2)
 
 
 def _chunk(v, alpha, ts, cfg, chunk_index, n_chunk):
-    """One chunk's columns, (len(_COLUMNS), len(ts), n_chunk), from the kernel's blocks."""
-    return np.concatenate(list(_chunk_summands(v, alpha, ts, cfg, chunk_index, n_chunk)), axis=2)
+    """One chunk's columns, (len(_COLUMNS), len(ts), n_chunk), from the kernel's blocks, with the
+    estimator's choice of control at each time."""
+    path_control = _third_order_means(v, alpha, ts)[1]
+    return np.concatenate(list(_chunk_summands(v, alpha, ts, path_control, cfg, chunk_index, n_chunk)), axis=2)
 
 
 def _col(name):
     return _COLUMNS.index(name)
-
-
-def _control_mean(v, alpha, ts):
-    """E c at each time: -t^3 T_3 for c'' = -y A_U in d = 1 and at alpha = 2, else E c'."""
-    if v.dimension == 1 or alpha == 2.0:
-        return -np.array(ts) ** 3 * t3_exact(v, alpha, ts)
-    return t3_control_mean(v, alpha, ts)
 
 
 def test_seed_reproducibility_and_sensitivity(unit_gaussian):
@@ -124,7 +127,7 @@ def test_blocked_kernel_is_bit_identical_to_the_unblocked_one(d, alpha):
         cfg = McConfig(n_paths=n, m_steps=m, seed=13)
         blocked = _chunk(v, alpha, ts, cfg, 2, n)
         block = min(n, _BLOCK_POINTS // (m + 1))
-        whole = oracles.chunk_summands_unblocked(v, alpha, ts, cfg, 2, n, block)
+        whole = oracles.chunk_summands_unblocked(v, alpha, ts, _third_order_means(v, alpha, ts)[1], cfg, 2, n, block)
         assert blocked.shape == (len(_COLUMNS), len(ts), n)
         for name, got, want in zip(_COLUMNS, blocked, whole):
             assert np.array_equal(got, want), (name, n, m)
@@ -188,9 +191,9 @@ def test_plain_mean_is_the_estimate_without_the_control_variate(d, alpha, thread
     cfg = McConfig(n_paths=n, m_steps=16, seed=7, threads=threads)
     ests = estimate_heat_content(v, alpha, ts, cfg)
     block = _BLOCK_POINTS // 17
-    parts = [oracles.chunk_summands_unblocked(v, alpha, ts, cfg, i, size, min(size, block))
+    controls, path_control = _third_order_means(v, alpha, ts)
+    parts = [oracles.chunk_summands_unblocked(v, alpha, ts, path_control, cfg, i, size, min(size, block))
              for i, size in enumerate((32768, 3000))]
-    controls = _control_mean(v, alpha, ts)
     for k, (t, est, s) in enumerate(zip(ts, ests, oracles.pooled_statistics(parts, block))):
         mean = {name: s["mean"][i] for i, name in enumerate(_COLUMNS)}
         se = {name: math.sqrt(s["ss"][i] / (n - 1)) / math.sqrt(n) for i, name in enumerate(_COLUMNS)}
@@ -296,6 +299,30 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
         estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
     monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(0.0, 0.0, frozen_bound * (1 + 1e-13)))
     estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
+
+
+@pytest.mark.parametrize(
+    "v, alpha, ts, exact",
+    [
+        # centres 30 apart: the d = 1 rule of T_3 starts at a finer step and converges;
+        # 100 apart: that step would lie below its finest, so every time takes c'
+        (mixture([1.0, 1.0], [-15.0, 15.0], [1.0, 1.0]), 1.5, (0.02, 0.2, 1.0), [True] * 3),
+        (mixture([1.0, 1.0], [-50.0, 50.0], [1.0, 1.0]), 1.5, (0.02, 0.2, 1.0), [False] * 3),
+        # a sharp component at alpha = 2: a t = 100 converges, a t = 10^4 does not
+        (mixture([1.0], [0.0], [100.0]), 2.0, (1.0,), [True]),
+        (mixture([1.0], [0.0], [1e4]), 2.0, (0.01, 1.0), [True, False]),
+    ],
+)
+def test_estimate_falls_back_to_the_frozen_control_where_t3_has_no_rule(v, alpha, ts, exact):
+    # where T_3 raises, that time's control is c' = -y t s V(x0) with its own mean;
+    # each time's control and numbers are those of a lone call, and each row of the
+    # paths' own check of E c holds
+    cfg = McConfig(n_paths=20_000, seed=3)
+    ests = estimate_heat_content(v, alpha, ts, cfg)
+    assert [est.path_control for est in ests] == exact
+    for t, est in zip(ts, ests):
+        assert abs(est.t3_residual) < 4 * est.t3_residual_se, t
+        assert estimate_heat_content(v, alpha, t, cfg) == est
 
 
 @pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0), (1.0, 0)])

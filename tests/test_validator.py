@@ -122,7 +122,9 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
 def test_report_integrates_each_t2_once(monkeypatch):
     # the estimator's control variate and the exact-t2 row read one cached T_2
     # per time, and one call gives E c at every time: t3_exact for c'' in
-    # d = 1, one pair integral of (V^2, V) for c' in d = 2 at alpha < 2
+    # d = 1, one pair integral of (V^2, V) for c' in d = 2 at alpha < 2, where
+    # t3_exact raises RouteUnavailable before any integral, for the series and
+    # for each time's lone retry
     calls, t3_calls = [], []
     real, real_t3 = coefficients._pair_integral, montecarlo.t3_exact
 
@@ -136,7 +138,7 @@ def test_report_integrates_each_t2_once(monkeypatch):
 
     monkeypatch.setattr(coefficients, "_pair_integral", counted)
     monkeypatch.setattr(montecarlo, "t3_exact", counted_t3)
-    for d, n_t3 in ((1, 1), (2, 0)):
+    for d, n_t3 in ((1, 1), (2, 5)):
         calls.clear(), t3_calls.clear()
         v = gaussian(weight=-0.7, center=(0.0,) * d)
         coefficients.t2_exact.cache_clear()
