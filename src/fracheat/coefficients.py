@@ -79,9 +79,10 @@ _TS_LEVELS = 10
 # cancel, as an odd V's do.  Each rule's error about squares when its resolution doubles
 # (halving h, doubling the Gauss-Legendre order), so the kept level errs far less than the
 # difference: on the test mixtures at t <= 1, levels 3e-4 (d = 1 rule) and 1.5e-7 (alpha = 2
-# rule) of T_3 from the one before erred by 4e-12.  At most _T3_LEVELS doublings; the d = 1
-# rule's grid is summed in blocks of about _T3_POINTS points, and its step h never falls
-# below _T3_STEP (a grid of about 3,600 nodes a side, 0.5 s for four times).
+# rule) of T_3 from the one before erred by 4e-12.  At most _T3_LEVELS doublings.  Each rule
+# sums in blocks of about _T3_POINTS terms (grid points in d = 1, nodes times K^3 triples at
+# alpha = 2), so that no order of either rule holds more than a few such arrays; the d = 1
+# rule's step h never falls below _T3_STEP (a grid of about 1,800 nodes a side).
 _T3_RTOL = 1e-6
 _T3_FLOOR = 1e-9
 _T3_LEVELS = 5
@@ -477,21 +478,27 @@ def _t3_heat(v: GaussianMixturePotential, t: float) -> float:
 
     p = a_i, q = a_j l_j, w = a_k l_k, S = p + q + w, l_j = 1/(1 + 4 a_j t r), l_k = 1/(1 + 4 a_k t (s - r)),
     times c_i c_j c_k (l_j l_k)^{d/2}.  The (r, s) triangle takes ``_triangle_rule`` from 4 nodes
-    a side, doubled until two orders agree (``_T3_RTOL``, ``_T3_FLOOR``)."""
+    a side, doubled until two orders agree (``_T3_RTOL``, ``_T3_FLOOR``); each order is summed in
+    blocks of ``_T3_POINTS`` // K^3 nodes."""
     c, a, mu = v._arrays()
     gap = ((mu[:, np.newaxis] - mu) ** 2).sum(axis=-1)
     triples = np.multiply.outer(c, np.multiply.outer(c, c)).ravel()
     # (i, j, k) on the last three axes: p, |mu_i - mu_j|^2, |mu_i - mu_k|^2, |mu_j - mu_k|^2
     p, g_ij, g_ik, g_jk = a[:, None, None], gap[:, :, None], gap[:, None, :], gap[None]
+    signs = np.stack([triples, np.abs(triples)], axis=1)
+    step = max(1, _T3_POINTS // triples.size)
     n, prev = 4, None
     for _ in range(_T3_LEVELS + 1):
         r1, r2, weight = _triangle_rule(n)
-        lj, lk = (1.0 / (1.0 + 4.0 * t * np.multiply.outer(r, a)) for r in (r1, r2))
-        q, w = (a * lj)[:, None, :, None], (a * lk)[:, None, None, :]
-        big_s = p + q + w
-        scale = math.pi * lj[:, None, :, None] * lk[:, None, None, :] / big_s
-        term = (scale ** (v.dimension / 2.0) * np.exp(-(p * (q * g_ij + w * g_ik) + q * w * g_jk) / big_s)).reshape(weight.size, -1)
-        total, mass = weight @ (term @ np.stack([triples, np.abs(triples)], axis=1))
+        total = mass = 0.0
+        for lo in range(0, weight.size, step):
+            lj, lk = (1.0 / (1.0 + 4.0 * t * np.multiply.outer(r[lo : lo + step], a)) for r in (r1, r2))
+            q, w = (a * lj)[:, None, :, None], (a * lk)[:, None, None, :]
+            big_s = p + q + w
+            scale = math.pi * lj[:, None, :, None] * lk[:, None, None, :] / big_s
+            term = (scale ** (v.dimension / 2.0) * np.exp(-(p * (q * g_ij + w * g_ik) + q * w * g_jk) / big_s)).reshape(lj.shape[0], -1)
+            part = weight[lo : lo + step] @ (term @ signs)
+            total, mass = total + part[0], mass + part[1]
         if prev is not None and abs(total - prev) <= max(_T3_RTOL * abs(total), _T3_FLOOR * mass):
             return total
         n, prev = 2 * n, total
@@ -567,7 +574,7 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
     spread = cut * float(np.ptp(mu))
     h = 2.0 ** -max(1, math.ceil(math.log2(max(spread, 16.0) / 16.0)))
     if h < 4.0 * _T3_STEP:
-        raise RouteUnavailable(f"T_3 in d = 1 needs a step below {_T3_STEP:g} for centres {np.ptp(mu):g} apart")
+        raise RouteUnavailable(f"T_3 in d = 1 cannot resolve centres {np.ptp(mu):g} apart with steps down to {_T3_STEP:g}")
     old = nodes(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
     total, mass = h * h * grid(old, old)
     done = np.zeros(times.size, dtype=bool)

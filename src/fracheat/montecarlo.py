@@ -222,6 +222,7 @@ def _third_order_means(v: GaussianMixturePotential, alpha: float, ts: list[float
         t3, exact = t3_exact(v, alpha, ts), np.ones(len(ts), dtype=bool)
     except RouteUnavailable:
         t3, exact = np.zeros(len(ts)), np.zeros(len(ts), dtype=bool)
+        # a lone time that raised is not tried again
         for k, t in enumerate(ts if len(ts) > 1 else ()):
             try:
                 t3[k], exact[k] = t3_exact(v, alpha, [t])[0], True
@@ -356,18 +357,20 @@ def estimate_heat_content(
     if v.is_zero:
         out = tuple(McEstimate(0.0, 0.0, n) for _ in ts)
     else:
-        controls, exact = _third_order_means(v, alpha, ts)
+        controls, path_control = _third_order_means(v, alpha, ts)
         sizes = [min(_CHUNK, n - i * _CHUNK) for i in range((n + _CHUNK - 1) // _CHUNK)]
 
         def job(i: int) -> _Tally:
-            return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, exact, cfg, i, sizes[i])))
+            return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, path_control, cfg, i, sizes[i])))
 
         if cfg.threads == 1 or len(sizes) == 1:
             total = functools.reduce(_merge, map(job, range(len(sizes))))
         else:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
-        out = tuple(_estimate(v, alpha, s, float(c), bool(e), total, k) for k, (s, c, e) in enumerate(zip(ts, controls, exact)))
+        out = tuple(
+            _estimate(v, alpha, s, float(c), bool(e), total, k) for k, (s, c, e) in enumerate(zip(ts, controls, path_control))
+        )
     return out[0] if scalar else out
 
 

@@ -501,11 +501,19 @@ def test_t3_exact_resolves_centres_far_apart():
 
 def test_t3_exact_at_alpha_two_on_a_sharp_component():
     # P_{t r} of a component of sharpness a leaves a layer about 1/(4 a t) wide at the
-    # triangle's edges: a t = 100 converges, a t = 10^4 raises rather than return a guess
+    # triangle's edges: a t = 100 converges, a t = 10^4 raises rather than return a guess,
+    # and its last order, 128^2 nodes of K^3 triples, is summed in blocks (47 MB unblocked)
     v = mixture([1.0], [0.0], [100.0])
     assert t3_exact(v, 2.0, [1.0])[0] == pytest.approx(oracles.t3_heat_axes(v, 1.0), rel=1e-9, abs=0)
-    with pytest.raises(RouteUnavailable, match="did not converge"):
-        t3_exact(mixture([1.0], [0.0], [1e4]), 2.0, [1.0])
+    sharp = mixture([1.0, 0.5, -0.3, 0.2], [0.0, 0.5, 1.0, 1.5], [1e4, 1.0, 2.0, 3.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(RouteUnavailable, match="did not converge"):
+            t3_exact(sharp, 2.0, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_t3_exact_of_a_series_stays_small_in_memory():
