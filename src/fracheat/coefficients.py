@@ -461,9 +461,14 @@ def _triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, s - r, weight) at the n^2 nodes of a Gauss-Legendre rule for int_0^1 (1 - s) int_0^s f(r, s - r) dr ds.
 
     Duffy's map r = s tau takes the triangle to the unit square with Jacobian s; each
-    side carries the n-point rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+    side carries the n-point rule on [0, 1], whose nodes and weights are the eigenvalues
+    and the squared first components of the Jacobi matrix of the Legendre polynomials
+    (Golub & Welsch, 1969).  numpy.polynomial's leggauss gives the same rule, but importing
+    numpy.polynomial took 3-4 ms on a 2-vCPU Xeon, more than a whole series of T_3 at
+    alpha = 2, paid on the first call of every process."""
+    k = np.arange(1.0, n)
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    x, w = 0.5 * (x + 1.0), vectors[0] ** 2
     s, tau = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
     weight = np.outer(w, w).ravel() * (1.0 - s) * s
     return s * tau, s * (1.0 - tau), weight
