@@ -96,6 +96,9 @@ def _get(obj: dict, key: str, types, path: str, default=None, required: bool = F
     # JSON true/false load as bool, a subclass of int; no key takes one
     if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
         raise ConfigError(f"config key {path}{key!r} has wrong type {type(val).__name__}")
+    # no key takes JSON's NaN or Infinity, or an int too large for float() to convert
+    if isinstance(val, (int, float)) and not _is_finite_real(val):
+        raise ConfigError(f"{path}{key} must be a finite number within float range")
     return val
 
 

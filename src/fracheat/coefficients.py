@@ -288,10 +288,13 @@ def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> flo
     return (spatial + freq) / 120.0
 
 
-def _check_time(t) -> None:
-    """Reject a t that is negative, non-finite or not a real number (bool included)."""
-    if not (_is_finite_real(t) and t >= 0.0):
-        raise ValueError(f"t must be a nonnegative finite number, got {t!r}")
+def _check_times(ts) -> np.ndarray:
+    """ts read once as a float array, each time a nonnegative finite real number and not a bool."""
+    times = list(ts)
+    for t in times:
+        if not (_is_finite_real(t) and t >= 0.0):
+            raise ValueError(f"t must be a nonnegative finite number, got {t!r}")
+    return np.array([float(t) for t in times])
 
 
 def partial_sum(
@@ -308,7 +311,7 @@ def partial_sum(
     """
     if _check_count("n_terms", n_terms) < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    _check_time(t)
+    _check_times([t])
     out = -t * c_ell(v, grid, alpha, 1, "closed")
     for ell in range(2, n_terms + 1):
         out += (-t) ** ell * c_ell(v, grid, alpha, ell, "closed")
@@ -318,17 +321,28 @@ def partial_sum(
 # -- exact second-order profile ----------------------------------------------
 
 
-def t2_kernel(u) -> np.ndarray:
-    """psi(u) = (e^{-u} - 1 + u)/u^2, with the series branch for |u| < 1e-4.
-
-    psi(0) = 1/2; psi > 0 is decreasing on the whole line, completely
-    monotone toward 0 for u > 0 and growing like e^{-u}/u^2 for u < 0.
-    """
+def _series_below_half(u, coef, closed) -> np.ndarray:
+    """closed(u) for |u| >= 0.5 and the 16-term series sum_{n < 16} (-u)^n/n! coef(n) by Horner's rule
+    below, where a closed form of ``t2_kernel`` or ``t3_kernel`` loses digits to cancellation."""
     arr = np.asarray(u, dtype=float)
-    near = np.abs(arr) < 1e-4
-    big = np.where(near, 1.0, arr)
-    out = np.where(near, 0.5 - arr / 6.0 + arr**2 / 24.0, (np.expm1(-big) + big) / big**2)
+    near = np.abs(arr) < 0.5
+    out = np.asarray(closed(np.where(near, 1.0, arr)))
+    small, series = arr[near], 0.0
+    for n in range(15, -1, -1):
+        series = coef(n) - small / (n + 1) * series
+    out[near] = series
     return float(out) if np.ndim(u) == 0 else out
+
+
+def t2_kernel(u) -> np.ndarray:
+    """psi(u) = (e^{-u} - 1 + u)/u^2 = int_0^1 (1 - s) e^{-us} ds, for T_2, T_3's Duhamel kernel and its d = 1 rule.
+
+    The closed form loses about 2 eps/u to cancellation, so for |u| < 0.5 psi is the series
+    sum_n (-u)^n/(n + 2)!, whose first omitted term is below 3e-21 there; outside, the closed
+    form loses at most 5 eps.  psi(0) = 1/2; psi > 0 is decreasing on the whole line,
+    completely monotone toward 0 for u > 0 and growing like e^{-u}/u^2 for u < 0.
+    """
+    return _series_below_half(u, lambda n: 1.0 / ((n + 1) * (n + 2)), lambda u: (np.expm1(-u) + u) / u**2)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -343,19 +357,11 @@ def t2_exact(v: GaussianMixturePotential, alpha: float, t: float) -> float:
     entry and meets the argument checks.
     """
     _check_alpha(alpha)
-    _check_time(t)
+    _check_times([t])
     return float(_pair_integral(v, v, lambda r: t2_kernel(t * r**alpha)[np.newaxis])[0])
 
 
 # -- the third-order control's mean --------------------------------------------
-
-
-def _exp_series(u: np.ndarray, coef) -> np.ndarray:
-    """sum_{n < 16} (-u)^n/n! coef(n) by Horner's rule, for the |u| < 0.5 branches of ``t3_kernel`` and ``_psi``."""
-    series = np.zeros_like(u)
-    for n in range(15, -1, -1):
-        series = coef(n) - u / (n + 1) * series
-    return series
 
 
 def t3_kernel(u) -> np.ndarray:
@@ -366,12 +372,7 @@ def t3_kernel(u) -> np.ndarray:
     whose first omitted term is below 5e-21 there.  phi(0) = 1/3; phi > 0 is
     decreasing on the whole line.
     """
-    arr = np.asarray(u, dtype=float)
-    near = np.abs(arr) < 0.5
-    big = np.where(near, 1.0, arr)
-    series = _exp_series(arr, lambda n: 2.0 / ((n + 2) * (n + 3)))
-    out = np.where(near, series, 2.0 * (2.0 * big + (big + 2.0) * np.expm1(-big)) / big**3)
-    return float(out) if np.ndim(u) == 0 else out
+    return _series_below_half(u, lambda n: 2.0 / ((n + 2) * (n + 3)), lambda u: 2.0 * (2.0 * u + (u + 2.0) * np.expm1(-u)) / u**3)
 
 
 def t3_control_mean(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
@@ -383,9 +384,7 @@ def t3_control_mean(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray
     value is bit-identical to a call at that time alone.
     """
     _check_alpha(alpha)
-    for t in ts:
-        _check_time(t)
-    times = np.array([float(t) for t in ts])
+    times = _check_times(ts)
     pair = _pair_integral(v.power(2), v, lambda r: t3_kernel(np.multiply.outer(times, r**alpha)))
     return -0.5 * times**3 * pair
 
@@ -393,21 +392,12 @@ def t3_control_mean(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray
 # -- the cubic Duhamel term ------------------------------------------------------
 
 
-def _psi(u: np.ndarray) -> np.ndarray:
-    """psi(u) = (e^{-u} - 1 + u)/u^2 to full precision: the 16-term series sum_n (-u)^n/(n + 2)! for
-    |u| < 0.5, the closed form outside, which loses at most 5 eps there.  ``t2_kernel`` keeps its own
-    branch at 1e-4, which errs by about 2 eps/u below 0.5, so that T_2 stays as it was."""
-    near = np.abs(u) < 0.5
-    big = np.where(near, 1.0, u)
-    return np.where(near, _exp_series(u, lambda n: 1.0 / ((n + 1) * (n + 2))), (np.expm1(-big) + big) / big**2)
-
-
 def _duhamel_kernel(a: np.ndarray, b: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
     """K(a, b) = int_0^1 (1 - s) int_0^s e^{-r a - (s - r) b} dr ds, broadcast over a and b, given
-    psi_a = ``_psi(a)`` and psi_b = ``_psi(b)``, which a caller that pairs each a with many b forms once.
+    psi_a = psi(a) and psi_b = psi(b) (``t2_kernel``), which a caller that pairs each a with many b forms once.
 
-    The inner integral is (e^{-s b} - e^{-s a})/(a - b), so K = (psi(b) - psi(a))/(a - b) with
-    psi = ``t2_kernel``, the mean of phi/2 over [b, a] with phi = ``t3_kernel``, and K(a, a) = phi(a)/2.
+    The inner integral is (e^{-s b} - e^{-s a})/(a - b), so K = (psi(b) - psi(a))/(a - b), the mean
+    of phi/2 over [b, a] with phi = ``t3_kernel``, and K(a, a) = phi(a)/2.
     The divided difference of a full-precision psi loses about 6 eps (1 + a + b)/|a - b| to
     cancellation, so where |a - b| <= 5e-3 (1 + a + b) the 3-point Gauss-Legendre rule on that
     mean takes over, which errs there by below 0.16 (|a - b|/(a + b))^6 relative: each branch
@@ -433,27 +423,37 @@ def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
 
     with K = ``_duhamel_kernel`` and P_u = e^{-u F}.  T_3(0) = int V^3 / 6.  At alpha = 2, in every
     d, each P_u of a Gaussian is a Gaussian (``_t3_heat``); in d = 1 at alpha < 2 a product
-    tanh-sinh rule sums the Fourier form (``_t3_fourier``).  Each time's value is bit-identical
-    to a call at that time alone.
+    tanh-sinh rule sums the Fourier form (``_t3_fourier``).  A check on ``_t3_converged``, the
+    one evaluation the estimator also reads; each time's value is bit-identical to a call at
+    that time alone.
 
     Raises:
         RouteUnavailable: in d >= 2 at alpha < 2, where the Fourier form is 2d-dimensional, and
-            where a rule does not converge within its budget: centres too far apart for the d = 1
-            rule's finest step, or a sharpness times t so large that the alpha = 2 rule's
-            Gauss-Legendre orders do not resolve the layer near the triangle's edges.
+            naming the times where no rule converges within its budget: centres too far apart
+            for the d = 1 rule's finest step, or a sharpness times t so large that the alpha = 2
+            rule's Gauss-Legendre orders do not resolve the layer near the triangle's edges.
         ValueError: on a bad alpha or t.
     """
     _check_alpha(alpha)
-    for t in ts:
-        _check_time(t)
-    times = np.array([float(t) for t in ts])
+    times = _check_times(ts)
     if alpha != 2.0 and v.dimension != 1:
         raise RouteUnavailable(f"t3_exact needs d = 1 or alpha = 2, got d = {v.dimension}, alpha = {alpha}")
-    if v.is_zero:
-        return np.zeros(times.size)
-    if alpha == 2.0:
-        return np.array([_t3_heat(v, t) for t in times])
-    return _t3_fourier(v, float(alpha), times)
+    t3, converged = _t3_converged(v, alpha, times)
+    if not converged.all():
+        limit = f"sharpness up to {max(v.sharpness):g}" if alpha == 2.0 else f"centres {np.ptp(v.centers):g} apart"
+        bad = ", ".join(f"{t:g}" for t in times[~converged])
+        raise RouteUnavailable(f"T_3 did not converge at t = {bad} ({limit})")
+    return t3
+
+
+def _t3_converged(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_3 at each of the checked times and whether a rule converged there (T_3 is nan where none did):
+    V = 0 needs none, d >= 2 at alpha < 2 has none.  Each time's rule runs once, as in a lone call."""
+    if v.is_zero or (alpha != 2.0 and v.dimension != 1):
+        t3, converged = np.zeros(times.size), np.full(times.size, v.is_zero)
+    else:
+        t3, converged = _t3_heat(v, times) if alpha == 2.0 else _t3_fourier(v, float(alpha), times)
+    return np.where(converged, t3, np.nan), converged
 
 
 @functools.lru_cache(maxsize=_T3_LEVELS + 1)
@@ -474,17 +474,17 @@ def _triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s * tau, s * (1.0 - tau), weight
 
 
-def _t3_heat(v: GaussianMixturePotential, t: float) -> float:
-    """T_3(t) at alpha = 2 in any d.  With P_u e^{-a |x - mu|^2} = (1 + 4 a u)^{-d/2} e^{-a |x - mu|^2 / (1 + 4 a u)},
-    each triple (i, j, k) of components gives at (r, s - r) the Gaussian integral
+def _t3_heat(v: GaussianMixturePotential, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_3 at each of times at alpha = 2 in any d, and whether it converged.  With P_u e^{-a |x - mu|^2} =
+    (1 + 4 a u)^{-d/2} e^{-a |x - mu|^2 / (1 + 4 a u)}, each triple (i, j, k) of components gives at (r, s - r) the Gaussian integral
 
         int e^{-p |x - mu_i|^2 - q |x - mu_j|^2 - w |x - mu_k|^2} dx
             = (pi / S)^{d/2} e^{-(p q |mu_i - mu_j|^2 + p w |mu_i - mu_k|^2 + q w |mu_j - mu_k|^2) / S},
 
     p = a_i, q = a_j l_j, w = a_k l_k, S = p + q + w, l_j = 1/(1 + 4 a_j t r), l_k = 1/(1 + 4 a_k t (s - r)),
     times c_i c_j c_k (l_j l_k)^{d/2}.  The (r, s) triangle takes ``_triangle_rule`` from 4 nodes
-    a side, doubled until two orders agree (``_T3_RTOL``, ``_T3_FLOOR``); each order is summed in
-    blocks of ``_T3_POINTS`` // K^3 nodes."""
+    a side, doubled until two orders agree (``_T3_RTOL``, ``_T3_FLOOR``), at most ``_T3_LEVELS``
+    times, for each time on its own; each order is summed in blocks of ``_T3_POINTS`` // K^3 nodes."""
     c, a, mu = v._arrays()
     gap = ((mu[:, np.newaxis] - mu) ** 2).sum(axis=-1)
     triples = np.multiply.outer(c, np.multiply.outer(c, c)).ravel()
@@ -492,26 +492,30 @@ def _t3_heat(v: GaussianMixturePotential, t: float) -> float:
     p, g_ij, g_ik, g_jk = a[:, None, None], gap[:, :, None], gap[:, None, :], gap[None]
     signs = np.stack([triples, np.abs(triples)], axis=1)
     step = max(1, _T3_POINTS // triples.size)
-    n, prev = 4, None
-    for _ in range(_T3_LEVELS + 1):
-        r1, r2, weight = _triangle_rule(n)
-        total = mass = 0.0
-        for lo in range(0, weight.size, step):
-            lj, lk = (1.0 / (1.0 + 4.0 * t * np.multiply.outer(r[lo : lo + step], a)) for r in (r1, r2))
-            q, w = (a * lj)[:, None, :, None], (a * lk)[:, None, None, :]
-            big_s = p + q + w
-            scale = math.pi * lj[:, None, :, None] * lk[:, None, None, :] / big_s
-            term = (scale ** (v.dimension / 2.0) * np.exp(-(p * (q * g_ij + w * g_ik) + q * w * g_jk) / big_s)).reshape(lj.shape[0], -1)
-            part = weight[lo : lo + step] @ (term @ signs)
-            total, mass = total + part[0], mass + part[1]
-        if prev is not None and abs(total - prev) <= max(_T3_RTOL * abs(total), _T3_FLOOR * mass):
-            return total
-        n, prev = 2 * n, total
-    raise RouteUnavailable(f"T_3 at alpha = 2 did not converge at t = {t!r}: last two orders {prev!r} and {total!r}")
+    out, converged = np.empty(times.size), np.zeros(times.size, dtype=bool)
+    for i, t in enumerate(times):
+        n, prev = 4, None
+        for _ in range(_T3_LEVELS + 1):
+            r1, r2, weight = _triangle_rule(n)
+            total = mass = 0.0
+            for lo in range(0, weight.size, step):
+                lj, lk = (1.0 / (1.0 + 4.0 * t * np.multiply.outer(r[lo : lo + step], a)) for r in (r1, r2))
+                q, w = (a * lj)[:, None, :, None], (a * lk)[:, None, None, :]
+                big_s = p + q + w
+                scale = math.pi * lj[:, None, :, None] * lk[:, None, None, :] / big_s
+                term = (scale ** (v.dimension / 2.0) * np.exp(-(p * (q * g_ij + w * g_ik) + q * w * g_jk) / big_s)).reshape(lj.shape[0], -1)
+                part = weight[lo : lo + step] @ (term @ signs)
+                total, mass = total + part[0], mass + part[1]
+            converged[i] = prev is not None and abs(total - prev) <= max(_T3_RTOL * abs(total), _T3_FLOOR * mass)
+            if converged[i]:
+                break
+            n, prev = 2 * n, total
+        out[i] = total
+    return out, converged
 
 
-def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> np.ndarray:
-    """T_3 at each of times in d = 1 by a product tanh-sinh rule on the quadrant (0, R)^2.
+def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_3 at each of times in d = 1 by a product tanh-sinh rule on the quadrant (0, R)^2, and whether it converged.
 
     vhat(-xi) = conj(vhat(xi)) and K reads |xi| and |eta| only, so the plane is twice the real part of
     the half plane xi > 0, and T_3 = (1/(2 pi^2)) int_0^R int_0^R G K(t xi^alpha, t eta^alpha) deta dxi with
@@ -528,9 +532,9 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
     node spacing is h pi R / 4, at xi = R/2: on two bumps the levels met once h R D <= 5.  So
     the first level takes the largest h <= 1/2 with h R D <= 16, which is 1/2 for every
     mixture with R D <= 32, and centres that would need a first h below 4 ``_T3_STEP``
-    raise at once.  Each level halves h as ``_tanh_sinh`` does and sums only its new points,
-    down to ``_T3_STEP``; each time keeps the first level at which it converged
-    (``_T3_RTOL``, ``_T3_FLOOR``).
+    converge at no time, with no level summed.  Each level halves h as ``_tanh_sinh`` does and
+    sums only its new points, down to ``_T3_STEP``, until every time has converged; each time
+    keeps the first level at which it converged (``_T3_RTOL``, ``_T3_FLOOR``).
     """
     c, a, mu = v._arrays()
     amp, rate, mu = c * np.sqrt(math.pi / a), 0.25 / a, mu[:, 0]
@@ -544,7 +548,7 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
         keep = np.abs(amp) @ np.exp(-np.multiply.outer(rate, x**2)) > 1e-17 * np.abs(amp).sum()
         x, w = x[keep], w[keep]
         rate_t = np.multiply.outer(times, x**alpha)
-        return x, w, rate_t, _psi(rate_t)
+        return x, w, rate_t, t2_kernel(rate_t)
 
     def grid(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> np.ndarray:
         """The (2, T) weighted sums of G K and of its bound times K over the product of two node sets."""
@@ -578,12 +582,12 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
 
     spread = cut * float(np.ptp(mu))
     h = 2.0 ** -max(1, math.ceil(math.log2(max(spread, 16.0) / 16.0)))
+    done = np.zeros(times.size, dtype=bool)
     if h < 4.0 * _T3_STEP:
-        raise RouteUnavailable(f"T_3 in d = 1 cannot resolve centres {np.ptp(mu):g} apart with steps down to {_T3_STEP:g}")
+        return np.zeros(times.size), done
     old = nodes(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
     total, mass = h * h * grid(old, old)
-    done = np.zeros(times.size, dtype=bool)
-    out, prev = total, None
+    out = total
     for _ in range(min(_T3_LEVELS, round(math.log2(h / _T3_STEP)))):
         h *= 0.5
         new = nodes(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
@@ -593,9 +597,9 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
         out = np.where(done, out, total)
         done |= np.abs(total - prev) <= np.maximum(_T3_RTOL * np.abs(total), _T3_FLOOR * mass)
         if done.all():
-            return out / (2.0 * math.pi**2)
+            break
         old = every
-    raise RouteUnavailable(f"T_3 quadrature did not converge: last two levels {prev!r} and {total!r}")
+    return out / (2.0 * math.pi**2), done
 
 
 def _bessel_j0(z) -> np.ndarray:

@@ -26,28 +26,25 @@ path itself,
 
     c'' = -y A_U,
 
-has E c'' = -t^3 T_3(t), the cubic Duhamel term (``coefficients.t3_exact``,
-one call for a whole series), which tends to -t^3 int V^3 / 6.  So the
-estimate is mean(w - y - c'') + t^2 T_2(t) - t^3 T_3(t) - t int V, with the
-se of w - y - c'' = y (e^{-A_U} - 1 + A_U): the paths estimate only what is
-of second order in A_U.  The trapezoid rule's first-order step bias cancels
-in w - y - c'', and the mean of c'' reads it instead (``t3_residual``).
-T_3 has an exact form in d = 1 and at alpha = 2.  Where it has none (d >= 2
-at alpha < 2) or its rule does not converge (centres far apart in d = 1, a
-sharp component at a late time at alpha = 2), ``coefficients.t3_exact``
-raises RouteUnavailable and that time's control is c' = -y t s V(x0), the
-exponent frozen at its start, whose mean E c'
-(``coefficients.t3_control_mean``) needs only a radial integral; w - y - c'
-follows how far A_U strays from t s V(x0).  Both means are found before any
-path is drawn (``_third_order_means``), and c names whichever control a time
-uses (``McEstimate.path_control``).  Each path's residuals w - y and
-w - y - c are formed path by path, never from pooled means: on the
-benchmark workloads at t = 0.02 to 0.2 the variance of w - y is 20x to 400x
-below w's and that of w - y - c a further 18x to 590x (c') or 76x to 56,000x
-(c'') below, so a difference of means would lose digits to cancellation.
-The estimate also keeps mean(w) - t int V (``plain_mean``), the estimate
-with y alone and its se (``t2_mean``, ``t2_standard_error``), and the two
-controls' own checks: mean(y) - t^2 T_2 (``t2_residual``) and
+has E c'' = -t^3 T_3(t), the cubic Duhamel term (``coefficients.t3_exact``),
+which tends to -t^3 int V^3 / 6.  So the estimate is
+mean(w - y - c'') + t^2 T_2(t) - t^3 T_3(t) - t int V, with the se of
+w - y - c'' = y (e^{-A_U} - 1 + A_U): the paths estimate only what is of
+second order in A_U.  The trapezoid rule's first-order step bias cancels in
+w - y - c'', and the mean of c'' reads it instead (``t3_residual``).  Before
+any path is drawn, one evaluation of T_3 decides each time's control
+(``_third_order_means``): where T_3 has no rule (d >= 2 at alpha < 2) or its
+rule does not converge at that time, the control is c' = -y t s V(x0), the
+exponent frozen at its start, whose mean E c' (``coefficients.t3_control_mean``)
+needs only a radial integral; w - y - c' follows how far A_U strays from
+t s V(x0).  c names whichever control a time uses (``McEstimate.path_control``).
+Each path's residuals w - y and w - y - c are formed path by path, never
+from pooled means: on the benchmark workloads at t = 0.02 to 0.2 the variance
+of w - y is 20x to 400x below w's and that of w - y - c a further 18x to 590x
+(c') or 76x to 56,000x (c'') below, so a difference of means would lose digits
+to cancellation.  The estimate also keeps mean(w) - t int V (``plain_mean``),
+the estimate with y alone and its se (``t2_mean``, ``t2_standard_error``), and
+the two controls' own checks: mean(y) - t^2 T_2 (``t2_residual``) and
 mean(c) - E c (``t3_residual``), each with its se.
 
 Invariant: |V/g| <= 1, |V| <= sum_i |c_i| and V >= -sum_{c_i<0} |c_i|, so
@@ -111,7 +108,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import RouteUnavailable, t2_exact, t3_control_mean, t3_exact
+from .coefficients import _t3_converged, t2_exact, t3_control_mean
 from .potentials import GaussianMixturePotential
 from .sampling import RngStream, _check_alpha, _check_count, _check_positive_finite, sample_increment
 from .sampling import sample_subordinator  # not called here: perfbench/rep.py wraps montecarlo.sample_subordinator by name
@@ -169,8 +166,8 @@ class McEstimate:
 
     From ``estimate_heat_content``, one per time: mean = mean(w - y - c) +
     t^2 T_2 + E c - t int V and the se of w - y - c, where the control c is
-    c'' = -y A_U with E c'' = -t^3 T_3 where ``coefficients.t3_exact`` gives
-    T_3 (path_control is then True), else c' = -y t s V(x0).  The rest are
+    c'' = -y A_U with E c'' = -t^3 T_3 where a rule of ``coefficients.t3_exact``
+    converges (path_control is then True), else c' = -y t s V(x0).  The rest are
     0.0 (False) for V = 0 and for every other estimator:
       - plain_mean = mean(w) - t int V, the estimate without a control variate;
       - t2_mean = mean(w - y) + t^2 T_2 - t int V and its standard error
@@ -213,24 +210,15 @@ def _summand_bound(v: GaussianMixturePotential, t: float) -> float:
 def _third_order_means(v: GaussianMixturePotential, alpha: float, ts: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """E c at each time of ts and whether c is c'' = -y A_U (True) or c' = -y t s V(x0) (False).
 
-    c'' has E c'' = -t^3 T_3 wherever ``coefficients.t3_exact`` returns; where
-    it raises RouteUnavailable, c' with E c' from
-    ``coefficients.t3_control_mean``.  A series whose T_3 fails is retried
-    time by time, so that each time's control and mean are a lone call's.
+    One evaluation of T_3 (``coefficients._t3_converged``) decides: c'' with E c'' = -t^3 T_3 where
+    its rule converged, else c' with E c' from ``coefficients.t3_control_mean``.  Each time's rule
+    runs once, and its control and mean are a lone call's.
     """
-    try:
-        t3, exact = t3_exact(v, alpha, ts), np.ones(len(ts), dtype=bool)
-    except RouteUnavailable:
-        t3, exact = np.zeros(len(ts)), np.zeros(len(ts), dtype=bool)
-        # a lone time that raised is not tried again
-        for k, t in enumerate(ts if len(ts) > 1 else ()):
-            try:
-                t3[k], exact[k] = t3_exact(v, alpha, [t])[0], True
-            except RouteUnavailable:
-                pass
-    means = -np.array(ts) ** 3 * t3
+    times = np.array(ts)
+    t3, exact = _t3_converged(v, alpha, times)
+    means = -times**3 * t3
     if not exact.all():
-        means[~exact] = t3_control_mean(v, alpha, [t for t, e in zip(ts, exact) if not e])
+        means[~exact] = t3_control_mean(v, alpha, times[~exact])
     return means, exact
 
 

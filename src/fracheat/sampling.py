@@ -82,10 +82,13 @@ _REFLECTED_FLOOR = np.float32(2.0**-54)
 
 
 def _is_finite_real(val) -> bool:
-    """A finite real number; bool is an int subclass and is not one here."""
+    """A finite real number that a float holds; bool is an int subclass and is not one here."""
     if type(val) is float:  # the common case, ahead of the far slower isinstance check against an abstract class
         return math.isfinite(val)
-    return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
+    try:
+        return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_positive_finite(name: str, val) -> None:

@@ -36,7 +36,7 @@ from fracheat import (
     weight_A,
 )
 from fracheat import montecarlo, validator
-from fracheat.coefficients import t3_control_mean, t3_exact
+from fracheat.coefficients import _t3_converged, t3_control_mean
 
 ALPHAS = (0.8, 1.0, 1.5, 2.0)
 QUAD_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
@@ -225,8 +225,12 @@ def test_t2_control_catches_a_scaled_t2(monkeypatch):
     # row fails at criterion 6's configurations and seeds under its own
     # mutant: the t2 row reads mean(y) - t^2 T_2 and the t3 row mean(c) - E c.
     # Both means of E c are scaled, E c'' = -t^3 T_3 (d = 1, as here) and E c'
+    def scaled_t3(v, alpha, times):
+        t3, converged = _t3_converged(v, alpha, times)
+        return 1.01 * t3, converged
+
     monkeypatch.setattr(montecarlo, "t2_exact", lambda v, alpha, t: 1.01 * t2_exact(v, alpha, t))
-    monkeypatch.setattr(montecarlo, "t3_exact", lambda v, alpha, ts: 1.01 * t3_exact(v, alpha, ts))
+    monkeypatch.setattr(montecarlo, "_t3_converged", scaled_t3)
     monkeypatch.setattr(montecarlo, "t3_control_mean", lambda v, alpha, ts: 1.01 * t3_control_mean(v, alpha, ts))
     idx = 0
     for sign in (1.0, -1.0):

@@ -115,6 +115,15 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, extra):
         ({"potential": [{"weight": 1.0, "center": float("inf"), "sharpness": 1.0}]}, "potential[0].center"),
         ({"grid": {"half_extent": float("inf")}}, "half_extent"),
         ({"t_list": [0.1, float("inf")]}, "t_list"),
+        # an int too large for a float once died in float() with an OverflowError traceback
+        ({"potential": [{"weight": 10**400, "center": 0.0, "sharpness": 1.0}]}, "potential[0].weight"),
+        ({"potential": [{"weight": 1.0, "center": 10**400, "sharpness": 1.0}]}, "potential[0].center"),
+        ({"potential": [{"weight": 1.0, "center": [10**400], "sharpness": 1.0}]}, "potential[0].center"),
+        ({"potential": [{"weight": 1.0, "center": 0.0, "sharpness": 10**400}]}, "potential[0].sharpness"),
+        ({"alpha": 10**400}, "alpha"),
+        ({"t_list": [0.1, 10**400]}, "t_list"),
+        ({"grid": {"half_extent": 10**400}}, "half_extent"),
+        ({"validate": {"gamma": 10**400}}, "gamma"),
     ],
 )
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, extra, field):

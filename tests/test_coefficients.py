@@ -212,10 +212,11 @@ def test_partial_sum_assembles_signed_powers(grid1):
 
 def test_t2_kernel_branches_and_shape():
     assert t2_kernel(0.0) == 0.5
-    # series and direct branches must agree across both switch points
-    for edge in (1e-4, -1e-4):
-        inside, outside = edge * (1 - 1e-9), edge * (1 + 1e-9)
-        assert abs(t2_kernel(inside) - t2_kernel(outside)) < 1e-10
+    # the branches meet at |u| = 0.5, the closed form taking over at 0.5 itself,
+    # to within the closed form's cancellation there
+    for edge in (0.5, -0.5):
+        inside = np.nextafter(edge, 0.0)
+        assert abs(t2_kernel(inside) - t2_kernel(edge)) < 2e-15, edge
     u = np.geomspace(1e-7, 50.0, 40)
     vals = t2_kernel(u)
     assert vals.shape == u.shape
@@ -231,6 +232,17 @@ def test_t2_kernel_branches_and_shape():
     exact = (np.expm1(-neg) + neg) / neg**2
     assert np.max(np.abs(vals / exact - 1.0)) < 1e-8
     assert t2_kernel(-1.0) == pytest.approx(math.e - 2.0, rel=1e-15)
+
+
+def test_t2_kernel_matches_quadrature_to_full_precision():
+    # psi(u) = int_0^1 (1 - s) e^{-us} ds on both sides of the branch edge |u| = 0.5,
+    # and near 1.3e-4, where a series edge at 1e-4 once left a closed form off by 2 eps/u
+    mags = np.concatenate([np.geomspace(1e-7, 50.0, 45), [1e-4, 1.3e-4, 1.31e-4, 0.49, 0.5, 0.51]])
+    u = np.concatenate([mags, -mags])
+    for x, got in zip(u, t2_kernel(u)):
+        ref = quad(lambda s: (1.0 - s) * math.exp(-x * s), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        assert got == pytest.approx(ref, rel=2e-14, abs=0), x
+        assert t2_kernel(x) == got
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1, 0.3])
@@ -405,7 +417,7 @@ def test_duhamel_kernel_matches_its_series_and_the_mean_of_phi():
     pairs = [(x, y) for x in base for y in base]
     pairs += [(x, x * (1.0 + e)) for x in (1e-3, 0.3, 0.5, 2.0, 50.0) for e in (1e-12, 1e-8, 1e-5, 9e-3, 1.1e-2, 3e-2, 0.05)]
     a, b = (np.array(col) for col in zip(*pairs))
-    kernel = lambda a, b: coefficients._duhamel_kernel(a, b, coefficients._psi(a), coefficients._psi(b))
+    kernel = lambda a, b: coefficients._duhamel_kernel(a, b, t2_kernel(a), t2_kernel(b))
     got = kernel(a, b)
     assert got.shape == a.shape and np.all(got > 0)
     swapped = kernel(b, a)
@@ -448,8 +460,10 @@ def test_t3_rules_agree_as_alpha_tends_to_two(v):
     # the d = 1 Fourier rule run at alpha = 2 meets the Gaussian algebra, and the
     # public value at alpha just below 2 (the Fourier rule) meets that at 2
     ts = np.array([0.02, 0.2, 1.0])
-    algebra = np.array([coefficients._t3_heat(v, t) for t in ts])
-    assert coefficients._t3_fourier(v, 2.0, ts) == pytest.approx(algebra, rel=1e-12, abs=0)
+    algebra, converged = coefficients._t3_heat(v, ts)
+    fourier = coefficients._t3_fourier(v, 2.0, ts)
+    assert converged.all() and fourier[1].all()
+    assert fourier[0] == pytest.approx(algebra, rel=1e-12, abs=0)
     assert t3_exact(v, 2.0, ts) == pytest.approx(algebra, rel=1e-15, abs=0)
     assert t3_exact(v, 2.0 - 1e-10, ts) == pytest.approx(algebra, rel=1e-9, abs=0)
 
@@ -473,6 +487,15 @@ def test_t3_exact_starts_at_the_cubic_coefficient():
     # K(0, 0) = 1/6, so T_3(0) = int V^3 / 6 = C_{0,3}
     for v, alpha in ((T2_MIXTURES[1], 1.5), (T2_MIXTURES[3], 2.0), (T2_MIXTURES[5], 2.0)):
         assert t3_exact(v, alpha, [0.0])[0] == pytest.approx(c0k(v, 3), rel=1e-13, abs=0)
+
+
+def test_t3_means_read_their_times_once():
+    # the argument checks once used up a generator, which then gave T_3 of no time
+    v, ts = T3_D1[1], [0.1, 0.2]
+    for fn in (t3_exact, t3_control_mean):
+        ref = fn(v, 1.5, ts).tobytes()
+        for given in ((t for t in ts), tuple(ts), np.array(ts)):
+            assert fn(v, 1.5, given).tobytes() == ref, (fn.__name__, type(given))
 
 
 def test_t3_exact_checks_its_arguments(monkeypatch):

@@ -11,6 +11,7 @@ import oracles
 from fracheat import (
     McConfig,
     RngStream,
+    coefficients,
     estimate_heat_content,
     estimate_series,
     gaussian,
@@ -314,7 +315,7 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     ],
 )
 def test_estimate_falls_back_to_the_frozen_control_where_t3_has_no_rule(v, alpha, ts, exact):
-    # where T_3 raises, that time's control is c' = -y t s V(x0) with its own mean;
+    # where T_3's rule does not converge, that time's control is c' = -y t s V(x0) with its own mean;
     # each time's control and numbers are those of a lone call, and each row of the
     # paths' own check of E c holds
     cfg = McConfig(n_paths=20_000, seed=3)
@@ -323,6 +324,27 @@ def test_estimate_falls_back_to_the_frozen_control_where_t3_has_no_rule(v, alpha
     for t, est in zip(ts, ests):
         assert abs(est.t3_residual) < 4 * est.t3_residual_se, t
         assert estimate_heat_content(v, alpha, t, cfg) == est
+
+
+def test_one_evaluation_of_t3_decides_every_time(monkeypatch):
+    # a sharp component converges early and falls back at t = 1: each time's rule
+    # runs once (a failed series was once retried time by time), and each time's
+    # control and E c are a lone call's, bit for bit
+    v = mixture([1.0, 0.5, -0.3, 0.2], [0.0, 0.5, 1.0, -1.0], [1e4, 1.0, 2.0, 0.5])
+    ts = [0.02, 0.05, 0.1, 1.0]
+    runs, real = [], coefficients._t3_heat
+
+    def counted(v, times):
+        runs.extend(times.tolist())
+        return real(v, times)
+
+    monkeypatch.setattr(coefficients, "_t3_heat", counted)
+    means, path_control = _third_order_means(v, 2.0, ts)
+    assert runs == ts and path_control.tolist() == [True, True, True, False]
+    for k, t in enumerate(ts):
+        runs.clear()
+        lone = _third_order_means(v, 2.0, [t])
+        assert runs == [t] and (lone[0].tobytes(), lone[1][0]) == (means[k : k + 1].tobytes(), path_control[k])
 
 
 @pytest.mark.parametrize("alpha, draws", [(1.5, 34_768 * 64), (2.0, 0), (1.0, 0)])

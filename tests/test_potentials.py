@@ -401,6 +401,10 @@ def test_validation_errors():
         ("center", ([1.0], [True], [1.0])),
         ("center", ([1.0], [(0.0, np.True_)], [1.0])),
         ("center", ([1.0], ["0.0"], [1.0])),
+        # an int too large for a float once raised OverflowError, not ValueError
+        ("weight", ([10**400], [0.0], [1.0])),
+        ("center", ([1.0], [(0.0, 10**400)], [1.0])),
+        ("sharpness", ([1.0], [0.0], [10**400])),
     ):
         with pytest.raises(ValueError, match=field):
             mixture(*args)

@@ -121,12 +121,11 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
 
 def test_report_integrates_each_t2_once(monkeypatch):
     # the estimator's control variate and the exact-t2 row read one cached T_2
-    # per time, and one call gives E c at every time: t3_exact for c'' in
+    # per time, and one call gives E c at every time: T_3's rule for c'' in
     # d = 1, one pair integral of (V^2, V) for c' in d = 2 at alpha < 2, where
-    # t3_exact raises RouteUnavailable before any integral, for the series and
-    # for each time's lone retry
+    # T_3 has no rule and none runs; one evaluation of T_3 decides every time
     calls, t3_calls = [], []
-    real, real_t3 = coefficients._pair_integral, montecarlo.t3_exact
+    real, real_t3 = coefficients._pair_integral, montecarlo._t3_converged
 
     def counted(*args):
         calls.append(args[:2])
@@ -137,15 +136,15 @@ def test_report_integrates_each_t2_once(monkeypatch):
         return real_t3(*args)
 
     monkeypatch.setattr(coefficients, "_pair_integral", counted)
-    monkeypatch.setattr(montecarlo, "t3_exact", counted_t3)
-    for d, n_t3 in ((1, 1), (2, 5)):
+    monkeypatch.setattr(montecarlo, "_t3_converged", counted_t3)
+    for d in (1, 2):
         calls.clear(), t3_calls.clear()
         v = gaussian(weight=-0.7, center=(0.0,) * d)
         coefficients.t2_exact.cache_clear()
         expansion_report(v, 1.5, [0.02, 0.05, 0.1, 0.2], McConfig(n_paths=1000))
         assert sum(p is q is v for p, q in calls) == 4
         assert [(p, q) for p, q in calls if p is not q] == ([] if d == 1 else [(v.power(2), v)])
-        assert len(t3_calls) == n_t3
+        assert len(t3_calls) == 1
 
 
 def test_theorem1_part_i_requires_nonpositive_potential():
