@@ -1,7 +1,8 @@
 """Numerical laboratory for small-time heat content expansions of
 fractional Schrodinger operators (-Delta)^{alpha/2} + V with Gaussian
 mixture potentials: deterministic coefficient routes, stable-process
-Monte Carlo cross-checks, and bound validators.
+Monte Carlo cross-checks, and bound validators.  Grid transforms and sampler
+diagnostics are imported from fracheat.spectral and fracheat.sampling.
 """
 
 from ._version import __version__
@@ -30,25 +31,9 @@ from .montecarlo import (
     estimate_heat_content,
 )
 from .potentials import GaussianMixturePotential, gaussian, mixture
-from .sampling import (
-    RngStream,
-    empirical_cf,
-    levy_cdf,
-    moment_estimate,
-    sample_increment,
-    sample_subordinator,
-    sampler_selftest,
-)
+from .sampling import RngStream, sample_increment, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
-from .spectral import (
-    GridField,
-    SpectralGrid,
-    apply_fractional_laplacian,
-    forward_transform,
-    grid_integral,
-    sample_on_grid,
-    weighted_freq_sum,
-)
+from .spectral import SpectralGrid
 from .validator import (
     BoundCheck,
     ExpansionReport,
@@ -73,13 +58,11 @@ __all__ = [
     # potentials
     "GaussianMixturePotential", "gaussian", "mixture",
     # sampling
-    "RngStream", "empirical_cf", "levy_cdf", "moment_estimate",
-    "sample_increment", "sample_subordinator", "sampler_selftest",
+    "RngStream", "sample_increment", "sampler_selftest",
     # simplex
     "enumerate_compositions", "weight_A",
     # spectral
-    "GridField", "SpectralGrid", "apply_fractional_laplacian", "forward_transform", "grid_integral",
-    "sample_on_grid", "weighted_freq_sum",
+    "SpectralGrid",
     # validator
     "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
     "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",

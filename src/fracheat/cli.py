@@ -19,7 +19,7 @@ changes a computed number; a value spelled out at its default hashes as if
 it were left out.  Hashing the resolved objects replaced an earlier hash of a
 schema-shaped copy of the config, so digests written before that differ.
 
-Exit codes: 0 success, 1 at least one check failed, 2 configuration error.
+Exit codes: 0 success, 1 a check failed or an error (an "error:" line), 2 configuration error.
 
 The JSON config schema (all sections except dimension/alpha/potential are
 optional; unknown keys anywhere are rejected):

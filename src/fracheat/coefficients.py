@@ -1,7 +1,7 @@
 """Deterministic small-time expansion coefficients and their cross-checks.
 
 The heat content admits Q(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l + O(t^{N+1})
-with C_1 = int V and, on both routes, for 2 <= l <= 5
+with C_1 = int V and, for 2 <= l <= 5, c_ell summing the closed route's
 
     C_l = sum_{n + k = l, k >= 2} (1/n!) C_{n,k}.
 
@@ -15,7 +15,8 @@ The closed route (cnk_closed) writes each C_{n,k} through mixture integrals,
 the Dirichlet form E_alpha and powers of F = (-Delta)^{alpha/2}.
 Sum-of-squares forms of C_4 and C_5 make nonnegativity for V >= 0 manifest.
 Every route reads one cached LatticeFields per (V, grid, alpha), so their
-agreement tolerances hold far below the individual truncation errors.
+agreement tolerances hold far below the individual truncation errors; every
+lattice route first checks that the grid's box holds V (_check_box).
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def c0k(v: GaussianMixturePotential, k: int) -> float:
 # -- shared lattice objects ------------------------------------------------
 
 
+def _check_box(v: GaussianMixturePotential, grid: SpectralGrid) -> None:
+    """Raise ValueError unless L >= max_k |mu_i,k| + sqrt(30 / a_i), i.e. a_i (L - max_k |mu_i,k|)^2 >= 30 with
+    mu_i in the box, for every component: each is then below e^{-30} of its peak on the box's faces."""
+    _, a, mu = v._arrays()
+    need = float((np.abs(mu).max(axis=1, initial=0.0) + np.sqrt(30.0 / a)).max(initial=0.0))
+    if need > grid.half_extent:
+        raise ValueError(f"grid.half_extent = {grid.half_extent:g} cuts off V; it needs half_extent >= {need!r}")
+
+
 def _smooth_density(v: GaussianMixturePotential):
     return lambda x: float(np.abs(v.fourier(x)) ** 2)
 
@@ -145,6 +155,7 @@ def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float
     """The LatticeFields of (V, grid, alpha), built once and cached: V, V^2 and V^3
     are sampled once each, V and V^2 transformed once each, FV and F^2V read off vhat."""
     _check_alpha(alpha)
+    _check_box(v, grid)
     sq = v.power(2)
     fields = [sample_on_grid(w, grid) for w in (v, sq, v.power(3))]
     vhat, v2hat = (forward_transform(field) for field in fields[:2])
@@ -166,6 +177,11 @@ def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float
 # -- the two routes ----------------------------------------------------------
 
 
+def _on_lattice(n: int, k: int, d: int) -> bool:
+    """Whether cnk_fourier sums C_{n,k} on its d(k - 1)-dimensional frequency lattice."""
+    return k in (2, 3) and 0 < n <= 6 and d * (k - 1) <= 2
+
+
 def cnk_fourier(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, n: int, k: int
 ) -> float:
@@ -180,11 +196,12 @@ def cnk_fourier(
         return c0k(v, k)
     if (n, k) == (1, 4):
         return cnk_closed(v, grid, alpha, 1, 4)
-    if k not in (2, 3) or not 0 < n <= 6 or grid.dimension * (k - 1) > 2:
+    if not _on_lattice(n, k, grid.dimension):
         raise RouteUnavailable(f"cnk_fourier does not support (n, k) = ({n}, {k}) in d = {grid.dimension}")
     weight = float(weight_A(n, (n,) + (0,) * (k - 2)))
     if k == 2:
         return weight * lattice_fields(v, grid, alpha).energy(alpha * n)
+    _check_box(v, grid)
     # k == 3, d == 1: vhat(-s) |s|^{alpha (n - j)} depends only on s = xi_1 + xi_2, so each
     # split (j, n - j) of n is one convolution in xi_1, read on the 2N - 1 lattice sums s.
     xi = grid.axis_freqs()
@@ -231,41 +248,33 @@ def cnk_closed(
 
 # typed: True and 1 (or 1 and 1.0) are distinct keys, so no cache hit skips the checks on alpha and ell
 @functools.lru_cache(maxsize=256, typed=True)
-def c_ell(
-    v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int, route: str = "closed"
-) -> float:
-    """Order-l coefficient C_l, 1 <= l <= MAX_ORDER: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!.
-
-    route 'closed' takes C_{n,k} from cnk_closed, 'fourier' from cnk_fourier
-    (d = 1 for l >= 4).
-    """
+def c_ell(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int) -> float:
+    """Order-l coefficient C_l, 1 <= l <= MAX_ORDER: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!
+    with each C_{n,k} from cnk_closed."""
     _check_alpha(alpha)
     if _check_count("ell", ell) < 1:
         raise ValueError("need ell >= 1")
     if ell > MAX_ORDER:
         raise RouteUnavailable(f"coefficients are implemented for ell <= {MAX_ORDER}, got {ell}")
-    cnk = {"closed": cnk_closed, "fourier": cnk_fourier}.get(route)
-    if cnk is None:
-        raise ValueError(f"unknown route {route!r}; use 'closed' or 'fourier'")
     if ell == 1:
         return v.integral()
-    return sum(cnk(v, grid, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell + 1))
+    return sum(cnk_closed(v, grid, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell + 1))
 
 
 def c3_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
     """C_3 = (1/6)(int V^3 + E_alpha(V))."""
-    return c_ell(v, grid, alpha, 3, "closed")
+    return c_ell(v, grid, alpha, 3)
 
 
 def c4_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
     """C_4 = (1/24)(int V^4 + 2 int V^2 FV + int |FV|^2)."""
-    return c_ell(v, grid, alpha, 4, "closed")
+    return c_ell(v, grid, alpha, 4)
 
 
 def c5_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
     """C_5 = (1/120)(int V^5 + 2 int V^3 FV + 2 int V^2 F^2 V
     + int V (FV)^2 + E_alpha(FV) + E_alpha(V^2))."""
-    return c_ell(v, grid, alpha, 5, "closed")
+    return c_ell(v, grid, alpha, 5)
 
 
 def c4_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -304,17 +313,13 @@ def partial_sum(
     n_terms: int,
     t: float,
 ) -> float:
-    """Q_N(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l for N = n_terms >= 1, on the closed route.
-
-    c_ell rejects an order above MAX_ORDER.  The route is passed as
-    c3_closed..c5_closed pass it, so all of them share c_ell's cache entries.
-    """
+    """Q_N(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l for N = n_terms >= 1; c_ell rejects an order above MAX_ORDER."""
     if _check_count("n_terms", n_terms) < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     _check_times([t])
-    out = -t * c_ell(v, grid, alpha, 1, "closed")
+    out = -t * c_ell(v, grid, alpha, 1)
     for ell in range(2, n_terms + 1):
-        out += (-t) ** ell * c_ell(v, grid, alpha, ell, "closed")
+        out += (-t) ** ell * c_ell(v, grid, alpha, ell)
     return out
 
 
@@ -738,7 +743,10 @@ def coefficient_table(
     entries["C5_sos"] = CoefficientEntry(c5_sos(v, grid, alpha), "sos", gdesc)
     for k in range(2, MAX_ORDER + 1):
         entries[f"C(0,{k})"] = CoefficientEntry(c0k(v, k), "analytic", "exact")
-    pairs = [(1, 2), (2, 2), (3, 2)] + ([(1, 3), (2, 3), (1, 4)] if grid.dimension == 1 else [])
+    # the lattice C_{n,k} of order <= MAX_ORDER, and the closed C_{1,4} where they hold C_5's other terms
+    pairs = [(n, k) for n, k in _CLOSED if _on_lattice(n, k, grid.dimension)]
+    if (2, 3) in pairs:
+        pairs.append((1, 4))
     for n, k in pairs:
         route = "closed_form" if (n, k) == (1, 4) else "fourier_grid"
         entries[f"C({n},{k})"] = CoefficientEntry(cnk_fourier(v, grid, alpha, n, k), route, gdesc)

@@ -68,7 +68,6 @@ __all__ = [
     "sample_subordinator",
     "sample_increment",
     "moment_estimate",
-    "closed_form_density",
     "levy_cdf",
     "empirical_cf",
     "sampler_selftest",
@@ -130,10 +129,9 @@ def _gen(rng) -> np.random.Generator:
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)}")
 
 
-def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
-    """One-sided stable draw(s) with E exp(-lam S) = exp(-span lam^beta).
+def sample_subordinator(beta: float, span: float, rng, size: int) -> np.ndarray:
+    """size one-sided stable draws with E exp(-lam S) = exp(-span lam^beta), an array of shape (size,).
 
-    Returns a float when size is None, else an array of shape (size,).
     All draws are strictly positive.  The log-sum is accumulated in place in
     the exponentials' array, which is returned, so a call peaks at about
     3 x 8 size bytes: that array, the uniforms, and float32 copies of v and
@@ -143,7 +141,7 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
-    n = 1 if size is None else _check_count("size", size)
+    n = _check_count("size", size)
     r = gen.random(n)
     log_s = gen.standard_exponential(n)
     # U = pi v with v = 1 - r in (0, 1]; sin U is taken as sin(pi min(v, r))
@@ -173,7 +171,7 @@ def sample_subordinator(beta: float, span: float, rng, size: int | None = None):
     log_s += v
     s = np.exp(log_s, out=log_s)
     s *= span ** (1.0 / beta)
-    return float(s[0]) if size is None else s
+    return s
 
 
 def _cms_symmetric(alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -240,17 +238,15 @@ def _radial_cauchy(gen: np.random.Generator, n: int) -> np.ndarray:
     return x
 
 
-def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = None):
-    """Increment(s) of the isotropic process, CF exp(-span |xi|^alpha), by the law the module docstring names.
-
-    Returns shape (d,) for size None, else (size, d).
-    """
+def sample_increment(alpha: float, d: int, span: float, rng, size: int) -> np.ndarray:
+    """size increments of the isotropic process, CF exp(-span |xi|^alpha), by the law the module docstring
+    names, an array of shape (size, d)."""
     _check_alpha(alpha)
     if _check_count("d", d) < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     _check_positive_finite("span", span)
     gen = _gen(rng)
-    n = 1 if size is None else _check_count("size", size)
+    n = _check_count("size", size)
     if alpha == 2.0:
         x = gen.standard_normal((n, d))
         x *= math.sqrt(2.0 * span)
@@ -261,7 +257,7 @@ def sample_increment(alpha: float, d: int, span: float, rng, size: int | None = 
     else:
         s = sample_subordinator(alpha / 2.0, span, rng, size=n)
         x = np.sqrt(2.0 * s)[:, np.newaxis] * gen.standard_normal((n, d))
-    return x[0] if size is None else x
+    return x
 
 
 def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d: int = 1):
@@ -285,33 +281,6 @@ def moment_estimate(alpha: float, gamma: float, t: float, n_samples: int, rng, d
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return McEstimate(mean, se, n_samples)
-
-
-def closed_form_density(alpha: float, t: float, x, d: int = 1) -> np.ndarray:
-    """Transition density p_t(x) for the two closed-form cases.
-
-    alpha = 2: (4 pi t)^{-d/2} exp(-|x|^2 / (4 t));
-    alpha = 1: Gamma((d+1)/2) / pi^{(d+1)/2} * t / (t^2 + |x|^2)^{(d+1)/2}.
-    """
-    _check_alpha(alpha)
-    if _check_count("d", d) < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    _check_positive_finite("t", t)
-    pts = np.asarray(x, dtype=float)
-    if d == 1:
-        if pts.ndim and pts.shape[-1] == 1:
-            pts = pts[..., 0]
-        norm2 = pts**2
-    else:
-        if pts.ndim == 0 or pts.shape[-1] != d:
-            raise ValueError(f"expected points with last axis {d}")
-        norm2 = (pts**2).sum(axis=-1)
-    if alpha == 2.0:
-        return (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-norm2 / (4.0 * t))
-    if alpha == 1.0:
-        const = math.gamma((d + 1) / 2.0) / math.pi ** ((d + 1) / 2.0)
-        return const * t / (t**2 + norm2) ** ((d + 1) / 2.0)
-    raise ValueError(f"no closed-form density for alpha = {alpha}; only alpha in {{1, 2}}")
 
 
 def levy_cdf(s, span: float) -> np.ndarray:

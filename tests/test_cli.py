@@ -7,22 +7,18 @@ from fracheat import (
     McConfig,
     RngStream,
     SpectralGrid,
-    apply_fractional_laplacian,
     cli,
     coefficient_table,
     estimate_heat_content,
-    forward_transform,
     gaussian,
-    moment_estimate,
     montecarlo,
     sample_increment,
-    sample_on_grid,
-    sample_subordinator,
     t2_exact,
     validator,
 )
 from fracheat.cli import ConfigError, config_digest, load_config, main
-from fracheat.sampling import closed_form_density
+from fracheat.sampling import moment_estimate, sample_subordinator
+from fracheat.spectral import apply_fractional_laplacian, forward_transform, sample_on_grid
 
 MINIMAL = {
     "dimension": 1,
@@ -147,11 +143,10 @@ def test_alpha_outside_the_range_is_rejected_alike_everywhere(tmp_path, capsys, 
     calls = [
         lambda: coefficient_table(gaussian(), grid, alpha),
         lambda: apply_fractional_laplacian(spec, alpha),
-        lambda: sample_increment(alpha, 1, 0.1, np.random.default_rng(0)),
+        lambda: sample_increment(alpha, 1, 0.1, np.random.default_rng(0), size=1),
         lambda: estimate_heat_content(gaussian(), alpha, 0.1, McConfig(n_paths=1000)),
         lambda: moment_estimate(alpha, 0.5, 1.0, 1000, RngStream(0)),
         lambda: t2_exact(gaussian(), alpha, 0.1),
-        lambda: closed_form_density(alpha, 0.1, [0.0, 1.0]),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:
@@ -205,6 +200,18 @@ def test_coeffs_prints_exact_weights(tmp_path, capsys):
     assert "C4" in doc["entries"] and "C(2,2)" in doc["entries"]
     assert {"n": 1, "composition": [1], "value": "1/6"} in doc["weights"]
     assert (out_dir / "coeffs.csv").read_text().startswith("label,value,route,grid")
+
+
+def test_coeffs_runs_in_three_dimensions(tmp_path, capsys):
+    # the table once listed the lattice C(1,2), C(2,2) and C(3,2) in every d, and
+    # cnk_fourier has them only in d <= 2, so every d = 3 config exited 1
+    potential = [{"weight": 1.0, "center": [0.0, 0.0, 0.0], "sharpness": 1.0}]
+    out_dir = tmp_path / "out"
+    code = main(["coeffs", "--config", write_config(tmp_path, {"dimension": 3, "potential": potential}), "--out", str(out_dir)])
+    assert code == 0, capsys.readouterr().err
+    entries = json.loads((out_dir / "coeffs.json").read_text())["entries"]
+    assert sorted(entries) == sorted(["C1", "C2", "C3", "C4", "C5", "C4_sos", "C5_sos", "C(0,2)", "C(0,3)", "C(0,4)", "C(0,5)"])
+    assert abs(entries["C4"]["value"] - entries["C4_sos"]["value"]) < 1e-10
 
 
 def test_mc_runs_and_seed_override_changes_digest(tmp_path, capsys):

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from fracheat import (
+from fracheat import SpectralGrid, dirichlet_form, gaussian, mixture
+from fracheat.spectral import (
     GridField,
-    SpectralGrid,
     apply_fractional_laplacian,
-    dirichlet_form,
     forward_transform,
-    gaussian,
     grid_integral,
-    mixture,
+    inverse_transform,
+    kink_correction,
     sample_on_grid,
+    symbol_array,
     weighted_freq_sum,
 )
-from fracheat.spectral import inverse_transform, kink_correction, symbol_array
 
 
 def test_forward_transform_matches_analytic_mixture_transform(grid1):
