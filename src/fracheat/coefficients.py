@@ -79,11 +79,11 @@ _TS_LEVELS = 10
 # of its value or _T3_FLOOR of the integral of its |terms|, which holds a T_3 whose terms
 # cancel, as an odd V's do.  Each rule's error about squares when its resolution doubles
 # (halving h, doubling the Gauss-Legendre order), so the kept level errs far less than the
-# difference: on the test mixtures at t <= 1, levels 3e-4 (d = 1 rule) and 1.5e-7 (alpha = 2
+# difference: on the test mixtures at t <= 1, levels 3e-4 (polar rule, d = 1) and 1.5e-7 (alpha = 2
 # rule) of T_3 from the one before erred by 4e-12.  At most _T3_LEVELS doublings.  Each rule
-# sums in blocks of about _T3_POINTS terms (grid points in d = 1, nodes times K^3 triples at
-# alpha = 2), so that no order of either rule holds more than a few such arrays; the d = 1
-# rule's step h never falls below _T3_STEP (a grid of about 1,800 nodes a side).
+# sums in blocks of about _T3_POINTS terms (pairs of radii in the polar rule, nodes times K^3
+# triples at alpha = 2), so that no order of either rule holds more than a few such arrays; the
+# polar rule's step h never falls below _T3_STEP (a grid of about 1,800 radii a side).
 _T3_RTOL = 1e-6
 _T3_FLOOR = 1e-9
 _T3_LEVELS = 5
@@ -327,20 +327,24 @@ def partial_sum(
 
 
 def _series_below_half(u, coef, closed) -> np.ndarray:
-    """closed(u) for |u| >= 0.5 and the 16-term series sum_{n < 16} (-u)^n/n! coef(n) by Horner's rule
-    below, where a closed form of ``t2_kernel`` or ``t3_kernel`` loses digits to cancellation."""
+    """closed(u) for |u| >= 0.5 and the 16-term series sum_{n < 16} (-u)^n/n! coef(n) below, where a closed
+    form of ``t2_kernel`` or ``t3_kernel`` loses digits to cancellation.  The series runs Horner's rule in
+    x = -u on the coefficients coef(n)/n!, one in-place multiply and add per term, so that each entry's sum
+    reads that entry alone and the work holds two arrays of the entries below 0.5."""
     arr = np.asarray(u, dtype=float)
     near = np.abs(arr) < 0.5
     out = np.asarray(closed(np.where(near, 1.0, arr)))
-    small, series = arr[near], 0.0
-    for n in range(15, -1, -1):
-        series = coef(n) - small / (n + 1) * series
+    x = -arr[near]
+    series = np.full(x.size, coef(15) / math.factorial(15))
+    for n in range(14, -1, -1):
+        series *= x
+        series += coef(n) / math.factorial(n)
     out[near] = series
     return float(out) if np.ndim(u) == 0 else out
 
 
 def t2_kernel(u) -> np.ndarray:
-    """psi(u) = (e^{-u} - 1 + u)/u^2 = int_0^1 (1 - s) e^{-us} ds, for T_2, T_3's Duhamel kernel and its d = 1 rule.
+    """psi(u) = (e^{-u} - 1 + u)/u^2 = int_0^1 (1 - s) e^{-us} ds, for T_2, T_3's Duhamel kernel and its polar rule.
 
     The closed form loses about 2 eps/u to cancellation, so for |u| < 0.5 psi is the series
     sum_n (-u)^n/(n + 2)!, whose first omitted term is below 3e-21 there; outside, the closed
@@ -427,25 +431,26 @@ def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
             = int_0^1 (1 - s) int_0^s int (P_{t r} V) V (P_{t (s - r)} V) dx dr ds,
 
     with K = ``_duhamel_kernel`` and P_u = e^{-u F}.  T_3(0) = int V^3 / 6.  At alpha = 2, in every
-    d, each P_u of a Gaussian is a Gaussian (``_t3_heat``); in d = 1 at alpha < 2 a product
-    tanh-sinh rule sums the Fourier form (``_t3_fourier``).  A check on ``_t3_converged``, the
+    d, each P_u of a Gaussian is a Gaussian (``_t3_heat``); in d = 1 and 2 at alpha < 2 a tanh-sinh
+    rule in the radii of xi and eta, with the angles summed exactly (d = 1) or by the periodic
+    trapezoid rule (d = 2), sums the Fourier form (``_t3_polar``).  A check on ``_t3_converged``, the
     one evaluation the estimator also reads; each time's value is bit-identical to a call at
     that time alone.
 
     Raises:
-        RouteUnavailable: in d >= 2 at alpha < 2, where the Fourier form is 2d-dimensional, and
-            naming the times where no rule converges within its budget: centres too far apart
-            for the d = 1 rule's finest step, or a sharpness times t so large that the alpha = 2
+        RouteUnavailable: in d = 3 at alpha < 2, where no rule sums the 6-dimensional Fourier form,
+            and naming the times where no rule converges within its budget: centres too far apart
+            for the polar rule's finest step, or a sharpness times t so large that the alpha = 2
             rule's Gauss-Legendre orders do not resolve the layer near the triangle's edges.
         ValueError: on a bad alpha or t.
     """
     _check_alpha(alpha)
     times = _check_times(ts)
-    if alpha != 2.0 and v.dimension != 1:
-        raise RouteUnavailable(f"t3_exact needs d = 1 or alpha = 2, got d = {v.dimension}, alpha = {alpha}")
+    if alpha != 2.0 and v.dimension > 2:
+        raise RouteUnavailable(f"t3_exact needs d = 1, d = 2 or alpha = 2, got d = {v.dimension}, alpha = {alpha}")
     t3, converged = _t3_converged(v, alpha, times)
     if not converged.all():
-        limit = f"sharpness up to {max(v.sharpness):g}" if alpha == 2.0 else f"centres {np.ptp(v.centers):g} apart"
+        limit = f"sharpness up to {max(v.sharpness):g}" if alpha == 2.0 else f"centres {_centre_gaps(v).max():g} apart"
         bad = ", ".join(f"{t:g}" for t in times[~converged])
         raise RouteUnavailable(f"T_3 did not converge at t = {bad} ({limit})")
     return t3
@@ -453,11 +458,11 @@ def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
 
 def _t3_converged(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T_3 at each of the checked times and whether a rule converged there (T_3 is nan where none did):
-    V = 0 needs none, d >= 2 at alpha < 2 has none.  Each time's rule runs once, as in a lone call."""
-    if v.is_zero or (alpha != 2.0 and v.dimension != 1):
+    V = 0 needs none, d = 3 at alpha < 2 has none.  Each time's rule runs once, as in a lone call."""
+    if v.is_zero or (alpha != 2.0 and v.dimension > 2):
         t3, converged = np.zeros(times.size), np.full(times.size, v.is_zero)
     else:
-        t3, converged = _t3_heat(v, times) if alpha == 2.0 else _t3_fourier(v, float(alpha), times)
+        t3, converged = _t3_heat(v, times) if alpha == 2.0 else _t3_polar(v, float(alpha), times)
     return np.where(converged, t3, np.nan), converged
 
 
@@ -519,74 +524,131 @@ def _t3_heat(v: GaussianMixturePotential, times: np.ndarray) -> tuple[np.ndarray
     return out, converged
 
 
-def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_3 at each of times in d = 1 by a product tanh-sinh rule on the quadrant (0, R)^2, and whether it converged.
+def _centre_gaps(v: GaussianMixturePotential) -> np.ndarray:
+    """The Euclidean distances |mu_i - mu_j| between the centres of every pair of V's components, (J, J)."""
+    mu = v._arrays()[2]
+    return np.sqrt(((mu[:, np.newaxis] - mu) ** 2).sum(axis=-1))
 
-    vhat(-xi) = conj(vhat(xi)) and K reads |xi| and |eta| only, so the plane is twice the real part of
-    the half plane xi > 0, and T_3 = (1/(2 pi^2)) int_0^R int_0^R G K(t xi^alpha, t eta^alpha) deta dxi with
-    G = Re[F(xi, eta) + F(xi, -eta)], F(xi, eta) = conj(vhat(xi)) vhat(xi - eta) vhat(eta).  The kinks
-    of |xi|^alpha and |eta|^alpha lie on the axes, which the rule has as its ends.  With
-    vhat(x) = sum_j A_j(x) e^{-i mu_j x}, A_j(x) = c_j (pi/a_j)^{1/2} e^{-x^2/(4 a_j)}, and
-    p_j = conj(vhat(xi)) e^{-i mu_j xi}, q_j = e^{i mu_j eta} vhat(eta):
 
-        G = sum_j (A_j(xi - eta) + A_j(xi + eta)) Re p_j Re q_j + (A_j(xi + eta) - A_j(xi - eta)) Im p_j Im q_j,
+def _angle_count(v: GaussianMixturePotential) -> int:
+    """The even number N of angles of ``_t3_polar`` in d = 2, from the widest phase and coupling bandwidths.
 
-    bounded by g(xi) g(eta) (g(xi - eta) + g(xi + eta)) with g = sum_j |A_j|.  Beyond
-    R = sqrt(160 max a) that bound is below e^{-60} of its peak.  The phases e^{i (mu_i - mu_j) xi}
-    oscillate at the gaps between centres, up to D = max mu - min mu, and the rule's widest
-    node spacing is h pi R / 4, at xi = R/2: on two bumps the levels met once h R D <= 5.  So
-    the first level takes the largest h <= 1/2 with h R D <= 16, which is 1/2 for every
-    mixture with R D <= 32, and centres that would need a first h below 4 ``_T3_STEP``
-    converge at no time, with no level summed.  Each level halves h as ``_tanh_sinh`` does and
-    sums only its new points, down to ``_T3_STEP``, until every time has converged; each time
-    keeps the first level at which it converged (``_T3_RTOL``, ``_T3_FLOOR``).
+    conj(vhat(xi)) e^{-i xi.mu_j} carries the phases e^{i xi.(mu_i - mu_j)}, whose angular modes at
+    |xi| = rho are J_n(rho |mu_i - mu_j|), negligible once n passes rho |mu_i - mu_j|.  Over eta the
+    terms of component i at xi and j at xi - eta decay at least as e^{-rho^2 (1/a_i + 1/(a_j + max a))/4},
+    below 1e-16 beyond rho^2 = 148/(1/a_i + 1/(a_j + max a)).  The coupling e^{rho sigma cos(theta - phi)
+    /(2 a_j)} has the modes I_n(z) e^{-z} ~ e^{-n^2/(2 z)}, z = rho sigma/(2 a_j), under the decay
+    e^{-(rho^2 + sigma^2)/(4 max a)}, which peak at e^{-n sqrt(2 a_j/max a)}: below 1e-16 once n passes
+    37 sqrt(max a/(2 a_j)).  N is the even number 8 to 10 above the root sum of squares of the two: on
+    44 random mixtures of one to three components, with a in [0.2, 5] and centres up to 6 apart, T_3
+    at alpha = 1 with that N met its value at N = 240 to 1.5e-15, and N 6 to 26 smaller still met it
+    to 1e-13."""
+    a = v._arrays()[1]
+    phase = float((_centre_gaps(v) * np.sqrt(148.0 / (1.0 / a[:, np.newaxis] + 1.0 / (a + a.max())))).max())
+    coupling = 37.0 * math.sqrt(a.max() / (2.0 * a.min()))
+    return 2 * math.ceil(0.5 * math.hypot(phase, coupling)) + 8
+
+
+def _t3_polar(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_3 at each of times in d = 1 or 2 by a product tanh-sinh rule in the radii, and whether it converged.
+
+    In polar coordinates xi = rho e_theta, eta = sigma e_phi, K reads the radii only, so
+
+        T_3 = (2 pi)^{-2d} int_0^R int_0^R (rho sigma)^{d-1} F(rho, sigma) K(t rho^alpha, t sigma^alpha) dsigma drho,
+
+    F the sum over directions of conj(vhat(xi)) vhat(xi - eta) vhat(eta): over e = +1 and -1 in
+    d = 1, and in d = 2 the N-point periodic trapezoid rule in each angle, of weight 2 pi/N, which
+    converges exponentially in N (``_angle_count``).  With vhat(xi) = sum_j A_j(|xi|) e^{-i xi.mu_j},
+    A_j(r) = c_j (pi/a_j)^{d/2} e^{-r^2/(4 a_j)}, and P_j = conj(vhat(xi)) e^{-i xi.mu_j}:
+
+        F = sum_j A_j(0) sum_{theta, phi} P_j(rho, theta) k_j(theta - phi) conj(P_j(sigma, phi)),
+
+    where e^{i eta.mu_j} vhat(eta) = conj(P_j(sigma, phi)) and k_j = e^{-|xi - eta|^2/(4 a_j)} reads
+    rho, sigma and theta - phi only.  So the double angle sum is a circular convolution,
+    sum_n Phat_j(rho, n) khat_j(n) conj(Phat_j(sigma, n))/N, with one FFT of P_j per radius; k_j is
+    even, so khat_j is real and even and comes from the N/2 + 1 samples of k_j at theta - phi in
+    [0, pi] (a cosine transform).  d = 1 is the case N = 2 with weight 1.  Re F K is symmetric in
+    rho and sigma, and F depends on neither alpha nor t: each level builds F once on its new pairs
+    of radii, counting each pair of a new and an old radius twice, and every time reads it through
+    its own K.  |F| is bounded by g(rho) g(sigma) sum_j |A_j(0)| sum_{theta, phi} k_j with
+    g = sum_j |A_j|, and beyond R = sqrt(160 max a) that bound is below e^{-60} of its peak.
+    The phases oscillate in the radii at the gaps between centres, up to D = max |mu_i - mu_j|, and
+    the rule's widest node spacing is h pi R / 4, at R/2: on two bumps in d = 1 the levels met once
+    h R D <= 5.  So the first level takes the largest h <= 1/2 with h R D <= 16, which is 1/2 for
+    every mixture with R D <= 32, and centres that would need a first h below 4 ``_T3_STEP``
+    converge at no time, with no level summed.  Each level halves h as ``_tanh_sinh`` does and sums
+    only its new pairs, down to ``_T3_STEP``, until every time has converged; each time keeps the
+    first level at which it converged (``_T3_RTOL``, ``_T3_FLOOR``).  A block holds about ``_T3_POINTS``
+    pairs of radii, and fewer where their angle modes would pass 4 ``_T3_POINTS`` pairs times modes.
     """
     c, a, mu = v._arrays()
-    amp, rate, mu = c * np.sqrt(math.pi / a), 0.25 / a, mu[:, 0]
-    cut = math.sqrt(160.0 * a.max())
+    d = v.dimension
+    amp, rate = c * (math.pi / a) ** (d / 2.0), 0.25 / a
+    cut, gap = math.sqrt(160.0 * a.max()), float(_centre_gaps(v).max())
+    n = 2 if d == 1 else _angle_count(v)
+    half = n // 2 + 1
+    theta = (2.0 * math.pi / n) * np.arange(n)
+    along = np.stack([np.cos(theta), np.sin(theta)])[:d].T @ mu.T  # (n, J): e_theta . mu_j
+    # mode h of k from its samples at theta_m, m <= n/2: weight 2 where -theta_m is another sample, and
+    # times 1/2 where -h is mode h itself (h = 0, n/2), since each column h sums the modes h and -h
+    ends = np.isin(np.arange(half), (0, n // 2))
+    fold = np.where(ends, 1.0, 2.0)
+    cosine = np.cos(np.outer(np.arange(half), theta[:half])) * fold * (fold / (2.0 * n))[:, np.newaxis]
+    # int_0^inf x^{d-1} g(x) dx, g = sum_j |A_j|
+    mass_g = float(np.abs(amp) @ (0.5 * math.gamma(d / 2.0) * (4.0 * a) ** (d / 2.0)))
 
     def nodes(u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The nodes x and weights of the steps u, and t x^alpha and its psi at each time, (T, nodes);
-        nodes where the bound's factor g(x) is below 1e-17 g(0), which bunch up at R and carry less
-        than that share of the integral, are left out."""
+        """Node arrays of the steps u with the node axis last: the radii x, their weights times x^{d-1},
+        the real and imaginary parts of Phat_j at the modes h and -h, (J, half, 4, nodes), g(x), and
+        t x^alpha and its psi at each time, (T, nodes); nodes whose weight times x^{d-1} g(x) is below
+        1e-17 of int x^{d-1} g dx, which bunch up at both ends and carry less than that share of the
+        bound's integral, are left out."""
         x, w = _ts_nodes(u, cut)
-        keep = np.abs(amp) @ np.exp(-np.multiply.outer(rate, x**2)) > 1e-17 * np.abs(amp).sum()
+        w = w * x ** (d - 1)
+        keep = w * (np.abs(amp) @ np.exp(-np.multiply.outer(rate, x**2))) > 1e-17 * mass_g
         x, w = x[keep], w[keep]
+        a_x = amp[:, np.newaxis] * np.exp(-np.multiply.outer(rate, x**2))
+        turn = np.exp(-1j * np.multiply.outer(along.T, x))  # (J, n, nodes): e^{-i xi . mu_j}
+        p = np.fft.fft((a_x[:, np.newaxis] * turn).sum(axis=0).conj() * turn, axis=1)
+        p = p[:, np.concatenate([np.arange(half), -np.arange(half) % n])]
+        modes = np.stack([p.real, p.imag], axis=1).reshape(amp.size, 4, half, x.size).swapaxes(1, 2)
         rate_t = np.multiply.outer(times, x**alpha)
-        return x, w, rate_t, t2_kernel(rate_t)
+        return x, w, np.ascontiguousarray(modes), np.abs(a_x).sum(axis=0), rate_t, t2_kernel(rate_t)
+
+    def angles(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Re F and its bound on the pairs (x, y), (x, y) arrays, with two (x, half, y) buffers.  k_j is
+        e^{-(x - y)^2/(4 a_j)} times e^{-x y (1 - cos(theta - phi))/(2 a_j)}, and only the second factor reads the angle."""
+        x, ux = xs
+        y, uy = ys
+        apart, chord = np.subtract.outer(x, y) ** 2, np.multiply.outer(x, np.cos(theta[:half]) - 1.0)
+        f, bound = np.zeros(apart.shape), np.zeros(apart.shape)
+        ker, spec = np.empty((x.size, half, y.size)), np.empty((x.size, half, y.size))
+        for j in range(amp.size):
+            np.exp(np.multiply.outer(2.0 * rate[j] * chord, y, out=ker), out=ker)
+            np.matmul(cosine, ker, out=spec)  # khat_j over e^{-(x - y)^2/(4 a_j)}, column h the modes h and -h
+            np.matmul(ux[j].transpose(2, 0, 1)[:, :, np.newaxis], uy[j], out=ker.reshape(x.size, half, 1, y.size))
+            decay = np.exp(-rate[j] * apart)
+            f += amp[j] * decay * np.einsum("xhy,xhy->xy", spec, ker)
+            bound += abs(amp[j]) * decay * spec[:, 0]
+        return f, bound * (2.0 * n * n)  # sum_{theta, phi} k_j = n khat_j(0), and spec[:, 0] = khat_j(0)/(2 n)
 
     def grid(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The (2, T) weighted sums of G K and of its bound times K over the product of two node sets."""
-        y, wy, b, psi_b = ys
-        a_y = amp * np.exp(-(y**2)[:, np.newaxis] * rate)
-        turn_y = np.exp(1j * np.multiply.outer(y, mu))
-        q = turn_y * (a_y * turn_y.conj()).sum(axis=1)[:, np.newaxis]
-        g_y = np.abs(a_y).sum(axis=1)
+        """The (2, T) weighted sums of Re F K and of its bound times K over the product of two node sets."""
+        y, wy, uy, g_y, b, psi_b = ys
         out = np.zeros((2, times.size))
-        step = max(1, _T3_POINTS // y.size)
+        step = max(1, min(_T3_POINTS, 4 * _T3_POINTS // half) // y.size)
         for lo in range(0, xs[0].size, step):
-            x, wx, a_t, psi_a = (arr[..., lo : lo + step] for arr in xs)
-            a_x = amp * np.exp(-(x**2)[:, np.newaxis] * rate)
-            turn_x = np.exp(-1j * np.multiply.outer(x, mu))
-            p = (a_x * turn_x).sum(axis=1).conj()[:, np.newaxis] * turn_x
-            minus, plus = np.subtract.outer(x, y) ** 2, np.add.outer(x, y) ** 2
-            g = np.zeros(minus.shape)
-            g_pair = np.zeros(minus.shape)
-            for j in range(amp.size):
-                a_minus, a_plus = amp[j] * np.exp(-rate[j] * minus), amp[j] * np.exp(-rate[j] * plus)
-                g += (a_minus + a_plus) * np.multiply.outer(p[:, j].real, q[:, j].real)
-                g += (a_plus - a_minus) * np.multiply.outer(p[:, j].imag, q[:, j].imag)
-                g_pair += np.abs(a_minus) + np.abs(a_plus)
+            x, wx, ux, g_x, a_t, psi_a = (arr[..., lo : lo + step] for arr in xs)
+            f, bound = angles((x, ux), (y, uy))
             weight = np.multiply.outer(wx, wy)
-            g *= weight
-            g_pair *= weight * np.multiply.outer(np.abs(a_x).sum(axis=1), g_y)
+            f *= weight
+            bound *= weight * np.multiply.outer(g_x, g_y)
             kern = _duhamel_kernel(a_t[:, :, None], b[:, None, :], psi_a[:, :, None], psi_b[:, None, :])
             for k in range(times.size):
-                out[:, k] += np.dot(g.ravel(), kern[k].ravel()), np.dot(g_pair.ravel(), kern[k].ravel())
+                out[:, k] += np.dot(f.ravel(), kern[k].ravel()), np.dot(bound.ravel(), kern[k].ravel())
         return out
 
-    spread = cut * float(np.ptp(mu))
-    h = 2.0 ** -max(1, math.ceil(math.log2(max(spread, 16.0) / 16.0)))
+    h = 2.0 ** -max(1, math.ceil(math.log2(max(cut * gap, 16.0) / 16.0)))
     done = np.zeros(times.size, dtype=bool)
     if h < 4.0 * _T3_STEP:
         return np.zeros(times.size), done
@@ -596,15 +658,14 @@ def _t3_fourier(v: GaussianMixturePotential, alpha: float, times: np.ndarray) ->
     for _ in range(min(_T3_LEVELS, round(math.log2(h / _T3_STEP)))):
         h *= 0.5
         new = nodes(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
-        every = tuple(np.concatenate([x, y], axis=-1) for x, y in zip(old, new))
-        step = grid(new, every) + grid(old, new)
+        step = 2.0 * grid(new, old) + grid(new, new)
         prev, total, mass = total, 0.25 * total + h * h * step[0], 0.25 * mass + h * h * step[1]
         out = np.where(done, out, total)
         done |= np.abs(total - prev) <= np.maximum(_T3_RTOL * np.abs(total), _T3_FLOOR * mass)
         if done.all():
             break
-        old = every
-    return out / (2.0 * math.pi**2), done
+        old = tuple(np.concatenate([x, y], axis=-1) for x, y in zip(old, new))
+    return out * ((1.0 if d == 1 else 2.0 * math.pi / n) / (2.0 * math.pi) ** d) ** 2, done
 
 
 def _bessel_j0(z) -> np.ndarray:

@@ -33,7 +33,8 @@ w - y - c'' = y (e^{-A_U} - 1 + A_U): the paths estimate only what is of
 second order in A_U.  The trapezoid rule's first-order step bias cancels in
 w - y - c'', and the mean of c'' reads it instead (``t3_residual``).  Before
 any path is drawn, one evaluation of T_3 decides each time's control
-(``_third_order_means``): where T_3 has no rule (d >= 2 at alpha < 2) or its
+(``_third_order_means``).  T_3 has a rule in d = 1 and 2 at every alpha and at
+alpha = 2 in every d; where it has none (d = 3 at alpha < 2) or its
 rule does not converge at that time, the control is c' = -y t s V(x0), the
 exponent frozen at its start, whose mean E c' (``coefficients.t3_control_mean``)
 needs only a radial integral; w - y - c' follows how far A_U strays from
@@ -167,7 +168,8 @@ class McEstimate:
     From ``estimate_heat_content``, one per time: mean = mean(w - y - c) +
     t^2 T_2 + E c - t int V and the se of w - y - c, where the control c is
     c'' = -y A_U with E c'' = -t^3 T_3 where a rule of ``coefficients.t3_exact``
-    converges (path_control is then True), else c' = -y t s V(x0).  The rest are
+    converges (path_control is then True: in d = 1 and 2, and at alpha = 2, within the
+    rules' budgets), else c' = -y t s V(x0) (d = 3 at alpha < 2).  The rest are
     0.0 (False) for V = 0 and for every other estimator:
       - plain_mean = mean(w) - t int V, the estimate without a control variate;
       - t2_mean = mean(w - y) + t^2 T_2 - t int V and its standard error

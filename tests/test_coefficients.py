@@ -444,6 +444,9 @@ def test_duhamel_kernel_matches_its_series_and_the_mean_of_phi():
 
 # the benchmark's signed trio and the two-bump in d = 1
 T3_D1 = [T2_MIXTURES[1], mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])]
+# the benchmark's signed mixture in d = 2, and a signed pair of centres 6 apart, whose
+# phases need about twice the angles
+T3_D2 = [T2_MIXTURES[3], mixture([1.0, -0.5], [(0.0, 0.0), (4.8, 3.6)], [1.0, 0.8], dimension=2)]
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
@@ -458,6 +461,35 @@ def test_t3_exact_matches_dblquad_in_one_dimension(v, alpha):
     assert list(t3_exact(v, alpha, ts[::-1])) == list(got[::-1])
 
 
+@pytest.mark.parametrize("v", T3_D2, ids=["signed-2d", "apart-2d"])
+def test_t3_exact_matches_the_bessel_oracle_in_two_dimensions(v):
+    # the polar rule against the Jacobi-Anger series, which samples no angle
+    alphas, ts = (0.8, 1.0, 1.5), (0.02, 0.2, 1.0)
+    want = oracles.t3_bessel_2d(v, alphas, ts)
+    for alpha, row in zip(alphas, want):
+        got = t3_exact(v, alpha, ts)
+        assert got == pytest.approx(row, rel=1e-10, abs=0), alpha
+        assert [t3_exact(v, alpha, [t])[0] for t in ts] == list(got)
+        assert list(t3_exact(v, alpha, ts[::-1])) == list(got[::-1])
+
+
+def test_angle_count_resolves_the_angles(monkeypatch):
+    # twice the angles move T_3 by rounding only: one Gaussian (the coupling's modes
+    # alone), the benchmark mixture, centres 6 apart (the phases' modes) and a sharp
+    # component beside a wide one (the widest coupling)
+    sharp = mixture([1.0, -0.5], [(0.0, 0.0), (1.0, 0.5)], [4.0, 0.3], dimension=2)
+    ts = np.array([0.02, 0.2, 1.0])
+    real = coefficients._angle_count
+    for v, count in ((gaussian(center=(0.0, 0.0)), 36), (T3_D2[0], 42), (T3_D2[1], 74), (sharp, 106)):
+        assert real(v) == count
+        got = coefficients._t3_polar(v, 1.0, ts)
+        monkeypatch.setattr(coefficients, "_angle_count", lambda v: 2 * real(v))
+        finer = coefficients._t3_polar(v, 1.0, ts)
+        monkeypatch.setattr(coefficients, "_angle_count", real)
+        assert got[1].all() and finer[1].all()
+        assert got[0] == pytest.approx(finer[0], rel=1e-13, abs=0), count
+
+
 @pytest.mark.parametrize("v", [T2_MIXTURES[i] for i in (1, 3, 4, 5)])
 def test_t3_exact_at_alpha_two_matches_the_physical_space_oracle(v):
     ts = (0.02, 0.2, 1.0)
@@ -467,15 +499,15 @@ def test_t3_exact_at_alpha_two_matches_the_physical_space_oracle(v):
     assert [t3_exact(v, 2.0, [t])[0] for t in ts] == list(got)
 
 
-@pytest.mark.parametrize("v", T3_D1, ids=["signed", "two-bump"])
+@pytest.mark.parametrize("v", T3_D1 + T3_D2, ids=["signed", "two-bump", "signed-2d", "apart-2d"])
 def test_t3_rules_agree_as_alpha_tends_to_two(v):
-    # the d = 1 Fourier rule run at alpha = 2 meets the Gaussian algebra, and the
-    # public value at alpha just below 2 (the Fourier rule) meets that at 2
+    # the polar rule run at alpha = 2 meets the Gaussian algebra, and the public
+    # value at alpha just below 2 (the polar rule) meets that at 2
     ts = np.array([0.02, 0.2, 1.0])
     algebra, converged = coefficients._t3_heat(v, ts)
-    fourier = coefficients._t3_fourier(v, 2.0, ts)
-    assert converged.all() and fourier[1].all()
-    assert fourier[0] == pytest.approx(algebra, rel=1e-12, abs=0)
+    polar = coefficients._t3_polar(v, 2.0, ts)
+    assert converged.all() and polar[1].all()
+    assert polar[0] == pytest.approx(algebra, rel=1e-12, abs=0)
     assert t3_exact(v, 2.0, ts) == pytest.approx(algebra, rel=1e-15, abs=0)
     assert t3_exact(v, 2.0 - 1e-10, ts) == pytest.approx(algebra, rel=1e-9, abs=0)
 
@@ -486,7 +518,7 @@ def test_t3_exact_of_an_odd_potential_vanishes(v):
     # rules converge on their floor instead of raising
     half = mixture([1.0], [v.centers[0]], [1.0], dimension=v.dimension)
     ts = [0.02, 0.2, 1.0]
-    for alpha in (0.8, 1.5, 2.0) if v.dimension == 1 else (2.0,):
+    for alpha in (0.8, 1.5, 2.0) if v.dimension <= 2 else (2.0,):
         got = t3_exact(v, alpha, ts)
         assert np.all(np.abs(got) < 1e-14 * c0k(half, 3)), alpha
     if v.dimension == 1:
@@ -497,7 +529,7 @@ def test_t3_exact_of_an_odd_potential_vanishes(v):
 
 def test_t3_exact_starts_at_the_cubic_coefficient():
     # K(0, 0) = 1/6, so T_3(0) = int V^3 / 6 = C_{0,3}
-    for v, alpha in ((T2_MIXTURES[1], 1.5), (T2_MIXTURES[3], 2.0), (T2_MIXTURES[5], 2.0)):
+    for v, alpha in ((T2_MIXTURES[1], 1.5), (T2_MIXTURES[3], 2.0), (T2_MIXTURES[5], 2.0), (T3_D2[0], 1.0), (T3_D2[1], 0.8)):
         assert t3_exact(v, alpha, [0.0])[0] == pytest.approx(c0k(v, 3), rel=1e-13, abs=0)
 
 
@@ -516,8 +548,8 @@ def test_t3_exact_checks_its_arguments(monkeypatch):
     for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
         with pytest.raises(ValueError):
             t3_exact(v, alpha, ts)
-    with pytest.raises(RouteUnavailable, match="d = 1 or alpha = 2"):
-        t3_exact(gaussian(center=(0.0, 0.0)), 1.5, [0.1])
+    with pytest.raises(RouteUnavailable, match="d = 1, d = 2 or alpha = 2"):
+        t3_exact(gaussian(center=(0.0, 0.0, 0.0)), 1.5, [0.1])
     monkeypatch.setattr(coefficients, "_T3_LEVELS", 0)
     for alpha in (1.5, 2.0):
         with pytest.raises(RouteUnavailable, match="did not converge"):
@@ -526,12 +558,15 @@ def test_t3_exact_checks_its_arguments(monkeypatch):
 
 def test_t3_exact_resolves_centres_far_apart():
     # the phases e^{i (mu_i - mu_j) xi} oscillate at the gap between the centres: the
-    # d = 1 rule starts at a step that resolves them, and raises at once where that
+    # polar rule starts at a step that resolves them, and raises at once where that
     # step would lie below its finest
     v = mixture([1.0, 1.0], [-15.0, 15.0], [1.0, 1.0])
     assert t3_exact(v, 1.5, [1.0])[0] == pytest.approx(oracles.t3_dblquad_1d(v, 1.5, 1.0), rel=1e-10, abs=0)
     with pytest.raises(RouteUnavailable, match="centres 100 apart"):
         t3_exact(mixture([1.0, 1.0], [-50.0, 50.0], [1.0, 1.0]), 1.5, [0.1])
+    # in d = 2 the gap is Euclidean: centres (0, 80) and (80, 0) lie 113 apart, not 80
+    with pytest.raises(RouteUnavailable, match=r"centres 113\.137 apart"):
+        t3_exact(mixture([1.0, 1.0], [(0.0, 80.0), (80.0, 0.0)], [1.0, 1.0], dimension=2), 1.5, [0.1])
 
 
 def test_t3_exact_at_alpha_two_on_a_sharp_component():
@@ -552,10 +587,10 @@ def test_t3_exact_at_alpha_two_on_a_sharp_component():
 
 
 def test_t3_exact_of_a_series_stays_small_in_memory():
-    # the d = 1 rule sums its grid in blocks, and the alpha = 2 rule's arrays are
-    # (nodes, K^3): below 1 MB of traced memory for the benchmark's report configs
+    # the polar rule sums its pairs of radii in blocks, and the alpha = 2 rule's arrays
+    # are (nodes, K^3): below 1 MB of traced memory for the benchmark's report configs
     ts = [0.02, 0.05, 0.1, 0.2]
-    for v, alpha in ((T2_MIXTURES[0], 1.5), (T2_MIXTURES[1], 2.0), (T2_MIXTURES[2], 2.0)):
+    for v, alpha in ((T2_MIXTURES[0], 1.5), (T2_MIXTURES[1], 2.0), (T2_MIXTURES[2], 2.0), (T2_MIXTURES[3], 1.0)):
         t3_exact(v, alpha, ts)
         tracemalloc.start()
         try:

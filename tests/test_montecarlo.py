@@ -248,11 +248,11 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     b = t * 1.6  # t sum_i |c_i|
     cv_bound = bound * b  # |e^{-A_U} - 1| <= b e^{t sum_{c_i<0} |c_i|}
     # |e^{-A_U} - 1 + A_U| <= (b^2 / 2) e^{t sum_{c_i<0} |c_i|} for c'' = -y A_U (d = 1 here), and
-    # |e^{-A_U} - 1 + t s V(x0)| <= b (1 + b/2) e^{t sum_{c_i<0} |c_i|} for c' = -y t s V(x0) (d = 2 at alpha < 2)
+    # |e^{-A_U} - 1 + t s V(x0)| <= b (1 + b/2) e^{t sum_{c_i<0} |c_i|} for c' = -y t s V(x0) (d = 3 at alpha < 2)
     path_bound, frozen_bound = 0.5 * bound * b * b, cv_bound * (1.0 + 0.5 * b)
-    v2 = KERNEL_V[2]
-    assert sum(abs(c) for c in v2.weights) == 1.4
-    for u, alpha, cv3_bound in ((v, 0.8, path_bound), (v, 2.0, path_bound), (v2, 1.5, _summand_bound(v2, t) * t * 1.4 * (1.0 + 0.7 * t))):
+    v3 = KERNEL_V[3]
+    assert sum(abs(c) for c in v3.weights) == 1.4
+    for u, alpha, cv3_bound in ((v, 0.8, path_bound), (v, 2.0, path_bound), (v3, 1.5, _summand_bound(v3, t) * t * 1.4 * (1.0 + 0.7 * t))):
         cols = _chunk(u, alpha, [t], McConfig(n_paths=5000), 0, 5000)
         assert np.abs(cols[_col("w")]).max() <= _summand_bound(u, t)
         assert np.abs(cols[_col("w - y")]).max() <= _summand_bound(u, t) * t * sum(abs(c) for c in u.weights)
@@ -293,19 +293,19 @@ def test_every_summand_lies_within_its_bound(monkeypatch):
     ):
         monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(*case))
         estimate_heat_content(v, 1.5, t, McConfig(n_paths=1000))
-    # in d = 2 at alpha < 2 the control is c', held to its own bound
-    frozen_bound = _summand_bound(v2, t) * t * 1.4 * (1.0 + 0.7 * t)
+    # in d = 3 at alpha < 2 the control is c', held to its own bound
+    frozen_bound = _summand_bound(v3, t) * t * 1.4 * (1.0 + 0.7 * t)
     monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(0.0, 0.0, 1.001 * frozen_bound))
     with pytest.raises(RuntimeError, match="^summand less y and c' [^ ]+ above its bound"):
-        estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
+        estimate_heat_content(v3, 1.5, t, McConfig(n_paths=1000))
     monkeypatch.setattr(montecarlo, "_chunk_summands", last_path(0.0, 0.0, frozen_bound * (1 + 1e-13)))
-    estimate_heat_content(v2, 1.5, t, McConfig(n_paths=1000))
+    estimate_heat_content(v3, 1.5, t, McConfig(n_paths=1000))
 
 
 @pytest.mark.parametrize(
     "v, alpha, ts, exact",
     [
-        # centres 30 apart: the d = 1 rule of T_3 starts at a finer step and converges;
+        # centres 30 apart: the polar rule of T_3 starts at a finer step and converges;
         # 100 apart: that step would lie below its finest, so every time takes c'
         (mixture([1.0, 1.0], [-15.0, 15.0], [1.0, 1.0]), 1.5, (0.02, 0.2, 1.0), [True] * 3),
         (mixture([1.0, 1.0], [-50.0, 50.0], [1.0, 1.0]), 1.5, (0.02, 0.2, 1.0), [False] * 3),
@@ -324,6 +324,16 @@ def test_estimate_falls_back_to_the_frozen_control_where_t3_has_no_rule(v, alpha
     for t, est in zip(ts, ests):
         assert abs(est.t3_residual) < 4 * est.t3_residual_se, t
         assert estimate_heat_content(v, alpha, t, cfg) == est
+
+
+def test_signed_2d_report_config_subtracts_the_path_control():
+    # the signed d = 2 benchmark workload at alpha = 1 (seed 12345, 16,384 paths): every
+    # time takes c'' with the polar rule's T_3, and the paths' own check of E c'' holds
+    v = mixture([1.0, -0.6], [(0.0, 0.0), (0.8, 0.3)], [1.0, 0.7], dimension=2)
+    ests = estimate_heat_content(v, 1.0, SERIES, McConfig(n_paths=16_384, m_steps=64, seed=12345))
+    assert [est.path_control for est in ests] == [True] * len(SERIES)
+    for t, est in zip(SERIES, ests):
+        assert abs(est.t3_residual) < 4 * est.t3_residual_se, t
 
 
 def test_one_evaluation_of_t3_decides_every_time(monkeypatch):
@@ -524,10 +534,10 @@ def test_estimate_near_alpha_two_runs_in_higher_dimensions(d):
         assert abs(gap) < 4 * math.hypot(est.standard_error, ref.standard_error), alpha
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_estimate_of_an_odd_potential_runs(d):
-    # an odd V gives E c = 0: T_3 (d = 1, alpha = 2) and the pair integral of
-    # E c' (d = 2 at alpha < 2) cancel to rounding; the estimate still runs,
+    # an odd V gives E c = 0: T_3 (d <= 2, or alpha = 2) and the pair integral of
+    # E c' (d = 3 at alpha < 2) cancel to rounding; the estimate still runs,
     # and at alpha = 2 in d = 1 it meets the split-step reference
     centers = [[1.0] + [0.3] * (d - 1), [-1.0] + [-0.3] * (d - 1)]
     v = mixture([1.0, -1.0], centers, [1.0, 1.0], dimension=d)

@@ -122,7 +122,7 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
 def test_report_integrates_each_t2_once(monkeypatch):
     # the estimator's control variate and the exact-t2 row read one cached T_2
     # per time, and one call gives E c at every time: T_3's rule for c'' in
-    # d = 1, one pair integral of (V^2, V) for c' in d = 2 at alpha < 2, where
+    # d = 1, one pair integral of (V^2, V) for c' in d = 3 at alpha < 2, where
     # T_3 has no rule and none runs; one evaluation of T_3 decides every time
     calls, t3_calls = [], []
     real, real_t3 = coefficients._pair_integral, montecarlo._t3_converged
@@ -137,7 +137,7 @@ def test_report_integrates_each_t2_once(monkeypatch):
 
     monkeypatch.setattr(coefficients, "_pair_integral", counted)
     monkeypatch.setattr(montecarlo, "_t3_converged", counted_t3)
-    for d in (1, 2):
+    for d in (1, 3):
         calls.clear(), t3_calls.clear()
         v = gaussian(weight=-0.7, center=(0.0,) * d)
         coefficients.t2_exact.cache_clear()
