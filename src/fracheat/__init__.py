@@ -45,7 +45,6 @@ from .validator import (
     positivity_audit,
     report_to_csv,
     report_to_json,
-    se_factor,
 )
 
 __all__ = [
@@ -66,5 +65,4 @@ __all__ = [
     # validator
     "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
     "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",
-    "se_factor",
 ]

@@ -438,15 +438,16 @@ def t3_exact(v: GaussianMixturePotential, alpha: float, ts) -> np.ndarray:
     that time alone.
 
     Raises:
-        RouteUnavailable: in d = 3 at alpha < 2, where no rule sums the 6-dimensional Fourier form,
-            and naming the times where no rule converges within its budget: centres too far apart
-            for the polar rule's finest step, or a sharpness times t so large that the alpha = 2
-            rule's Gauss-Legendre orders do not resolve the layer near the triangle's edges.
+        RouteUnavailable: in d = 3 at alpha < 2 and V != 0, where no rule sums the 6-dimensional
+            Fourier form, and naming the times where no rule converges within its budget: centres
+            too far apart for the polar rule's finest step, or a sharpness times t so large that
+            the alpha = 2 rule's Gauss-Legendre orders do not resolve the layer near the triangle's
+            edges.
         ValueError: on a bad alpha or t.
     """
     _check_alpha(alpha)
     times = _check_times(ts)
-    if alpha != 2.0 and v.dimension > 2:
+    if alpha != 2.0 and v.dimension > 2 and not v.is_zero:
         raise RouteUnavailable(f"t3_exact needs d = 1, d = 2 or alpha = 2, got d = {v.dimension}, alpha = {alpha}")
     t3, converged = _t3_converged(v, alpha, times)
     if not converged.all():

@@ -105,7 +105,8 @@ class GaussianMixturePotential:
 
     @property
     def is_zero(self) -> bool:
-        return self.n_components == 0
+        """True if every weight is 0, the empty mixture included: then V = 0 exactly."""
+        return not any(self.weights)
 
     @property
     def is_nonnegative(self) -> bool:

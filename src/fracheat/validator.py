@@ -6,9 +6,9 @@ the Holder term of Theorem 2 uses the exact stable moment E|X_1|^gamma, so
 no Monte Carlo draw enters a bound.  Every boolean verdict carries a numeric
 margin (distance to violation after the Monte Carlo slack is applied), so a
 failing check shows how badly it failed and a passing one how much room it
-had.  Monte Carlo slack is 3 standard errors per bound, each row at the se
-of the summands it reads, widened to 4 when one report checks more than 20
-bounds.
+had.  Monte Carlo slack is ``SE_MULT`` = 4 standard errors per row, each
+row at the se of the summands it reads; a row's slack depends on that row
+alone, never on how many rows a report holds.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "PositivityRecord",
     "ReportRow",
     "ExpansionReport",
-    "se_factor",
     "estimate_series",
     "fit_remainder_order",
     "positivity_audit",
@@ -51,6 +50,8 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
 ]
+
+SE_MULT = 4.0  # Monte Carlo slack of every report row, in standard errors of the summands it reads
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ def estimate_series(
 
     The times share every draw: each path's start, time fraction and span-1
     shape serve every t (the module docstring of ``montecarlo``).  Sharing
-    breaks no gate.  Every bound check reads its own time at a fixed se
-    multiple (``se_factor``), the order fit reports no slope se, and each
+    breaks no gate.  Every bound check reads its own time at the fixed se
+    multiple ``SE_MULT``, the order fit reports no slope se, and each
     time's estimate has the same law as if drawn alone; only the rows'
     noise now moves together.  Each time must be a positive finite real
     number (a bool or a string is not).
@@ -134,11 +135,6 @@ def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
         raise ValueError(f"n_max must lie in 1..{MAX_ORDER}, got {n_max}")
     if gamma is not None and not (_is_finite_real(gamma) and 0.0 < gamma < min(1.0, alpha)):
         raise ValueError(f"gamma must lie in (0, min(1, alpha)), got gamma={gamma}, alpha={alpha}")
-
-
-def se_factor(n_bounds: int) -> float:
-    """3 se per bound, 4 when one batch checks more than 20 bounds."""
-    return 3.0 if n_bounds <= 20 else 4.0
 
 
 # -- bound checks --------------------------------------------------------------
@@ -340,22 +336,18 @@ def expansion_report(
     the bound checks of ``_check_rows`` (the V <= 0 sandwich when it applies,
     the first-order remainder, the exact-t2 consistency, the Holder
     second-order bound when gamma is given, and the t2 and t3 controls at
-    the se of their own summands), all at the one se multiple ``se_factor`` sets from the
-    number of checks.  Per order N: a log-log
-    remainder fit over the times whose residuals clear the noise gate.
+    the se of their own summands), each at ``SE_MULT`` se.  Per order N: a
+    log-log remainder fit over the times whose residuals clear the noise gate.
     Deterministic given the seed; the estimates come from ``estimate_series``.
     """
     _check_report_limits(alpha, n_max, gamma)
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
-    series = estimate_series(v, alpha, t_list, cfg)
-    bounds = [_check_rows(v, alpha, t, est, gamma) for t, est in series]
-    k = se_factor(sum(len(b) for b in bounds))
     rows = []
-    for (t, est), checks in zip(series, bounds):
+    for t, est in estimate_series(v, alpha, t_list, cfg):
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
-        checks = tuple(_bound(*c, k) for c in checks)
+        checks = tuple(_bound(*c, SE_MULT) for c in _check_rows(v, alpha, t, est, gamma))
         rows.append(ReportRow(t, est.mean, est.standard_error, sums, res, checks))
     fits: dict[int, OrderFit] = {}
     for n in range(1, n_max + 1):
@@ -365,7 +357,7 @@ def expansion_report(
             )
         except ValueError:
             continue
-    return ExpansionReport(alpha, v.dimension, n_max, tuple(rows), fits, k, __version__)
+    return ExpansionReport(alpha, v.dimension, n_max, tuple(rows), fits, SE_MULT, __version__)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -262,6 +262,20 @@ def test_report_subcommand_writes_files(tmp_path, capsys):
     assert "order fit" in capsys.readouterr().out
 
 
+def test_mc_and_report_exit_zero_on_zero_weights(tmp_path, capsys):
+    # every weight 0 is V = 0: the estimates are exactly 0, where the run once died
+    # with a ZeroDivisionError from the polar T_3 rule's empty set of radii
+    potential = [{"weight": 0.0, "center": 0.0, "sharpness": 1.0}, {"weight": 0, "center": 1.0, "sharpness": 2.0}]
+    config = write_config(tmp_path, {"potential": potential, "mc": {"n_paths": 2000}})
+    for command in ("mc", "report"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out), "--format", "json"]) == 0, capsys.readouterr().err
+        doc = json.loads((out / f"{command}.json").read_text())
+        rows = doc["estimates"] if command == "mc" else doc["rows"]
+        assert len(rows) == 4
+        assert all(r["mean" if command == "mc" else "estimate"] == 0.0 and r["standard_error"] == 0.0 for r in rows)
+
+
 def test_sampler_selftest_quick(capsys):
     assert main(["sampler-selftest", "--quick"]) == 0
     text = capsys.readouterr().out

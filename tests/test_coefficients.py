@@ -449,8 +449,18 @@ T3_D1 = [T2_MIXTURES[1], mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])]
 T3_D2 = [T2_MIXTURES[3], mixture([1.0, -0.5], [(0.0, 0.0), (4.8, 3.6)], [1.0, 0.8], dimension=2)]
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("v", T3_D1, ids=["signed", "two-bump"])
+# The scipy oracles take several seconds per case where the rules take milliseconds:
+# those cases are marked slow, so that -m 'not slow' stays a fast structural run.
+
+
+@pytest.mark.parametrize(
+    "v, alpha",
+    [
+        pytest.param(v, alpha, id=f"{name}-{alpha}", marks=pytest.mark.slow if alpha in (0.8, 1.5) else ())
+        for alpha in (0.8, 1.0, 1.5, 2.0)
+        for name, v in zip(("signed", "two-bump"), T3_D1)
+    ],
+)
 def test_t3_exact_matches_dblquad_in_one_dimension(v, alpha):
     ts = (0.02, 0.2, 1.0)
     got = t3_exact(v, alpha, ts)
@@ -461,6 +471,7 @@ def test_t3_exact_matches_dblquad_in_one_dimension(v, alpha):
     assert list(t3_exact(v, alpha, ts[::-1])) == list(got[::-1])
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("v", T3_D2, ids=["signed-2d", "apart-2d"])
 def test_t3_exact_matches_the_bessel_oracle_in_two_dimensions(v):
     # the polar rule against the Jacobi-Anger series, which samples no angle
@@ -512,7 +523,7 @@ def test_t3_rules_agree_as_alpha_tends_to_two(v):
     assert t3_exact(v, 2.0 - 1e-10, ts) == pytest.approx(algebra, rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("v", DIPOLES)
+@pytest.mark.parametrize("v", [pytest.param(DIPOLES[0], marks=pytest.mark.slow), *DIPOLES[1:]], ids=["v0", "v1", "v2"])
 def test_t3_exact_of_an_odd_potential_vanishes(v):
     # an odd V has int V (P V)(P V) = 0: the terms cancel to rounding, and both
     # rules converge on their floor instead of raising
@@ -545,6 +556,9 @@ def test_t3_means_read_their_times_once():
 def test_t3_exact_checks_its_arguments(monkeypatch):
     v = gaussian()
     assert list(t3_exact(mixture([], [], [], dimension=1), 1.5, [0.1, 0.2])) == [0.0, 0.0]
+    # V = 0 needs no rule, so d = 3 at alpha < 2 has T_3 = 0 too, written with or without components
+    for zero in (mixture([], [], [], dimension=3), gaussian(weight=0.0, center=(0.0, 0.0, 0.0))):
+        assert list(t3_exact(zero, 1.5, [0.1, 0.2])) == [0.0, 0.0]
     for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
         with pytest.raises(ValueError):
             t3_exact(v, alpha, ts)
@@ -556,6 +570,7 @@ def test_t3_exact_checks_its_arguments(monkeypatch):
             t3_exact(v, alpha, [0.1])
 
 
+@pytest.mark.slow
 def test_t3_exact_resolves_centres_far_apart():
     # the phases e^{i (mu_i - mu_j) xi} oscillate at the gap between the centres: the
     # polar rule starts at a step that resolves them, and raises at once where that
@@ -569,6 +584,7 @@ def test_t3_exact_resolves_centres_far_apart():
         t3_exact(mixture([1.0, 1.0], [(0.0, 80.0), (80.0, 0.0)], [1.0, 1.0], dimension=2), 1.5, [0.1])
 
 
+@pytest.mark.slow
 def test_t3_exact_at_alpha_two_on_a_sharp_component():
     # P_{t r} of a component of sharpness a leaves a layer about 1/(4 a t) wide at the
     # triangle's edges: a t = 100 converges, a t = 10^4 raises rather than return a guess,

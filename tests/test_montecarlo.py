@@ -413,6 +413,13 @@ def test_zero_potential_has_zero_variance(grid1):
     z = mixture([], [], [], dimension=1)
     est = estimate_heat_content(z, 1.5, 0.3, McConfig(n_paths=1_000))
     assert est.mean == 0.0 and est.standard_error == 0.0
+    # V = 0 written with zero weights takes the same exact path: the polar T_3 rule
+    # (d <= 2, alpha < 2) once divided by its empty set of radii, and the start-point
+    # draw (alpha = 2 or d = 3) by a zero total mass
+    for d, alpha in itertools.product((1, 2, 3), (1.0, 1.5, 2.0)):
+        for z in (gaussian(center=(0.0,) * d).scaled(0.0), mixture([0.0, -0.0], [(0.0,) * d, (1.0,) * d], [1.0, 2.0])):
+            for est in estimate_heat_content(z, alpha, [0.05, 0.3], McConfig(n_paths=1_000)):
+                assert est.mean == 0.0 and est.standard_error == 0.0, (d, alpha, z)
 
 
 def test_exponent_integral_is_trapezoid_rule():

@@ -354,6 +354,11 @@ def test_sign_predicates_and_zero():
     assert zero.is_zero and zero.n_components == 0
     assert zero.integral() == 0.0 and zero.sup_norm() == 0.0 and zero.l1_norm() == 0.0
     assert np.all(zero.evaluate(np.linspace(-2, 2, 5)) == 0.0)
+    # zero weights are V = 0 too, whatever the components
+    unweighted = mixture([0.0, -0.0], [0.0, 1.0], [1.0, 3.0])
+    assert unweighted.is_zero and gaussian().scaled(0.0).is_zero and not signed.is_zero
+    assert unweighted.l1_norm() == 0.0 and unweighted.sup_norm() == 0.0
+    assert not mixture([0.0, 1e-300], [0.0, 1.0], [1.0, 1.0]).is_zero
 
 
 def test_two_dimensional_evaluation_and_integral():

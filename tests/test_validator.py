@@ -19,7 +19,6 @@ from fracheat import (
     positivity_audit,
     report_to_csv,
     report_to_json,
-    se_factor,
 )
 
 
@@ -61,12 +60,6 @@ def test_fit_validation():
         fit_remainder_order(ts, np.zeros(6))  # nothing clears the gate
     with pytest.raises(ValueError):
         fit_remainder_order(ts, ts**2, ses=np.full(6, 1e6))
-
-
-def test_se_factor_boundary():
-    assert se_factor(1) == 3.0
-    assert se_factor(20) == 3.0
-    assert se_factor(21) == 4.0
 
 
 def test_positivity_audit_nonnegative(grid1):
@@ -209,11 +202,11 @@ def test_se_mult_counts_the_checks_built(sign, gamma):
     ts = [0.02, 0.05, 0.1, 0.2, 0.3]
     report = expansion_report(gaussian(weight=sign), 1.5, ts, McConfig(n_paths=1000), gamma=gamma)
     checks = [c for row in report.rows for c in row.checks]
-    assert report.se_mult == se_factor(len(checks))
+    # remainder, exact-t2, t2 and t3 control at five times, plus the sandwich pair
+    # when V <= 0 and theorem 2 when gamma is given: 20, 25, 30 or 35 rows, one slack
+    assert len(checks) == 20 + 10 * (sign < 0) + 5 * (gamma is not None)
+    assert report.se_mult == validator.SE_MULT == 4.0
     assert all(c.se_mult == report.se_mult for c in checks)
-    if sign < 0 and gamma is not None:
-        # sandwich pair, remainder, exact-t2, theorem 2, t2 and t3 control at five times
-        assert len(checks) == 35 and report.se_mult == 4.0
     # the control rows of one series move together, and say so
     for name in ("t2 control", "t3 control"):
         controls = [c for c in checks if c.name.startswith(name)]
@@ -227,9 +220,24 @@ def test_t2_consistency_quick(unit_gaussian):
     check = validator._bound(*row, 3.0)
     assert check.passed
     assert math.isfinite(check.margin)
-    # the same row the report builds for that estimate, at its 3 se
+    # the same row the report builds for that estimate, at its se multiple
     report = expansion_report(unit_gaussian, 2.0, [0.05], cfg)
-    assert report.se_mult == 3.0 and check in report.rows[0].checks
+    assert validator._bound(*row, report.se_mult) in report.rows[0].checks
+
+
+def test_a_rows_slack_ignores_the_other_rows():
+    # gamma adds a theorem 2 row per time and changes no draw: 20 rows without it,
+    # 25 with it, and every row the two reports share is the same check
+    v = mixture([1.0, -0.4], [0.0, 0.8], [1.0, 0.5])
+    ts = [0.02, 0.05, 0.1, 0.2, 0.3]
+    cfg = McConfig(n_paths=2000, seed=3)
+    plain, holder = (expansion_report(v, 1.5, ts, cfg, gamma=gamma) for gamma in (None, 0.5))
+    rows = {c.name: c for row in plain.rows for c in row.checks}
+    extended = {c.name: c for row in holder.rows for c in row.checks}
+    assert len(rows) == 20 and len(extended) == 25 and set(rows) < set(extended)
+    for name, check in rows.items():
+        assert extended[name] == check, name
+    assert plain.se_mult == holder.se_mult
 
 
 def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
@@ -280,7 +288,7 @@ def test_expansion_report_structure(grid1, unit_gaussian):
     assert 1 in report.fitted_orders
     assert abs(report.fitted_orders[1].slope - 2.0) <= 0.4
     # orders 2 and 3 need variance-tuned designs to resolve; recorded only
-    assert report.se_mult in (3.0, 4.0)
+    assert report.se_mult == validator.SE_MULT
     assert report.version
 
 
