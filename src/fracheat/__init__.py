@@ -39,7 +39,6 @@ from .validator import (
     ExpansionReport,
     OrderFit,
     PositivityRecord,
-    estimate_series,
     expansion_report,
     fit_remainder_order,
     positivity_audit,
@@ -63,6 +62,6 @@ __all__ = [
     # spectral
     "SpectralGrid",
     # validator
-    "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "estimate_series",
-    "expansion_report", "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",
+    "BoundCheck", "ExpansionReport", "OrderFit", "PositivityRecord", "expansion_report",
+    "fit_remainder_order", "positivity_audit", "report_to_csv", "report_to_json",
 ]

@@ -9,9 +9,9 @@ validate          the report's bound checks plus the positivity audit
 report            full expansion report (JSON/CSV)
 sampler-selftest  distributional checks of the stable sampler
 
-mc, validate and report share one set of estimates: one estimator call at
-mc.seed covers the sorted t_list, every time rescaling the same paths
-(``validator.estimate_series``), so they agree bit for bit on Q(t) for one
+mc, validate and report share one set of estimates: one
+``estimate_heat_content`` call at mc.seed covers the sorted t_list, every
+time rescaling the same paths, so they agree bit for bit on Q(t) for one
 config.  Every JSON output carries
 ``config_digest``, a hash of the resolved run (``dataclasses.asdict`` of its
 RunConfig) without the output routing and mc.threads, neither of which
@@ -47,14 +47,13 @@ from pathlib import Path
 
 from ._version import __version__
 from .coefficients import MAX_ORDER, coefficient_table
-from .montecarlo import McConfig
+from .montecarlo import McConfig, estimate_heat_content
 from .potentials import GaussianMixturePotential, mixture
 from .sampling import RngStream, _check_alpha, _is_finite_real, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid
 from .validator import (
     _check_report_limits,
-    estimate_series,
     expansion_report,
     positivity_audit,
     report_to_csv,
@@ -290,7 +289,7 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
 
 def _cmd_mc(cfg: RunConfig, args) -> int:
     print(f"# heat-content estimates  alpha={cfg.alpha:g}  n_paths={cfg.mc.n_paths}  config={config_digest(cfg)}")
-    rows = estimate_series(cfg.potential, cfg.alpha, cfg.t_list, cfg.mc)
+    rows = list(zip(cfg.t_list, estimate_heat_content(cfg.potential, cfg.alpha, cfg.t_list, cfg.mc)))
     for t, est in rows:
         print(f"t={t:<10g} Q={_FMT(est.mean):>24s}  se={est.standard_error:.3e}  n={est.n_samples}")
     doc = {

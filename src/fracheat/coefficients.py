@@ -114,10 +114,6 @@ def _check_box(v: GaussianMixturePotential, grid: SpectralGrid) -> None:
         raise ValueError(f"grid.half_extent = {grid.half_extent:g} cuts off V; it needs half_extent >= {need!r}")
 
 
-def _smooth_density(v: GaussianMixturePotential):
-    return lambda x: float(np.abs(v.fourier(x)) ** 2)
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeFields:
     """Read-only arrays every route shares for one (V, grid, alpha): V, V^2 (the
@@ -142,12 +138,13 @@ class LatticeFields:
 
     def kink(self, beta: float, w: GaussianMixturePotential | None = None) -> float:
         """Kink correction for int |xi|^beta |what|^2 with W = V unless given; 0 in d >= 2."""
-        return kink_correction(self.grid, beta, _smooth_density(self.v if w is None else w))
+        w = self.v if w is None else w
+        return kink_correction(self.grid, beta, lambda xi: float(np.abs(w.fourier(xi)) ** 2))
 
     def energy(self, beta: float, square: bool = False) -> float:
         """(2 pi)^{-d} int |xi|^beta |what|^2 for W = V (or V^2), kink-corrected in d = 1."""
         spec, w = (self.v2hat, self.sq) if square else (self.vhat, self.v)
-        return weighted_freq_sum(self.grid, np.abs(spec) ** 2, beta, smooth_at=_smooth_density(w))
+        return weighted_freq_sum(self.grid, np.abs(spec) ** 2, beta) + self.kink(beta, w)
 
 
 @functools.lru_cache(maxsize=16)

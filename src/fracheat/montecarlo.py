@@ -65,11 +65,11 @@ span U/m are t^{1/alpha} (s/m)^{1/alpha} times span-1 ``sample_increment``
 draws.  So one start x0, one s and one relative path
 P = cumsum((s/m)^{1/alpha} increments) per path serve every time of a
 series: X = x0 + t^{1/alpha} P and A_U = t s times the path's trapezoid
-mean.  One call estimates a whole series (``validator.estimate_series``
-makes exactly one), and each time's numbers are bit-identical to a call at
-that time alone: only the draws are shared, and every float operation after
-them reads one time.  The times' noise moves together; each time's law is
-that of a lone estimate.
+mean.  One call estimates a whole series (``validator.expansion_report``
+and ``fracheat mc`` make exactly one), and each time's numbers are
+bit-identical to a call at that time alone: only the draws are shared, and
+every float operation after them reads one time.  The times' noise moves
+together; each time's law is that of a lone estimate.
 
 Results are deterministic given (seed, n_paths, m_steps): the path budget is
 cut into chunks of ``_CHUNK`` paths, each driven by its own seed substream,

@@ -151,8 +151,6 @@ class GaussianMixturePotential:
         """
         pts, base = self._points(x)
         out = np.zeros(base)
-        if self.is_zero:
-            return out
         w, a, mu = self._arrays()
         term = np.empty(base)
         gap = np.empty(base) if self.dimension > 1 else None
@@ -170,8 +168,6 @@ class GaussianMixturePotential:
         """
         pts, base = self._points(x)
         out = np.zeros(base + (self.dimension,))
-        if self.is_zero:
-            return out
         w, a, mu = self._arrays()
         term, gap = np.empty(base), np.empty(base)
         for i in range(self.n_components):
@@ -194,8 +190,6 @@ class GaussianMixturePotential:
     def fourier(self, xi: object) -> np.ndarray:
         """Vhat(xi) = sum_i c_i (pi/a_i)^{d/2} e^{-|xi|^2/(4 a_i)} e^{-i xi.mu_i}."""
         pts, base = self._points(xi)
-        if self.is_zero:
-            return np.zeros(base, dtype=complex)
         w, a, mu = self._arrays()
         amp = w * (np.pi / a) ** (self.dimension / 2.0)
         norm2 = (pts**2).sum(axis=-1)
@@ -268,8 +262,6 @@ class GaussianMixturePotential:
             ValueError: if an outer integral needs more than
                 `_L1_MAX_INTERVALS` intervals; no unconverged value is returned.
         """
-        if self.is_zero:
-            return 0.0
         if self.is_nonnegative or self.is_nonpositive:
             return abs(self.integral())
         return float(self._box_integrals(np.empty((1, 0)))[0])

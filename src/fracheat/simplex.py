@@ -14,12 +14,11 @@ composition, in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Iterator
 
 __all__ = [
     "enumerate_compositions",
-    "simplex_integral",
     "weight_A",
 ]
 
@@ -36,20 +35,10 @@ def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _check_composition(ell: tuple[int, ...]) -> None:
+def weight_A(n: int, ell: tuple[int, ...]) -> Fraction:
+    """A(n, l) = multinomial(n; l) * int_{I_k} prod_i (lam_i - lam_{i+1})^{l_i} = n!/(n + k)!, exact."""
     if len(ell) == 0 or min(ell) < 0:
         raise ValueError(f"composition {ell} must have at least one part, all nonnegative")
-
-
-def simplex_integral(ell: tuple[int, ...]) -> Fraction:
-    """int over I_k of prod_i (lam_i - lam_{i+1})^{l_i} = prod_i l_i! / (n + k)!, k = len(l) + 1."""
-    _check_composition(ell)
-    return Fraction(prod(factorial(p) for p in ell), factorial(sum(ell) + len(ell) + 1))
-
-
-def weight_A(n: int, ell: tuple[int, ...]) -> Fraction:
-    """A(n, l) = multinomial(n; l) * simplex_integral(l) = n!/(n + k)!, exact."""
-    _check_composition(ell)
     if sum(ell) != n:
         raise ValueError(f"composition {ell} does not sum to {n}")
     return Fraction(factorial(n), factorial(n + len(ell) + 1))

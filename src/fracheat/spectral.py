@@ -18,10 +18,10 @@ Every step that drops an imaginary part checks the residual in _real_part.
 
 Frequency sums of f(xi) |xi|^beta with beta not an even integer carry a
 lattice error from the kink at xi = 0 that is independent of N and decays
-only like (2L)^{-1-beta}.  weighted_freq_sum removes it (d = 1) by
-subtracting a Gaussian reference with the same value and curvature at 0,
-whose integral is known in closed form; the residual error drops to
-O((2L)^{-5-beta}).
+only like (2L)^{-1-beta}.  kink_correction, added to weighted_freq_sum's
+raw sum, removes it (d = 1) by subtracting a Gaussian reference with the
+same value and curvature at 0, whose integral is known in closed form; the
+residual error drops to O((2L)^{-5-beta}).
 """
 
 from __future__ import annotations
@@ -217,24 +217,15 @@ def kink_correction(grid: SpectralGrid, beta: float, smooth_at: Callable[[float]
     return (exact - lattice) / (2.0 * math.pi)
 
 
-def weighted_freq_sum(
-    grid: SpectralGrid,
-    values: np.ndarray,
-    beta: float,
-    smooth_at: Callable[[float], float] | None = None,
-) -> float:
-    """(2 pi)^{-d} (pi/L)^d sum over the lattice of values * |xi|^beta.
+def weighted_freq_sum(grid: SpectralGrid, values: np.ndarray, beta: float) -> float:
+    """(2 pi)^{-d} (pi/L)^d sum over the lattice of values * |xi|^beta, the raw trapezoidal sum.
 
-    values holds the smooth factor f on the frequency lattice.  When
-    smooth_at is given (d = 1 only) the kink correction is applied; pass
-    None to get the raw trapezoidal sum.
+    values holds the smooth factor f on the frequency lattice.  In d = 1 a
+    caller adds kink_correction for f to remove the lattice error of the kink.
     """
     vals = np.asarray(values)
     if vals.shape != grid.shape:
         raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
     vals = _real_part(vals, "weighted_freq_sum")
     raw = float((vals * symbol_array(grid, beta)).sum())
-    raw *= (grid.freq_spacing / (2.0 * math.pi)) ** grid.dimension
-    if smooth_at is not None:
-        raw += kink_correction(grid, beta, smooth_at)
-    return raw
+    return raw * (grid.freq_spacing / (2.0 * math.pi)) ** grid.dimension

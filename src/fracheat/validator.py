@@ -1,7 +1,8 @@
 """Bound checks, remainder-order fits and the expansion report.
 
 Every bound check comes from one per-time builder, ``_check_rows``, which
-``expansion_report`` runs on each estimate.  The bounds are deterministic:
+``expansion_report`` runs on each estimate; one ``estimate_heat_content``
+call gives the estimates of every time.  The bounds are deterministic:
 the Holder term of Theorem 2 uses the exact stable moment E|X_1|^gamma, so
 no Monte Carlo draw enters a bound.  Every boolean verdict carries a numeric
 margin (distance to violation after the Monte Carlo slack is applied), so a
@@ -43,7 +44,6 @@ __all__ = [
     "PositivityRecord",
     "ReportRow",
     "ExpansionReport",
-    "estimate_series",
     "fit_remainder_order",
     "positivity_audit",
     "expansion_report",
@@ -105,28 +105,6 @@ class ExpansionReport:
     fitted_orders: dict[int, OrderFit]
     se_mult: float
     version: str
-
-
-def estimate_series(
-    v: GaussianMixturePotential, alpha: float, t_list, cfg: McConfig
-) -> list[tuple[float, McEstimate]]:
-    """(t, estimate) per time, in increasing t, from one estimator call at cfg.seed.
-
-    The times share every draw: each path's start, time fraction and span-1
-    shape serve every t (the module docstring of ``montecarlo``).  Sharing
-    breaks no gate.  Every bound check reads its own time at the fixed se
-    multiple ``SE_MULT``, the order fit reports no slope se, and each
-    time's estimate has the same law as if drawn alone; only the rows'
-    noise now moves together.  Each time must be a positive finite real
-    number (a bool or a string is not).
-    """
-    times = list(t_list)
-    for t in times:
-        _check_positive_finite("t", t)
-    ts = sorted(float(t) for t in times)
-    if not ts:
-        raise ValueError("t_list is empty")
-    return list(zip(ts, estimate_heat_content(v, alpha, ts, cfg)))
 
 
 def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
@@ -338,13 +316,21 @@ def expansion_report(
     second-order bound when gamma is given, and the t2 and t3 controls at
     the se of their own summands), each at ``SE_MULT`` se.  Per order N: a
     log-log remainder fit over the times whose residuals clear the noise gate.
-    Deterministic given the seed; the estimates come from ``estimate_series``.
+    Each time must be a positive finite real number (a bool or a string is
+    not).  The rows come in increasing t from one ``estimate_heat_content``
+    call at cfg.seed, whose times share every draw (the module docstring of
+    ``montecarlo``); each time's estimate has the law of a lone one, so only
+    the rows' noise moves together.  Deterministic given the seed.
     """
     _check_report_limits(alpha, n_max, gamma)
+    times = list(t_list)
+    for t in times:
+        _check_positive_finite("t", t)
+    ts = sorted(float(t) for t in times)
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
     rows = []
-    for t, est in estimate_series(v, alpha, t_list, cfg):
+    for t, est in zip(ts, estimate_heat_content(v, alpha, ts, cfg)):
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
         checks = tuple(_bound(*c, SE_MULT) for c in _check_rows(v, alpha, t, est, gamma))

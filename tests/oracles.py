@@ -401,13 +401,16 @@ def t3_heat_axes(v, t: float) -> float:
 
 
 def q_reference(weights, centers, sharpness, alpha: float, t: float,
-                half_extent: float = 64.0, n: int = 2048, steps: int = 1024) -> float:
+                half_extent: float = 256.0, n: int = 8192, steps: int = 1024) -> float:
     """Heat content by Strang splitting on w = u - 1, Richardson extrapolated.
 
     Standalone: its own mesh, its own fft conventions, no package code.  The
     box is periodic, so at alpha < 2 its value carries the jumps that wrap
     around: at alpha = 1, t = 0.1 a half-width of 16 is off by 8.4e-7 on the
-    two-bump mixture (1.7e-6 at alpha = 0.8) against the default 64.
+    two-bump mixture (1.7e-6 at alpha = 0.8), and one of 64 by 5.2e-8 (1.4e-7
+    at alpha = 0.8) and by 3.2e-8 on V = -e^{-x^2}, several se of the
+    estimates it checks.  So the default is half-width 256 at the mesh step
+    1/16; at alpha = 2 the wider box moves the value by about 1e-15.
     """
     h = 2.0 * half_extent / n
     x = -half_extent + h * np.arange(n)

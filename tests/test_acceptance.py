@@ -170,8 +170,8 @@ def test_criterion_5_first_order_bounds(announce):
     checks = []
     for alpha in (1.0, 2.0):
         for weight, seed in ((-1.0, 51_000), (1.0, 52_000)):
-            # the sandwich pair (V <= 0 only) and the remainder, per time, judged
-            # at 3 se whatever multiple the report's own bound count sets
+            # the sandwich pair (V <= 0 only) and the remainder, per time; the
+            # criterion judges its own rows at 3 se, the report its rows at SE_MULT = 4
             report = expansion_report(
                 gaussian(weight=weight),
                 alpha,

@@ -13,7 +13,6 @@ from fracheat import (
     RngStream,
     coefficients,
     estimate_heat_content,
-    estimate_series,
     gaussian,
     mixture,
     montecarlo,
@@ -104,7 +103,7 @@ def test_a_time_in_a_series_equals_a_lone_call(d, alpha):
         assert isinstance(series, tuple)
         assert series == tuple(lone[t] for t in ts), ts
     assert estimate_heat_content(v, alpha, np.array(SERIES), cfg) == tuple(lone[t] for t in SERIES)
-    assert [e for _, e in estimate_series(v, alpha, SERIES[::-1], cfg)] == [lone[t] for t in SERIES]
+    assert estimate_heat_content(v, alpha, list(SERIES[::-1]), cfg) == tuple(lone[t] for t in SERIES[::-1])
 
 
 def test_a_series_checks_every_time():
@@ -490,10 +489,11 @@ def test_step_count_bias_is_within_noise(unit_gaussian):
 @pytest.mark.slow
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_estimate_matches_split_step_reference(alpha):
-    # the se is about 1.8e-8; at the reference's default half-width 64 the jumps
-    # that wrap around its period move it by 5e-8 at alpha = 1, so it takes 256
+    # the se is about 1.8e-8; at a reference half-width of 64 the jumps that
+    # wrap around its period move it by 5e-8 at alpha = 1, so it takes the
+    # default 256
     v = mixture([1.0, 0.5], [0.0, 1.2], [1.0, 2.5])
-    ref = oracles.q_reference([1.0, 0.5], [0.0, 1.2], [1.0, 2.5], alpha, 0.1, half_extent=256.0, n=8192)
+    ref = oracles.q_reference([1.0, 0.5], [0.0, 1.2], [1.0, 2.5], alpha, 0.1)
     est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=200_000, seed=1))
     assert abs(est.mean - ref) < 4 * est.standard_error
 
@@ -505,12 +505,12 @@ def test_estimate_matches_split_step_reference(alpha):
 def test_estimate_is_unbiased_for_heavy_tails(alpha, sign):
     # se <= 7.5e-5 lets a bias of 3e-4 fail at 4 se; the heavy jumps of
     # alpha < 2 carry paths far from V and back.  The se is about 3e-8, so the
-    # reference's box takes half-width 256 at its default mesh step: at 64 the
-    # jumps that wrap around its period moved it by 1.4e-7 at alpha = 0.8, and
+    # reference's box takes its default half-width 256: at 64 the jumps that
+    # wrap around its period moved it by 1.4e-7 at alpha = 0.8, and
     # half-widths 64, 128 and 256 step by 1.1e-7 and 3.1e-8 toward the estimate
     weights = [sign * c for c in TWO_BUMP[0]]
     v = mixture(weights, TWO_BUMP[1], TWO_BUMP[2])
-    ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1, half_extent=256.0, n=8192)
+    ref = oracles.q_reference(weights, TWO_BUMP[1], TWO_BUMP[2], alpha, 0.1)
     est = estimate_heat_content(v, alpha, 0.1, McConfig(n_paths=65_536, seed=21))
     assert est.standard_error <= 7.5e-5
     assert abs(est.mean - ref) < 4 * est.standard_error

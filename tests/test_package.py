@@ -57,8 +57,13 @@ def test_no_module_imports_a_name_it_does_not_use():
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                unused |= {f"{path.stem}.{a.asname or a.name}" for a in node.names if (a.asname or a.name) not in used}
+            if isinstance(node, ast.Import):  # `import a.b` binds a
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused |= {f"{path.stem}.{name}" for name in names if name not in used}
     assert unused == {"montecarlo.sample_subordinator", "validator.moment_estimate"}
 
 

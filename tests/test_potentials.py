@@ -361,6 +361,24 @@ def test_sign_predicates_and_zero():
     assert not mixture([0.0, 1e-300], [0.0, 1.0], [1.0, 1.0]).is_zero
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_potential_takes_the_general_code_to_exact_zeros(d):
+    # V = 0, empty or with zero weights, has no early return in evaluate,
+    # gradient, fourier or l1_norm: no component or a zero weight on each
+    # leaves the general code's zeros exact
+    rng = np.random.default_rng(d)
+    empty = mixture([], [], [], dimension=d)
+    unweighted = mixture([0.0, -0.0, 0.0], rng.normal(size=(3, d)), [1.0, 3.0, 0.5], dimension=d)
+    pts = 2.0 * rng.normal(size=(4, 3, d))
+    for v in (empty, unweighted):
+        assert v.is_zero
+        vals, grad, spec = v.evaluate(pts), v.gradient(pts), v.fourier(pts)
+        assert vals.shape == (4, 3) and vals.dtype == float and not vals.any()
+        assert grad.shape == (4, 3, d) and grad.dtype == float and not grad.any()
+        assert spec.shape == (4, 3) and spec.dtype == complex and not spec.any()
+        assert v.l1_norm() == 0.0
+
+
 def test_two_dimensional_evaluation_and_integral():
     v = mixture([1.0, 0.5], [(0.0, 0.0), (1.0, -0.5)], [1.0, 2.0], dimension=2)
     pt = np.array([0.3, -0.2])

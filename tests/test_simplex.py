@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from fracheat import enumerate_compositions, weight_A
-from fracheat.simplex import simplex_integral
 
 # Exact rational anchors, zero tolerance.
 ANCHORS = [
@@ -53,27 +52,13 @@ def test_composition_enumeration_count_and_order():
             assert comps == sorted(comps)
 
 
-def test_simplex_integral_pure_rational():
-    assert simplex_integral((1,)) == Fraction(1, 6)
-    assert simplex_integral((0, 0)) == Fraction(1, 6)  # ordered 3-simplex volume
-    assert simplex_integral((2, 1)) == Fraction(2, 720)
-    for n in range(0, 5):
-        for slots in (1, 2, 3, 4):
-            for ell in enumerate_compositions(n, slots):
-                # the factorial closed form must agree with the Beta-product oracle
-                assert simplex_integral(ell) == oracles.simplex_integral_beta(ell)
-                assert simplex_integral(ell) == Fraction(
-                    prod(factorial(p) for p in ell), factorial(n + slots + 1)
-                )
-
-
 def test_weights_match_the_beta_oracle_for_every_composition():
     # what the --weights table prints: n < 4, 2 <= k <= 5, all compositions
     rows = [(n, ell) for n in range(4) for k in range(2, 6) for ell in enumerate_compositions(n, k - 1)]
     assert len(rows) == sum(comb(n + k - 2, k - 2) for n in range(4) for k in range(2, 6))
     for n, ell in rows:
         assert weight_A(n, ell) == oracles.weight_beta(n, ell)
-        assert weight_A(n, ell) == factorial(n) * simplex_integral(ell) / prod(factorial(p) for p in ell)
+        assert weight_A(n, ell) == factorial(n) * oracles.simplex_integral_beta(ell) / prod(factorial(p) for p in ell)
 
 
 def test_invalid_arguments_raise():
@@ -85,9 +70,5 @@ def test_invalid_arguments_raise():
         weight_A(0, (1, -1))  # sums to n, but a part is negative
     with pytest.raises(ValueError):
         weight_A(0, ())
-    with pytest.raises(ValueError):
-        simplex_integral(())
-    with pytest.raises(ValueError):
-        simplex_integral((2, -1))
     with pytest.raises(ValueError):
         list(enumerate_compositions(1, 0))

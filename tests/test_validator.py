@@ -10,7 +10,6 @@ import fracheat.validator as validator
 from fracheat import (
     McConfig,
     estimate_heat_content,
-    estimate_series,
     expansion_report,
     fit_remainder_order,
     gaussian,
@@ -81,15 +80,16 @@ def test_positivity_audit_signed(grid1):
     assert not by_label["C5 >= 0"].required
 
 
-def test_estimate_series_sorts_times_and_shares_one_seed(unit_gaussian):
+def test_expansion_report_sorts_times_and_shares_one_seed(unit_gaussian):
     cfg = McConfig(n_paths=1000, seed=2**64 - 1)
-    series = estimate_series(unit_gaussian, 1.5, [0.2, 0.05, 0.1], cfg)
-    assert [t for t, _ in series] == [0.05, 0.1, 0.2]
-    for t, est in series:
+    report = expansion_report(unit_gaussian, 1.5, [0.2, 0.05, 0.1, 0.5], cfg)
+    assert [row.t for row in report.rows] == [0.05, 0.1, 0.2, 0.5]
+    for row in report.rows:
         # every time reads the series' own seed, the largest one here
-        assert est == estimate_heat_content(unit_gaussian, 1.5, t, cfg)
+        lone = estimate_heat_content(unit_gaussian, 1.5, row.t, cfg)
+        assert (row.estimate, row.standard_error) == (lone.mean, lone.standard_error)
     with pytest.raises(ValueError):
-        estimate_series(unit_gaussian, 1.5, [], cfg)
+        expansion_report(unit_gaussian, 1.5, [], cfg)
 
 
 def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian):
@@ -246,7 +246,7 @@ def test_t2_control_row_reads_the_paths_own_check_of_t2(unit_gaussian):
     cfg = McConfig(n_paths=20_000, seed=14)
     ts = [0.05, 0.1]
     report = expansion_report(unit_gaussian, 1.5, ts, cfg)
-    for (t, est), row in zip(estimate_series(unit_gaussian, 1.5, ts, cfg), report.rows):
+    for t, est, row in zip(ts, estimate_heat_content(unit_gaussian, 1.5, ts, cfg), report.rows):
         check = next(c for c in row.checks if c.name == f"t2 control t={t:g}")
         assert (check.value, check.lower, check.upper, check.se) == (est.t2_residual, 0.0, 0.0, est.t2_residual_se)
         assert check.passed and check.se > 10 * row.standard_error
@@ -261,7 +261,7 @@ def test_t3_control_row_reads_the_paths_own_check_of_its_mean(unit_gaussian):
     cfg = McConfig(n_paths=20_000, seed=14)
     ts = [0.05, 0.1]
     report = expansion_report(unit_gaussian, 1.5, ts, cfg)
-    for (t, est), row in zip(estimate_series(unit_gaussian, 1.5, ts, cfg), report.rows):
+    for t, est, row in zip(ts, estimate_heat_content(unit_gaussian, 1.5, ts, cfg), report.rows):
         check = row.checks[-1]
         assert check.name == f"t3 control t={t:g}" and row.checks[-2].name == f"t2 control t={t:g}"
         assert (check.value, check.lower, check.upper, check.se) == (est.t3_residual, 0.0, 0.0, est.t3_residual_se)
