@@ -380,9 +380,8 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"fracheat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--threads", type=int, default=None, help="override mc.threads")
         p.add_argument("--out", default=None, help="override output directory")

@@ -65,9 +65,10 @@ __all__ = [
 ]
 
 MAX_ORDER = 5  # the highest order l of C_l implemented on both routes
-# _pair_integral's radial rule: tanh-sinh nodes at u = k h for |u| <= _TS_SPAN, whose end
-# nodes lie within b e^{-pi sinh 3.5} ~ 3e-23 b of the ends of [0, b].  h halves from 1/2
-# until two estimates agree to _TS_RTOL, at most _TS_LEVELS times.  An integral whose
+# One tanh-sinh engine, _tanh_sinh, sums the radial rule of T_2 and E c' (_pair_integral) and the
+# polar rule of T_3 in two radii (_t3_polar): nodes at u = k h for |u| <= _TS_SPAN, whose end
+# nodes lie within b e^{-pi sinh 3.5} ~ 3e-23 b of the ends of [0, b].  The radial rule's h halves
+# from 1/2 until two estimates agree to _TS_RTOL, at most _TS_LEVELS times.  An integral whose
 # pair sums cancel, as an odd V's against its even V^2 do, is held instead to _TS_FLOOR
 # times the integral of its pair sums' |terms|, about 100 times the rounding such sums
 # were seen to leave; the floor takes over only below 1% of that integral.
@@ -75,7 +76,8 @@ _TS_SPAN = 3.5
 _TS_RTOL = 1e-13
 _TS_FLOOR = 1e-15
 _TS_LEVELS = 10
-# t3_exact's two rules keep a level once it differs from the one before by at most _T3_RTOL
+# t3_exact's two rules, the polar rule through the same engine and the Gauss-Legendre orders of
+# _t3_heat at alpha = 2, keep a level once it differs from the one before by at most _T3_RTOL
 # of its value or _T3_FLOOR of the integral of its |terms|, which holds a T_3 whose terms
 # cancel, as an odd V's do.  Each rule's error about squares when its resolution doubles
 # (halving h, doubling the Gauss-Legendre order), so the kept level errs far less than the
@@ -574,10 +576,10 @@ def _t3_polar(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> t
     the rule's widest node spacing is h pi R / 4, at R/2: on two bumps in d = 1 the levels met once
     h R D <= 5.  So the first level takes the largest h <= 1/2 with h R D <= 16, which is 1/2 for
     every mixture with R D <= 32, and centres that would need a first h below 4 ``_T3_STEP``
-    converge at no time, with no level summed.  Each level halves h as ``_tanh_sinh`` does and sums
-    only its new pairs, down to ``_T3_STEP``, until every time has converged; each time keeps the
-    first level at which it converged (``_T3_RTOL``, ``_T3_FLOOR``).  A block holds about ``_T3_POINTS``
-    pairs of radii, and fewer where their angle modes would pass 4 ``_T3_POINTS`` pairs times modes.
+    converge at no time, with no level summed.  ``_tanh_sinh`` in two dimensions then halves h, down
+    to ``_T3_STEP``, until every time has converged, and each time keeps the first level at which it
+    converged (``_T3_RTOL``, ``_T3_FLOOR``).  A block holds about ``_T3_POINTS`` pairs of radii, and
+    fewer where their angle modes would pass 4 ``_T3_POINTS`` pairs times modes.
     """
     c, a, mu = v._arrays()
     d = v.dimension
@@ -646,23 +648,21 @@ def _t3_polar(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> t
                 out[:, k] += np.dot(f.ravel(), kern[k].ravel()), np.dot(bound.ravel(), kern[k].ravel())
         return out
 
+    seen: list[tuple[np.ndarray, ...]] = []
+
+    def add(u: np.ndarray) -> np.ndarray:
+        """The level's new x new pairs plus twice its new x old pairs, then the new nodes join the old."""
+        new = nodes(u)
+        sums = grid(new, new)
+        if seen:
+            sums = 2.0 * grid(new, tuple(np.concatenate(arrs, axis=-1) for arrs in zip(*seen))) + sums
+        seen.append(new)
+        return sums
+
     h = 2.0 ** -max(1, math.ceil(math.log2(max(cut * gap, 16.0) / 16.0)))
-    done = np.zeros(times.size, dtype=bool)
     if h < 4.0 * _T3_STEP:
-        return np.zeros(times.size), done
-    old = nodes(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
-    total, mass = h * h * grid(old, old)
-    out = total
-    for _ in range(min(_T3_LEVELS, round(math.log2(h / _T3_STEP)))):
-        h *= 0.5
-        new = nodes(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
-        step = 2.0 * grid(new, old) + grid(new, new)
-        prev, total, mass = total, 0.25 * total + h * h * step[0], 0.25 * mass + h * h * step[1]
-        out = np.where(done, out, total)
-        done |= np.abs(total - prev) <= np.maximum(_T3_RTOL * np.abs(total), _T3_FLOOR * mass)
-        if done.all():
-            break
-        old = tuple(np.concatenate([x, y], axis=-1) for x, y in zip(old, new))
+        return np.zeros(times.size), np.zeros(times.size, dtype=bool)
+    out, done = _tanh_sinh(add, h, min(_T3_LEVELS, round(math.log2(h / _T3_STEP))), 2, _T3_RTOL, _T3_FLOOR)
     return out * ((1.0 if d == 1 else 2.0 * math.pi / n) / (2.0 * math.pi) ** d) ** 2, done
 
 
@@ -708,15 +708,21 @@ def _pair_integral(p: GaussianMixturePotential, q: GaussianMixturePotential, f) 
     b = 0.25 / ap[i] + 0.25 / aq[j]
     gap = np.sqrt(((mp[i] - mq[j]) ** 2).sum(axis=1))
     mean, scale = _SPHERE[d]
+    cut = math.sqrt(160.0 * max(ap.max(initial=0.0), aq.max(initial=0.0)))
 
-    def radial(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def add(u: np.ndarray) -> np.ndarray:
+        r, w = _ts_nodes(u, cut)
         col = r[:, np.newaxis]
         decay = np.exp(-b * col**2)
         kernel = r ** (d - 1) * f(r)
         values = kernel * (amp * decay * mean(col * gap)).sum(axis=1)
-        return values, np.abs(kernel) * (np.abs(amp) * decay).sum(axis=1)
+        bounds = np.abs(kernel) * (np.abs(amp) * decay).sum(axis=1)
+        return np.array([[np.dot(w, row) for row in part] for part in (values, bounds)])
 
-    return _tanh_sinh(radial, math.sqrt(160.0 * max(ap.max(initial=0.0), aq.max(initial=0.0)))) / scale
+    out, converged = _tanh_sinh(add, 0.5, _TS_LEVELS, 1, _TS_RTOL, _TS_FLOOR)
+    if not converged.all():
+        raise ValueError(f"tanh-sinh quadrature did not converge in {_TS_LEVELS} halvings: last levels {out[~converged]!r}")
+    return out / scale
 
 
 def _ts_nodes(u: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -728,45 +734,32 @@ def _ts_nodes(u: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _tanh_sinh(fn, b: float) -> np.ndarray:
-    """int_0^b of K integrands at once by the tanh-sinh rule (Takahasi & Mori, 1974).
+def _tanh_sinh(add, h: float, halvings: int, dim: int, rtol: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """K integrals over [0, b]^dim at once by the tanh-sinh rule (Takahasi & Mori, 1974), for dim = 1 or 2,
+    and whether each converged.
 
-    x = b / (1 + e^{-pi sinh u}) and the weight b pi cosh(u) / (4 cosh^2((pi/2) sinh u))
-    at u = k h.  fn maps an array of nodes to (values, bounds), two (K, nodes)
-    arrays with |values| <= bounds, where bounds is the integrand before any
-    cancellation.  Each halving of h adds the odd k, so every level costs one
-    fn call on its new nodes only.  Integral k has converged once two
-    successive levels differ by at most _TS_RTOL of its estimate or _TS_FLOOR
-    of its bound's integral, whichever is larger: near zero, the rounding of
-    the cancelled terms, not the rule, sets the difference.  Each integral is
-    kept from the first level at which it converged, which is the value a
-    lone call on that row would return.
-
-    Raises:
-        ValueError: if two successive levels of some integral still differ by
-            more than that after _TS_LEVELS halvings.
+    Level 0 takes the steps u = k h, |u| <= _TS_SPAN; each halving of h adds the odd k, so a level
+    reads only its new nodes (``_ts_nodes`` maps u to x and its weight).  add(u) returns the (2, K)
+    sums, over the level's new nodes (for dim = 2, its new pairs), of the K integrands and of their
+    bounds, the integrands before any cancellation, times the weights but not h^dim.  The running
+    sums take 2^-dim of themselves plus h^dim add(u).  Integral k has converged once two successive
+    levels differ by at most rtol of its estimate or floor of its bound's integral, whichever is
+    larger: near zero, the rounding of the cancelled terms, not the rule, sets the difference.  Each
+    integral is kept from the first level at which it converged, which is the value a lone call on
+    that integral would return; the loop stops once all have, or after the given halvings.
     """
-
-    def level(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _ts_nodes(u, b)
-        vals, bounds = fn(x)
-        return np.array([np.dot(w, row) for row in vals]), np.array([np.dot(w, row) for row in bounds])
-
-    h = 0.5
-    total, mass = level(h * np.arange(-round(_TS_SPAN / h), round(_TS_SPAN / h) + 1))
-    total, mass = h * total, h * mass
-    done = np.zeros(total.shape, dtype=bool)
-    out = total
-    for _ in range(_TS_LEVELS):
+    span = round(_TS_SPAN / h)
+    sums = h**dim * add(h * np.arange(-span, span + 1))
+    out, done = sums[0], np.zeros(sums.shape[1], dtype=bool)
+    for _ in range(halvings):
         h *= 0.5
-        odd = h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2)
-        vals, bounds = level(odd)
-        prev, total, mass = total, 0.5 * total + h * vals, 0.5 * mass + h * bounds
-        out = np.where(done, out, total)
-        done |= np.abs(total - prev) <= np.maximum(_TS_RTOL * np.abs(total), _TS_FLOOR * mass)
+        prev = sums[0]
+        sums = 2.0**-dim * sums + h**dim * add(h * np.arange(1 - round(_TS_SPAN / h), round(_TS_SPAN / h), 2))
+        out = np.where(done, out, sums[0])
+        done |= np.abs(sums[0] - prev) <= np.maximum(rtol * np.abs(sums[0]), floor * sums[1])
         if done.all():
-            return out
-    raise ValueError(f"tanh-sinh quadrature did not converge: last two levels {prev!r} and {total!r}")
+            break
+    return out, done
 
 
 # -- table assembly -----------------------------------------------------------

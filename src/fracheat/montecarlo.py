@@ -336,7 +336,7 @@ def estimate_heat_content(
     (every summand vanishes identically, so no paths are drawn).
     """
     _check_alpha(alpha)
-    scalar = isinstance(t, str) or np.ndim(t) == 0
+    scalar = np.ndim(t) == 0
     times = [t] if scalar else list(t)
     for s in times:
         _check_positive_finite("t", s)

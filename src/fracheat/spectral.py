@@ -107,7 +107,8 @@ class SpectralGrid:
         return np.stack(axes, axis=-1)
 
     def freq_norms(self) -> np.ndarray:
-        return np.sqrt((self.frequency_mesh() ** 2).sum(axis=-1))
+        """|xi| on the frequency mesh, summed from the squared axes by broadcasting, with no (N,)*d + (d,) mesh."""
+        return np.sqrt(sum(np.ix_(*[self.axis_freqs() ** 2] * self.dimension)))
 
 
 @dataclass(eq=False)

@@ -34,7 +34,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
-from .sampling import _check_count, _check_positive_finite, _is_finite_real
+from .sampling import _check_count, _is_finite_real
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
@@ -324,13 +324,11 @@ def expansion_report(
     """
     _check_report_limits(alpha, n_max, gamma)
     times = list(t_list)
-    for t in times:
-        _check_positive_finite("t", t)
-    ts = sorted(float(t) for t in times)
+    estimates = estimate_heat_content(v, alpha, times, cfg)
     if grid is None:
         grid = SpectralGrid.default_for(v.dimension)
     rows = []
-    for t, est in zip(ts, estimate_heat_content(v, alpha, ts, cfg)):
+    for t, est in sorted(zip(map(float, times), estimates), key=lambda pair: pair[0]):
         sums = {n: partial_sum(v, grid, alpha, n, t) for n in range(1, n_max + 1)}
         res = {n: est.mean - sums[n] for n in sums}
         checks = tuple(_bound(*c, SE_MULT) for c in _check_rows(v, alpha, t, est, gamma))

@@ -324,17 +324,32 @@ def test_bessel_j0_matches_scipy():
         assert np.max(np.abs(coefficients._bessel_j0(z) - oracles.j0(z))) < 1e-14, hi
 
 
+def _radial_rule(fn, b):
+    """The tanh-sinh engine on int_0^b of the rows of fn(x) = (values, bounds), driven as _pair_integral drives it."""
+
+    def add(u):
+        x, w = coefficients._ts_nodes(u, b)
+        return np.array([[np.dot(w, row) for row in part] for part in fn(x)])
+
+    return coefficients._tanh_sinh(add, 0.5, coefficients._TS_LEVELS, 1, coefficients._TS_RTOL, coefficients._TS_FLOOR)
+
+
 def test_tanh_sinh_raises_when_the_levels_disagree(monkeypatch):
     # |x - 1/3|^{-1/2} is integrable, but its interior singularity defeats the rule
     fn = lambda x: (np.abs(x - 1.0 / 3.0) ** -0.5)[np.newaxis]
     monkeypatch.setattr(coefficients, "_TS_LEVELS", 4)
+    _, converged = _radial_rule(lambda x: (fn(x), fn(x)), 1.0)
+    assert converged.shape == (1,) and not converged[0]
+    # _pair_integral raises where the engine did not converge: one halving leaves T_2 unresolved
+    monkeypatch.setattr(coefficients, "_TS_LEVELS", 1)
+    v = mixture([1.0], [0.0], [1.0])
     with pytest.raises(ValueError, match="tanh-sinh quadrature did not converge"):
-        coefficients._tanh_sinh(lambda x: (fn(x), fn(x)), 1.0)
+        coefficients._pair_integral(v, v, lambda r: coefficients.t2_kernel(0.1 * r)[np.newaxis])
     monkeypatch.undo()
     # an endpoint kink like t2_exact's |xi|^alpha at 0 is what the rule absorbs
     kink = lambda x: (x**0.3 * np.exp(-x))[np.newaxis]
-    got = coefficients._tanh_sinh(lambda x: (kink(x), kink(x)), 50.0)
-    assert got.shape == (1,) and got[0] == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
+    got, converged = _radial_rule(lambda x: (kink(x), kink(x)), 50.0)
+    assert got.shape == (1,) and converged[0] and got[0] == pytest.approx(math.gamma(1.3), rel=1e-13, abs=0)
 
 
 def test_tanh_sinh_holds_a_cancelled_integral_to_its_bound():
@@ -342,10 +357,9 @@ def test_tanh_sinh_holds_a_cancelled_integral_to_its_bound():
     # test, as the rounding of pair sums that cancel to zero does; held to
     # _TS_FLOOR of the integral of a bound of 1, they converge at once
     noise = lambda x: 1e-20 * np.sin(1e9 * x)[np.newaxis]
-    with pytest.raises(ValueError, match="tanh-sinh quadrature did not converge"):
-        coefficients._tanh_sinh(lambda x: (noise(x), np.abs(noise(x))), 1.0)
-    got = coefficients._tanh_sinh(lambda x: (noise(x), np.ones((1, x.size))), 1.0)
-    assert got.shape == (1,) and abs(got[0]) < 1e-19
+    assert not _radial_rule(lambda x: (noise(x), np.abs(noise(x))), 1.0)[1][0]
+    got, converged = _radial_rule(lambda x: (noise(x), np.ones((1, x.size))), 1.0)
+    assert got.shape == (1,) and converged[0] and abs(got[0]) < 1e-19
 
 
 def test_t3_kernel_matches_quadrature_on_both_branches():
@@ -636,11 +650,44 @@ def test_tanh_sinh_keeps_each_integral_at_its_own_level():
     # K integrands at once: each is the value a lone call gives, although a
     # slower one keeps the rule refining
     rows = lambda x: np.stack([np.exp(-x), x**0.3 * np.exp(-x), np.sqrt(x) * np.cos(3.0 * x)])
-    together = coefficients._tanh_sinh(lambda x: (rows(x), np.abs(rows(x))), 20.0)
-    assert together.shape == (3,)
+    together, converged = _radial_rule(lambda x: (rows(x), np.abs(rows(x))), 20.0)
+    assert together.shape == (3,) and converged.all()
     for k in range(3):
         one = lambda x: rows(x)[k : k + 1]
-        assert together[k] == coefficients._tanh_sinh(lambda x: (one(x), np.abs(one(x))), 20.0)[0]
+        assert together[k] == _radial_rule(lambda x: (one(x), np.abs(one(x))), 20.0)[0][0]
+
+
+def test_tanh_sinh_keeps_each_integral_at_its_own_level_in_two_dimensions():
+    # the polar rule's bookkeeping on [0, 20]^2: each level adds its new x new pairs and
+    # twice its new x old pairs of a symmetric integrand; three integrals in one call equal
+    # lone calls bit for bit, although the ridge along x = y keeps the rule refining
+    ridge = lambda x, y: np.exp(-((x - y) ** 2) - 0.1 * (x + y))
+    rows = lambda x, y: np.stack([np.exp(-x - y), np.sqrt(x * y) * np.cos(3.0 * (x - y)) * np.exp(-x - y), ridge(x, y)])
+
+    def square_rule(fn):
+        seen = []
+
+        def add(u):
+            x, w = coefficients._ts_nodes(u, 20.0)
+
+            def pairs(y, wy):
+                terms = fn(x[:, np.newaxis], y) * np.multiply.outer(w, wy)
+                return np.array([[part.sum() for part in terms], [np.abs(part).sum() for part in terms]])
+
+            sums = pairs(x, w)
+            if seen:
+                sums = 2.0 * pairs(*map(np.concatenate, zip(*seen))) + sums
+            seen.append((x, w))
+            return sums
+
+        return coefficients._tanh_sinh(add, 0.5, coefficients._T3_LEVELS, 2, coefficients._T3_RTOL, coefficients._T3_FLOOR)
+
+    together, converged = square_rule(rows)
+    assert together.shape == (3,) and converged.all()
+    assert together[0] == pytest.approx(math.expm1(-20.0) ** 2, rel=1e-9)
+    for k in range(3):
+        alone, ok = square_rule(lambda x, y: rows(x, y)[k : k + 1])
+        assert ok[0] and together[k] == alone[0]
 
 
 def test_grid_refinement_stability():

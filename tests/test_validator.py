@@ -94,7 +94,8 @@ def test_expansion_report_sorts_times_and_shares_one_seed(unit_gaussian):
 
 def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian):
     # the benchmark's tracer wraps validator.estimate_heat_content by name and
-    # counts a call's paths as its fourth positional argument's n_paths
+    # counts a call's paths as its fourth positional argument's n_paths; the
+    # estimator reads the times as given, and the report orders its rows by t
     calls = []
     real = validator.estimate_heat_content
 
@@ -108,7 +109,7 @@ def test_report_reaches_the_estimator_once_per_series(monkeypatch, unit_gaussian
     assert len(calls) == 1
     args, kwargs = calls[0]
     assert kwargs == {} and len(args) == 4
-    assert list(args[2]) == [0.02, 0.05, 0.1, 0.2] and isinstance(args[3], McConfig) and args[3].n_paths == 1000
+    assert list(args[2]) == [0.2, 0.02, 0.1, 0.05] and isinstance(args[3], McConfig) and args[3].n_paths == 1000
     assert [r.t for r in report.rows] == [0.02, 0.05, 0.1, 0.2]
 
 
