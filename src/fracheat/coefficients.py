@@ -14,9 +14,10 @@ The Fourier-lattice route (cnk_fourier) sums, on the frequency lattice,
 The closed route (cnk_closed) writes each C_{n,k} through mixture integrals,
 the Dirichlet form E_alpha and powers of F = (-Delta)^{alpha/2}.
 Sum-of-squares forms of C_4 and C_5 make nonnegativity for V >= 0 manifest.
-Every route reads one cached LatticeFields per (V, grid, alpha), so their
-agreement tolerances hold far below the individual truncation errors; every
-lattice route first checks that the grid's box holds V (_check_box).
+Every route reads one cached LatticeFields per (V, grid); alpha enters through
+F alone, and only numbers are cached per alpha (_closed_terms).  So the routes'
+agreement tolerances hold far below their truncation errors; every lattice
+route first checks that the grid's box holds V (_check_box).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 5  # the highest order l of C_l implemented on both routes
+_CLOSED = ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4))  # the closed C_{n,k}: n >= 1, k >= 2, n + k <= MAX_ORDER
 # One tanh-sinh engine, _tanh_sinh, sums the radial rule of T_2 and E c' (_pair_integral) and the
 # polar rule of T_3 in two radii (_t3_polar): nodes at u = k h for |u| <= _TS_SPAN, whose end
 # nodes lie within b e^{-pi sinh 3.5} ~ 3e-23 b of the ends of [0, b].  The radial rule's h halves
@@ -118,19 +120,15 @@ def _check_box(v: GaussianMixturePotential, grid: SpectralGrid) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LatticeFields:
-    """Read-only arrays every route shares for one (V, grid, alpha): V, V^2 (the
-    mixture sq), V^3, FV and F^2 V on the physical grid, and the discrete
-    transforms vhat, v2hat of V and V^2."""
+    """Read-only arrays, none of which reads alpha, that every route shares for one (V, grid): V, V^2 (the
+    mixture sq) and V^3 on the physical grid, and the discrete transforms vhat, v2hat of V and V^2."""
 
     grid: SpectralGrid
-    alpha: float
     v: GaussianMixturePotential
     sq: GaussianMixturePotential
     v1: np.ndarray
     v2: np.ndarray
     v3: np.ndarray
-    fv: np.ndarray
-    f2v: np.ndarray
     vhat: np.ndarray
     v2hat: np.ndarray
 
@@ -150,18 +148,15 @@ class LatticeFields:
 
 
 @functools.lru_cache(maxsize=16)
-def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> LatticeFields:
-    """The LatticeFields of (V, grid, alpha), built once and cached: V, V^2 and V^3
-    are sampled once each, V and V^2 transformed once each, FV and F^2V read off vhat."""
-    _check_alpha(alpha)
+def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid) -> LatticeFields:
+    """The LatticeFields of (V, grid), built once and cached: V, V^2 and V^3 sampled once, V and V^2 transformed once."""
     _check_box(v, grid)
     sq = v.power(2)
     fields = [sample_on_grid(w, grid) for w in (v, sq, v.power(3))]
-    vhat, v2hat = (forward_transform(field) for field in fields[:2])
-    fields += [apply_fractional_laplacian(vhat, alpha, p) for p in (1, 2)] + [vhat, v2hat]
+    fields += [forward_transform(field) for field in fields[:2]]
     for field in fields:
         field.values.flags.writeable = False
-    return LatticeFields(grid, alpha, v, sq, *(field.values for field in fields))
+    return LatticeFields(grid, v, sq, *(field.values for field in fields))
 
 
 def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -170,7 +165,8 @@ def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float
     Nonnegative; equals int |grad V|^2 at alpha = 2.  Uses the kink-corrected
     frequency sum in d = 1, the raw lattice sum otherwise.
     """
-    return lattice_fields(v, grid, alpha).energy(alpha)
+    _check_alpha(alpha)
+    return lattice_fields(v, grid).energy(alpha)
 
 
 # -- the two routes ----------------------------------------------------------
@@ -199,7 +195,7 @@ def cnk_fourier(
         raise RouteUnavailable(f"cnk_fourier does not support (n, k) = ({n}, {k}) in d = {grid.dimension}")
     weight = float(weight_A(n, (n,) + (0,) * (k - 2)))
     if k == 2:
-        return weight * lattice_fields(v, grid, alpha).energy(alpha * n)
+        return weight * lattice_fields(v, grid).energy(alpha * n)
     _check_box(v, grid)
     # k == 3, d == 1: vhat(-s) |s|^{alpha (n - j)} depends only on s = xi_1 + xi_2, so each
     # split (j, n - j) of n is one convolution in xi_1, read on the 2N - 1 lattice sums s.
@@ -214,20 +210,31 @@ def cnk_fourier(
     return float(_real_part(total, f"cnk_fourier({n},{k})"))
 
 
-_CLOSED = {  # C_{n,k}, n >= 1, from the LatticeFields f; see cnk_closed
-    (1, 2): lambda f: f.energy(f.alpha) / 6.0,
-    (2, 2): lambda f: (f.integral(f.fv**2) + f.kink(2.0 * f.alpha)) / 12.0,
-    (3, 2): lambda f: (f.integral(f.fv * f.f2v) + f.kink(3.0 * f.alpha)) / 20.0,
-    (1, 3): lambda f: f.integral(f.v2 * f.fv) / 12.0,
-    (2, 3): lambda f: (2.0 * f.integral(f.v2 * f.f2v) + f.integral(f.v1 * f.fv**2)) / 60.0,
-    (1, 4): lambda f: (2.0 * f.integral(f.v3 * f.fv) + f.energy(f.alpha, square=True)) / 120.0,
-}
+@functools.lru_cache(maxsize=256, typed=True)
+def _closed_terms(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> tuple[float, ...]:
+    """C_{n,k} at each (n, k) of _CLOSED, then C4_sos and C5_sos: FV and F^2 V, formed from the cached vhat,
+    are dropped on return.  Typed, as c_ell is, so alpha = True misses an alpha = 1 entry and meets the check."""
+    _check_alpha(alpha)
+    f = lattice_fields(v, grid)
+    fv, f2v = (apply_fractional_laplacian(GridField(grid, "frequency", f.vhat), alpha, p).values for p in (1, 2))
+    kink2, kink3 = f.kink(2.0 * alpha), f.kink(3.0 * alpha)
+    dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
+    return (
+        f.energy(alpha) / 6.0,
+        (f.integral(fv**2) + kink2) / 12.0,
+        (f.integral(fv * f2v) + kink3) / 20.0,
+        f.integral(f.v2 * fv) / 12.0,
+        (2.0 * f.integral(f.v2 * f2v) + f.integral(f.v1 * fv**2)) / 60.0,
+        (2.0 * f.integral(f.v3 * fv) + f.energy(alpha, square=True)) / 120.0,
+        (f.integral((f.v2 + fv) ** 2) + kink2) / 24.0,
+        (f.integral(f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + f.kink(alpha, f.sq))) / 120.0,
+    )
 
 
 def cnk_closed(
     v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, n: int, k: int
 ) -> float:
-    """Closed (operator/spatial) route, the one home of the closed per-term formulas:
+    """Closed (operator/spatial) route, read from _closed_terms, the one home of the closed per-term formulas:
 
     C_{0,k} = (1/k!) int V^k, C_{1,2} = (1/6) E_alpha(V), C_{2,2} = (1/12) int (FV)^2,
     C_{3,2} = (1/20) int FV F^2V, C_{1,3} = (1/12) int V^2 FV,
@@ -239,7 +246,7 @@ def cnk_closed(
         return c0k(v, k)
     if (n, k) not in _CLOSED:
         raise RouteUnavailable(f"cnk_closed supports (n, k) in {sorted(_CLOSED)} and n = 0; got ({n}, {k})")
-    return float(_CLOSED[n, k](lattice_fields(v, grid, alpha)))
+    return _closed_terms(v, grid, alpha)[_CLOSED.index((n, k))]
 
 
 # -- assembled coefficients --------------------------------------------------
@@ -279,8 +286,7 @@ def c5_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> 
 def c4_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
     """C_4 = (1/24) int (V^2 + FV)^2, nonnegative by inspection; its int |FV|^2
     content takes the kink correction of C_{2,2}, so both routes share lattice error."""
-    f = lattice_fields(v, grid, alpha)
-    return (f.integral((f.v2 + f.fv) ** 2) + f.kink(2.0 * alpha)) / 24.0
+    return _closed_terms(v, grid, alpha)[-2]
 
 
 def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -289,11 +295,7 @@ def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> flo
     manifestly nonnegative for V >= 0.  The kink corrections of the two
     square pieces mirror those of C_{3,2} and C_{1,4} exactly.
     """
-    f = lattice_fields(v, grid, alpha)
-    spatial = f.integral(f.v1 * (f.v2 + f.fv) ** 2)
-    dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
-    freq = weighted_freq_sum(grid, dens, alpha) + f.kink(3.0 * alpha) + f.kink(alpha, f.sq)
-    return (spatial + freq) / 120.0
+    return _closed_terms(v, grid, alpha)[-1]
 
 
 def _check_times(ts) -> np.ndarray:
@@ -605,9 +607,9 @@ def _t3_polar(v: GaussianMixturePotential, alpha: float, times: np.ndarray) -> t
         bound's integral, are left out."""
         x, w = _ts_nodes(u, cut)
         w = w * x ** (d - 1)
-        keep = w * (np.abs(amp) @ np.exp(-np.multiply.outer(rate, x**2))) > 1e-17 * mass_g
-        x, w = x[keep], w[keep]
-        a_x = amp[:, np.newaxis] * np.exp(-np.multiply.outer(rate, x**2))
+        decay = np.exp(-np.multiply.outer(rate, x**2))
+        keep = w * (np.abs(amp) @ decay) > 1e-17 * mass_g
+        x, w, a_x = x[keep], w[keep], amp[:, np.newaxis] * decay[:, keep]
         turn = np.exp(-1j * np.multiply.outer(along.T, x))  # (J, n, nodes): e^{-i xi . mu_j}
         p = np.fft.fft((a_x[:, np.newaxis] * turn).sum(axis=0).conj() * turn, axis=1)
         p = p[:, np.concatenate([np.arange(half), -np.arange(half) % n])]

@@ -353,11 +353,8 @@ def estimate_heat_content(
         def job(i: int) -> _Tally:
             return functools.reduce(_merge, map(_tally, _chunk_summands(v, alpha, ts, path_control, cfg, i, sizes[i])))
 
-        if cfg.threads == 1 or len(sizes) == 1:
-            total = functools.reduce(_merge, map(job, range(len(sizes))))
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
+        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(sizes))) as pool:
+            total = functools.reduce(_merge, pool.map(job, range(len(sizes))))
         out = tuple(
             _estimate(v, alpha, s, float(c), bool(e), total, k) for k, (s, c, e) in enumerate(zip(ts, controls, path_control))
         )

@@ -21,6 +21,7 @@ from fracheat import (
     cnk_closed,
     cnk_fourier,
     coefficient_table,
+    dirichlet_form,
     gaussian,
     mixture,
     partial_sum,
@@ -94,8 +95,8 @@ def test_k3_convolution_matches_the_double_sum(mixture_trio, alpha):
 
 def test_cached_arrays_are_read_only(grid1):
     v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
-    fields = lattice_fields(v, grid1, 1.5)
-    arrays = [getattr(fields, name) for name in ("v1", "v2", "v3", "fv", "f2v", "vhat", "v2hat")]
+    fields = lattice_fields(v, grid1)
+    arrays = [getattr(fields, name) for name in ("v1", "v2", "v3", "vhat", "v2hat")]
     for arr in arrays + list(v._arrays()):
         with pytest.raises(ValueError):
             arr[0] = 5.0
@@ -104,7 +105,8 @@ def test_cached_arrays_are_read_only(grid1):
         g._arrays()[0][0] = 5.0
     assert float(g.evaluate(0.0)) == 1.0
     assert lattice_fields.cache_info().maxsize is not None
-    assert c_ell.cache_info().maxsize is not None
+    for fn in (c_ell, coefficients._closed_terms):  # bounded, and typed so a bool alpha meets the checks
+        assert fn.cache_parameters()["maxsize"] is not None and fn.cache_parameters()["typed"]
     for name in ("_arrays", "l1_norm", "sup_norm", "max_value"):
         assert getattr(GaussianMixturePotential, name).cache_info().maxsize is not None
 
@@ -125,9 +127,14 @@ def test_lattice_fields_samples_and_transforms_each_field_once(grid1, monkeypatc
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # a cold sweep of three alpha through the closed terms samples and transforms V and V^2
+    # once in all, and forms FV and F^2 V for each alpha
     v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
-    lattice_fields.__wrapped__(v, grid1, 1.5)
-    assert calls == {"sample_on_grid": 3, "forward_transform": 2, "inverse_transform": 2}
+    lattice_fields.cache_clear()
+    coefficients._closed_terms.cache_clear()
+    for alpha in (0.8, 1.5, 2.0):
+        cnk_closed(v, grid1, alpha, 1, 2)
+    assert calls == {"sample_on_grid": 3, "forward_transform": 2, "inverse_transform": 6}
 
 
 def test_route_unavailable_cases(grid1):
@@ -153,7 +160,7 @@ def test_lattice_routes_refuse_a_box_that_cuts_off_the_potential():
     for call in calls:
         with pytest.raises(ValueError, match=r"half_extent = 16 cuts off V; it needs half_extent >= 25\.4772255750516"):
             call()
-    lattice_fields(v, SpectralGrid(1, 256, 20.0 + math.sqrt(30.0)), 2.0)  # the smallest box that holds V
+    lattice_fields(v, SpectralGrid(1, 256, 20.0 + math.sqrt(30.0)))  # the smallest box that holds V
     wide = SpectralGrid(1, 1024, 64.0)
     assert abs(c_ell(v, wide, 2.0, 3) - 2.0 * c_ell(gaussian(1.0, 20.0, 1.0), wide, 2.0, 3)) < 1e-12
 
@@ -187,10 +194,13 @@ def test_argument_validation(grid1):
                 call(order)
     assert c_ell(v, grid1, 1.5, np.int64(3)) == c_ell(v, grid1, 1.5, 3)
     assert c0k(v, np.int64(2)) == c0k(v, 2)
-    # a cached alpha = 1 entry does not let alpha = True through
-    c_ell(v, grid1, 1.0, 2)
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
-        c_ell(v, grid1, True, 2)
+    # a cached alpha = 1 entry does not let alpha = True through; c4_sos, c5_sos and
+    # dirichlet_form once returned the alpha = 1 values through the bundle's cache
+    for call in (lambda a: c_ell(v, grid1, a, 2), lambda a: c4_sos(v, grid1, a), lambda a: c5_sos(v, grid1, a),
+                 lambda a: dirichlet_form(v, grid1, a)):
+        call(1.0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\], got True"):
+            call(True)
 
 
 def test_zero_potential_coefficients_vanish(grid1):
