@@ -3,7 +3,7 @@
 Subcommands
 -----------
 coeffs            deterministic coefficient table (add --weights for the
-                  exact combinatorial weights)
+                  exact combinatorial weights of its C_{n,k})
 mc                heat-content estimates over the configured times
 validate          the report's bound checks plus the positivity audit
 report            full expansion report (JSON/CSV)
@@ -267,7 +267,7 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
         print("# exact simplex weights A(n, l)")
         # every n and k that occur in a C_{n,k} with n + k <= MAX_ORDER
         for n in range(MAX_ORDER - 1):
-            for k in range(2, MAX_ORDER + 1):
+            for k in range(2, MAX_ORDER - n + 1):
                 for ell in enumerate_compositions(n, k - 1):
                     val = weight_A(n, ell)
                     weight_rows.append((n, ell, str(val)))

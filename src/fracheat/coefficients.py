@@ -1,9 +1,12 @@
 """Deterministic small-time expansion coefficients and their cross-checks.
 
 The heat content admits Q(t) = -t C_1 + sum_{l=2}^{N} (-t)^l C_l + O(t^{N+1})
-with C_1 = int V and, for 2 <= l <= 5, c_ell summing the closed route's
+with C_1 = int V and, for 2 <= l <= 5, c_ell summing
 
-    C_l = sum_{n + k = l, k >= 2} (1/n!) C_{n,k}.
+    C_l = sum_{n + k = l, k >= 2} (1/n!) C_{n,k}
+
+over the closed route's C_{n,k}, n >= 1, and the analytic C_{0,l} = (1/l!) int V^l (c0k).
+Each per-term function computes its own route only and raises RouteUnavailable elsewhere.
 
 The Fourier-lattice route (cnk_fourier) sums, on the frequency lattice,
 
@@ -141,10 +144,9 @@ class LatticeFields:
         w = self.v if w is None else w
         return kink_correction(self.grid, beta, lambda xi: float(np.abs(w.fourier(xi)) ** 2))
 
-    def energy(self, beta: float, square: bool = False) -> float:
-        """(2 pi)^{-d} int |xi|^beta |what|^2 for W = V (or V^2), kink-corrected in d = 1."""
-        spec, w = (self.v2hat, self.sq) if square else (self.vhat, self.v)
-        return weighted_freq_sum(self.grid, np.abs(spec) ** 2, beta) + self.kink(beta, w)
+    def energy(self, beta: float) -> float:
+        """E_beta(V) = (2 pi)^{-d} int |xi|^beta |vhat|^2, kink-corrected in d = 1."""
+        return weighted_freq_sum(self.grid, np.abs(self.vhat) ** 2, beta) + self.kink(beta)
 
 
 @functools.lru_cache(maxsize=16)
@@ -182,15 +184,11 @@ def cnk_fourier(
 ) -> float:
     """C_{n,k} through frequency-lattice quadrature, with weight A(n, l) = n!/(n + k)!.
 
-    Supported: k = 2 with n <= 6 in d <= 2, k = 3 with n <= 6 in d = 1 (the
-    sum lives on a d(k-1)-dimensional lattice), n = 0 for any k (analytic),
-    and (n, k) = (1, 4) through cnk_closed; else RouteUnavailable.
+    Supported: 1 <= n <= 6 with k = 2 in d <= 2 (the energy at alpha n) or k = 3 in d = 1 (a 1-D
+    convolution), since the sum lives on a d(k-1)-dimensional lattice; else RouteUnavailable,
+    n = 0 (c0k's C_{0,k}) and (1, 4) (cnk_closed's) included.
     """
     _check_alpha(alpha)
-    if n == 0:
-        return c0k(v, k)
-    if (n, k) == (1, 4):
-        return cnk_closed(v, grid, alpha, 1, 4)
     if not _on_lattice(n, k, grid.dimension):
         raise RouteUnavailable(f"cnk_fourier does not support (n, k) = ({n}, {k}) in d = {grid.dimension}")
     weight = float(weight_A(n, (n,) + (0,) * (k - 2)))
@@ -213,11 +211,12 @@ def cnk_fourier(
 @functools.lru_cache(maxsize=256, typed=True)
 def _closed_terms(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> tuple[float, ...]:
     """C_{n,k} at each (n, k) of _CLOSED, then C4_sos and C5_sos: FV and F^2 V, formed from the cached vhat,
-    are dropped on return.  Typed, as c_ell is, so alpha = True misses an alpha = 1 entry and meets the check."""
+    are dropped on return, and E_alpha(V^2) and its kink, which C_{1,4} and C5_sos share, are formed once.
+    Typed, as c_ell is, so alpha = True misses an alpha = 1 entry and meets the check."""
     _check_alpha(alpha)
     f = lattice_fields(v, grid)
     fv, f2v = (apply_fractional_laplacian(GridField(grid, "frequency", f.vhat), alpha, p).values for p in (1, 2))
-    kink2, kink3 = f.kink(2.0 * alpha), f.kink(3.0 * alpha)
+    kink2, kink3, kink_sq = f.kink(2.0 * alpha), f.kink(3.0 * alpha), f.kink(alpha, f.sq)
     dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
     return (
         f.energy(alpha) / 6.0,
@@ -225,9 +224,9 @@ def _closed_terms(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float)
         (f.integral(fv * f2v) + kink3) / 20.0,
         f.integral(f.v2 * fv) / 12.0,
         (2.0 * f.integral(f.v2 * f2v) + f.integral(f.v1 * fv**2)) / 60.0,
-        (2.0 * f.integral(f.v3 * fv) + f.energy(alpha, square=True)) / 120.0,
+        (2.0 * f.integral(f.v3 * fv) + (weighted_freq_sum(grid, np.abs(f.v2hat) ** 2, alpha) + kink_sq)) / 120.0,
         (f.integral((f.v2 + fv) ** 2) + kink2) / 24.0,
-        (f.integral(f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + f.kink(alpha, f.sq))) / 120.0,
+        (f.integral(f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + kink_sq)) / 120.0,
     )
 
 
@@ -236,16 +235,15 @@ def cnk_closed(
 ) -> float:
     """Closed (operator/spatial) route, read from _closed_terms, the one home of the closed per-term formulas:
 
-    C_{0,k} = (1/k!) int V^k, C_{1,2} = (1/6) E_alpha(V), C_{2,2} = (1/12) int (FV)^2,
+    C_{1,2} = (1/6) E_alpha(V), C_{2,2} = (1/12) int (FV)^2,
     C_{3,2} = (1/20) int FV F^2V, C_{1,3} = (1/12) int V^2 FV,
     C_{2,3} = (1/60)(2 int V^2 F^2V + int V (FV)^2), C_{1,4} = (1/120)(2 int V^3 FV + E_alpha(V^2)).
-    Quadratic-in-V pieces carry the kink correction, as in the frequency route.
+    Quadratic-in-V pieces carry the kink correction, as in the frequency route.  Any other (n, k),
+    n = 0 (c0k's C_{0,k}) included, raises RouteUnavailable.
     """
     _check_alpha(alpha)
-    if n == 0:
-        return c0k(v, k)
     if (n, k) not in _CLOSED:
-        raise RouteUnavailable(f"cnk_closed supports (n, k) in {sorted(_CLOSED)} and n = 0; got ({n}, {k})")
+        raise RouteUnavailable(f"cnk_closed supports (n, k) in {sorted(_CLOSED)}; got ({n}, {k})")
     return _closed_terms(v, grid, alpha)[_CLOSED.index((n, k))]
 
 
@@ -255,8 +253,8 @@ def cnk_closed(
 # typed: True and 1 (or 1 and 1.0) are distinct keys, so no cache hit skips the checks on alpha and ell
 @functools.lru_cache(maxsize=256, typed=True)
 def c_ell(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: int) -> float:
-    """Order-l coefficient C_l, 1 <= l <= MAX_ORDER: C_1 = int V, else sum_{k=2}^{l} C_{l-k,k}/(l-k)!
-    with each C_{n,k} from cnk_closed."""
+    """Order-l coefficient C_l, 1 <= l <= MAX_ORDER: C_1 = int V, else sum_{k=2}^{l-1} C_{l-k,k}/(l-k)!
+    with each C_{n,k} from cnk_closed, plus C_{0,l} from c0k."""
     _check_alpha(alpha)
     if _check_count("ell", ell) < 1:
         raise ValueError("need ell >= 1")
@@ -264,7 +262,7 @@ def c_ell(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float, ell: in
         raise RouteUnavailable(f"coefficients are implemented for ell <= {MAX_ORDER}, got {ell}")
     if ell == 1:
         return v.integral()
-    return sum(cnk_closed(v, grid, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell + 1))
+    return sum(cnk_closed(v, grid, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell)) + c0k(v, ell)
 
 
 def c3_closed(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -299,8 +297,11 @@ def c5_sos(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> flo
 
 
 def _check_times(ts) -> np.ndarray:
-    """ts read once as a float array, each time a nonnegative finite real number and not a bool."""
-    times = list(ts)
+    """ts, a sequence of times (any iterable), read once as a float array, each a nonnegative finite real number and not a bool."""
+    try:
+        times = list(ts)
+    except TypeError:
+        raise ValueError(f"ts must be a sequence of times, got {ts!r}") from None
     for t in times:
         if not (_is_finite_real(t) and t >= 0.0):
             raise ValueError(f"t must be a nonnegative finite number, got {t!r}")
@@ -798,10 +799,9 @@ def coefficient_table(
     for k in range(2, MAX_ORDER + 1):
         entries[f"C(0,{k})"] = CoefficientEntry(c0k(v, k), "analytic", "exact")
     # the lattice C_{n,k} of order <= MAX_ORDER, and the closed C_{1,4} where they hold C_5's other terms
-    pairs = [(n, k) for n, k in _CLOSED if _on_lattice(n, k, grid.dimension)]
-    if (2, 3) in pairs:
-        pairs.append((1, 4))
-    for n, k in pairs:
-        route = "closed_form" if (n, k) == (1, 4) else "fourier_grid"
-        entries[f"C({n},{k})"] = CoefficientEntry(cnk_fourier(v, grid, alpha, n, k), route, gdesc)
+    for n, k in _CLOSED:
+        if _on_lattice(n, k, grid.dimension):
+            entries[f"C({n},{k})"] = CoefficientEntry(cnk_fourier(v, grid, alpha, n, k), "fourier_grid", gdesc)
+    if _on_lattice(2, 3, grid.dimension):
+        entries["C(1,4)"] = CoefficientEntry(cnk_closed(v, grid, alpha, 1, 4), "closed_form", gdesc)
     return CoefficientTable(alpha, grid.dimension, entries)

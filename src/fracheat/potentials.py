@@ -82,7 +82,7 @@ class GaussianMixturePotential:
             raise ValueError("weights, centers and sharpness must have equal length")
         # a bool is an int subclass and would count as 1; _is_finite_real refuses it
         for mu in self.centers:
-            if len(mu) != self.dimension:
+            if np.ndim(mu) != 1 or len(mu) != self.dimension:
                 raise ValueError(f"center {mu} does not have dimension {self.dimension}")
             if not all(_is_finite_real(u) for u in mu):
                 raise ValueError(f"center coordinates must be finite real numbers, got {mu}")

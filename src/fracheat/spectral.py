@@ -71,7 +71,7 @@ class SpectralGrid:
 
     @classmethod
     def default_for(cls, dimension: int) -> "SpectralGrid":
-        n, ell = _DEFAULTS[dimension]
+        n, ell = _DEFAULTS.get(dimension, _DEFAULTS[1])  # any other dimension meets the constructor's check
         return cls(dimension, n, ell)
 
     @property

@@ -221,19 +221,16 @@ def _check_rows(
 # -- remainder-order fit -------------------------------------------------------
 
 
-def fit_remainder_order(t_list, residuals, ses=None) -> OrderFit:
+def fit_remainder_order(t_list, residuals, ses) -> OrderFit:
     """Log-log slope of |residual| vs t with a 5-se usability gate.
 
     Requires at least 4 times spanning a decade; points with |residual|
-    below 5 standard errors are excluded as noise-dominated; fewer than 3
+    below 5 standard errors (ses) are excluded as noise-dominated; fewer than 3
     usable points raises.
     """
     ts = np.asarray([float(t) for t in t_list])
     res = np.asarray([float(r) for r in residuals])
-    if ses is None:
-        es = np.zeros_like(ts)
-    else:
-        es = np.asarray([float(s) for s in ses])
+    es = np.asarray([float(s) for s in ses])
     if not (ts.shape == res.shape == es.shape):
         raise ValueError("t_list, residuals and ses must have equal length")
     if len(ts) < 4:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from fracheat import (
     validator,
 )
 from fracheat.cli import ConfigError, config_digest, load_config, main
+from fracheat.coefficients import MAX_ORDER
 from fracheat.sampling import moment_estimate, sample_subordinator
 from fracheat.spectral import apply_fractional_laplacian, forward_transform, sample_on_grid
 
@@ -199,6 +201,12 @@ def test_coeffs_prints_exact_weights(tmp_path, capsys):
     doc = json.loads((out_dir / "coeffs.json").read_text())
     assert "C4" in doc["entries"] and "C(2,2)" in doc["entries"]
     assert {"n": 1, "composition": [1], "value": "1/6"} in doc["weights"]
+    # only the weights of the C_{n,k} with n + k <= MAX_ORDER: the listing once ran k up to
+    # MAX_ORDER for every n, 69 weights up to n + k = 8
+    listed = [(w["n"], tuple(w["composition"])) for w in doc["weights"]]
+    parts = (ell for k in range(2, MAX_ORDER + 1) for ell in itertools.product(range(MAX_ORDER), repeat=k - 1))
+    wanted = {(sum(ell), ell) for ell in parts if sum(ell) + len(ell) < MAX_ORDER}
+    assert len(listed) == len(wanted) == 15 and set(listed) == wanted
     assert (out_dir / "coeffs.csv").read_text().startswith("label,value,route,grid")
 
 

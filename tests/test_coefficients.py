@@ -30,7 +30,8 @@ from fracheat import (
 )
 from fracheat.coefficients import MAX_ORDER, lattice_fields, t3_control_mean, t3_exact, t3_kernel
 
-PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
+PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]  # the closed C_{n,k}
+FOURIER_PAIRS = PAIRS[:-1]  # those the d = 1 lattice sums; C_{1,4} has the closed route only
 
 
 def test_c0k_matches_factorial_weighted_power_integral():
@@ -61,7 +62,7 @@ def test_unit_gaussian_anchors_at_alpha_two(grid1, unit_gaussian):
 @pytest.mark.parametrize("alpha", [0.8, 1.5])
 def test_both_routes_agree_per_term(grid1, mixture_trio, alpha):
     for v in mixture_trio:
-        for n, k in PAIRS:
+        for n, k in FOURIER_PAIRS:
             a = cnk_closed(v, grid1, alpha, n, k)
             b = cnk_fourier(v, grid1, alpha, n, k)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
@@ -72,7 +73,9 @@ def test_both_routes_agree_per_order(grid1, mixture_trio, alpha):
     for v in mixture_trio:
         for ell in (2, 3, 4, 5):
             a = c_ell(v, grid1, alpha, ell)
-            b = sum(cnk_fourier(v, grid1, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, ell + 1))
+            # the Fourier terms, then C_{0,l} and, at l = 5, the closed C_{1,4}, as coefficient_table holds them
+            b = sum(cnk_fourier(v, grid1, alpha, ell - k, k) / math.factorial(ell - k) for k in range(2, min(ell, 4)))
+            b += c0k(v, ell) + (cnk_closed(v, grid1, alpha, 1, 4) if ell == 5 else 0.0)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
@@ -139,10 +142,14 @@ def test_lattice_fields_samples_and_transforms_each_field_once(grid1, monkeypatc
 
 def test_route_unavailable_cases(grid1):
     v = gaussian()
-    with pytest.raises(RouteUnavailable):
-        cnk_fourier(v, grid1, 1.5, 2, 4)
-    with pytest.raises(RouteUnavailable):
-        cnk_closed(v, grid1, 1.5, 4, 2)
+    # each route computes its own terms only: cnk_fourier once returned c0k's C_{0,k} and
+    # cnk_closed's C_{1,4}, and cnk_closed returned c0k's C_{0,k}
+    for n, k in ((2, 4), (0, 2), (0, 5), (1, 4)):
+        with pytest.raises(RouteUnavailable, match="cnk_fourier does not support"):
+            cnk_fourier(v, grid1, 1.5, n, k)
+    for n, k in ((4, 2), (0, 3)):
+        with pytest.raises(RouteUnavailable, match="cnk_closed supports"):
+            cnk_closed(v, grid1, 1.5, n, k)
     with pytest.raises(RouteUnavailable):
         c_ell(v, grid1, 1.5, 6)
     grid2 = SpectralGrid(2, 64, 10.0)
@@ -209,7 +216,10 @@ def test_zero_potential_coefficients_vanish(grid1):
         assert c_ell(z, grid1, 1.5, ell) == 0.0
     for n, k in PAIRS:
         assert cnk_closed(z, grid1, 1.5, n, k) == 0.0
+    for n, k in FOURIER_PAIRS:
         assert cnk_fourier(z, grid1, 1.5, n, k) == 0.0
+    for k in range(2, 6):
+        assert c0k(z, k) == 0.0
 
 
 def test_partial_sum_assembles_signed_powers(grid1):
@@ -439,7 +449,8 @@ def test_t3_control_mean_tends_to_the_cubic_coefficient():
 def test_t3_control_mean_checks_its_arguments():
     v = gaussian()
     assert list(t3_control_mean(mixture([], [], [], dimension=1), 1.5, [0.1, 0.2])) == [0.0, 0.0]
-    for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
+    # a lone time is not a sequence of times: it once died with a bare TypeError
+    for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True]), (1.5, 0.1)):
         with pytest.raises(ValueError):
             t3_control_mean(v, alpha, ts)
 
@@ -586,6 +597,8 @@ def test_t3_exact_checks_its_arguments(monkeypatch):
     for alpha, ts in ((2.5, [0.1]), (True, [0.1]), (1.5, [0.1, -0.1]), (1.5, [math.nan]), (1.5, [True])):
         with pytest.raises(ValueError):
             t3_exact(v, alpha, ts)
+    with pytest.raises(ValueError, match="ts must be a sequence of times, got 0.1"):
+        t3_exact(v, 1.5, 0.1)
     with pytest.raises(RouteUnavailable, match="d = 1, d = 2 or alpha = 2"):
         t3_exact(gaussian(center=(0.0, 0.0, 0.0)), 1.5, [0.1])
     monkeypatch.setattr(coefficients, "_T3_LEVELS", 0)
@@ -735,3 +748,30 @@ def test_coefficient_table_two_dimensional():
             cnk_closed(v2, grid2, 1.5, n, k), rel=1e-12
         )
     assert "C(1,3)" not in table.entries
+
+
+def _route_value(v, grid, alpha, label, route):
+    """The value of a coefficient_table entry from the function its route label names."""
+    if label.startswith("C("):
+        n, k = map(int, label[2:-1].split(","))
+        calls = {"analytic": lambda: c0k(v, k), "fourier_grid": lambda: cnk_fourier(v, grid, alpha, n, k),
+                 "closed_form": lambda: cnk_closed(v, grid, alpha, n, k)}
+    else:
+        ell = int(label[1])
+        calls = {"analytic": lambda: v.integral() if ell == 1 else c0k(v, ell),
+                 "closed_form": lambda: c_ell(v, grid, alpha, ell), "sos": lambda: (c4_sos, c5_sos)[ell - 4](v, grid, alpha)}
+    return calls[route]()
+
+
+def test_coefficient_table_entries_come_from_their_routes(grid1, mixture_trio):
+    # no route hands a term to another under its own label: every entry is, bit for bit,
+    # the value of the function its route names, on that route's grid label
+    signed2 = mixture([1.0, -0.4], [(0.3, -0.4), (0.5, 0.2)], [1.0, 1.8], dimension=2)
+    cases = [(v, grid1) for v in mixture_trio] + [(signed2, SpectralGrid(2, 64, 10.0))]
+    for v, grid in cases:
+        for alpha in (0.8, 2.0):
+            entries = coefficient_table(v, grid, alpha).entries
+            assert {e.route for e in entries.values()} == {"analytic", "closed_form", "sos", "fourier_grid"}
+            for label, e in entries.items():
+                assert e.grid == ("exact" if e.route == "analytic" else grid.descriptor), label
+                assert e.value.hex() == _route_value(v, grid, alpha, label, e.route).hex(), (label, e.route)

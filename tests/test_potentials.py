@@ -450,8 +450,9 @@ def test_list_fields_are_stored_as_tuples_of_floats():
     assert all(type(x) is float for x in v.weights + v.centers[0] + v.centers[1] + v.sharpness)
     assert v == mixture([1.0, -0.5], [(0.0, 0.0), (1.0, 2.0)], [1.0, 2.0])
     # a bad entry is still named, whatever sequence holds it
+    # a scalar center, which mixture would wrap, once died with a bare TypeError
     for field, args in (("weight", ([True], [[0.0]], [1.0])), ("sharpness", ([1.0], [[0.0]], ["1"])),
-                        ("center", ([1.0], [["0"]], [1.0]))):
+                        ("center", ([1.0], [["0"]], [1.0])), ("center", ([1.0], [0.5], [1.0]))):
         with pytest.raises(ValueError, match=field):
             GaussianMixturePotential(1, *args)
 

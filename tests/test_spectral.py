@@ -119,6 +119,9 @@ def test_two_dimensional_transform_and_integral():
 def test_grid_validation():
     with pytest.raises(ValueError):
         SpectralGrid(4, 64, 10.0)
+    # default_for once raised a bare KeyError for a dimension it has no defaults for
+    with pytest.raises(ValueError, match="dimension must be 1, 2 or 3, got 4"):
+        SpectralGrid.default_for(4)
     with pytest.raises(ValueError):
         SpectralGrid(1, 63, 10.0)  # odd point count breaks the symmetric mesh
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from fracheat import (
 
 def test_fit_recovers_exact_power_law():
     ts = np.geomspace(1e-3, 1e-1, 8)
-    fit = fit_remainder_order(ts, 3.7 * ts**3)
+    fit = fit_remainder_order(ts, 3.7 * ts**3, np.zeros(8))
     assert abs(fit.slope - 3.0) < 1e-9
     assert fit.r_squared > 1 - 1e-12
     assert fit.n_used == 8
@@ -51,12 +51,12 @@ def test_fit_noise_gate_excludes_drowned_points():
 
 def test_fit_validation():
     with pytest.raises(ValueError):
-        fit_remainder_order([0.1, 0.2, 0.3], [1, 2, 3])  # too few times
+        fit_remainder_order([0.1, 0.2, 0.3], [1, 2, 3], [0, 0, 0])  # too few times
     with pytest.raises(ValueError):
-        fit_remainder_order([0.1, 0.2, 0.3, 0.5], [1, 2, 3, 4])  # under a decade
+        fit_remainder_order([0.1, 0.2, 0.3, 0.5], [1, 2, 3, 4], [0, 0, 0, 0])  # under a decade
     ts = np.geomspace(1e-3, 1e-1, 6)
     with pytest.raises(ValueError):
-        fit_remainder_order(ts, np.zeros(6))  # nothing clears the gate
+        fit_remainder_order(ts, np.zeros(6), np.zeros(6))  # nothing clears the gate
     with pytest.raises(ValueError):
         fit_remainder_order(ts, ts**2, ses=np.full(6, 1e6))
 
