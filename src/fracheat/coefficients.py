@@ -14,13 +14,15 @@ The Fourier-lattice route (cnk_fourier) sums, on the frequency lattice,
         (2 pi)^{-d(k-1)} int vhat(-sum th_i) prod vhat(th_i)
                              prod_i |th_1 + ... + th_i|^{alpha l_i} dth.
 
-The closed route (cnk_closed) writes each C_{n,k} through mixture integrals,
-the Dirichlet form E_alpha and powers of F = (-Delta)^{alpha/2}.
+The closed route (cnk_closed) writes each C_{n,k} through spatial integrals of
+V, V^2, V^3 and powers of F = (-Delta)^{alpha/2}, with E_alpha(V^2) in C_{1,4}.
 Sum-of-squares forms of C_4 and C_5 make nonnegativity for V >= 0 manifest.
-Every route reads one cached LatticeFields per (V, grid); alpha enters through
-F alone, and only numbers are cached per alpha (_closed_terms).  So the routes'
-agreement tolerances hold far below their truncation errors; every lattice
-route first checks that the grid's box holds V (_check_box).
+Every route reads one cached LatticeFields per (V, grid): one sample of V, V^2
+(and V^3 where C_{1,4} reads it) formed from it, and each d = 1 kink read from
+the sample it corrects.  alpha enters through F alone, and only numbers are
+cached per alpha (_closed_terms).  So the routes' agreement tolerances hold far
+below their truncation errors; every lattice route first checks that the grid's
+box holds V (_check_box).
 """
 
 from __future__ import annotations
@@ -123,15 +125,12 @@ def _check_box(v: GaussianMixturePotential, grid: SpectralGrid) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LatticeFields:
-    """Read-only arrays, none of which reads alpha, that every route shares for one (V, grid): V, V^2 (the
-    mixture sq) and V^3 on the physical grid, and the discrete transforms vhat, v2hat of V and V^2."""
+    """Read-only arrays, none of which reads alpha, that every route shares for one (V, grid): V and V^2 on
+    the physical grid (V^2 the square of V's sample) and their discrete transforms vhat and v2hat."""
 
     grid: SpectralGrid
-    v: GaussianMixturePotential
-    sq: GaussianMixturePotential
     v1: np.ndarray
     v2: np.ndarray
-    v3: np.ndarray
     vhat: np.ndarray
     v2hat: np.ndarray
 
@@ -139,26 +138,21 @@ class LatticeFields:
         """h^d sum of a physical-grid array."""
         return grid_integral(GridField(self.grid, "physical", values))
 
-    def kink(self, beta: float, w: GaussianMixturePotential | None = None) -> float:
-        """Kink correction for int |xi|^beta |what|^2 with W = V unless given; 0 in d >= 2."""
-        w = self.v if w is None else w
-        return kink_correction(self.grid, beta, lambda xi: float(np.abs(w.fourier(xi)) ** 2))
-
     def energy(self, beta: float) -> float:
         """E_beta(V) = (2 pi)^{-d} int |xi|^beta |vhat|^2, kink-corrected in d = 1."""
-        return weighted_freq_sum(self.grid, np.abs(self.vhat) ** 2, beta) + self.kink(beta)
+        return weighted_freq_sum(self.grid, np.abs(self.vhat) ** 2, beta) + kink_correction(self.grid, beta, self.v1)
 
 
 @functools.lru_cache(maxsize=16)
 def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid) -> LatticeFields:
-    """The LatticeFields of (V, grid), built once and cached: V, V^2 and V^3 sampled once, V and V^2 transformed once."""
+    """The LatticeFields of (V, grid), built once and cached: V sampled once, V^2 its square, both transformed once."""
     _check_box(v, grid)
-    sq = v.power(2)
-    fields = [sample_on_grid(w, grid) for w in (v, sq, v.power(3))]
-    fields += [forward_transform(field) for field in fields[:2]]
+    v1 = sample_on_grid(v, grid)
+    fields = [v1, GridField(grid, "physical", v1.values * v1.values)]
+    fields += [forward_transform(field) for field in fields]
     for field in fields:
         field.values.flags.writeable = False
-    return LatticeFields(grid, v, sq, *(field.values for field in fields))
+    return LatticeFields(grid, *(field.values for field in fields))
 
 
 def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -211,20 +205,21 @@ def cnk_fourier(
 @functools.lru_cache(maxsize=256, typed=True)
 def _closed_terms(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> tuple[float, ...]:
     """C_{n,k} at each (n, k) of _CLOSED, then C4_sos and C5_sos: FV and F^2 V, formed from the cached vhat,
-    are dropped on return, and E_alpha(V^2) and its kink, which C_{1,4} and C5_sos share, are formed once.
+    are dropped on return, V^3 is V^2 V, and each kink, read from the sample it corrects, is formed once.
     Typed, as c_ell is, so alpha = True misses an alpha = 1 entry and meets the check."""
     _check_alpha(alpha)
     f = lattice_fields(v, grid)
     fv, f2v = (apply_fractional_laplacian(GridField(grid, "frequency", f.vhat), alpha, p).values for p in (1, 2))
-    kink2, kink3, kink_sq = f.kink(2.0 * alpha), f.kink(3.0 * alpha), f.kink(alpha, f.sq)
+    kink1, kink2, kink3 = (kink_correction(grid, p * alpha, f.v1) for p in (1.0, 2.0, 3.0))
+    kink_sq = kink_correction(grid, alpha, f.v2)
     dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
     return (
-        f.energy(alpha) / 6.0,
+        (f.integral(f.v1 * fv) + kink1) / 6.0,
         (f.integral(fv**2) + kink2) / 12.0,
         (f.integral(fv * f2v) + kink3) / 20.0,
         f.integral(f.v2 * fv) / 12.0,
         (2.0 * f.integral(f.v2 * f2v) + f.integral(f.v1 * fv**2)) / 60.0,
-        (2.0 * f.integral(f.v3 * fv) + (weighted_freq_sum(grid, np.abs(f.v2hat) ** 2, alpha) + kink_sq)) / 120.0,
+        (2.0 * f.integral(f.v2 * f.v1 * fv) + (weighted_freq_sum(grid, np.abs(f.v2hat) ** 2, alpha) + kink_sq)) / 120.0,
         (f.integral((f.v2 + fv) ** 2) + kink2) / 24.0,
         (f.integral(f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + kink_sq)) / 120.0,
     )
@@ -235,7 +230,7 @@ def cnk_closed(
 ) -> float:
     """Closed (operator/spatial) route, read from _closed_terms, the one home of the closed per-term formulas:
 
-    C_{1,2} = (1/6) E_alpha(V), C_{2,2} = (1/12) int (FV)^2,
+    C_{1,2} = (1/6) int V FV, C_{2,2} = (1/12) int (FV)^2,
     C_{3,2} = (1/20) int FV F^2V, C_{1,3} = (1/12) int V^2 FV,
     C_{2,3} = (1/60)(2 int V^2 F^2V + int V (FV)^2), C_{1,4} = (1/120)(2 int V^3 FV + E_alpha(V^2)).
     Quadratic-in-V pieces carry the kink correction, as in the frequency route.  Any other (n, k),

@@ -78,6 +78,11 @@ class GaussianMixturePotential:
     def __post_init__(self) -> None:
         if _check_count("dimension", self.dimension) not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+        for name in ("weights", "centers", "sharpness"):  # a bare number has no len(): name its field instead
+            try:
+                len(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         if not (len(self.weights) == len(self.centers) == len(self.sharpness)):
             raise ValueError("weights, centers and sharpness must have equal length")
         # a bool is an int subclass and would count as 1; _is_finite_real refuses it

@@ -18,17 +18,17 @@ Every step that drops an imaginary part checks the residual in _real_part.
 
 Frequency sums of f(xi) |xi|^beta with beta not an even integer carry a
 lattice error from the kink at xi = 0 that is independent of N and decays
-only like (2L)^{-1-beta}.  kink_correction, added to weighted_freq_sum's
-raw sum, removes it (d = 1) by subtracting a Gaussian reference with the
-same value and curvature at 0, whose integral is known in closed form; the
-residual error drops to O((2L)^{-5-beta}).
+only like (2L)^{-1-beta}.  kink_correction, added to weighted_freq_sum's raw
+sum for f = |what|^2, removes it (d = 1) by subtracting a Gaussian reference with
+f's value m_0^2 and curvature 2 (m_1^2 - m_0 m_2) at 0, read from the lattice
+moments m_j = h sum x^j W(x) of the sampled W, and adding its closed-form
+integral; the residual error drops to O((2L)^{-5-beta}).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -197,20 +197,20 @@ def grid_integral(field: GridField) -> float:
     return float(vals.sum() * field.grid.spacing**field.grid.dimension)
 
 
-def kink_correction(grid: SpectralGrid, beta: float, smooth_at: Callable[[float], float]) -> float:
-    """Additive correction for the |xi|^beta kink in 1-d frequency sums.
+def kink_correction(grid: SpectralGrid, beta: float, values: np.ndarray) -> float:
+    """Additive correction for the |xi|^beta kink in the 1-d frequency sum of f |xi|^beta, f = |what|^2.
 
-    Given the smooth factor f (so the summand is f(xi) |xi|^beta), subtracts
-    the lattice sum of the reference (p0 + p1 xi^2) e^{-xi^2} |xi|^beta and
-    adds back its exact integral, where p0 = f(0) and p1 = f''(0)/2 + f(0)
-    match value and curvature of f at the kink.  Returns 0 for d >= 2.
+    values holds W on the physical grid.  Subtracts the lattice sum of the reference (p0 + p1 xi^2)
+    e^{-xi^2} |xi|^beta and adds back its exact integral, where p0 = f(0) = m_0^2 and p1 = f''(0)/2 + f(0)
+    = m_1^2 - m_0 m_2 + p0, with W's lattice moments m_j = h sum x^j W(x).  Returns 0 for d >= 2.
     """
+    if np.shape(values) != grid.shape:
+        raise ValueError(f"values shape {np.shape(values)} does not match grid {grid.shape}")
     if grid.dimension != 1:
         return 0.0
-    delta = 1e-3
-    p0 = float(smooth_at(0.0))
-    fdd = (float(smooth_at(delta)) - 2.0 * p0 + float(smooth_at(-delta))) / delta**2
-    p1 = 0.5 * fdd + p0
+    x = grid.axis_points()
+    m0, m1, m2 = (float(np.dot(x**j, values)) * grid.spacing for j in range(3))
+    p0, p1 = m0**2, m1**2 - m0 * m2 + m0**2
     exact = p0 * math.gamma((beta + 1.0) / 2.0) + p1 * math.gamma((beta + 3.0) / 2.0)
     xi = grid.axis_freqs()
     ref = (p0 + p1 * xi**2) * np.exp(-(xi**2)) * symbol_array(grid, beta)
@@ -221,8 +221,8 @@ def kink_correction(grid: SpectralGrid, beta: float, smooth_at: Callable[[float]
 def weighted_freq_sum(grid: SpectralGrid, values: np.ndarray, beta: float) -> float:
     """(2 pi)^{-d} (pi/L)^d sum over the lattice of values * |xi|^beta, the raw trapezoidal sum.
 
-    values holds the smooth factor f on the frequency lattice.  In d = 1 a
-    caller adds kink_correction for f to remove the lattice error of the kink.
+    values holds the smooth factor f on the frequency lattice.  In d = 1 a caller
+    adds kink_correction of the field W with f = |what|^2 to remove the lattice error of the kink.
     """
     vals = np.asarray(values)
     if vals.shape != grid.shape:

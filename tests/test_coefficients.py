@@ -99,7 +99,7 @@ def test_k3_convolution_matches_the_double_sum(mixture_trio, alpha):
 def test_cached_arrays_are_read_only(grid1):
     v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
     fields = lattice_fields(v, grid1)
-    arrays = [getattr(fields, name) for name in ("v1", "v2", "v3", "vhat", "v2hat")]
+    arrays = [getattr(fields, name) for name in ("v1", "v2", "vhat", "v2hat")]
     for arr in arrays + list(v._arrays()):
         with pytest.raises(ValueError):
             arr[0] = 5.0
@@ -116,8 +116,9 @@ def test_cached_arrays_are_read_only(grid1):
 
 def test_lattice_fields_samples_and_transforms_each_field_once(grid1, monkeypatch):
     # count every call through the names both modules bind, so a call made
-    # inside a spectral function counts as well as one made by the bundle
-    calls = {"sample_on_grid": 0, "forward_transform": 0, "inverse_transform": 0}
+    # inside a spectral function counts as well as one made by the bundle, and
+    # every analytic transform or power mixture the lattice might fall back on
+    calls = {"sample_on_grid": 0, "forward_transform": 0, "inverse_transform": 0, "fourier": 0, "power": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -130,14 +131,37 @@ def test_lattice_fields_samples_and_transforms_each_field_once(grid1, monkeypatc
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    # a cold sweep of three alpha through the closed terms samples and transforms V and V^2
-    # once in all, and forms FV and F^2 V for each alpha
+    for name in ("fourier", "power"):
+        monkeypatch.setattr(GaussianMixturePotential, name, counted(name, getattr(GaussianMixturePotential, name)))
+    # a cold sweep of three alpha through the closed terms samples V once in all, squares that
+    # sample, transforms V and V^2 once and forms FV and F^2 V for each alpha; every kink reads
+    # its sample's moments, so no analytic transform or power mixture enters
     v = mixture([1.0, -0.4], [0.3, -1.1], [1.0, 2.2])
     lattice_fields.cache_clear()
     coefficients._closed_terms.cache_clear()
     for alpha in (0.8, 1.5, 2.0):
         cnk_closed(v, grid1, alpha, 1, 2)
-    assert calls == {"sample_on_grid": 3, "forward_transform": 2, "inverse_transform": 6}
+    assert calls == {"sample_on_grid": 1, "forward_transform": 2, "inverse_transform": 6, "fourier": 0, "power": 0}
+
+
+def test_closed_c12_reads_its_own_sum(grid1, monkeypatch):
+    # the closed C_{1,2} was the Fourier route's energy sum / 6, so that the (1, 2) route gap
+    # compared a sum with itself; a scaled lattice-sum step must move the Fourier route alone
+    v = mixture([0.9, -0.35], [-0.2, 1.1], [1.3, 0.7])
+    alpha = 0.7
+    scale = 1.0 + 1e-9
+    sums = coefficients.weighted_freq_sum
+    lattice_fields.cache_clear()
+    coefficients._closed_terms.cache_clear()
+    before = cnk_fourier(v, grid1, alpha, 1, 2), cnk_closed(v, grid1, alpha, 1, 2)
+    monkeypatch.setattr(coefficients, "weighted_freq_sum", lambda *args: scale * sums(*args))
+    try:
+        coefficients._closed_terms.cache_clear()
+        fourier, closed = cnk_fourier(v, grid1, alpha, 1, 2), cnk_closed(v, grid1, alpha, 1, 2)
+    finally:
+        coefficients._closed_terms.cache_clear()  # no entry summed through the scaled step outlives the test
+    assert fourier != before[0] and abs(fourier / before[0] - scale) < 1e-10
+    assert closed == before[1]
 
 
 def test_route_unavailable_cases(grid1):

@@ -434,6 +434,11 @@ def test_validation_errors():
     for args in ((1, (True,), ((0.0,),), (1.0,)), (1, (1.0,), ((0.0,),), (True,)), (1, (1.0,), ((False,),), (1.0,))):
         with pytest.raises(ValueError):
             GaussianMixturePotential(*args)
+    # a bare number for a whole field once died in len() with a bare TypeError
+    for field, args in (("weights", (1.0, [(0.0,)], [1.0])), ("sharpness", ([1.0], [(0.0,)], 1.0)),
+                        ("centers", ([1.0], 0.0, [1.0]))):
+        with pytest.raises(ValueError, match=f"{field} must be a sequence, got "):
+            GaussianMixturePotential(1, *args)
     # numpy and integer numbers are real numbers, stored as floats
     assert mixture([np.int64(1)], [np.float32(0.0)], [1]) == gaussian()
     assert type(mixture([np.int64(1)], [0], [1]).weights[0]) is float

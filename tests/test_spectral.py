@@ -83,19 +83,44 @@ def test_kink_correction_repairs_odd_symbol_sums(grid1):
     # |xi|^1 against a smooth Gaussian profile: the raw lattice sum misses
     # the integrable kink at 0 by ~(2L)^{-2}; the corrected sum must land
     # within 1e-6 of the quadrature value (here exactly 1)
-    v = gaussian()
-    density = np.abs(forward_transform(sample_on_grid(v, grid1)).values) ** 2
-    smooth = lambda xi: float(np.abs(v.fourier(xi)) ** 2)
+    v = sample_on_grid(gaussian(), grid1)
+    density = np.abs(forward_transform(v).values) ** 2
     raw = weighted_freq_sum(grid1, density, 1.0)
-    corrected = weighted_freq_sum(grid1, density, 1.0) + kink_correction(grid1, 1.0, smooth)
+    corrected = raw + kink_correction(grid1, 1.0, v.values)
     assert abs(raw - oracles.DIRICHLET_UNIT_A1) > 1e-4
     assert abs(corrected - oracles.DIRICHLET_UNIT_A1) < 1e-6
 
 
 def test_kink_correction_vanishes_for_even_powers(grid1):
-    v = gaussian()
-    smooth = lambda xi: float(np.abs(v.fourier(xi)) ** 2)
-    assert kink_correction(grid1, 2.0, smooth) == pytest.approx(0.0, abs=1e-12)
+    assert kink_correction(grid1, 2.0, sample_on_grid(gaussian(), grid1).values) == pytest.approx(0.0, abs=1e-12)
+
+
+def _exact_moment_kink(grid, beta, w):
+    """kink_correction's formula with the closed-form moments m_j = int x^j W of the 1-d mixture W."""
+    c, mu, a = (np.array(x, dtype=float).ravel() for x in (w.weights, w.centers, w.sharpness))
+    mass = c * np.sqrt(np.pi / a)
+    m0, m1, m2 = mass.sum(), (mass * mu).sum(), (mass * (mu**2 + 0.5 / a)).sum()
+    p0, p1 = m0**2, m1**2 - m0 * m2 + m0**2  # f(0) and f''(0)/2 + f(0) of f = |what|^2
+    xi = grid.axis_freqs()
+    lattice = ((p0 + p1 * xi**2) * np.exp(-(xi**2)) * np.abs(xi) ** beta).sum() * grid.freq_spacing
+    return (p0 * math.gamma((beta + 1) / 2) + p1 * math.gamma((beta + 3) / 2) - lattice) / (2 * math.pi)
+
+
+@pytest.mark.parametrize("beta", [0.8, 1.0, 1.5])
+def test_kink_correction_of_a_signed_pair_and_its_square(grid1, beta):
+    # W = V and W = V^2 (the square of V's sample, as the lattice bundle forms it): the
+    # correction read from W's lattice moments brings the raw sum to the quadrature value
+    # of (2 pi)^{-1} int |xi|^beta |what|^2 and agrees with the mixture's exact moments
+    v = mixture([0.8, -0.3], [-0.5, 0.7], [1.5, 0.6])
+    sample = sample_on_grid(v, grid1).values
+    for k in (1, 2):
+        w, values = v.power(k), sample**k
+        raw = weighted_freq_sum(grid1, np.abs(forward_transform(GridField(grid1, "physical", values)).values) ** 2, beta)
+        kink = kink_correction(grid1, beta, values)
+        ref = oracles.dirichlet_reference(w.weights, [mu[0] for mu in w.centers], w.sharpness, beta)
+        assert abs(raw + kink - ref) <= 1e-6 * abs(ref)
+        assert abs(raw - ref) > 1e-5 * abs(ref)
+        assert abs(kink - _exact_moment_kink(grid1, beta, w)) <= 1e-14
 
 
 def test_dirichlet_form_anchors(grid1):
@@ -143,6 +168,9 @@ def test_field_shape_validation(grid1):
         GridField(grid1, "physical", np.zeros(7))
     with pytest.raises(ValueError):
         GridField(grid1, "nowhere", np.zeros(grid1.shape))
+    for grid in (grid1, SpectralGrid(2, 16, 4.0)):  # the kink's field is checked in every d, not only read in d = 1
+        with pytest.raises(ValueError, match="does not match grid"):
+            kink_correction(grid, 1.0, np.zeros(7))
 
 
 def test_transforms_reject_wrong_space(grid1):
