@@ -37,7 +37,6 @@ from .potentials import GaussianMixturePotential
 from .sampling import _check_alpha, _check_count, _is_finite_real
 from .simplex import weight_A
 from .spectral import (  # perfbench/rep.py wraps these names where they are bound here
-    GridField,
     SpectralGrid,
     _real_part,
     apply_fractional_laplacian,
@@ -126,7 +125,8 @@ def _check_box(v: GaussianMixturePotential, grid: SpectralGrid) -> None:
 @dataclass(frozen=True, eq=False)
 class LatticeFields:
     """Read-only arrays, none of which reads alpha, that every route shares for one (V, grid): V and V^2 on
-    the physical grid (V^2 the square of V's sample) and their discrete transforms vhat and v2hat."""
+    the physical grid (V^2 the square of V's sample) and their discrete transforms vhat and v2hat on the
+    frequency lattice.  Each is a plain array that the spectral functions read with the grid."""
 
     grid: SpectralGrid
     v1: np.ndarray
@@ -134,25 +134,22 @@ class LatticeFields:
     vhat: np.ndarray
     v2hat: np.ndarray
 
-    def integral(self, values: np.ndarray) -> float:
-        """h^d sum of a physical-grid array."""
-        return grid_integral(GridField(self.grid, "physical", values))
-
     def energy(self, beta: float) -> float:
         """E_beta(V) = (2 pi)^{-d} int |xi|^beta |vhat|^2, kink-corrected in d = 1."""
-        return weighted_freq_sum(self.grid, np.abs(self.vhat) ** 2, beta) + kink_correction(self.grid, beta, self.v1)
+        return weighted_freq_sum(self.grid, np.abs(self.vhat) ** 2, beta) + kink_correction(self.grid, self.v1, beta)
 
 
 @functools.lru_cache(maxsize=16)
 def lattice_fields(v: GaussianMixturePotential, grid: SpectralGrid) -> LatticeFields:
-    """The LatticeFields of (V, grid), built once and cached: V sampled once, V^2 its square, both transformed once."""
+    """The LatticeFields of (V, grid), built once and cached: V sampled once, V^2 its square, both transformed
+    once, all four kept as plain read-only arrays."""
     _check_box(v, grid)
     v1 = sample_on_grid(v, grid)
-    fields = [v1, GridField(grid, "physical", v1.values * v1.values)]
-    fields += [forward_transform(field) for field in fields]
-    for field in fields:
-        field.values.flags.writeable = False
-    return LatticeFields(grid, *(field.values for field in fields))
+    fields = [v1, v1 * v1]
+    fields += [forward_transform(grid, values) for values in fields]
+    for values in fields:
+        values.flags.writeable = False
+    return LatticeFields(grid, *fields)
 
 
 def dirichlet_form(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float) -> float:
@@ -183,6 +180,7 @@ def cnk_fourier(
     n = 0 (c0k's C_{0,k}) and (1, 4) (cnk_closed's) included.
     """
     _check_alpha(alpha)
+    n, k = _check_count("n", n), _check_count("k", k)
     if not _on_lattice(n, k, grid.dimension):
         raise RouteUnavailable(f"cnk_fourier does not support (n, k) = ({n}, {k}) in d = {grid.dimension}")
     weight = float(weight_A(n, (n,) + (0,) * (k - 2)))
@@ -209,19 +207,19 @@ def _closed_terms(v: GaussianMixturePotential, grid: SpectralGrid, alpha: float)
     Typed, as c_ell is, so alpha = True misses an alpha = 1 entry and meets the check."""
     _check_alpha(alpha)
     f = lattice_fields(v, grid)
-    fv, f2v = (apply_fractional_laplacian(GridField(grid, "frequency", f.vhat), alpha, p).values for p in (1, 2))
-    kink1, kink2, kink3 = (kink_correction(grid, p * alpha, f.v1) for p in (1.0, 2.0, 3.0))
-    kink_sq = kink_correction(grid, alpha, f.v2)
+    fv, f2v = (apply_fractional_laplacian(grid, f.vhat, alpha, p) for p in (1, 2))
+    kink1, kink2, kink3 = (kink_correction(grid, f.v1, p * alpha) for p in (1.0, 2.0, 3.0))
+    kink_sq = kink_correction(grid, f.v2, alpha)
     dens = np.abs(symbol_array(grid, alpha) * f.vhat + f.v2hat) ** 2
     return (
-        (f.integral(f.v1 * fv) + kink1) / 6.0,
-        (f.integral(fv**2) + kink2) / 12.0,
-        (f.integral(fv * f2v) + kink3) / 20.0,
-        f.integral(f.v2 * fv) / 12.0,
-        (2.0 * f.integral(f.v2 * f2v) + f.integral(f.v1 * fv**2)) / 60.0,
-        (2.0 * f.integral(f.v2 * f.v1 * fv) + (weighted_freq_sum(grid, np.abs(f.v2hat) ** 2, alpha) + kink_sq)) / 120.0,
-        (f.integral((f.v2 + fv) ** 2) + kink2) / 24.0,
-        (f.integral(f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + kink_sq)) / 120.0,
+        (grid_integral(grid, f.v1 * fv) + kink1) / 6.0,
+        (grid_integral(grid, fv**2) + kink2) / 12.0,
+        (grid_integral(grid, fv * f2v) + kink3) / 20.0,
+        grid_integral(grid, f.v2 * fv) / 12.0,
+        (2.0 * grid_integral(grid, f.v2 * f2v) + grid_integral(grid, f.v1 * fv**2)) / 60.0,
+        (2.0 * grid_integral(grid, f.v2 * f.v1 * fv) + (weighted_freq_sum(grid, np.abs(f.v2hat) ** 2, alpha) + kink_sq)) / 120.0,
+        (grid_integral(grid, (f.v2 + fv) ** 2) + kink2) / 24.0,
+        (grid_integral(grid, f.v1 * (f.v2 + fv) ** 2) + (weighted_freq_sum(grid, dens, alpha) + kink3 + kink_sq)) / 120.0,
     )
 
 
@@ -237,6 +235,7 @@ def cnk_closed(
     n = 0 (c0k's C_{0,k}) included, raises RouteUnavailable.
     """
     _check_alpha(alpha)
+    n, k = _check_count("n", n), _check_count("k", k)
     if (n, k) not in _CLOSED:
         raise RouteUnavailable(f"cnk_closed supports (n, k) in {sorted(_CLOSED)}; got ({n}, {k})")
     return _closed_terms(v, grid, alpha)[_CLOSED.index((n, k))]

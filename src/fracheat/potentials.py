@@ -545,6 +545,8 @@ def mixture(
 
     The constructor checks every value, naming its field, and stores it as a float.
     """
+    if not np.iterable(centers):  # a bare number: the constructor's check names the field
+        return GaussianMixturePotential(1 if dimension is None else dimension, weights, centers, sharpness)
     cents = [(mu,) if np.ndim(mu) == 0 else mu for mu in centers]
     if dimension is None:
         if not cents:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
+from .sampling import _check_count
+
 __all__ = [
     "enumerate_compositions",
     "weight_A",
@@ -25,7 +27,7 @@ __all__ = [
 
 def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
     """All compositions of n into `slots` nonnegative parts, lexicographic."""
-    if n < 0 or slots < 1:
+    if _check_count("n", n) < 0 or _check_count("slots", slots) < 1:
         raise ValueError("need n >= 0 and slots >= 1")
     if slots == 1:
         yield (n,)
@@ -37,7 +39,8 @@ def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
 
 def weight_A(n: int, ell: tuple[int, ...]) -> Fraction:
     """A(n, l) = multinomial(n; l) * int_{I_k} prod_i (lam_i - lam_{i+1})^{l_i} = n!/(n + k)!, exact."""
-    if len(ell) == 0 or min(ell) < 0:
+    n = _check_count("n", n)
+    if len(ell) == 0 or min(_check_count(f"ell[{i}]", part) for i, part in enumerate(ell)) < 0:
         raise ValueError(f"composition {ell} must have at least one part, all nonnegative")
     if sum(ell) != n:
         raise ValueError(f"composition {ell} does not sum to {n}")

@@ -12,8 +12,10 @@ holds exactly: h^d sum v w* = (2 pi)^{-d} (pi/L)^d sum vhat what*, which is
 what lets paired spatial and frequency routes for the same quantity agree
 far below their truncation error.
 
-Operators act on spectra: apply_fractional_laplacian takes the output of
-forward_transform, so a caller that needs vhat and F^p V transforms V once.
+Every function that reads lattice values takes (grid, array, ...), checks the
+array's shape against the grid (_on_grid) and returns a plain array or float.
+apply_fractional_laplacian takes vhat = forward_transform(grid, V), so a
+caller that needs vhat and F^p V transforms V once.
 Every step that drops an imaginary part checks the residual in _real_part.
 
 Frequency sums of f(xi) |xi|^beta with beta not an even integer carry a
@@ -37,7 +39,6 @@ from .sampling import _check_alpha, _check_count, _is_finite_real
 
 __all__ = [
     "SpectralGrid",
-    "GridField",
     "sample_on_grid",
     "forward_transform",
     "inverse_transform",
@@ -111,44 +112,31 @@ class SpectralGrid:
         return np.sqrt(sum(np.ix_(*[self.axis_freqs() ** 2] * self.dimension)))
 
 
-@dataclass(eq=False)
-class GridField:
-    """Array of values attached to a grid, tagged physical or frequency."""
-
-    grid: SpectralGrid
-    space: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.space not in ("physical", "frequency"):
-            raise ValueError(f"space must be 'physical' or 'frequency', got {self.space!r}")
-        self.values = np.asarray(self.values)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(f"values shape {self.values.shape} does not match grid {self.grid.shape}")
+def _on_grid(grid: SpectralGrid, values) -> np.ndarray:
+    """values as an array, checked to have the grid's shape."""
+    vals = np.asarray(values)
+    if vals.shape != grid.shape:
+        raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
+    return vals
 
 
-def sample_on_grid(v: GaussianMixturePotential, grid: SpectralGrid) -> GridField:
+def sample_on_grid(v: GaussianMixturePotential, grid: SpectralGrid) -> np.ndarray:
+    """V at the points of the physical grid."""
     if v.dimension != grid.dimension:
         raise ValueError("potential and grid dimensions differ")
-    return GridField(grid, "physical", v.evaluate(grid.physical_mesh()))
+    return v.evaluate(grid.physical_mesh())
 
 
-def forward_transform(field: GridField) -> GridField:
-    """Discrete analogue of vhat(xi) = int exp(-i x.xi) v(x) dx."""
-    if field.space != "physical":
-        raise ValueError("forward_transform expects a physical-space field")
-    g = field.grid
-    spec = g.spacing**g.dimension * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(field.values)))
-    return GridField(g, "frequency", spec)
+def forward_transform(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Discrete analogue of vhat(xi) = int exp(-i x.xi) v(x) dx: physical-grid values to the frequency lattice."""
+    vals = _on_grid(grid, values)
+    return grid.spacing**grid.dimension * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals)))
 
 
-def inverse_transform(field: GridField) -> GridField:
-    """Inverse of forward_transform, carrying the (2 pi)^{-d} factor."""
-    if field.space != "frequency":
-        raise ValueError("inverse_transform expects a frequency-space field")
-    g = field.grid
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(field.values))) / g.spacing**g.dimension
-    return GridField(g, "physical", vals)
+def inverse_transform(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    """Inverse of forward_transform, carrying the (2 pi)^{-d} factor: frequency-lattice values to the physical grid."""
+    vals = _on_grid(grid, spec)
+    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(vals))) / grid.spacing**grid.dimension
 
 
 def _real_part(values: np.ndarray, what: str) -> np.ndarray:
@@ -171,45 +159,40 @@ def symbol_array(grid: SpectralGrid, beta: float) -> np.ndarray:
     return out
 
 
-def apply_fractional_laplacian(spec: GridField, alpha: float, power: int = 1) -> GridField:
+def apply_fractional_laplacian(grid: SpectralGrid, vhat: np.ndarray, alpha: float, power: int = 1) -> np.ndarray:
     """F^power V where F = (-Delta)^{alpha/2} acts by the symbol |xi|^alpha.
 
-    Takes the frequency-space field vhat = forward_transform(V) and returns the
-    physical-space field of |xi|^{alpha power} vhat, i.e. F V for power = 1,
+    Takes vhat = forward_transform(grid, V) on the frequency lattice and returns
+    |xi|^{alpha power} vhat transformed back to the physical grid, i.e. F V for power = 1,
     F^2 V for power = 2 (so F V = -V'' at alpha = 2, d = 1).  Real part is
     returned after asserting the imaginary residual is below 1e-9 relative.
     """
-    if spec.space != "frequency":
-        raise ValueError("apply_fractional_laplacian expects a frequency-space field")
+    vals = _on_grid(grid, vhat)
     _check_alpha(alpha)
-    if power < 1:
+    if _check_count("power", power) < 1:
         raise ValueError("power must be >= 1")
-    mult = symbol_array(spec.grid, alpha * power)
-    out = inverse_transform(GridField(spec.grid, "frequency", mult * spec.values))
-    return GridField(spec.grid, "physical", _real_part(out.values, "fractional Laplacian"))
+    out = inverse_transform(grid, symbol_array(grid, alpha * power) * vals)
+    return _real_part(out, "fractional Laplacian")
 
 
-def grid_integral(field: GridField) -> float:
+def grid_integral(grid: SpectralGrid, values: np.ndarray) -> float:
     """h^d sum of values over the physical grid."""
-    if field.space != "physical":
-        raise ValueError("grid_integral expects a physical-space field")
-    vals = _real_part(field.values, "grid_integral")
-    return float(vals.sum() * field.grid.spacing**field.grid.dimension)
+    vals = _real_part(_on_grid(grid, values), "grid_integral")
+    return float(vals.sum() * grid.spacing**grid.dimension)
 
 
-def kink_correction(grid: SpectralGrid, beta: float, values: np.ndarray) -> float:
+def kink_correction(grid: SpectralGrid, values: np.ndarray, beta: float) -> float:
     """Additive correction for the |xi|^beta kink in the 1-d frequency sum of f |xi|^beta, f = |what|^2.
 
     values holds W on the physical grid.  Subtracts the lattice sum of the reference (p0 + p1 xi^2)
     e^{-xi^2} |xi|^beta and adds back its exact integral, where p0 = f(0) = m_0^2 and p1 = f''(0)/2 + f(0)
     = m_1^2 - m_0 m_2 + p0, with W's lattice moments m_j = h sum x^j W(x).  Returns 0 for d >= 2.
     """
-    if np.shape(values) != grid.shape:
-        raise ValueError(f"values shape {np.shape(values)} does not match grid {grid.shape}")
+    vals = _on_grid(grid, values)
     if grid.dimension != 1:
         return 0.0
     x = grid.axis_points()
-    m0, m1, m2 = (float(np.dot(x**j, values)) * grid.spacing for j in range(3))
+    m0, m1, m2 = (float(np.dot(x**j, vals)) * grid.spacing for j in range(3))
     p0, p1 = m0**2, m1**2 - m0 * m2 + m0**2
     exact = p0 * math.gamma((beta + 1.0) / 2.0) + p1 * math.gamma((beta + 3.0) / 2.0)
     xi = grid.axis_freqs()
@@ -222,11 +205,8 @@ def weighted_freq_sum(grid: SpectralGrid, values: np.ndarray, beta: float) -> fl
     """(2 pi)^{-d} (pi/L)^d sum over the lattice of values * |xi|^beta, the raw trapezoidal sum.
 
     values holds the smooth factor f on the frequency lattice.  In d = 1 a caller
-    adds kink_correction of the field W with f = |what|^2 to remove the lattice error of the kink.
+    adds kink_correction(grid, W, beta) of the field W with f = |what|^2 to remove the lattice error of the kink.
     """
-    vals = np.asarray(values)
-    if vals.shape != grid.shape:
-        raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
-    vals = _real_part(vals, "weighted_freq_sum")
+    vals = _real_part(_on_grid(grid, values), "weighted_freq_sum")
     raw = float((vals * symbol_array(grid, beta)).sum())
     return raw * (grid.freq_spacing / (2.0 * math.pi)) ** grid.dimension

@@ -141,10 +141,10 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 def test_alpha_outside_the_range_is_rejected_alike_everywhere(tmp_path, capsys, alpha):
     message = f"alpha must lie in (0, 2], got {alpha}"
     grid = SpectralGrid(1, 32, 8.0)
-    spec = forward_transform(sample_on_grid(gaussian(), grid))
+    spec = forward_transform(grid, sample_on_grid(gaussian(), grid))
     calls = [
         lambda: coefficient_table(gaussian(), grid, alpha),
-        lambda: apply_fractional_laplacian(spec, alpha),
+        lambda: apply_fractional_laplacian(grid, spec, alpha),
         lambda: sample_increment(alpha, 1, 0.1, np.random.default_rng(0), size=1),
         lambda: estimate_heat_content(gaussian(), alpha, 0.1, McConfig(n_paths=1000)),
         lambda: moment_estimate(alpha, 0.5, 1.0, 1000, RngStream(0)),

@@ -224,6 +224,13 @@ def test_argument_validation(grid1):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 call(order)
     assert c_ell(v, grid1, 1.5, np.int64(3)) == c_ell(v, grid1, 1.5, 3)
+    # cnk_closed(..., True, 2) and (..., 1, 2.0) once returned C_{1,2}, as did cnk_fourier(..., True, 2),
+    # and a float n or k reached cnk_fourier's factorials as a bare TypeError
+    for fn in (cnk_closed, cnk_fourier):
+        for n, k, name in ((True, 2, "n"), (1.5, 2, "n"), (1, 2.0, "k"), (1, True, "k")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                fn(v, grid1, 1.5, n, k)
+        assert fn(v, grid1, 1.5, np.int64(1), np.int64(2)) == fn(v, grid1, 1.5, 1, 2)
     assert c0k(v, np.int64(2)) == c0k(v, 2)
     # a cached alpha = 1 entry does not let alpha = True through; c4_sos, c5_sos and
     # dirichlet_form once returned the alpha = 1 values through the bundle's cache

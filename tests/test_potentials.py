@@ -439,6 +439,9 @@ def test_validation_errors():
                         ("centers", ([1.0], 0.0, [1.0]))):
         with pytest.raises(ValueError, match=f"{field} must be a sequence, got "):
             GaussianMixturePotential(1, *args)
+    # mixture wraps scalar centers one by one, and once iterated a bare number before the constructor's check
+    with pytest.raises(ValueError, match=r"centers must be a sequence, got 0\.0"):
+        mixture([1.0], 0.0, [1.0])
     # numpy and integer numbers are real numbers, stored as floats
     assert mixture([np.int64(1)], [np.float32(0.0)], [1]) == gaussian()
     assert type(mixture([np.int64(1)], [0], [1]).weights[0]) is float

@@ -72,3 +72,10 @@ def test_invalid_arguments_raise():
         weight_A(0, ())
     with pytest.raises(ValueError):
         list(enumerate_compositions(1, 0))
+    # orders and parts are integers: weight_A(2, (1, 1.0)) once returned 1/60 and weight_A(True, (True,)) 1/6,
+    # and a float n died in enumerate_compositions' range() with a bare TypeError
+    for call, name in ((lambda: weight_A(2, (1, 1.0)), r"ell\[1\]"), (lambda: weight_A(True, (True,)), "n"),
+                       (lambda: weight_A(1.0, (1,)), "n"), (lambda: list(enumerate_compositions(2.0, 2)), "n"),
+                       (lambda: list(enumerate_compositions(2, True)), "slots")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
