@@ -53,14 +53,14 @@ from .sampling import RngStream, _check_alpha, _is_finite_real, sampler_selftest
 from .simplex import enumerate_compositions, weight_A
 from .spectral import SpectralGrid
 from .validator import (
+    _FMT,
     _check_report_limits,
+    _csv,
     expansion_report,
     positivity_audit,
     report_to_csv,
     report_to_json,
 )
-
-_FMT = "{:.17g}".format
 
 
 class ConfigError(ValueError):
@@ -80,25 +80,73 @@ class RunConfig:
     formats: tuple[str, ...]
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
+_REQUIRED = object()  # the default of a key a config must give
+_NUM = (int, float)
+
+
+def _section(obj: dict, spec: dict, path: str, invalid: str = "") -> dict:
+    """Every key of spec ({key: (JSON types, default)}) read from obj, which may hold no other key.
+
+    Unknown keys are looked for first.  A missing, mistyped or non-finite value
+    raises with ``invalid`` in front of its message: the grid and mc sections
+    pass the prefix that their range errors carry.
+    """
     for key in obj:
-        if key not in allowed:
+        if key not in spec:
             raise ConfigError(f"unknown config key {path}{key!r}")
+    out = {}
+    for key, (types, default) in spec.items():
+        val = out[key] = obj.get(key, default)
+        if val is _REQUIRED:
+            raise ConfigError(f"{invalid}missing required config key {path}{key!r}")
+        # JSON true/false load as bool, a subclass of int; no key takes one
+        if key in obj and (isinstance(val, bool) or not isinstance(val, types)):
+            raise ConfigError(f"{invalid}config key {path}{key!r} has wrong type {type(val).__name__}")
+        # no key takes JSON's NaN or Infinity, or an int too large for float() to convert
+        if isinstance(val, _NUM) and not _is_finite_real(val):
+            raise ConfigError(f"{invalid}{path}{key} must be a finite number within float range")
+    return out
 
 
-def _get(obj: dict, key: str, types, path: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required config key {path}{key!r}")
-        return default
-    val = obj[key]
-    # JSON true/false load as bool, a subclass of int; no key takes one
-    if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
-        raise ConfigError(f"config key {path}{key!r} has wrong type {type(val).__name__}")
-    # no key takes JSON's NaN or Infinity, or an int too large for float() to convert
-    if isinstance(val, (int, float)) and not _is_finite_real(val):
-        raise ConfigError(f"{path}{key} must be a finite number within float range")
-    return val
+def _coords(value, path: str) -> list[float]:
+    """A centre, a list of numbers or one bare number, as a list of floats."""
+    vals = value if isinstance(value, list) else [value]
+    if not all(_is_finite_real(u) for u in vals):
+        raise ConfigError(f"{path} entries must be finite numbers")
+    return [float(u) for u in vals]
+
+
+# each config section's spec, {key: (JSON types, default)}, read by _section
+_TOP = {
+    "dimension": (int, _REQUIRED),
+    "alpha": (_NUM, _REQUIRED),
+    "potential": (list, _REQUIRED),
+    "grid": (dict, {}),
+    "t_list": (list, (0.02, 0.05, 0.1, 0.2)),
+    "mc": (dict, {}),
+    "validate": (dict, {}),
+    "output": (dict, {}),
+}
+_COMPONENT = {"weight": (_NUM, _REQUIRED), "center": (_NUM + (list,), _REQUIRED), "sharpness": (_NUM, _REQUIRED)}
+_MC = {
+    "n_paths": (int, 200_000),
+    "m_steps": (int, McConfig.m_steps),
+    "seed": (int, McConfig.seed),
+    "threads": (int, McConfig.threads),
+    # mc.proposal set the start-point proposal of an earlier estimator; it is still
+    # checked, so a config rejected before still is, but no value is read (main warns)
+    "proposal": ((dict, type(None)), None),
+}
+_PROPOSAL = {"center": (_NUM + (list,), None), "sigma": (_NUM, None)}
+_VALIDATE = {"n_max": (int, MAX_ORDER), "gamma": (_NUM + (type(None),), None)}
+_OUTPUT = {"directory": (str, None), "format": (str, "both")}
+_FORMATS = {"csv": ("csv",), "json": ("json",), "both": ("csv", "json")}  # each output.format's files
+
+
+def _grid_spec(dim: int) -> dict:
+    """The grid section's spec, whose defaults are those of ``SpectralGrid.default_for(dim)``."""
+    gdef = SpectralGrid.default_for(dim)
+    return {"points_per_axis": (int, gdef.points_per_axis), "half_extent": (_NUM, gdef.half_extent)}
 
 
 def load_config(path: str) -> RunConfig:
@@ -120,100 +168,64 @@ def _read_config(path: str) -> dict:
 
 
 def resolve_config(raw: dict) -> RunConfig:
-    _require_keys(raw, {"dimension", "alpha", "potential", "grid", "t_list", "mc", "validate", "output"}, "")
-    dim = _get(raw, "dimension", int, "", required=True)
+    top = _section(raw, _TOP, "")
+    dim, alpha = top["dimension"], top["alpha"]
     if dim not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dim!r}")
-    alpha = _get(raw, "alpha", (int, float), "", required=True)
     try:
         _check_alpha(alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    comps = _get(raw, "potential", list, "", required=True)
     weights, centers, sharps = [], [], []
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(top["potential"]):
         if not isinstance(comp, dict):
             raise ConfigError(f"potential[{i}] must be an object")
-        _require_keys(comp, {"weight", "center", "sharpness"}, f"potential[{i}].")
-        weights.append(float(_get(comp, "weight", (int, float), f"potential[{i}].", required=True)))
-        center = _get(comp, "center", (int, float, list), f"potential[{i}].", required=True)
-        if not isinstance(center, list) and dim > 1:
+        comp = _section(comp, _COMPONENT, f"potential[{i}].")
+        if not isinstance(comp["center"], list) and dim > 1:
             raise ConfigError(f"potential[{i}].center must be a list of {dim} numbers in dimension {dim}")
-        vals = center if isinstance(center, list) else [center]
-        if not all(_is_finite_real(u) for u in vals):
-            raise ConfigError(f"potential[{i}].center entries must be finite numbers")
-        centers.append([float(u) for u in vals])
-        sharps.append(float(_get(comp, "sharpness", (int, float), f"potential[{i}].", required=True)))
+        weights.append(float(comp["weight"]))
+        centers.append(_coords(comp["center"], f"potential[{i}].center"))
+        sharps.append(float(comp["sharpness"]))
     try:
         pot = mixture(weights, centers, sharps, dimension=dim)
     except ValueError as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
 
-    gsec = _get(raw, "grid", dict, "", default={})
-    _require_keys(gsec, {"points_per_axis", "half_extent"}, "grid.")
-    gdef = SpectralGrid.default_for(dim)
+    gsec = _section(top["grid"], _grid_spec(dim), "grid.", "invalid grid: ")
     try:
-        grid = SpectralGrid(
-            dim,
-            _get(gsec, "points_per_axis", int, "grid.", default=gdef.points_per_axis),
-            float(_get(gsec, "half_extent", (int, float), "grid.", default=gdef.half_extent)),
-        )
+        grid = SpectralGrid(dim, gsec["points_per_axis"], float(gsec["half_extent"]))
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    ts = _get(raw, "t_list", list, "", default=[0.02, 0.05, 0.1, 0.2])
+    ts = top["t_list"]
     if not ts or not all(_is_finite_real(t) and t > 0 for t in ts):
         raise ConfigError("t_list must be a nonempty list of positive finite numbers")
     t_list = tuple(sorted(float(t) for t in ts))
 
-    msec = _get(raw, "mc", dict, "", default={})
-    _require_keys(msec, {"n_paths", "m_steps", "seed", "threads", "proposal"}, "mc.")
-    # mc.proposal set the start-point proposal of an earlier estimator; it is still
-    # checked, so a config rejected before still is, but no value is read (main warns)
-    prop = _get(msec, "proposal", (dict, type(None)), "mc.", default=None)
-    if prop is not None:
-        _require_keys(prop, {"center", "sigma"}, "mc.proposal.")
-        raw_center = _get(prop, "center", (list, int, float), "mc.proposal.", default=None)
-        if raw_center is not None:
-            vals = raw_center if isinstance(raw_center, list) else [raw_center]
-            if not all(_is_finite_real(u) for u in vals):
-                raise ConfigError("mc.proposal.center entries must be finite numbers")
-            if len(vals) != dim:
-                raise ConfigError(f"mc.proposal.center must have {dim} entries")
-        sigma = _get(prop, "sigma", (int, float), "mc.proposal.", default=None)
-        if sigma is not None and not (_is_finite_real(sigma) and sigma > 0.0):
-            raise ConfigError(f"mc.proposal.sigma must be a positive finite number, got {sigma!r}")
+    msec = _section(top["mc"], _MC, "mc.", "invalid mc section: ")
+    if (prop := msec.pop("proposal")) is not None:
+        prop = _section(prop, _PROPOSAL, "mc.proposal.")
+        if prop["center"] is not None and len(_coords(prop["center"], "mc.proposal.center")) != dim:
+            raise ConfigError(f"mc.proposal.center must have {dim} entries")
+        if prop["sigma"] is not None and not prop["sigma"] > 0.0:
+            raise ConfigError(f"mc.proposal.sigma must be a positive finite number, got {prop['sigma']!r}")
     try:
-        mc = McConfig(
-            n_paths=_get(msec, "n_paths", int, "mc.", default=200_000),
-            m_steps=_get(msec, "m_steps", int, "mc.", default=64),
-            seed=_get(msec, "seed", int, "mc.", default=0),
-            threads=_get(msec, "threads", int, "mc.", default=1),
-        )
+        mc = McConfig(**msec)
     except ValueError as exc:
         raise ConfigError(f"invalid mc section: {exc}") from exc
 
-    vsec = _get(raw, "validate", dict, "", default={})
-    _require_keys(vsec, {"n_max", "gamma"}, "validate.")
-    n_max = _get(vsec, "n_max", int, "validate.", default=MAX_ORDER)
-    gamma = _get(vsec, "gamma", (int, float, type(None)), "validate.", default=None)
-    gamma = None if gamma is None else float(gamma)
+    vsec = _section(top["validate"], _VALIDATE, "validate.")
+    n_max = vsec["n_max"]
+    gamma = None if vsec["gamma"] is None else float(vsec["gamma"])
     try:
         _check_report_limits(float(alpha), n_max, gamma)
     except ValueError as exc:
         raise ConfigError(f"invalid validate section: {exc}") from exc
 
-    osec = _get(raw, "output", dict, "", default={})
-    _require_keys(osec, {"directory", "format"}, "output.")
-    out_dir = _get(osec, "directory", str, "output.", default=None)
-    fmt = _get(osec, "format", str, "output.", default="both")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"output.format must be csv, json or both, got {fmt!r}")
-    return RunConfig(pot, float(alpha), grid, t_list, mc, n_max, gamma, out_dir, _formats(fmt))
-
-
-def _formats(fmt: str) -> tuple[str, ...]:
-    return ("csv", "json") if fmt == "both" else (fmt,)
+    osec = _section(top["output"], _OUTPUT, "output.")
+    if osec["format"] not in _FORMATS:
+        raise ConfigError(f"output.format must be csv, json or both, got {osec['format']!r}")
+    return RunConfig(pot, float(alpha), grid, t_list, mc, n_max, gamma, osec["directory"], _FORMATS[osec["format"]])
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -244,7 +256,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.out:
         changes["out_dir"] = args.out
     if args.format:
-        changes["formats"] = _formats(args.format)
+        changes["formats"] = _FORMATS[args.format]
     return replace(cfg, **changes)
 
 
@@ -262,28 +274,23 @@ def _cmd_coeffs(cfg: RunConfig, args) -> int:
     print(f"# coefficients  alpha={cfg.alpha:g}  {cfg.grid.descriptor}  config={config_digest(cfg)}")
     for label, e in table.entries.items():
         print(f"{label:8s} {_FMT(e.value):>24s}  {e.route:12s} {e.grid}")
-    weight_rows = []
+    doc = {
+        "alpha": cfg.alpha,
+        "dimension": cfg.potential.dimension,
+        "entries": {label: asdict(e) for label, e in table.entries.items()},
+    }
     if args.weights:
         print("# exact simplex weights A(n, l)")
+        doc["weights"] = []
         # every n and k that occur in a C_{n,k} with n + k <= MAX_ORDER
         for n in range(MAX_ORDER - 1):
             for k in range(2, MAX_ORDER - n + 1):
                 for ell in enumerate_compositions(n, k - 1):
                     val = weight_A(n, ell)
-                    weight_rows.append((n, ell, str(val)))
+                    doc["weights"].append({"n": n, "composition": list(ell), "value": str(val)})
                     print(f"A({n},{ell}) = {val}")
-    doc = {
-        "alpha": cfg.alpha,
-        "dimension": cfg.potential.dimension,
-        "entries": {
-            label: {"value": e.value, "route": e.route, "grid": e.grid} for label, e in table.entries.items()
-        },
-    }
-    if weight_rows:
-        doc["weights"] = [{"n": n, "composition": list(ell), "value": s} for n, ell, s in weight_rows]
-    csv_lines = ["label,value,route,grid"]
-    csv_lines += [f"{label},{_FMT(e.value)},{e.route},{e.grid}" for label, e in table.entries.items()]
-    _write_outputs(cfg, "coeffs", doc, "\n".join(csv_lines) + "\n")
+    rows = [(label, e.value, e.route, e.grid) for label, e in table.entries.items()]
+    _write_outputs(cfg, "coeffs", doc, _csv(("label", "value", "route", "grid"), rows))
     return 0
 
 
@@ -292,16 +299,10 @@ def _cmd_mc(cfg: RunConfig, args) -> int:
     rows = list(zip(cfg.t_list, estimate_heat_content(cfg.potential, cfg.alpha, cfg.t_list, cfg.mc)))
     for t, est in rows:
         print(f"t={t:<10g} Q={_FMT(est.mean):>24s}  se={est.standard_error:.3e}  n={est.n_samples}")
-    doc = {
-        "alpha": cfg.alpha,
-        "estimates": [
-            {"t": t, "mean": e.mean, "standard_error": e.standard_error, "n_samples": e.n_samples}
-            for t, e in rows
-        ],
-    }
-    csv_lines = ["t,mean,standard_error,n_samples"]
-    csv_lines += [f"{_FMT(t)},{_FMT(e.mean)},{_FMT(e.standard_error)},{e.n_samples}" for t, e in rows]
-    _write_outputs(cfg, "mc", doc, "\n".join(csv_lines) + "\n")
+    header = ("t", "mean", "standard_error", "n_samples")
+    cells = [(t, e.mean, e.standard_error, e.n_samples) for t, e in rows]
+    doc = {"alpha": cfg.alpha, "estimates": [dict(zip(header, row)) for row in cells]}
+    _write_outputs(cfg, "mc", doc, _csv(header, cells))
     return 0
 
 
@@ -312,28 +313,20 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     audit = positivity_audit(cfg.potential, cfg.grid, cfg.alpha)
     failed = 0
     for c in checks:
-        ok = c.passed
-        failed += not ok
-        print(f"{'PASS' if ok else 'FAIL'} {c.name}: value={c.value:.6e} margin={c.margin:.3e}")
+        failed += not c.passed
+        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6e} margin={c.margin:.3e}")
     for r in audit:
-        ok = r.ok or not r.required
-        failed += not ok
-        tag = "PASS" if ok else "FAIL"
+        failed += not r.ok
         req = "required" if r.required else "probe"
-        print(f"{tag} {r.label}: value={r.value:.6e} ({req})")
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.label}: value={r.value:.6e} ({req})")
     doc = {
         "se_mult": report.se_mult,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "value": c.value, "margin": c.margin} for c in checks
-        ],
-        "positivity": [
-            {"label": r.label, "value": r.value, "required": r.required, "ok": r.ok} for r in audit
-        ],
+        "checks": [{key: getattr(c, key) for key in ("name", "passed", "value", "margin")} for c in checks],
+        "positivity": [asdict(r) for r in audit],
     }
-    csv_lines = ["kind,name,passed,value,margin"]
-    csv_lines += [f"bound,{c.name},{int(c.passed)},{_FMT(c.value)},{_FMT(c.margin)}" for c in checks]
-    csv_lines += [f"positivity,{r.label},{int(r.ok or not r.required)},{_FMT(r.value)}," for r in audit]
-    _write_outputs(cfg, "validate", doc, "\n".join(csv_lines) + "\n")
+    rows = [("bound", c.name, int(c.passed), c.value, c.margin) for c in checks]
+    rows += [("positivity", r.label, int(r.ok), r.value, "") for r in audit]
+    _write_outputs(cfg, "validate", doc, _csv(("kind", "name", "passed", "value", "margin"), rows))
     print(f"# {len(checks) + len(audit)} checks, {failed} failed")
     return 1 if failed else 0
 
@@ -380,19 +373,20 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"fracheat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--threads", type=int, default=None, help="override mc.threads")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
 
     p = sub.add_parser("coeffs", help="deterministic coefficient table")
-    common(p)
+    common(p, _cmd_coeffs)
     p.add_argument("--weights", action="store_true", help="also print exact simplex weights")
-    common(sub.add_parser("mc", help="Monte Carlo heat-content estimates"))
-    common(sub.add_parser("validate", help="bound checks and positivity audit"))
-    common(sub.add_parser("report", help="full expansion report"))
+    common(sub.add_parser("mc", help="Monte Carlo heat-content estimates"), _cmd_mc)
+    common(sub.add_parser("validate", help="bound checks and positivity audit"), _cmd_validate)
+    common(sub.add_parser("report", help="full expansion report"), _cmd_report)
     p = sub.add_parser("sampler-selftest", help="distributional sampler checks")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quick", action="store_true", help="smaller sample sizes")
@@ -405,12 +399,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(resolve_config(raw), args)
         if "proposal" in raw.get("mc", {}):
             print("warning: config key 'mc.proposal' is ignored: start points are drawn from |V|", file=sys.stderr)
-        return {
-            "coeffs": _cmd_coeffs,
-            "mc": _cmd_mc,
-            "validate": _cmd_validate,
-            "report": _cmd_report,
-        }[args.command](cfg, args)
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -388,12 +388,9 @@ class GaussianMixturePotential:
         Interpolates the Lipschitz bound against the trivial bound 2||V||_inf:
         min(L r, 2 s) <= L^gamma (2 s)^{1 - gamma} r^gamma.
         """
-        if not 0.0 < gamma <= 1.0:
+        if not (_is_finite_real(gamma) and 0.0 < gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-        lip = self.lipschitz_constant()
-        if lip == 0.0:
-            return 0.0
-        return float(lip**gamma * (2.0 * self.sup_norm()) ** (1.0 - gamma))
+        return float(self.lipschitz_constant() ** gamma * (2.0 * self.sup_norm()) ** (1.0 - gamma))
 
 
 def _newton_ascent(v: GaussianMixturePotential, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ composition, in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
-from typing import Iterator
 
 from .sampling import _check_count
 
@@ -25,16 +25,11 @@ __all__ = [
 ]
 
 
-def enumerate_compositions(n: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n into `slots` nonnegative parts, lexicographic."""
+def enumerate_compositions(n: int, slots: int) -> tuple[tuple[int, ...], ...]:
+    """All compositions of n into `slots` nonnegative parts, lexicographic: the (n + 1)^slots part tuples filtered."""
     if _check_count("n", n) < 0 or _check_count("slots", slots) < 1:
         raise ValueError("need n >= 0 and slots >= 1")
-    if slots == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in enumerate_compositions(n - first, slots - 1):
-            yield (first,) + rest
+    return tuple(ell for ell in product(range(n + 1), repeat=slots) if sum(ell) == n)
 
 
 def weight_A(n: int, ell: tuple[int, ...]) -> Fraction:

@@ -34,7 +34,7 @@ from .coefficients import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_heat_content
 from .potentials import GaussianMixturePotential
-from .sampling import _check_count, _is_finite_real
+from .sampling import _check_alpha, _check_count, _is_finite_real
 from .sampling import moment_estimate  # not called here: perfbench/rep.py wraps validator.moment_estimate by name
 from .spectral import SpectralGrid
 
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 SE_MULT = 4.0  # Monte Carlo slack of every report row, in standard errors of the summands it reads
+_FMT = "{:.17g}".format  # every float written as text: 17 significant digits read back as the same float
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ class ExpansionReport:
 
 def _check_report_limits(alpha: float, n_max: int, gamma: float | None) -> None:
     """The report's own ranges: 1 <= n_max <= MAX_ORDER and, when given, 0 < gamma < min(1, alpha)."""
+    _check_alpha(alpha)  # first, since gamma is compared with it
     if not 1 <= _check_count("n_max", n_max) <= MAX_ORDER:
         raise ValueError(f"n_max must lie in 1..{MAX_ORDER}, got {n_max}")
     if gamma is not None and not (_is_finite_real(gamma) and 0.0 < gamma < min(1.0, alpha)):
@@ -224,19 +226,20 @@ def _check_rows(
 def fit_remainder_order(t_list, residuals, ses) -> OrderFit:
     """Log-log slope of |residual| vs t with a 5-se usability gate.
 
-    Requires at least 4 times spanning a decade; points with |residual|
+    Requires at least 4 positive finite times spanning a decade; points with |residual|
     below 5 standard errors (ses) are excluded as noise-dominated; fewer than 3
     usable points raises.
     """
-    ts = np.asarray([float(t) for t in t_list])
+    t_list = list(t_list)
+    if not all(_is_finite_real(t) and t > 0 for t in t_list):
+        raise ValueError(f"t_list must hold positive finite real numbers, got {t_list}")
+    ts = np.asarray(t_list, dtype=float)
     res = np.asarray([float(r) for r in residuals])
     es = np.asarray([float(s) for s in ses])
     if not (ts.shape == res.shape == es.shape):
         raise ValueError("t_list, residuals and ses must have equal length")
     if len(ts) < 4:
         raise ValueError(f"need at least 4 times for an order fit, got {len(ts)}")
-    if (ts <= 0).any():
-        raise ValueError("times must be positive")
     if ts.max() / ts.min() < 10.0 * (1.0 - 1e-12):
         raise ValueError("times must span at least a decade")
     usable = (np.abs(res) >= 5.0 * es) & (res != 0.0)
@@ -277,20 +280,16 @@ def positivity_audit(
     c5c = c5_closed(v, grid, alpha)
     c5s = c5_sos(v, grid, alpha)
     tol = 1e-10
-    out = [
-        PositivityRecord("C2 >= 0", c2, True, bool(c2 >= -tol)),
-        PositivityRecord("C4 >= 0", c4c, True, bool(c4c >= -tol)),
-        PositivityRecord("C3 >= 0", c3, nonneg, bool(c3 >= -tol) if nonneg else True),
-        PositivityRecord("C5 >= 0", c5c, nonneg, bool(c5c >= -tol) if nonneg else True),
-        PositivityRecord("|C4_sos - C4| <= 1e-8", abs(c4s - c4c), True, bool(abs(c4s - c4c) <= 1e-8)),
-        PositivityRecord(
-            "|C5_sos - C5| <= 1e-7",
-            abs(c5s - c5c),
-            nonneg and grid.dimension == 1,
-            bool(abs(c5s - c5c) <= 1e-7) if (nonneg and grid.dimension == 1) else True,
-        ),
+    checks = [
+        ("C2 >= 0", c2, True, c2 >= -tol),
+        ("C4 >= 0", c4c, True, c4c >= -tol),
+        ("C3 >= 0", c3, nonneg, c3 >= -tol),
+        ("C5 >= 0", c5c, nonneg, c5c >= -tol),
+        ("|C4_sos - C4| <= 1e-8", abs(c4s - c4c), True, abs(c4s - c4c) <= 1e-8),
+        ("|C5_sos - C5| <= 1e-7", abs(c5s - c5c), nonneg and grid.dimension == 1, abs(c5s - c5c) <= 1e-7),
     ]
-    return out
+    # a record that is not required is evidence only, so it is ok whatever its value
+    return [PositivityRecord(label, value, required, bool(held) or not required) for label, value, required, held in checks]
 
 
 # -- assembled report ------------------------------------------------------------
@@ -353,22 +352,26 @@ def report_to_json(report: ExpansionReport) -> str:
     return json.dumps(asdict(report, dict_factory=_finite_or_null), sort_keys=True, indent=2)
 
 
+def _csv(header, rows) -> str:
+    """CSV text of the header and rows; a float cell is written with ``_FMT``, any other with str."""
+    return "".join(",".join(_FMT(x) if isinstance(x, float) else str(x) for x in row) + "\n" for row in [header, *rows])
+
+
 def report_to_csv(report: ExpansionReport) -> str:
     """One row per t: estimate, partial sums, residuals, check verdicts/margins."""
-    fmt = lambda x: f"{x:.17g}"
-    check_names = [c.name.rsplit(" t=", 1)[0] for c in report.rows[0].checks]
+    orders = range(1, report.n_max + 1)
     header = ["t", "q_mc", "se"]
-    header += [f"partial_sum_{n}" for n in range(1, report.n_max + 1)]
-    header += [f"residual_{n}" for n in range(1, report.n_max + 1)]
-    for name in check_names:
-        slug = name.replace(" ", "_")
+    header += [f"partial_sum_{n}" for n in orders]
+    header += [f"residual_{n}" for n in orders]
+    for c in report.rows[0].checks:
+        slug = c.name.rsplit(" t=", 1)[0].replace(" ", "_")
         header += [f"{slug}:passed", f"{slug}:margin"]
-    lines = [",".join(header)]
+    rows = []
     for r in report.rows:
-        cells = [fmt(r.t), fmt(r.estimate), fmt(r.standard_error)]
-        cells += [fmt(r.partial_sums[n]) for n in range(1, report.n_max + 1)]
-        cells += [fmt(r.residuals[n]) for n in range(1, report.n_max + 1)]
+        cells = [r.t, r.estimate, r.standard_error]
+        cells += [r.partial_sums[n] for n in orders]
+        cells += [r.residuals[n] for n in orders]
         for c in r.checks:
-            cells += [str(int(c.passed)), fmt(c.margin)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells += [int(c.passed), c.margin]
+        rows.append(cells)
+    return _csv(header, rows)

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from fracheat.cli import ConfigError, config_digest, load_config, main
 from fracheat.coefficients import MAX_ORDER
 from fracheat.sampling import moment_estimate, sample_subordinator
 from fracheat.spectral import apply_fractional_laplacian, forward_transform, sample_on_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = {
     "dimension": 1,
@@ -55,6 +59,16 @@ def test_unknown_keys_are_rejected(tmp_path):
         load_config(write_config(tmp_path, {"mc": {"paths": 100}}))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"grid": {"points": 64}}))
+    # the nested sections too, each naming the key by its path
+    for extra, key in (
+        ({"potential": [{"weight": 1.0, "center": 0.0, "sharpness": 1.0, "width": 2.0}]}, "potential[0].'width'"),
+        ({"mc": {"proposal": {"centre": 0.0}}}, "mc.proposal.'centre'"),
+        ({"validate": {"gamma_max": 0.5}}, "validate.'gamma_max'"),
+        ({"output": {"dir": "out"}}, "output.'dir'"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, extra))
+        assert str(exc.value) == f"unknown config key {key}"
 
 
 def test_config_validation_errors(tmp_path):
@@ -97,6 +111,9 @@ def test_config_validation_errors(tmp_path):
         {"mc": {"n_paths": 1000, "proposal": {"sigma": True}}},
         {"mc": {"n_paths": 1000, "proposal": {"center": [True]}}},
         {"validate": {"gamma": True}},
+        {"grid": {"points_per_axis": True}},
+        {"validate": {"n_max": True}},
+        {"output": {"format": True}},
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, capsys, extra):
@@ -376,6 +393,42 @@ def test_mc_proposal_is_accepted_and_ignored(tmp_path, capsys):
     assert outputs["plain"] == outputs["proposal"]
     assert errs["plain"] == ""
     assert errs["proposal"].startswith("warning: config key 'mc.proposal' is ignored") and errs["proposal"].count("\n") == 1
+
+
+def _documented_configs():
+    """The example config of the cli module docstring and of README's "Command line" section."""
+    readme = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    pattern = re.compile(r"^( +)\{$.*?^\1\}$", re.M | re.S)  # an indented JSON object, braces on their own lines
+    return [json.loads(m.group(0)) for text in (cli.__doc__, readme) for m in pattern.finditer(text)]
+
+
+def _key_paths(raw: dict, path: str = "") -> set[str]:
+    keys = set()
+    for key, val in raw.items():
+        keys.add(path + key)
+        for sub in val if isinstance(val, list) else [val]:
+            if isinstance(sub, dict):
+                keys |= _key_paths(sub, f"{path}{key}.")
+    return keys
+
+
+def test_documented_configs_name_every_key():
+    # the schema is also written out in the cli docstring and in README; a key added,
+    # renamed or dropped in a section spec must show up in the docs as well
+    docs = _documented_configs()
+    assert len(docs) == 2
+    for raw in docs:
+        cli.resolve_config(raw)
+    specs = {
+        "": cli._TOP,
+        "potential.": cli._COMPONENT,
+        "grid.": cli._grid_spec(1),
+        "mc.": cli._MC,
+        "validate.": cli._VALIDATE,
+        "output.": cli._OUTPUT,
+    }
+    accepted = {path + key for path, spec in specs.items() for key in spec} - {"mc.proposal"}
+    assert set().union(*map(_key_paths, docs)) == accepted
 
 
 def test_config_digest_ignores_output_routing(tmp_path):

@@ -343,6 +343,10 @@ def test_holder_constant_domain():
         v.holder_constant(0.0)
     with pytest.raises(ValueError):
         v.holder_constant(1.2)
+    # a bool or a string is no exponent: True once ran as gamma = 1 and "0.5" died with a bare TypeError
+    for gamma in (True, "0.5"):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            v.holder_constant(gamma)
 
 
 def test_sign_predicates_and_zero():
@@ -364,8 +368,8 @@ def test_sign_predicates_and_zero():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zero_potential_takes_the_general_code_to_exact_zeros(d):
     # V = 0, empty or with zero weights, has no early return in evaluate,
-    # gradient, fourier or l1_norm: no component or a zero weight on each
-    # leaves the general code's zeros exact
+    # gradient, fourier, l1_norm or holder_constant: no component or a zero
+    # weight on each leaves the general code's zeros exact
     rng = np.random.default_rng(d)
     empty = mixture([], [], [], dimension=d)
     unweighted = mixture([0.0, -0.0, 0.0], rng.normal(size=(3, d)), [1.0, 3.0, 0.5], dimension=d)
@@ -377,6 +381,7 @@ def test_zero_potential_takes_the_general_code_to_exact_zeros(d):
         assert grad.shape == (4, 3, d) and grad.dtype == float and not grad.any()
         assert spec.shape == (4, 3) and spec.dtype == complex and not spec.any()
         assert v.l1_norm() == 0.0
+        assert all(v.holder_constant(gamma) == 0.0 for gamma in (0.25, 0.5, 1.0))
 
 
 def test_two_dimensional_evaluation_and_integral():

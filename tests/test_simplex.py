@@ -70,12 +70,14 @@ def test_invalid_arguments_raise():
         weight_A(0, (1, -1))  # sums to n, but a part is negative
     with pytest.raises(ValueError):
         weight_A(0, ())
+    # the arguments are checked at the call: enumerate_compositions was once a
+    # generator, whose checks ran only when its first composition was drawn
     with pytest.raises(ValueError):
-        list(enumerate_compositions(1, 0))
+        enumerate_compositions(1, 0)
     # orders and parts are integers: weight_A(2, (1, 1.0)) once returned 1/60 and weight_A(True, (True,)) 1/6,
     # and a float n died in enumerate_compositions' range() with a bare TypeError
     for call, name in ((lambda: weight_A(2, (1, 1.0)), r"ell\[1\]"), (lambda: weight_A(True, (True,)), "n"),
-                       (lambda: weight_A(1.0, (1,)), "n"), (lambda: list(enumerate_compositions(2.0, 2)), "n"),
-                       (lambda: list(enumerate_compositions(2, True)), "slots")):
+                       (lambda: weight_A(1.0, (1,)), "n"), (lambda: enumerate_compositions(2.0, 2), "n"),
+                       (lambda: enumerate_compositions(2, True), "slots")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call()

@@ -59,6 +59,10 @@ def test_fit_validation():
         fit_remainder_order(ts, np.zeros(6), np.zeros(6))  # nothing clears the gate
     with pytest.raises(ValueError):
         fit_remainder_order(ts, ts**2, ses=np.full(6, 1e6))
+    # a time is a finite real number: string times were once fitted (slope 2) and a bool ran as 1.0
+    for times in (["0.01", "0.1", "1", "10"], [True, 0.1, 0.01, 0.001]):
+        with pytest.raises(ValueError, match="t_list must hold positive finite real numbers"):
+            fit_remainder_order(times, [1e-4, 1e-2, 1.0, 100.0], [0.0] * 4)
 
 
 def test_positivity_audit_nonnegative(grid1):
@@ -195,6 +199,10 @@ def test_theorem2_gamma_validation():
     for gamma in ("0.5", 0.5j, np.True_, np.bool_(False), True, math.nan, math.inf, [0.5]):
         with pytest.raises(ValueError, match="gamma must lie in"):
             expansion_report(v, 1.5, [0.1], cfg, gamma=gamma)
+    # alpha is checked before gamma is compared with it, which once died with a bare TypeError
+    for alpha in ("1.5", None):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 2\], got "):
+            expansion_report(v, alpha, [0.1], cfg, gamma=0.5)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
